@@ -112,12 +112,11 @@ def load_config(args) -> ExperimentConfig:
     data = {}
     if args.config:
         data = json.loads(Path(args.config).read_text(encoding="utf-8"))
-    cfg = ExperimentConfig.from_dict(data)
     if args.seed is not None:
-        cfg.seed = args.seed
+        data["seed"] = args.seed
     if args.threads is not None:
-        cfg.threads = args.threads
-    return cfg
+        data["threads"] = args.threads
+    return ExperimentConfig.from_dict(data)
 
 
 def main(argv=None) -> int:

@@ -65,8 +65,17 @@ class GridCube:
 
 
 def scale_index(cube: GridCube, h: float) -> int:
-    """The integer n with side*h in [2**n, 2**(n+1))."""
-    return math.floor(math.log2(cube.side * h))
+    """The integer n with side*h in [2**n, 2**(n+1)).
+
+    A product within a few ulps below a power of two counts as that power:
+    with h = 1/m the float side*h of a side-m cube can round to just under
+    1 (m = 49 gives 0.9999999999999999), and its scale is still 0.
+    """
+    x = cube.side * h
+    exp = math.frexp(x)[1]  # x = mantissa * 2**exp with mantissa in [0.5, 1)
+    if math.ldexp(1.0, exp) - x <= 4 * math.ulp(x):
+        return exp
+    return exp - 1
 
 
 def is_power_of_two(n: int) -> bool:
@@ -189,14 +198,9 @@ def family_averages(f: GridFunction, cubes: Sequence[GridCube],
     """Per-cube averages of ``f``, computed from one shared prefix-sum table."""
     if sat is None:
         sat = SummedAreaTable(f.array)
-    out = np.empty(len(cubes), dtype=np.float64)
-    by_side: dict[int, list[int]] = {}
-    for i, c in enumerate(cubes):
-        by_side.setdefault(c.side, []).append(i)
-    for side, idxs in by_side.items():
-        anchors = np.array([cubes[i].anchor for i in idxs], dtype=np.int64)
-        out[np.array(idxs)] = sat.box_avg_many(anchors, side)
-    return out
+    anchors = np.array([c.anchor for c in cubes], dtype=np.int64).reshape(len(cubes), f.d)
+    sides = np.array([c.side for c in cubes], dtype=np.int64)
+    return sat.box_avg_many(anchors, sides)
 
 
 def dyadic_descendants(q0: GridCube) -> CubeFamily:

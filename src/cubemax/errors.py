@@ -33,6 +33,10 @@ class PremiseViolated(CubemaxError):
     """The caller passed data violating the selection procedure's premise."""
 
 
+class InvariantViolated(CubemaxError):
+    """An exact identity the computation relies on failed to hold."""
+
+
 class NotDyadicallyComplete(CubemaxError):
     """The cube family is not dyadically complete; carries a witness cube."""
 

@@ -24,7 +24,12 @@ from .cubes import (
     is_power_of_two,
     maximal_cube_reduction,
 )
-from .errors import NotDyadicallyComplete, PreconditionDensity, ZeroVariationInput
+from .errors import (
+    InvariantViolated,
+    NotDyadicallyComplete,
+    PreconditionDensity,
+    ZeroVariationInput,
+)
 from .grid import (
     GridFunction,
     PixelSet,
@@ -97,9 +102,7 @@ def sparse_mass_estimate(f: GridFunction, q0: GridCube,
         if not eligible.any():
             continue
         counts = np.zeros(len(dy), dtype=np.int64)
-        for s in np.unique(sides[eligible]):
-            pick = eligible & (sides == s)
-            counts[pick] = sat.box_sum_many(anchors[pick], int(s))
+        counts[eligible] = sat.box_sum_many(anchors[eligible], sides[eligible])
         select = eligible & (2 * counts <= dycells)
         if not select.any():
             continue
@@ -138,10 +141,7 @@ def covering_middensity(E: PixelSet, q0: GridCube) -> CoveringResult:
     dy = dyadic_descendants(q0)
     sides = dy.sides()
     anchors = dy.anchors()
-    counts = np.zeros(len(dy), dtype=np.int64)
-    for s in np.unique(sides):
-        pick = sides == s
-        counts[pick] = sat.box_sum_many(anchors[pick], int(s))
+    counts = sat.box_sum_many(anchors, sides)
     cells = sides ** d
     band = (counts * 2 ** (d + 1) >= cells) & (2 * counts < cells)
     cover = np.zeros(E.dims, dtype=bool)
@@ -244,10 +244,6 @@ class TheoremReport:
         return out
 
 
-def _union_sat(mask: np.ndarray) -> SummedAreaTable:
-    return SummedAreaTable(mask.astype(np.int64))
-
-
 def theorem_main_evaluate(f: GridFunction, fam: CubeFamily, *,
                           cap: float | None = None,
                           deep: bool = True) -> TheoremReport:
@@ -300,13 +296,10 @@ def theorem_main_evaluate(f: GridFunction, fam: CubeFamily, *,
     for k in range(m - 1, 0, -1):  # intervals (bps[k-1], bps[k]] from the top down
         lam = bps[k]
         level = f.array >= lam
-        level_sat = _union_sat(level)
+        level_sat = SummedAreaTable(level.astype(np.int64))
         sel = avgs >= lam
         counts = np.zeros(n, dtype=np.int64)
-        if sel.any():
-            for s in np.unique(sides[sel]):
-                pick = sel & (sides == s)
-                counts[pick] = level_sat.box_sum_many(anchors[pick], int(s))
+        counts[sel] = level_sat.box_sum_many(anchors[sel], sides[sel])
         new_all = sel & ~in_all
         for i in np.flatnonzero(new_all):
             cover_all[cubes[i].slices()] += 1
@@ -319,13 +312,10 @@ def theorem_main_evaluate(f: GridFunction, fam: CubeFamily, *,
             cover_q01[cubes[i].slices()] += 1
         in_q0 |= q0_now
 
-        u0_sat = _union_sat(cover_q0 > 0)
+        u0_sat = SummedAreaTable((cover_q0 > 0).astype(np.int64))
         rest = sel & ~q0_now
         counts0 = np.zeros(n, dtype=np.int64)
-        if rest.any():
-            for s in np.unique(sides[rest]):
-                pick = rest & (sides == s)
-                counts0[pick] = u0_sat.box_sum_many(anchors[pick], int(s))
+        counts0[rest] = u0_sat.box_sum_many(anchors[rest], sides[rest])
         q1_now = rest & (counts0 * thr >= cells)
         new_q01 = (q0_now | q1_now) & ~in_q01
         for i in np.flatnonzero(new_q01 & ~new_q0):
@@ -342,16 +332,20 @@ def theorem_main_evaluate(f: GridFunction, fam: CubeFamily, *,
             u2[cubes[i].slices()] = True
         level_px = PixelSet(f.dims, level)
 
-        lhs_terms[k] = boundary_faces_outside(u_all, level_px, h=f.h).measure
-        term1s[k] = boundary_faces_outside(u01, level_px, h=f.h).measure
-        term2s[k] = perimeter(PixelSet(f.dims, u2), h=f.h).measure
+        lhs_b = boundary_faces_outside(u_all, level_px, h=f.h)
+        term1_b = boundary_faces_outside(u01, level_px, h=f.h)
+        term2_b = perimeter(PixelSet(f.dims, u2), h=f.h)
+        # the split dominates the full boundary, exactly in face counts
+        if lhs_b.face_count > term1_b.face_count + term2_b.face_count:
+            raise InvariantViolated(
+                f"at level {float(lam)!r}: {lhs_b.face_count} level-union boundary faces exceed "
+                f"{term1_b.face_count} + {term2_b.face_count} in the density split")
+        lhs_terms[k], term1s[k], term2s[k] = lhs_b.measure, term1_b.measure, term2_b.measure
         rhs_terms[k] = perimeter(level_px, mask=full_union, h=f.h).measure
         rhs_lam = perimeter(level_px, mask=u_all, h=f.h).measure
         hd_ratios[k] = term1s[k] / rhs_lam if rhs_lam > 0 else (
             0.0 if term1s[k] == 0 else math.inf)
         q_sizes[k] = (int(q0_now.sum()), int(q1_now.sum()), int(q2_now.sum()))
-        # the split dominates the full boundary, exactly in face counts
-        assert lhs_terms[k] <= term1s[k] + term2s[k] + 1e-9 * max(1.0, term2s[k])
 
     lhs = integrate_breakpoints(bps, lhs_terms)
     rhs = integrate_breakpoints(bps, rhs_terms)
@@ -425,7 +419,7 @@ def _deep_chain(f: GridFunction, sparse: SparseFamily, bps: np.ndarray) -> dict:
         if not active:
             continue
         level = f.array >= lam
-        level_sat = _union_sat(level)
+        level_sat = SummedAreaTable(level.astype(np.int64))
         level_px = PixelSet(f.dims, level)
         d_map: dict[GridCube, list[GridCube]] = {}
         for b in active:
@@ -505,10 +499,7 @@ def _collect_band_with_ancestor(base: dict, level_sat: SummedAreaTable,
     anchors = base["anchors"]
     avgs = base["dy_avg"]
     parent = base["parent"]
-    counts = np.zeros(len(dy), dtype=np.int64)
-    for s in np.unique(sides):
-        pick = sides == s
-        counts[pick] = level_sat.box_sum_many(anchors[pick], int(s))
+    counts = level_sat.box_sum_many(anchors, sides)
     cells = sides ** d
     band = (counts * 2 ** (d + 1) >= cells) & (2 * counts < cells)
     anc_ok = avgs >= lam

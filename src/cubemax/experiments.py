@@ -9,6 +9,7 @@ kept out of the report body and written separately.
 from __future__ import annotations
 
 import math
+import numbers
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, fields
 
@@ -18,7 +19,6 @@ from .cubes import CubeFamily, GridCube, dyadic_descendants, is_dyadically_compl
 from .errors import ConfigError
 from .estimates import DEFAULT_RATIO_CAPS, theorem_main_evaluate
 from .generators import (
-    FAMILY_CLASSES,
     FUNCTION_CLASSES,
     make_function,
     random_complete_family,
@@ -36,6 +36,9 @@ from .sparse import (
 
 SCHEMA_VERSION = 1
 
+# accepted value types per ExperimentConfig annotation (bool is rejected separately)
+_FIELD_TYPES = {"int": numbers.Integral, "float": numbers.Real, "str": str, "dict": dict}
+
 
 @dataclass
 class ExperimentConfig:
@@ -44,7 +47,6 @@ class ExperimentConfig:
     grid: int = 32
     h: float = 1.0
     function_class: str = "simple"
-    family_class: str = "random-complete"
     repetitions: int = 20
     family_seeds: int = 6
     threads: int = 1
@@ -54,19 +56,31 @@ class ExperimentConfig:
     caps: dict = field(default_factory=lambda: dict(DEFAULT_RATIO_CAPS))
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, bool) or not isinstance(value, _FIELD_TYPES[f.type]):
+                raise ConfigError(f"{f.name} must be of type {f.type}, got {value!r}")
+        if self.seed < 0:
+            raise ConfigError("seed must be non-negative")
         if self.dimension not in (1, 2, 3):
             raise ConfigError(f"dimension {self.dimension} not in {{1,2,3}}")
         if self.grid < 2:
             raise ConfigError("grid must have at least 2 cells per axis")
-        if self.h <= 0:
+        if not self.h > 0:
             raise ConfigError("h must be positive")
         if self.function_class not in FUNCTION_CLASSES:
             raise ConfigError(f"unknown function class {self.function_class!r}")
-        if self.family_class not in FAMILY_CLASSES:
-            raise ConfigError(f"unknown family class {self.family_class!r}")
         if self.repetitions < 1 or self.threads < 1:
             raise ConfigError("repetitions and threads must be positive")
-        self.caps = {int(k): float(v) for k, v in self.caps.items()}
+        if not all(isinstance(v, numbers.Real) and not isinstance(v, bool)
+                   for v in self.caps.values()):
+            raise ConfigError(f"caps values must be numbers, got {self.caps!r}")
+        try:
+            self.caps = {int(k): float(v) for k, v in self.caps.items()}
+        except (TypeError, ValueError):
+            raise ConfigError(f"caps keys must be dimensions, got {list(self.caps)}") from None
+        if self.dimension not in self.caps:
+            raise ConfigError(f"caps has no entry for dimension {self.dimension}")
 
     @classmethod
     def from_dict(cls, obj: dict) -> "ExperimentConfig":

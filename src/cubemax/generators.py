@@ -5,12 +5,11 @@ from __future__ import annotations
 import numpy as np
 from scipy.ndimage import gaussian_filter
 
-from .cubes import CubeFamily, GridCube, dyadic_completion, dyadic_descendants
+from .cubes import CubeFamily, GridCube, dyadic_completion
 from .grid import GridFunction, PixelSet
 
 FUNCTION_CLASSES = ("indicator", "simple", "block-decreasing", "radial",
                     "random-smooth", "spikes")
-FAMILY_CLASSES = ("all-cubes", "dyadic", "random-complete")
 
 
 def _random_box_mask(rng: np.random.Generator, dims, k: int) -> np.ndarray:
@@ -137,15 +136,3 @@ def random_complete_family(rng: np.random.Generator, dims, seeds: int) -> CubeFa
         cubes.append(GridCube((0,) * len(dims), side))
     return dyadic_completion(CubeFamily(cubes))
 
-
-def make_family(rng: np.random.Generator, cls: str, dims, seeds: int = 6) -> CubeFamily | None:
-    if cls == "all-cubes":
-        return None
-    if cls == "dyadic":
-        side = min(dims)
-        if side & (side - 1):
-            raise ValueError("dyadic family needs a power-of-two box")
-        return dyadic_descendants(GridCube((0,) * len(dims), side))
-    if cls == "random-complete":
-        return random_complete_family(rng, dims, seeds)
-    raise ValueError(f"unknown family class {cls!r}")

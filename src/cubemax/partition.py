@@ -20,17 +20,9 @@ from .sat import SummedAreaTable
 DENSITY_SHIFT = 1  # threshold is 2^{-d-1} = 1 / 2^(d+1)
 
 
-def _counts_in_set(cubes, indicator: np.ndarray) -> np.ndarray:
+def _counts_in_set(anchors: np.ndarray, sides: np.ndarray, indicator: np.ndarray) -> np.ndarray:
     """Cell counts of each cube's overlap with a boolean indicator set."""
-    sat = SummedAreaTable(indicator.astype(np.int64))
-    out = np.zeros(len(cubes), dtype=np.int64)
-    by_side: dict[int, list[int]] = {}
-    for i, c in enumerate(cubes):
-        by_side.setdefault(c.side, []).append(i)
-    for side, idxs in by_side.items():
-        anchors = np.array([cubes[i].anchor for i in idxs], dtype=np.int64)
-        out[np.array(idxs)] = sat.box_sum_many(anchors, side)
-    return out
+    return SummedAreaTable(indicator.astype(np.int64)).box_sum_many(anchors, sides)
 
 
 @dataclass(frozen=True)
@@ -63,14 +55,15 @@ def partition_at(f: GridFunction, fam: CubeFamily, lam: float) -> LevelPartition
     level = superlevel(f, lam)
 
     sides = np.array([c.side for c in cubes], dtype=np.int64)
+    anchors = np.array([c.anchor for c in cubes], dtype=np.int64).reshape(len(cubes), d)
     cells = sides ** d
-    counts_level = _counts_in_set(cubes, level.mask)
+    counts_level = _counts_in_set(anchors, sides, level.mask)
     q0_mask = sel & (counts_level * 2 ** (d + 1) >= cells)
 
     u0 = np.zeros(f.dims, dtype=bool)
     for i in np.flatnonzero(q0_mask):
         u0[cubes[i].slices()] = True
-    counts_u0 = _counts_in_set(cubes, u0)
+    counts_u0 = _counts_in_set(anchors, sides, u0)
     q1_mask = sel & ~q0_mask & (counts_u0 * 2 ** (d + 1) >= cells)
     q2_mask = sel & ~q0_mask & ~q1_mask
 

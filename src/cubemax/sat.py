@@ -74,12 +74,18 @@ class SummedAreaTable:
             acc = sign * term if acc is None else acc + sign * term
         return acc
 
-    def box_sum_many(self, anchors: np.ndarray, side: int) -> np.ndarray:
-        """Sums for an (n, d) array of anchors of equal-side cubes."""
+    def box_sum_many(self, anchors: np.ndarray, sides) -> np.ndarray:
+        """Sums for an (n, d) array of anchors with an (n,) array of sides.
+
+        A scalar side is shared by every cube.  Each row adds the same corner
+        terms in the same order as :meth:`box_sum`, so it is bit-identical to
+        the scalar query of its cube.
+        """
         anchors = np.asarray(anchors, dtype=np.int64).reshape(-1, self.d)
+        sides = np.asarray(sides, dtype=np.int64)
         acc = None
         for sign, bits in self._corners:
-            ix = tuple(anchors[:, k] + (side if (bits >> k) & 1 else 0)
+            ix = tuple(anchors[:, k] + (sides if (bits >> k) & 1 else 0)
                        for k in range(self.d))
             term = self.table[ix]
             acc = sign * term if acc is None else acc + sign * term
@@ -91,5 +97,6 @@ class SummedAreaTable:
     def box_avg_grid(self, side: int) -> np.ndarray:
         return self.box_sum_grid(side) / float(side ** self.d)
 
-    def box_avg_many(self, anchors: np.ndarray, side: int) -> np.ndarray:
-        return self.box_sum_many(anchors, side) / float(side ** self.d)
+    def box_avg_many(self, anchors: np.ndarray, sides) -> np.ndarray:
+        sides = np.asarray(sides, dtype=np.int64)
+        return self.box_sum_many(anchors, sides) / (sides ** self.d).astype(np.float64)

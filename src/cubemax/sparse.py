@@ -147,17 +147,26 @@ def sparse_pairwise_violations(fam: SparseFamily, f: GridFunction) -> list[tuple
     return bad
 
 
-def accumulate_q2_cubes(f: GridFunction, fam: CubeFamily) -> CubeFamily:
-    """Union over all breakpoint levels of the low-density class."""
+def _q2_sweep(f: GridFunction, fam: CubeFamily) -> tuple[np.ndarray, np.ndarray, CubeFamily]:
+    """(breakpoints, low-density union boundary measure at each breakpoint,
+    union over all breakpoints of the low-density class)."""
     avgs = fam.averages if fam.averages is not None else family_averages(f, fam.cubes)
     fam = CubeFamily(fam.cubes, avgs)
     bps = lambda_breakpoints(f, avgs)
+    q2_terms = np.zeros(bps.size)
     seen: dict[GridCube, float] = {}
-    for lam in bps:
+    for k, lam in enumerate(bps):
         p = partition_at(f, fam, float(lam))
+        q2_terms[k] = p.boundary_q2.measure
         for c, a in zip(p.q2.cubes, p.q2.averages):
             seen.setdefault(c, float(a))
-    return CubeFamily(list(seen.keys()), np.array([seen[c] for c in seen], dtype=np.float64))
+    q2_fam = CubeFamily(list(seen.keys()), np.array([seen[c] for c in seen], dtype=np.float64))
+    return bps, q2_terms, q2_fam
+
+
+def accumulate_q2_cubes(f: GridFunction, fam: CubeFamily) -> CubeFamily:
+    """Union over all breakpoint levels of the low-density class."""
+    return _q2_sweep(f, fam)[2]
 
 
 def significant_mass_bound(f: GridFunction, fam: CubeFamily) -> tuple[float, float]:
@@ -166,21 +175,9 @@ def significant_mass_bound(f: GridFunction, fam: CubeFamily) -> tuple[float, flo
     The experiment suite records the ratio of the two as the empirical
     constant of the sparse reduction inequality.
     """
-    avgs = fam.averages if fam.averages is not None else family_averages(f, fam.cubes)
-    fam = CubeFamily(fam.cubes, avgs)
-    bps = lambda_breakpoints(f, avgs)
-    q2_terms = np.zeros(bps.size)
-    collected: dict[GridCube, float] = {}
-    for k, lam in enumerate(bps):
-        p = partition_at(f, fam, float(lam))
-        q2_terms[k] = p.boundary_q2.measure
-        for c, a in zip(p.q2.cubes, p.q2.averages):
-            collected.setdefault(c, float(a))
+    bps, q2_terms, q2_fam = _q2_sweep(f, fam)
     lhs = integrate_breakpoints(bps, q2_terms)
-    q2_fam = CubeFamily(list(collected.keys()),
-                        np.array([collected[c] for c in collected], dtype=np.float64))
-    sparse = greedy_sparse(f, q2_fam)
-    return lhs, sparse.rhs_sum
+    return lhs, greedy_sparse(f, q2_fam).rhs_sum
 
 
 @dataclass(frozen=True)

@@ -68,13 +68,8 @@ def test_c01_coarea_identity():
         max_side = {1: 16, 2: 16, 3: 16}[d]
         for _ in range(200):
             f = _random_grid(rng, d, max_side if d < 3 else 16)
-            # gradient-sum oracle over adjacent in-box pairs
-            want = 0.0
-            arr = f.array
-            for ax in range(d):
-                v = np.moveaxis(arr, ax, 0)
-                want += float(np.sum(np.abs(v[:-1] - v[1:])))
-            want *= f.h ** (d - 1)
+            # oracle: gap times the perimeter of each superlevel set
+            want = conftest.threshold_sum_variation(f)
             got = variation(f)
             assert got == pytest.approx(want, rel=1e-9, abs=1e-12)
             checked += 1

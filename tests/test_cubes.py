@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cubemax import (
     CubeFamily,
@@ -207,6 +209,17 @@ class TestDilateAndVolumes:
             h = float(rng.choice([0.125, 0.25, 0.5, 1.0, 2.0]))
             n = scale_index(GridCube((0,), side), h)
             assert 2 ** n <= side * h < 2 ** (n + 1)
+
+    @given(st.integers(1, 10 ** 6))
+    @settings(max_examples=300, deadline=None)
+    def test_scale_index_reciprocal_width(self, m):
+        # m * (1/m) can round to just under 1 (first at m = 49)
+        assert scale_index(GridCube((0,), m), 1.0 / m) == 0
+
+    @given(st.integers(0, 30), st.integers(0, 60))
+    @settings(max_examples=200, deadline=None)
+    def test_scale_index_dyadic(self, k, j):
+        assert scale_index(GridCube((0,), 2 ** k), 2.0 ** -j) == k - j
 
 
 class TestFamilyBasics:

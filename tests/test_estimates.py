@@ -12,7 +12,13 @@ from cubemax import (
     perimeter,
     superlevel,
 )
-from cubemax.errors import NotDyadicallyComplete, PreconditionDensity, ZeroVariationInput
+from cubemax import estimates
+from cubemax.errors import (
+    InvariantViolated,
+    NotDyadicallyComplete,
+    PreconditionDensity,
+    ZeroVariationInput,
+)
 from cubemax.estimates import (
     contract_density_check,
     covering_middensity,
@@ -252,6 +258,21 @@ class TestTheoremEvaluate:
         fam = CubeFamily([GridCube((0, 0), 4), GridCube((0, 0), 1)]).with_averages(f)
         with pytest.raises(NotDyadicallyComplete):
             theorem_main_evaluate(f, fam)
+
+    def test_split_domination_violation_raises(self, rng, monkeypatch):
+        # a perimeter that loses one face breaks the exact face-count bound
+        # lhs <= term1 + term2 at a level where it is tight
+        real = estimates.perimeter
+
+        def short_one(*args, **kwargs):
+            bm = real(*args, **kwargs)
+            return type(bm)(bm.face_count - 1, bm.measure)
+
+        monkeypatch.setattr(estimates, "perimeter", short_one)
+        f = grid_from_array(rng.random((8, 8)))
+        fam = dyadic_descendants(GridCube((0, 0), 8)).with_averages(f)
+        with pytest.raises(InvariantViolated):
+            theorem_main_evaluate(f, fam, deep=False)
 
     def test_indicator_cross_check_direct_sums(self):
         # one hot cell, full dyadic family on an 8x8 grid: recompute both

