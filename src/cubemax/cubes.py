@@ -179,6 +179,12 @@ class CubeFamily:
     def with_averages(self, f: GridFunction) -> "CubeFamily":
         return CubeFamily(self.cubes, family_averages(f, self.cubes))
 
+    def select(self, mask: np.ndarray) -> "CubeFamily":
+        """The members where the boolean ``mask`` is set, with their averages."""
+        idx = np.flatnonzero(mask)
+        return CubeFamily([self.cubes[i] for i in idx],
+                          None if self.averages is None else self.averages[idx])
+
     def union_pixels(self, dims: Sequence[int]) -> PixelSet:
         m = np.zeros(tuple(dims), dtype=bool)
         for c in self.cubes:
@@ -311,8 +317,7 @@ def maximal_cube_reduction(fam: CubeFamily, f: GridFunction) -> CubeFamily:
         return CubeFamily([], np.empty(0))
     avgs = fam.averages if fam.averages is not None else family_averages(f, cubes)
     keep = np.ones(n, dtype=bool)
-    anchors = np.array([c.anchor for c in cubes], dtype=np.int64).reshape(n, -1)
-    sides = np.array([c.side for c in cubes], dtype=np.int64)
+    anchors, sides = fam.anchors(), fam.sides()
     for i in range(n):
         # strict containment needs a strictly larger side
         cand = np.flatnonzero(sides > sides[i])

@@ -47,3 +47,7 @@ class NotDyadicallyComplete(CubemaxError):
 
 class ConfigError(CubemaxError):
     """An experiment configuration is invalid."""
+
+
+class GridFormatError(CubemaxError, ValueError):
+    """A grid file is malformed: bad magic, cut short, or ragged rows."""

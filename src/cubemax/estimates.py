@@ -1,10 +1,11 @@
 """Quantitative estimates and the end-to-end level-integral evaluator.
 
-The evaluator sweeps all level breakpoints once, maintaining the monotone
-unions incrementally, and produces exact breakpoint sums for both sides of
-the main inequality together with every intermediate quantity of the
-reduction chain (density partition terms, greedy sparse selection, per-base
-dyadic collections, bounded-overlap families, and the geometric scale sums).
+The evaluator runs the level sweep of :mod:`cubemax.partition`, which holds
+the only implementation of the density split, once over all breakpoints and
+produces exact breakpoint sums for both sides of the main inequality
+together with every intermediate quantity of the reduction chain (density
+partition terms, greedy sparse selection, per-base dyadic collections,
+bounded-overlap families, and the geometric scale sums).
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ from .grid import (
     perimeter,
     variation,
 )
+from .partition import level_sweep
 from .sat import SummedAreaTable
 from .sparse import (
     SparseFamily,
@@ -250,8 +252,8 @@ def theorem_main_evaluate(f: GridFunction, fam: CubeFamily, *,
     """Exact breakpoint evaluation of the main boundary inequality.
 
     Checks dyadic completeness, reduces to the maximal subfamily (which
-    leaves every level union unchanged), sweeps the level breakpoints in
-    descending order with incremental unions, and integrates both sides.
+    leaves every level union unchanged), runs :func:`level_sweep` over the
+    breakpoints in descending order, and integrates both sides.
     With ``deep`` the full reduction chain is evaluated per level and its
     observed constants are reported.
     """
@@ -264,19 +266,10 @@ def theorem_main_evaluate(f: GridFunction, fam: CubeFamily, *,
 
     fam = fam if fam.averages is not None else fam.with_averages(f)
     red = maximal_cube_reduction(fam, f)
-    cubes = red.cubes
-    avgs = np.asarray(red.averages)
-    n = len(cubes)
-    full_union = red.union_pixels(f.dims) if n else PixelSet.empty(f.dims)
+    full_union = red.union_pixels(f.dims)
 
-    bps = lambda_breakpoints(f, avgs)
+    bps = lambda_breakpoints(f, red.averages)
     m = bps.size
-    hpow = float(f.h) ** (d - 1)
-
-    sides = np.array([c.side for c in cubes], dtype=np.int64)
-    anchors = np.array([c.anchor for c in cubes], dtype=np.int64).reshape(n, d)
-    cells = sides ** d
-    thr = 2 ** (d + 1)
 
     lhs_terms = np.zeros(m)
     rhs_terms = np.zeros(m)
@@ -284,77 +277,32 @@ def theorem_main_evaluate(f: GridFunction, fam: CubeFamily, *,
     term2s = np.zeros(m)
     hd_ratios = np.zeros(m)
     q_sizes = np.zeros((m, 3), dtype=np.int64)
+    ever_q2 = np.zeros(len(red), dtype=bool)
 
-    cover_all = np.zeros(f.dims, dtype=np.int64)
-    cover_q0 = np.zeros(f.dims, dtype=np.int64)
-    cover_q01 = np.zeros(f.dims, dtype=np.int64)
-    in_all = np.zeros(n, dtype=bool)
-    in_q0 = np.zeros(n, dtype=bool)
-    in_q01 = np.zeros(n, dtype=bool)
-    q2_seen: dict[GridCube, float] = {}
-
-    for k in range(m - 1, 0, -1):  # intervals (bps[k-1], bps[k]] from the top down
-        lam = bps[k]
-        level = f.array >= lam
-        level_sat = SummedAreaTable(level.astype(np.int64))
-        sel = avgs >= lam
-        counts = np.zeros(n, dtype=np.int64)
-        counts[sel] = level_sat.box_sum_many(anchors[sel], sides[sel])
-        new_all = sel & ~in_all
-        for i in np.flatnonzero(new_all):
-            cover_all[cubes[i].slices()] += 1
-        in_all |= sel
-
-        q0_now = sel & (counts * thr >= cells)
-        new_q0 = q0_now & ~in_q0
-        for i in np.flatnonzero(new_q0):
-            cover_q0[cubes[i].slices()] += 1
-            cover_q01[cubes[i].slices()] += 1
-        in_q0 |= q0_now
-
-        u0_sat = SummedAreaTable((cover_q0 > 0).astype(np.int64))
-        rest = sel & ~q0_now
-        counts0 = np.zeros(n, dtype=np.int64)
-        counts0[rest] = u0_sat.box_sum_many(anchors[rest], sides[rest])
-        q1_now = rest & (counts0 * thr >= cells)
-        new_q01 = (q0_now | q1_now) & ~in_q01
-        for i in np.flatnonzero(new_q01 & ~new_q0):
-            cover_q01[cubes[i].slices()] += 1
-        in_q01 |= q0_now | q1_now
-        q2_now = sel & ~q0_now & ~q1_now
-        for i in np.flatnonzero(q2_now):
-            q2_seen.setdefault(cubes[i], float(avgs[i]))
-
-        u_all = PixelSet(f.dims, cover_all > 0)
-        u01 = PixelSet(f.dims, cover_q01 > 0)
-        u2 = np.zeros(f.dims, dtype=bool)
-        for i in np.flatnonzero(q2_now):
-            u2[cubes[i].slices()] = True
-        level_px = PixelSet(f.dims, level)
-
-        lhs_b = boundary_faces_outside(u_all, level_px, h=f.h)
-        term1_b = boundary_faces_outside(u01, level_px, h=f.h)
-        term2_b = perimeter(PixelSet(f.dims, u2), h=f.h)
+    # intervals (bps[k-1], bps[k]] from the top down
+    for k, p in zip(range(m - 1, 0, -1), level_sweep(f, red, bps[:0:-1])):
+        lhs_b = boundary_faces_outside(p.union_all, p.level, h=f.h)
+        term1_b = boundary_faces_outside(p.union_q01, p.level, h=f.h)
+        term2_b = perimeter(p.union_q2, h=f.h)
         # the split dominates the full boundary, exactly in face counts
         if lhs_b.face_count > term1_b.face_count + term2_b.face_count:
             raise InvariantViolated(
-                f"at level {float(lam)!r}: {lhs_b.face_count} level-union boundary faces exceed "
+                f"at level {p.lam!r}: {lhs_b.face_count} level-union boundary faces exceed "
                 f"{term1_b.face_count} + {term2_b.face_count} in the density split")
         lhs_terms[k], term1s[k], term2s[k] = lhs_b.measure, term1_b.measure, term2_b.measure
-        rhs_terms[k] = perimeter(level_px, mask=full_union, h=f.h).measure
-        rhs_lam = perimeter(level_px, mask=u_all, h=f.h).measure
+        rhs_terms[k] = perimeter(p.level, mask=full_union, h=f.h).measure
+        rhs_lam = perimeter(p.level, mask=p.union_all, h=f.h).measure
         hd_ratios[k] = term1s[k] / rhs_lam if rhs_lam > 0 else (
             0.0 if term1s[k] == 0 else math.inf)
-        q_sizes[k] = (int(q0_now.sum()), int(q1_now.sum()), int(q2_now.sum()))
+        q_sizes[k] = p.sizes
+        ever_q2 |= p.q2_mask
 
     lhs = integrate_breakpoints(bps, lhs_terms)
     rhs = integrate_breakpoints(bps, rhs_terms)
     q2_integral = integrate_breakpoints(bps, term2s)
     hd_integral = integrate_breakpoints(bps, term1s)
 
-    q2_fam = CubeFamily(list(q2_seen.keys()),
-                        np.array([q2_seen[c] for c in q2_seen], dtype=np.float64))
-    sparse = greedy_sparse(f, q2_fam)
+    sparse = greedy_sparse(f, red.select(ever_q2))
 
     ratio = lhs / rhs if rhs > 0 else (0.0 if lhs == 0 else math.inf)
     report = TheoremReport(

@@ -2,7 +2,9 @@
 
 These statements live off the grid (arbitrary orientations, balls, Lipschitz
 surfaces), so they are checked by randomized sampling with explicit margins
-rather than exact arithmetic.  Monte Carlo assertions use five-sigma bands.
+rather than exact arithmetic.  The checks return their measurements and the
+caller judges them against the bounds; Monte Carlo judgements use five-sigma
+bands.
 """
 
 from __future__ import annotations
@@ -65,7 +67,8 @@ def _angles(u: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 def cube_angle_check(d: int, samples: int, seed: int = 0) -> float:
     """Max angle between a boundary point of the centered unit-scale cube and
-    the outer normal of its face; never exceeds pi/2 - arcsin(1/sqrt d).
+    the outer normal of its face; the bound it is judged against is
+    pi/2 - arcsin(1/sqrt d).
 
     Corner points are included, where the bound is attained exactly.
     """
@@ -79,11 +82,7 @@ def cube_angle_check(d: int, samples: int, seed: int = 0) -> float:
     e = np.zeros(d)
     e[0] = 1.0
     ang = _angles(pts, np.broadcast_to(e, pts.shape))
-    bound = math.pi / 2 - math.asin(1.0 / math.sqrt(d))
-    mx = float(ang.max())
-    if mx > bound + 1e-9:
-        raise AssertionError(f"cube angle {mx} exceeds bound {bound}")
-    return mx
+    return float(ang.max())
 
 
 def min_angle_check(eps: float, N: float, trials: int, d: int = 2, seed: int = 0) -> bool:
@@ -179,8 +178,9 @@ class BlowupResult(NamedTuple):
 def lipschitz_blowup_check(L: float, diam: float, eps: float,
                            mc_samples: int, d: int = 2, seed: int = 0,
                            constant: float = 4.0) -> BlowupResult:
-    """Monte Carlo volume of the eps-neighborhood of a random Lipschitz graph
-    against constant * (diam + eps)^(d-1) * (1 + L) * eps.
+    """Monte Carlo volume of the eps-neighborhood of a random Lipschitz graph,
+    returned with the bound constant * (diam + eps)^(d-1) * (1 + L) * eps it
+    is judged against (estimate + 5 stderr at most the bound).
     """
     if d not in (2, 3):
         raise UnsupportedDimension("blowup sampling needs d in {2,3}")
@@ -211,9 +211,6 @@ def lipschitz_blowup_check(L: float, diam: float, eps: float,
     estimate = box_vol * p
     stderr = box_vol * math.sqrt(max(p * (1 - p), 1e-12) / mc_samples)
     bound = constant * (diam + eps) ** (d - 1) * (1.0 + L) * eps
-    if estimate + 5 * stderr > bound:
-        raise AssertionError(
-            f"neighborhood volume {estimate} (+5se {5 * stderr}) exceeds bound {bound}")
     return BlowupResult(estimate, bound, stderr)
 
 

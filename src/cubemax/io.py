@@ -11,6 +11,7 @@ from typing import Any
 import numpy as np
 
 from .cubes import CubeFamily, GridCube
+from .errors import GridFormatError
 from .grid import GridFunction
 
 MAGIC = b"CUBEMAX1"
@@ -40,6 +41,9 @@ def read_grid_csv(path) -> GridFunction:
                     h = float(line.split("h=", 1)[1])
                 continue
             rows.append([float(x) for x in line.split(",")])
+    widths = {len(r) for r in rows}
+    if len(widths) != 1:
+        raise GridFormatError(f"grid CSV needs rows of one common width, got widths {sorted(widths)}")
     arr = np.array(rows, dtype=np.float64)
     if arr.shape[0] == 1:
         return GridFunction((arr.shape[1],), h, arr.ravel())
@@ -59,15 +63,18 @@ def write_grid_binary(f: GridFunction, path) -> None:
 def read_grid_binary(path) -> GridFunction:
     raw = Path(path).read_bytes()
     if raw[:8] != MAGIC:
-        raise ValueError("bad magic; not a cubemax grid file")
-    off = 8
-    (d,) = struct.unpack_from("<I", raw, off)
-    off += 4
-    dims = struct.unpack_from(f"<{d}I", raw, off)
-    off += 4 * d
-    (h,) = struct.unpack_from("<d", raw, off)
-    off += 8
+        raise GridFormatError("bad magic; not a cubemax grid file")
+    try:
+        (d,) = struct.unpack_from("<I", raw, 8)
+        dims = struct.unpack_from(f"<{d}I", raw, 12)
+        (h,) = struct.unpack_from("<d", raw, 12 + 4 * d)
+    except struct.error as exc:
+        raise GridFormatError(f"grid file header cut short: {exc}") from None
+    off = 20 + 4 * d
     n = int(np.prod(dims))
+    if len(raw) != off + 8 * n:
+        raise GridFormatError(
+            f"grid file holds {len(raw) - off} value bytes, dims {dims} need {8 * n}")
     values = np.frombuffer(raw, dtype="<f8", count=n, offset=off)
     return GridFunction(dims, h, values.copy())
 

@@ -4,90 +4,119 @@ At a level lam the cubes with average at least lam split into three classes:
 high-density cubes (their overlap with the superlevel set is at least the
 2^{-d-1} volume fraction), cubes dense against the high-density union, and
 the remainder.  All class predicates are exact integer cell-count tests.
+
+:func:`level_sweep` is the one implementation of the split.  It walks the
+levels from the top down and carries the monotone unions between levels;
+the evaluator in :mod:`cubemax.estimates` and the low-density accumulation
+in :mod:`cubemax.sparse` consume it, and :func:`partition_at` is the sweep
+at a single level.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
-from .cubes import CubeFamily, family_averages
-from .grid import BoundaryMeasure, GridFunction, PixelSet, boundary_faces_outside, perimeter, superlevel
+from .cubes import CubeFamily
+from .grid import GridFunction, PixelSet, boundary_faces_outside, perimeter
 from .sat import SummedAreaTable
-
-DENSITY_SHIFT = 1  # threshold is 2^{-d-1} = 1 / 2^(d+1)
-
-
-def _counts_in_set(anchors: np.ndarray, sides: np.ndarray, indicator: np.ndarray) -> np.ndarray:
-    """Cell counts of each cube's overlap with a boolean indicator set."""
-    return SummedAreaTable(indicator.astype(np.int64)).box_sum_many(anchors, sides)
 
 
 @dataclass(frozen=True)
 class LevelPartition:
-    """The three-way split of the level family at one level value."""
+    """The three-way split of the level family at one level value.
+
+    The class masks index ``family`` in its canonical order; the class
+    families themselves are built only when read.
+    """
 
     lam: float
-    q0: CubeFamily
-    q1: CubeFamily
-    q2: CubeFamily
-    union_q0: PixelSet
+    level: PixelSet
+    family: CubeFamily
+    q0_mask: np.ndarray
+    q1_mask: np.ndarray
+    q2_mask: np.ndarray
     union_q01: PixelSet
     union_q2: PixelSet
     union_all: PixelSet
-    boundary_q0: BoundaryMeasure
-    boundary_q01: BoundaryMeasure
-    boundary_q2: BoundaryMeasure
+
+    @property
+    def q0(self) -> CubeFamily:
+        return self.family.select(self.q0_mask)
+
+    @property
+    def q1(self) -> CubeFamily:
+        return self.family.select(self.q1_mask)
+
+    @property
+    def q2(self) -> CubeFamily:
+        return self.family.select(self.q2_mask)
 
     @property
     def sizes(self) -> tuple[int, int, int]:
-        return (len(self.q0), len(self.q1), len(self.q2))
+        return tuple(int(np.count_nonzero(m)) for m in (self.q0_mask, self.q1_mask, self.q2_mask))
+
+
+def level_sweep(f: GridFunction, fam: CubeFamily,
+                levels: Iterable[float]) -> Iterator[LevelPartition]:
+    """The density split of ``fam`` at each of the non-increasing ``levels``.
+
+    As the level falls, the level set and the selected cubes only grow, so a
+    cube that is high-density, or dense against the high-density union,
+    stays so.  The q0 and q0+q1 unions are therefore painted once per
+    entering cube and carried between levels; the low-density union is not
+    monotone and is repainted at each level.
+    """
+    fam = fam if fam.averages is not None else fam.with_averages(f)
+    avgs = np.asarray(fam.averages)
+    n = len(fam)
+    anchors, sides = fam.anchors(), fam.sides()
+    cells = sides ** f.d
+    thr = 2 ** (f.d + 1)  # dense: overlap at least the 2^{-d-1} volume fraction
+    u0 = np.zeros(f.dims, dtype=bool)
+    u01 = np.zeros(f.dims, dtype=bool)
+    in_q0 = np.zeros(n, dtype=bool)
+    in_q01 = np.zeros(n, dtype=bool)
+    prev = math.inf
+    for lam in levels:
+        if lam > prev:
+            raise ValueError(f"levels must be non-increasing: {lam!r} follows {prev!r}")
+        prev = lam
+        level = f.array >= lam
+        sel = avgs >= lam
+        counts = np.zeros(n, dtype=np.int64)
+        counts[sel] = SummedAreaTable(level).box_sum_many(anchors[sel], sides[sel])
+        q0 = sel & (counts * thr >= cells)
+        for i in np.flatnonzero(q0 & ~in_q0):
+            u0[fam.cubes[i].slices()] = True
+        in_q0 = q0
+
+        rest = sel & ~q0
+        counts0 = np.zeros(n, dtype=np.int64)
+        counts0[rest] = SummedAreaTable(u0).box_sum_many(anchors[rest], sides[rest])
+        q1 = rest & (counts0 * thr >= cells)
+        q2 = rest & ~q1
+        for i in np.flatnonzero((q0 | q1) & ~in_q01):
+            u01[fam.cubes[i].slices()] = True
+        in_q01 = q0 | q1
+
+        u2 = np.zeros(f.dims, dtype=bool)
+        for i in np.flatnonzero(q2):
+            u2[fam.cubes[i].slices()] = True
+        yield LevelPartition(
+            lam=float(lam), level=PixelSet(f.dims, level), family=fam,
+            q0_mask=q0, q1_mask=q1, q2_mask=q2,
+            union_q01=PixelSet(f.dims, u01.copy()), union_q2=PixelSet(f.dims, u2),
+            union_all=PixelSet(f.dims, u01 | u2),
+        )
 
 
 def partition_at(f: GridFunction, fam: CubeFamily, lam: float) -> LevelPartition:
     """Classify every cube with average >= lam into the three density classes."""
-    d = f.d
-    cubes = fam.cubes
-    avgs = fam.averages if fam.averages is not None else family_averages(f, cubes)
-    sel = np.asarray(avgs) >= lam
-    level = superlevel(f, lam)
-
-    sides = np.array([c.side for c in cubes], dtype=np.int64)
-    anchors = np.array([c.anchor for c in cubes], dtype=np.int64).reshape(len(cubes), d)
-    cells = sides ** d
-    counts_level = _counts_in_set(anchors, sides, level.mask)
-    q0_mask = sel & (counts_level * 2 ** (d + 1) >= cells)
-
-    u0 = np.zeros(f.dims, dtype=bool)
-    for i in np.flatnonzero(q0_mask):
-        u0[cubes[i].slices()] = True
-    counts_u0 = _counts_in_set(anchors, sides, u0)
-    q1_mask = sel & ~q0_mask & (counts_u0 * 2 ** (d + 1) >= cells)
-    q2_mask = sel & ~q0_mask & ~q1_mask
-
-    u01 = u0.copy()
-    for i in np.flatnonzero(q1_mask):
-        u01[cubes[i].slices()] = True
-    u2 = np.zeros(f.dims, dtype=bool)
-    for i in np.flatnonzero(q2_mask):
-        u2[cubes[i].slices()] = True
-    uall = u01.copy()
-    uall |= u2
-
-    def fam_of(m):
-        idx = np.flatnonzero(m)
-        return CubeFamily([cubes[i] for i in idx], np.asarray(avgs)[idx])
-
-    p0, p01, p2, pall = (PixelSet(f.dims, x) for x in (u0, u01, u2, uall))
-    return LevelPartition(
-        lam=float(lam), q0=fam_of(q0_mask), q1=fam_of(q1_mask), q2=fam_of(q2_mask),
-        union_q0=p0, union_q01=p01, union_q2=p2, union_all=pall,
-        boundary_q0=perimeter(p0, h=f.h),
-        boundary_q01=perimeter(p01, h=f.h),
-        boundary_q2=perimeter(p2, h=f.h),
-    )
+    return next(level_sweep(f, fam, [lam]))
 
 
 def boundary_decomposition_terms(p: LevelPartition, f: GridFunction) -> tuple[float, float]:
@@ -98,16 +127,14 @@ def boundary_decomposition_terms(p: LevelPartition, f: GridFunction) -> tuple[fl
     the corresponding measure for the full level union, exactly in face
     counts.
     """
-    level = superlevel(f, p.lam)
-    term1 = boundary_faces_outside(p.union_q01, level, h=f.h).measure
-    term2 = p.boundary_q2.measure
+    term1 = boundary_faces_outside(p.union_q01, p.level, h=f.h).measure
+    term2 = perimeter(p.union_q2, h=f.h).measure
     return term1, term2
 
 
 def decomposition_lhs(p: LevelPartition, f: GridFunction) -> float:
     """Measure of the full level-union boundary outside the superlevel closure."""
-    level = superlevel(f, p.lam)
-    return boundary_faces_outside(p.union_all, level, h=f.h).measure
+    return boundary_faces_outside(p.union_all, p.level, h=f.h).measure
 
 
 class FaceWitness(NamedTuple):
@@ -160,9 +187,8 @@ def high_density_ratio(p: LevelPartition, f: GridFunction) -> HighDensityRatio:
     The suite records the supremum of this ratio over instances as the
     empirical constant of the dense-cube boundary bound.
     """
-    level = superlevel(f, p.lam)
-    lhs = boundary_faces_outside(p.union_q01, level, h=f.h).measure
-    rhs = perimeter(level, mask=p.union_all, h=f.h).measure
+    lhs = boundary_faces_outside(p.union_q01, p.level, h=f.h).measure
+    rhs = perimeter(p.level, mask=p.union_all, h=f.h).measure
     if rhs == 0.0:
         return HighDensityRatio(0.0 if lhs == 0.0 else float("inf"), False, lhs, rhs)
     return HighDensityRatio(lhs / rhs, True, lhs, rhs)

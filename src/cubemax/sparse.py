@@ -19,8 +19,8 @@ from .cubes import (
     scale_index,
 )
 from .errors import PremiseViolated
-from .grid import GridFunction, integrate_breakpoints, lambda_breakpoints
-from .partition import partition_at
+from .grid import GridFunction, integrate_breakpoints, lambda_breakpoints, perimeter
+from .partition import level_sweep
 
 
 def default_contraction(d: int) -> float:
@@ -89,8 +89,7 @@ def greedy_sparse(f: GridFunction, q2_union: CubeFamily) -> SparseFamily:
     avgs = (np.asarray(q2_union.averages, dtype=np.float64)
             if q2_union.averages is not None else family_averages(f, cubes))
     scales = np.array([scale_index(c, f.h) for c in cubes], dtype=np.int64)
-    anchors = np.array([c.anchor for c in cubes], dtype=np.int64).reshape(n, -1)
-    sides = np.array([c.side for c in cubes], dtype=np.int64)
+    anchors, sides = q2_union.anchors(), q2_union.sides()
     cellcounts = sides ** f.d
 
     alive = np.ones(n, dtype=bool)
@@ -150,18 +149,14 @@ def sparse_pairwise_violations(fam: SparseFamily, f: GridFunction) -> list[tuple
 def _q2_sweep(f: GridFunction, fam: CubeFamily) -> tuple[np.ndarray, np.ndarray, CubeFamily]:
     """(breakpoints, low-density union boundary measure at each breakpoint,
     union over all breakpoints of the low-density class)."""
-    avgs = fam.averages if fam.averages is not None else family_averages(f, fam.cubes)
-    fam = CubeFamily(fam.cubes, avgs)
-    bps = lambda_breakpoints(f, avgs)
+    fam = fam if fam.averages is not None else fam.with_averages(f)
+    bps = lambda_breakpoints(f, fam.averages)
     q2_terms = np.zeros(bps.size)
-    seen: dict[GridCube, float] = {}
-    for k, lam in enumerate(bps):
-        p = partition_at(f, fam, float(lam))
-        q2_terms[k] = p.boundary_q2.measure
-        for c, a in zip(p.q2.cubes, p.q2.averages):
-            seen.setdefault(c, float(a))
-    q2_fam = CubeFamily(list(seen.keys()), np.array([seen[c] for c in seen], dtype=np.float64))
-    return bps, q2_terms, q2_fam
+    ever = np.zeros(len(fam), dtype=bool)
+    for k, p in zip(range(bps.size - 1, -1, -1), level_sweep(f, fam, bps[::-1])):
+        q2_terms[k] = perimeter(p.union_q2, h=f.h).measure
+        ever |= p.q2_mask
+    return bps, q2_terms, fam.select(ever)
 
 
 def accumulate_q2_cubes(f: GridFunction, fam: CubeFamily) -> CubeFamily:

@@ -235,3 +235,13 @@ class TestFamilyBasics:
         avgs = family_averages(f, cubes)
         for c, a in zip(cubes, avgs):
             assert a == pytest.approx(float(np.mean(f.array[c.slices()])), rel=1e-12)
+
+    def test_select_keeps_order_and_averages(self, rng):
+        f = grid_from_array(rng.random((6, 6)))
+        fam = CubeFamily([GridCube((0, 0), 4), GridCube((2, 2), 2), GridCube((5, 5), 1)])
+        mask = np.array([True, False, True])
+        sub = fam.with_averages(f).select(mask)
+        assert sub.cubes == (fam.cubes[0], fam.cubes[2])
+        assert np.array_equal(sub.averages, fam.with_averages(f).averages[mask])
+        assert fam.select(mask).averages is None
+        assert len(fam.select(np.zeros(3, dtype=bool))) == 0

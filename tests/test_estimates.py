@@ -27,6 +27,7 @@ from cubemax.estimates import (
     sparse_mass_estimate,
     theorem_main_evaluate,
 )
+from cubemax.grid import boundary_faces_outside
 from cubemax.sparse import default_contraction, lambda_q
 
 
@@ -352,24 +353,28 @@ class TestTheoremEvaluate:
         lhs_again = float(np.sum(gaps * rep.lam_table["lhs"][1:]))
         assert lhs_again == pytest.approx(rep.lhs, rel=1e-9)
 
-    def test_sweep_matches_direct_partition_path(self, rng):
-        # the evaluator maintains unions incrementally; the partition module
-        # rebuilds everything per level; both must agree exactly
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_sweep_matches_direct_partition_path(self, rng, d):
+        # the evaluator consumes the incremental level sweep; the oracle
+        # rebuilds every level from scratch.  At h = 1 each per-level table
+        # entry is an integer face count and must equal the oracle's exactly.
         from cubemax import maximal_cube_reduction
         from cubemax.generators import random_complete_family, simple_function
-        from cubemax.partition import boundary_decomposition_terms, partition_at
+        from conftest import partition_from_scratch
 
+        grid = {1: 48, 2: 12, 3: 6}[d]
         for _ in range(5):
-            f = simple_function(rng, (12, 12), 1.0)
-            fam = random_complete_family(rng, (12, 12), 5).with_averages(f)
+            f = simple_function(rng, (grid,) * d, 1.0)
+            fam = random_complete_family(rng, (grid,) * d, 5).with_averages(f)
             rep = theorem_main_evaluate(f, fam, deep=False)
             red = maximal_cube_reduction(fam, f)
             lams = rep.lam_table["lam"]
             for k in range(1, lams.size):
-                p = partition_at(f, red, float(lams[k]))
-                assert p.sizes == (rep.lam_table["n_q0"][k],
-                                   rep.lam_table["n_q1"][k],
-                                   rep.lam_table["n_q2"][k])
-                t1, t2 = boundary_decomposition_terms(p, f)
-                assert t1 == pytest.approx(rep.lam_table["term1"][k], rel=1e-12)
-                assert t2 == pytest.approx(rep.lam_table["term2"][k], rel=1e-12)
+                p = partition_from_scratch(f, red, lams[k])
+                assert (len(p.q0), len(p.q1), len(p.q2)) == (
+                    rep.lam_table["n_q0"][k], rep.lam_table["n_q1"][k], rep.lam_table["n_q2"][k])
+                faces = (boundary_faces_outside(p.union_all, p.level).face_count,
+                         boundary_faces_outside(p.union_q01, p.level).face_count,
+                         perimeter(p.union_q2).face_count)
+                assert faces == (rep.lam_table["lhs"][k], rep.lam_table["term1"][k],
+                                 rep.lam_table["term2"][k])

@@ -5,6 +5,7 @@ import pytest
 
 from cubemax.errors import UnsupportedDimension
 from cubemax.geom import (
+    BlowupResult,
     OrientedCube,
     boundary_length_in_disk,
     cube_angle_check,
@@ -103,6 +104,11 @@ class TestLipschitzBlowup:
     def test_d3_runs(self):
         res = lipschitz_blowup_check(1.0, 1.0, 0.15, 40_000, d=3, seed=6)
         assert res.estimate <= res.bound
+
+    def test_exceeded_bound_is_returned_not_raised(self):
+        res = lipschitz_blowup_check(1.0, 1.0, 0.1, 10_000, d=2, seed=2, constant=1e-6)
+        assert isinstance(res, BlowupResult)
+        assert res.estimate + 5 * res.stderr > res.bound
 
 
 class TestLargeBoundary:

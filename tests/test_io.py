@@ -2,8 +2,11 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from cubemax import CubeFamily, GridCube, GridFunction, grid_from_array
+from cubemax.errors import CubemaxError, GridFormatError
 from cubemax.io import (
     canonical_json,
     family_from_json,
@@ -47,6 +50,74 @@ class TestGridFormats:
         p.write_bytes(b"NOTMAGIC" + b"\x00" * 16)
         with pytest.raises(ValueError):
             read_grid_binary(p)
+
+
+def grids(dims):
+    """Grid functions on the given dims: any positive finite h, and finite
+    or NaN (masked) cell values."""
+    n = int(np.prod(dims))
+    return st.builds(
+        GridFunction, st.just(dims),
+        st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+        st.lists(st.floats(allow_infinity=False), min_size=n, max_size=n))
+
+
+def small_dims(d_max):
+    return st.integers(1, d_max).flatmap(
+        lambda d: st.tuples(*[st.integers(1, 5)] * d))
+
+
+# a one-row 2-d grid reads back as 1-d, so the CSV strategy keeps two rows
+csv_dims = st.one_of(st.tuples(st.integers(1, 12)),
+                     st.tuples(st.integers(2, 5), st.integers(1, 5)))
+file_settings = settings(max_examples=60, deadline=None,
+                 suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+class TestGridFormatProperties:
+    @given(csv_dims.flatmap(grids))
+    @file_settings
+    def test_csv_round_trip(self, tmp_path, f):
+        p = tmp_path / "g.csv"
+        write_grid_csv(f, p)
+        g = read_grid_csv(p)
+        assert g.dims == f.dims and g.h == f.h
+        assert np.array_equal(g.values, f.values, equal_nan=True)
+
+    @given(small_dims(3).flatmap(grids))
+    @file_settings
+    def test_binary_round_trip(self, tmp_path, f):
+        p = tmp_path / "g.bin"
+        write_grid_binary(f, p)
+        g = read_grid_binary(p)
+        assert g.dims == f.dims and g.h == f.h
+        assert g.values.tobytes() == f.values.tobytes()
+
+    @given(small_dims(3).flatmap(grids))
+    @settings(max_examples=15, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_binary_every_truncation_is_typed(self, tmp_path, f):
+        p = tmp_path / "g.bin"
+        write_grid_binary(f, p)
+        raw = p.read_bytes()
+        for cut in range(len(raw)):
+            p.write_bytes(raw[:cut])
+            with pytest.raises(GridFormatError):
+                read_grid_binary(p)
+
+    def test_binary_trailing_bytes_rejected(self, rng, tmp_path):
+        p = tmp_path / "g.bin"
+        write_grid_binary(GridFunction((2, 3), 1.0, rng.random(6)), p)
+        p.write_bytes(p.read_bytes() + b"\x00")
+        with pytest.raises(GridFormatError):
+            read_grid_binary(p)
+
+    def test_ragged_csv_is_typed(self, tmp_path):
+        p = tmp_path / "g.csv"
+        p.write_text("# h=1.0\n1.0,2.0\n3.0\n", encoding="utf-8")
+        with pytest.raises(GridFormatError) as err:
+            read_grid_csv(p)
+        assert isinstance(err.value, CubemaxError) and isinstance(err.value, ValueError)
 
 
 class TestFamilyJson:

@@ -2,13 +2,16 @@ import numpy as np
 import pytest
 
 from cubemax import CubeFamily, GridCube, PixelSet, grid_from_array, lambda_breakpoints
+from cubemax.generators import make_function, random_complete_family, random_family
 from cubemax.partition import (
     boundary_decomposition_terms,
     boundary_of_union_check,
     decomposition_lhs,
     high_density_ratio,
+    level_sweep,
     partition_at,
 )
+from conftest import partition_from_scratch
 
 
 def random_instance(rng, dims=(10, 10), n_cubes=7, levels=5):
@@ -19,29 +22,6 @@ def random_instance(rng, dims=(10, 10), n_cubes=7, levels=5):
         anchor = tuple(int(rng.integers(0, n - side + 1)) for n in dims)
         cubes.append(GridCube(anchor, side))
     return f, CubeFamily(cubes).with_averages(f)
-
-
-def classify_by_direct_volumes(f, fam, lam):
-    """Oracle: recompute every class membership with per-cell loops."""
-    d = f.d
-    thresh = 2 ** (d + 1)
-    level = f.array >= lam
-    sel = [(c, a) for c, a in zip(fam.cubes, fam.averages) if a >= lam]
-    q0 = []
-    for c, a in sel:
-        cnt = int(level[c.slices()].sum())
-        if cnt * thresh >= c.cell_count:
-            q0.append(c)
-    u0 = np.zeros(f.dims, dtype=bool)
-    for c in q0:
-        u0[c.slices()] = True
-    q1, q2 = [], []
-    for c, a in sel:
-        if c in q0:
-            continue
-        cnt = int(u0[c.slices()].sum())
-        (q1 if cnt * thresh >= c.cell_count else q2).append(c)
-    return set(q0), set(q1), set(q2)
 
 
 class TestPartitionAt:
@@ -70,10 +50,68 @@ class TestPartitionAt:
             f, fam = random_instance(rng, dims=dims)
             for lam in lambda_breakpoints(f, fam.averages)[:: max(1, 3)]:
                 p = partition_at(f, fam, float(lam))
-                w0, w1, w2 = classify_by_direct_volumes(f, fam, float(lam))
-                assert set(p.q0.cubes) == w0
-                assert set(p.q1.cubes) == w1
-                assert set(p.q2.cubes) == w2
+                want = partition_from_scratch(f, fam, float(lam))
+                assert p.q0.cubes == want.q0.cubes
+                assert p.q1.cubes == want.q1.cubes
+                assert p.q2.cubes == want.q2.cubes
+
+
+class TestLevelSweep:
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("complete", [True, False])
+    def test_every_breakpoint_matches_from_scratch_oracle(self, rng, d, complete):
+        grid = {1: 32, 2: 16, 3: 8}[d]
+        dims = (grid,) * d
+        for cls in ("spikes", "simple", "random-smooth"):
+            f = make_function(rng, cls, dims, 1.0)
+            fam = (random_complete_family(rng, dims, 4) if complete
+                   else random_family(rng, dims, 8, pow2=False)).with_averages(f)
+            bps = lambda_breakpoints(f, fam.averages)[::-1]
+            for lam, p in zip(bps, level_sweep(f, fam, bps)):
+                want = partition_from_scratch(f, fam, lam)
+                assert p.lam == lam and p.level.equals(want.level)
+                for got_q, want_q in ((p.q0, want.q0), (p.q1, want.q1), (p.q2, want.q2)):
+                    assert got_q.cubes == want_q.cubes
+                    assert np.array_equal(got_q.averages, want_q.averages)
+                assert p.sizes == (len(want.q0), len(want.q1), len(want.q2))
+                assert p.union_q01.equals(want.union_q01)
+                assert p.union_q2.equals(want.union_q2)
+                assert p.union_all.equals(want.union_all)
+
+    def test_cube_turning_dense_late_joins_the_dense_union(self):
+        # A = [0, 8) is selected but sparse at its own average and dense at
+        # level 1; only then does B = [6, 14) reach the 1/4 overlap with the
+        # dense union, exactly on the threshold, and become q1
+        vals = np.zeros(16)
+        vals[0], vals[1:6], vals[6:8], vals[13] = 80.0, 1.0, 0.5, 10.0
+        f = grid_from_array(vals)
+        a, b = GridCube((0,), 8), GridCube((6,), 8)
+        fam = CubeFamily([a, b]).with_averages(f)
+        bps = lambda_breakpoints(f, fam.averages)[::-1]
+        seen = {}
+        for lam, p in zip(bps, level_sweep(f, fam, bps)):
+            assert p.q1.cubes == partition_from_scratch(f, fam, lam).q1.cubes
+            seen[lam] = p
+        assert seen[86 / 8].q2.cubes == (a,)
+        assert seen[1.0].q0.cubes == (a,) and seen[1.0].q1.cubes == (b,)
+
+    def test_partitions_keep_their_unions_after_the_sweep_moves_on(self, rng):
+        f, fam = random_instance(rng)
+        bps = lambda_breakpoints(f, fam.averages)[::-1]
+        parts = list(level_sweep(f, fam, bps))
+        for lam, p in zip(bps, parts):
+            assert p.union_q01.equals(partition_from_scratch(f, fam, lam).union_q01)
+
+    def test_rising_level_rejected(self, rng):
+        f, fam = random_instance(rng)
+        with pytest.raises(ValueError, match="non-increasing"):
+            list(level_sweep(f, fam, [1.0, 2.0]))
+
+    def test_empty_family(self):
+        f = grid_from_array(np.arange(16.0).reshape(4, 4))
+        for p in level_sweep(f, CubeFamily([]), [9.0, 3.0, 3.0]):
+            assert p.sizes == (0, 0, 0) and p.union_all.count == 0
+            assert p.level.count == int(np.sum(f.array >= p.lam))
 
 
 class TestBoundaryDecomposition:

@@ -261,3 +261,35 @@ class TestAccumulateQ2:
         q2 = accumulate_q2_cubes(f, fam)
         assert len(q2) >= 1
         assert all(a >= 0 for a in q2.averages)
+
+    @pytest.mark.parametrize("pipeline", [True, False], ids=["pipeline", "raw"])
+    def test_matches_from_scratch_oracle(self, rng, pipeline):
+        # the union over every breakpoint of the oracle's low-density class,
+        # and the exact level integral of its union's perimeter
+        from cubemax import integrate_breakpoints, lambda_breakpoints, perimeter
+        from cubemax.generators import random_complete_family, random_family, spikes_function
+        from conftest import partition_from_scratch
+
+        dims = (16, 16)
+        found_q2 = 0
+        for _ in range(4):
+            f = spikes_function(rng, dims, 1.0)
+            fam = (random_complete_family(rng, dims, 5) if pipeline
+                   else random_family(rng, dims, 10, pow2=False))
+            full = fam.with_averages(f)
+            bps = lambda_breakpoints(f, full.averages)
+            parts = [partition_from_scratch(f, full, lam) for lam in bps]
+            seen = {}
+            for p in parts:
+                for c, a in zip(p.q2.cubes, p.q2.averages):
+                    seen.setdefault(c, a)
+            want_q2 = CubeFamily(list(seen), np.array(list(seen.values())))
+            want_lhs = integrate_breakpoints(
+                bps, np.array([perimeter(p.union_q2, h=f.h).measure for p in parts]))
+
+            got = accumulate_q2_cubes(f, fam)
+            assert got.cubes == want_q2.cubes
+            assert np.array_equal(got.averages, want_q2.averages)
+            assert significant_mass_bound(f, fam) == (want_lhs, greedy_sparse(f, want_q2).rhs_sum)
+            found_q2 += len(want_q2)
+        assert found_q2 > 0
