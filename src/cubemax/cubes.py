@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -11,6 +11,9 @@ import numpy as np
 from .errors import NonDyadicSide
 from .grid import GridFunction, PixelSet
 from .sat import SummedAreaTable
+
+#: Rows per block of pairwise arithmetic on (rows, m, d) arrays: O(ROW_BLOCK*m*d) memory.
+ROW_BLOCK = 32
 
 
 @dataclass(frozen=True)
@@ -40,9 +43,6 @@ class GridCube:
     def slices(self) -> tuple[slice, ...]:
         return tuple(slice(a, a + self.side) for a in self.anchor)
 
-    def inside(self, dims: Sequence[int]) -> bool:
-        return all(0 <= a and a + self.side <= n for a, n in zip(self.anchor, dims))
-
     def contains_cube(self, other: "GridCube") -> bool:
         return all(a <= b and b + other.side <= a + self.side
                    for a, b in zip(self.anchor, other.anchor))
@@ -55,27 +55,25 @@ class GridCube:
         hi = tuple((a + self.side) * h for a in self.anchor)
         return RealBox(lo, hi)
 
-    def center(self, h: float) -> tuple[float, ...]:
-        return tuple((a + self.side / 2.0) * h for a in self.anchor)
-
     def pixels(self, dims: Sequence[int]) -> PixelSet:
-        m = np.zeros(tuple(dims), dtype=bool)
-        m[self.slices()] = True
-        return PixelSet(tuple(dims), m)
+        return CubeFamily([self]).union_pixels(dims)
 
 
 def scale_index(cube: GridCube, h: float) -> int:
-    """The integer n with side*h in [2**n, 2**(n+1)).
+    """The integer n with side*h in [2**n, 2**(n+1)); see :func:`scale_indices`."""
+    return int(scale_indices(np.array([cube.side]), h)[0])
+
+
+def scale_indices(sides: np.ndarray, h: float) -> np.ndarray:
+    """Per side, the integer n with side*h in [2**n, 2**(n+1)).
 
     A product within a few ulps below a power of two counts as that power:
     with h = 1/m the float side*h of a side-m cube can round to just under
     1 (m = 49 gives 0.9999999999999999), and its scale is still 0.
     """
-    x = cube.side * h
-    exp = math.frexp(x)[1]  # x = mantissa * 2**exp with mantissa in [0.5, 1)
-    if math.ldexp(1.0, exp) - x <= 4 * math.ulp(x):
-        return exp
-    return exp - 1
+    x = np.asarray(sides, dtype=np.int64) * h
+    exp = np.frexp(x)[1].astype(np.int64)  # x = mantissa * 2**exp, mantissa in [0.5, 1)
+    return np.where(np.ldexp(1.0, exp) - x <= 4 * np.spacing(x), exp, exp - 1)
 
 
 def is_power_of_two(n: int) -> bool:
@@ -100,178 +98,193 @@ class RealBox:
         return all(a <= c and d <= b for a, b, c, d in
                    zip(self.lo, self.hi, other.lo, other.hi))
 
-    def contains_point(self, p: Sequence[float]) -> bool:
-        return all(a <= x < b for a, x, b in zip(self.lo, p, self.hi))
-
-    def intersection_volume(self, other: "RealBox") -> float:
-        v = 1.0
-        for a, b, c, d in zip(self.lo, self.hi, other.lo, other.hi):
-            v *= max(0.0, min(b, d) - max(a, c))
-        return v
-
 
 def dilate(q: GridCube | RealBox, K: float, h: float = 1.0) -> RealBox:
     """The box with the same center and side scaled by ``K > 0``."""
+    box = q.extent(h) if isinstance(q, GridCube) else q
+    lo, hi = dilate_bounds(np.array(box.lo), np.array(box.hi), K)
+    return RealBox(tuple(lo.tolist()), tuple(hi.tolist()))
+
+
+def cube_bounds(anchors: np.ndarray, sides: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
+    """Real corners (lo, hi) of cubes given as anchor rows and sides."""
+    return anchors * h, (anchors + sides[..., None]) * h
+
+
+def dilate_bounds(lo: np.ndarray, hi: np.ndarray, K: float) -> tuple[np.ndarray, np.ndarray]:
+    """Corners of the boxes with the same centers and sides scaled by ``K``."""
     if K <= 0:
         raise ValueError("dilation factor must be positive")
-    box = q.extent(h) if isinstance(q, GridCube) else q
-    lo, hi = [], []
-    for a, b in zip(box.lo, box.hi):
-        c = 0.5 * (a + b)
-        r = 0.5 * (b - a) * K
-        lo.append(c - r)
-        hi.append(c + r)
-    return RealBox(tuple(lo), tuple(hi))
-
-
-def intersection_cells(a: GridCube, b: GridCube) -> int:
-    """Exact number of cells shared by two grid cubes."""
-    n = 1
-    for x, y in zip(a.anchor, b.anchor):
-        lo = max(x, y)
-        hi = min(x + a.side, y + b.side)
-        n *= max(0, hi - lo)
-    return n
+    c = 0.5 * (lo + hi)
+    r = 0.5 * (hi - lo) * K
+    return c - r, c + r
 
 
 def intersection_volume(a: GridCube, b: GridCube, h: float = 1.0) -> float:
-    return intersection_cells(a, b) * float(h) ** len(a.anchor)
+    """Volume of the cells shared by two grid cubes."""
+    cells = 1
+    for x, y in zip(a.anchor, b.anchor):
+        cells *= max(0, min(x + a.side, y + b.side) - max(x, y))
+    return cells * float(h) ** len(a.anchor)
 
 
-def _canonical_key(c: GridCube):
-    return (-c.side, c.anchor)
+def cube_contains(outer_a: np.ndarray, outer_s, inner_a: np.ndarray, inner_s) -> np.ndarray:
+    """Whether each outer cube contains its inner cube, over the broadcast
+    leading axes of anchor rows (..., d) and sides (...)."""
+    ok = True
+    for k in range(outer_a.shape[-1]):
+        lo_o, lo_i = outer_a[..., k], inner_a[..., k]
+        ok = ok & (lo_o <= lo_i) & (lo_i + inner_s <= lo_o + outer_s)
+    return ok
+
+
+def row_blocks(n: int):
+    """Consecutive slices of at most ``ROW_BLOCK`` rows covering ``range(n)``."""
+    for start in range(0, n, ROW_BLOCK):
+        yield slice(start, min(start + ROW_BLOCK, n))
+
+
+def box_cover_counts(lo: np.ndarray, hi: np.ndarray, dims: Sequence[int]) -> np.ndarray:
+    """How many of the index boxes [lo, hi), clipped to the grid, cover each
+    cell; each box costs one slice update."""
+    dims = tuple(dims)
+    counts = np.zeros(dims, dtype=np.int64)
+    if not np.size(lo):
+        return counts
+    lo = np.minimum(np.maximum(np.asarray(lo, dtype=np.int64), 0), dims)
+    hi = np.minimum(np.maximum(np.asarray(hi, dtype=np.int64), lo), dims)
+    for a, b in zip(lo.tolist(), hi.tolist()):
+        counts[tuple(map(slice, a, b))] += 1
+    return counts
+
+
+def cube_arrays(cubes: Iterable[GridCube] | "CubeFamily",
+                d: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Anchor rows (n, d) and sides (n,) of the cubes in their given order:
+    the one place where ``GridCube`` objects become arrays.  ``d`` sets the
+    row width of an empty input."""
+    if isinstance(cubes, CubeFamily):
+        return cubes.anchors, cubes.sides
+    cubes = list(cubes)
+    anchors = np.array([c.anchor for c in cubes], dtype=np.int64)
+    return (anchors.reshape(len(cubes), -1 if cubes else d or 0),
+            np.array([c.side for c in cubes], dtype=np.int64))
 
 
 class CubeFamily:
     """A deduplicated, canonically ordered collection of grid cubes.
 
-    Canonical order is side descending, then anchor lexicographic; it fixes
-    every tie-break made by the selection procedures downstream.  A family
-    may carry cached per-cube averages of a bound grid function.
+    The cubes are stored as two read-only int64 arrays, ``anchors`` of shape
+    (n, d) and ``sides`` of shape (n,).  Canonical order is side descending,
+    then anchor lexicographic; it fixes every tie-break made by the
+    selection procedures downstream.  A family may carry cached per-cube
+    averages of a bound grid function.  ``GridCube`` objects are built only
+    when ``cubes``, iteration or indexing asks for them.
     """
 
     def __init__(self, cubes: Iterable[GridCube], averages: np.ndarray | None = None):
-        cubes = list(cubes)
-        uniq = sorted(set(cubes), key=_canonical_key)
-        if averages is not None:
-            if len(cubes) != len(uniq) or cubes != uniq:
-                # remap averages onto the canonical order
-                lookup = {c: float(v) for c, v in zip(cubes, np.asarray(averages))}
-                averages = np.array([lookup[c] for c in uniq], dtype=np.float64)
-            else:
-                averages = np.asarray(averages, dtype=np.float64).copy()
-            averages.setflags(write=False)
-        self.cubes: tuple[GridCube, ...] = tuple(uniq)
-        self.averages = averages
+        self._canonicalize(*cube_arrays(cubes), averages)
+
+    @classmethod
+    def from_arrays(cls, anchors: np.ndarray, sides: np.ndarray,
+                    averages: np.ndarray | None = None) -> "CubeFamily":
+        """The family of the cubes with the given anchor rows and sides."""
+        fam = cls.__new__(cls)
+        fam._canonicalize(np.asarray(anchors, dtype=np.int64),
+                          np.asarray(sides, dtype=np.int64), averages)
+        return fam
+
+    def _canonicalize(self, anchors: np.ndarray, sides: np.ndarray, averages) -> None:
+        """Store the rows in canonical order without repeats; a repeated cube
+        keeps its last average."""
+        if np.any(sides < 1):
+            raise ValueError("cube side must be at least one cell")
+        _, last = np.unique(np.column_stack((-sides, anchors))[::-1], axis=0, return_index=True)
+        idx = len(sides) - 1 - last
+        self._set(anchors[idx], sides[idx],
+                  None if averages is None else np.asarray(averages, dtype=np.float64)[idx])
+
+    def _set(self, anchors: np.ndarray, sides: np.ndarray, averages: np.ndarray | None) -> None:
+        self.anchors, self.sides, self.averages = anchors, sides, averages
+        for a in (anchors, sides, averages):
+            if a is not None:
+                a.setflags(write=False)
+
+    @cached_property
+    def cubes(self) -> tuple[GridCube, ...]:
+        return tuple(GridCube(a, s) for a, s in zip(self.anchors.tolist(), self.sides.tolist()))
 
     def __len__(self) -> int:
-        return len(self.cubes)
+        return len(self.sides)
 
     def __iter__(self):
         return iter(self.cubes)
 
     def __getitem__(self, i: int) -> GridCube:
-        return self.cubes[i]
-
-    def __contains__(self, c: GridCube) -> bool:
-        return c in set(self.cubes)
+        return GridCube(self.anchors[i].tolist(), int(self.sides[i]))
 
     def with_averages(self, f: GridFunction) -> "CubeFamily":
-        return CubeFamily(self.cubes, family_averages(f, self.cubes))
+        return CubeFamily.from_arrays(self.anchors, self.sides, family_averages(f, self))
 
     def select(self, mask: np.ndarray) -> "CubeFamily":
         """The members where the boolean ``mask`` is set, with their averages."""
-        idx = np.flatnonzero(mask)
-        return CubeFamily([self.cubes[i] for i in idx],
-                          None if self.averages is None else self.averages[idx])
+        fam = CubeFamily.__new__(CubeFamily)
+        fam._set(self.anchors[mask], self.sides[mask],
+                 None if self.averages is None else self.averages[mask])
+        return fam
 
     def union_pixels(self, dims: Sequence[int]) -> PixelSet:
-        m = np.zeros(tuple(dims), dtype=bool)
-        for c in self.cubes:
-            m[c.slices()] = True
-        return PixelSet(tuple(dims), m)
-
-    def sides(self) -> np.ndarray:
-        return np.array([c.side for c in self.cubes], dtype=np.int64)
-
-    def anchors(self) -> np.ndarray:
-        d = self.cubes[0].d if self.cubes else 0
-        return np.array([c.anchor for c in self.cubes], dtype=np.int64).reshape(len(self.cubes), d)
+        """The cells covered by at least one member."""
+        counts = box_cover_counts(self.anchors, self.anchors + self.sides[:, None], dims)
+        return PixelSet(tuple(dims), counts > 0)
 
 
-def family_averages(f: GridFunction, cubes: Sequence[GridCube],
+def family_averages(f: GridFunction, cubes: Sequence[GridCube] | CubeFamily,
                     sat: SummedAreaTable | None = None) -> np.ndarray:
     """Per-cube averages of ``f``, computed from one shared prefix-sum table."""
     if sat is None:
         sat = SummedAreaTable(f.array)
-    anchors = np.array([c.anchor for c in cubes], dtype=np.int64).reshape(len(cubes), f.d)
-    sides = np.array([c.side for c in cubes], dtype=np.int64)
-    return sat.box_avg_many(anchors, sides)
+    return sat.box_avg_many(*cube_arrays(cubes, f.d))
 
 
 def dyadic_descendants(q0: GridCube) -> CubeFamily:
     """All dyadic subcubes of ``q0`` down to single cells, ``q0`` included."""
     if not is_power_of_two(q0.side):
         raise NonDyadicSide(f"side {q0.side} is not a power of two")
-    cubes = []
+    anchors, sides = [], []
     side = q0.side
     while side >= 1:
-        steps = q0.side // side
-        for offsets in np.ndindex(*([steps] * q0.d)):
-            anchor = tuple(a + o * side for a, o in zip(q0.anchor, offsets))
-            cubes.append(GridCube(anchor, side))
+        offsets = np.indices((q0.side // side,) * q0.d).reshape(q0.d, -1).T
+        anchors.append(np.asarray(q0.anchor, dtype=np.int64) + offsets * side)
+        sides.append(np.full(len(offsets), side, dtype=np.int64))
         side //= 2
-    return CubeFamily(cubes)
+    return CubeFamily.from_arrays(np.concatenate(anchors), np.concatenate(sides))
 
 
-def dyadic_ancestor_chain(q0: GridCube, p: GridCube) -> list[GridCube]:
-    """Cubes of ``dy(q0)`` containing ``p``, from ``q0`` down.
+def _with_dyadic_parents(fam: CubeFamily) -> CubeFamily:
+    """The family joined by, for each member P strictly inside a power-of-two
+    member Q0, the smallest dyadic cube of Q0 that contains P and is not P.
 
-    At each dyadic level the tiles partition ``q0``; ``p`` has an ancestor at
-    that level iff it fits inside a single tile.  The chain stops at the
-    first level where ``p`` straddles a tile boundary.
+    Each added cube forms such a pair with Q0 in turn, so the family holds
+    every dyadic cube of Q0 containing P once nothing is added.
     """
-    if not is_power_of_two(q0.side):
-        raise NonDyadicSide(f"side {q0.side} is not a power of two")
-    chain = []
-    tile = q0.side
-    while tile >= 1:
-        idx = []
-        ok = True
-        for a0, a in zip(q0.anchor, p.anchor):
-            lo = (a - a0) // tile
-            hi = (a + p.side - 1 - a0) // tile
-            if lo != hi:
-                ok = False
-                break
-            idx.append(lo)
-        if not ok:
-            break
-        chain.append(GridCube(tuple(a0 + i * tile for a0, i in zip(q0.anchor, idx)), tile))
-        if tile == p.side and chain[-1] == p:
-            break
-        tile //= 2
-    return chain
-
-
-def _containment_pairs(cubes: Sequence[GridCube]):
-    """Yield (outer_index, inner_index) for strict-or-equal-side containments,
-    outer cubes restricted to power-of-two sides."""
-    n = len(cubes)
-    if n == 0:
-        return
-    d = cubes[0].d
-    anchors = np.array([c.anchor for c in cubes], dtype=np.int64).reshape(n, d)
-    sides = np.array([c.side for c in cubes], dtype=np.int64)
-    for i in range(n):
-        if not is_power_of_two(int(sides[i])):
-            continue
-        ok = sides <= sides[i]
-        ok &= np.all(anchors >= anchors[i], axis=1)
-        ok &= np.all(anchors + sides[:, None] <= anchors[i] + sides[i], axis=1)
-        ok[i] = False
-        for j in np.flatnonzero(ok):
-            yield i, int(j)
+    a, s = fam.anchors, fam.sides
+    # members of the smallest side, last in canonical order, hold only themselves
+    pow2 = np.flatnonzero(((s & (s - 1)) == 0) & (s > s[-1:]))
+    pairs = [np.empty((0, 2), dtype=np.int64)]
+    for rows in row_blocks(len(pow2)):
+        hit = cube_contains(a[pow2[rows], None], s[pow2[rows], None], a, s)
+        hit[np.arange(hit.shape[0]), pow2[rows]] = False
+        i, j = np.nonzero(hit)
+        pairs.append(np.column_stack((pow2[rows][i], j)))
+    outer, inner = np.concatenate(pairs).T
+    lo = a[inner] - a[outer]
+    # the finest tile holding P has side 2^b, b the bit length of the XOR of
+    # P's first and last cell offsets (frexp of a positive integer gives b)
+    tile = 2 ** np.frexp(lo ^ (lo + s[inner, None] - 1))[1].max(axis=1, initial=0)
+    tile = np.where(tile == s[inner], 2 * tile, tile)
+    return CubeFamily.from_arrays(np.concatenate((a, a[outer] + lo // tile[:, None] * tile[:, None])),
+                                  np.concatenate((s, tile)))
 
 
 def is_dyadically_complete(fam: CubeFamily) -> tuple[bool, GridCube | None]:
@@ -281,28 +294,19 @@ def is_dyadically_complete(fam: CubeFamily) -> tuple[bool, GridCube | None]:
     power-of-two side, every dyadic cube of Q0 containing P must be present.
     Pairs whose outer cube has a non-power-of-two side are skipped.
     """
-    members = set(fam.cubes)
-    cubes = fam.cubes
-    for i, j in _containment_pairs(cubes):
-        for anc in dyadic_ancestor_chain(cubes[i], cubes[j]):
-            if anc not in members:
-                return False, anc
-    return True, None
+    members = set(zip(map(tuple, fam.anchors.tolist()), fam.sides.tolist()))
+    grown = _with_dyadic_parents(fam)
+    witness = next((GridCube(a, s) for a, s in zip(grown.anchors.tolist(), grown.sides.tolist())
+                    if (tuple(a), s) not in members), None)
+    return witness is None, witness
 
 
 def dyadic_completion(fam: CubeFamily) -> CubeFamily:
     """Minimal dyadically complete superset; idempotent."""
-    members = set(fam.cubes)
-    changed = True
-    while changed:
-        changed = False
-        snapshot = list(members)
-        for i, j in _containment_pairs(snapshot):
-            for anc in dyadic_ancestor_chain(snapshot[i], snapshot[j]):
-                if anc not in members:
-                    members.add(anc)
-                    changed = True
-    return CubeFamily(members)
+    grown = _with_dyadic_parents(fam)
+    while len(grown) > len(fam):
+        fam, grown = grown, _with_dyadic_parents(grown)
+    return grown
 
 
 def maximal_cube_reduction(fam: CubeFamily, f: GridFunction) -> CubeFamily:
@@ -311,22 +315,12 @@ def maximal_cube_reduction(fam: CubeFamily, f: GridFunction) -> CubeFamily:
     The per-level unions of the reduced family agree with those of the input
     family at every level, so level-set boundaries are unchanged.
     """
-    cubes = fam.cubes
-    n = len(cubes)
-    if n == 0:
-        return CubeFamily([], np.empty(0))
-    avgs = fam.averages if fam.averages is not None else family_averages(f, cubes)
-    keep = np.ones(n, dtype=bool)
-    anchors, sides = fam.anchors(), fam.sides()
-    for i in range(n):
+    fam = fam if fam.averages is not None else fam.with_averages(f)
+    avgs, anchors, sides = fam.averages, fam.anchors, fam.sides
+    keep = np.ones(len(fam), dtype=bool)
+    for rows in row_blocks(len(fam)):
         # strict containment needs a strictly larger side
-        cand = np.flatnonzero(sides > sides[i])
-        if cand.size == 0:
-            continue
-        lo_ok = np.all(anchors[cand] <= anchors[i], axis=1)
-        hi_ok = np.all(anchors[i] + sides[i] <= anchors[cand] + sides[cand, None], axis=1)
-        sup = cand[lo_ok & hi_ok]
-        if sup.size and np.any(avgs[sup] >= avgs[i]):
-            keep[i] = False
-    kept = [cubes[i] for i in np.flatnonzero(keep)]
-    return CubeFamily(kept, avgs[keep])
+        sup = (sides > sides[rows, None]) & cube_contains(anchors, sides, anchors[rows, None],
+                                                           sides[rows, None])
+        keep[rows] = ~np.any(sup & (avgs >= avgs[rows, None]), axis=1)
+    return fam.select(keep)

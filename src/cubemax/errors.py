@@ -50,4 +50,9 @@ class ConfigError(CubemaxError):
 
 
 class GridFormatError(CubemaxError, ValueError):
-    """A grid file is malformed: bad magic, cut short, or ragged rows."""
+    """A grid or cube-family file is malformed: bad magic, cut short, ragged
+    or non-numeric rows, or a missing or invalid family field."""
+
+
+class SearchExhausted(CubemaxError):
+    """A bounded search reached its limit without a passing value."""

@@ -18,12 +18,16 @@ import numpy as np
 from .cubes import (
     CubeFamily,
     GridCube,
+    cube_arrays,
+    cube_bounds,
     dilate,
+    dilate_bounds,
     dyadic_descendants,
     family_averages,
     is_dyadically_complete,
     is_power_of_two,
     maximal_cube_reduction,
+    row_blocks,
 )
 from .errors import (
     InvariantViolated,
@@ -86,10 +90,8 @@ def sparse_mass_estimate(f: GridFunction, q0: GridCube,
     lhs = q0.volume(f.h) * (fq0 - lam0)
 
     dy = dyadic_descendants(q0)
-    dy_avgs = family_averages(f, dy.cubes)
-    sides = dy.sides()
-    anchors = dy.anchors()
-    dycells = sides ** d
+    dy_avgs = family_averages(f, dy)
+    dycells = dy.sides ** d
 
     bps = lambda_breakpoints(f, np.concatenate((dy_avgs, [fq0])))
     vols = np.zeros(bps.size)
@@ -104,13 +106,11 @@ def sparse_mass_estimate(f: GridFunction, q0: GridCube,
         if not eligible.any():
             continue
         counts = np.zeros(len(dy), dtype=np.int64)
-        counts[eligible] = sat.box_sum_many(anchors[eligible], sides[eligible])
+        counts[eligible] = sat.box_sum_many(dy.anchors[eligible], dy.sides[eligible])
         select = eligible & (2 * counts <= dycells)
         if not select.any():
             continue
-        u = np.zeros(f.dims, dtype=bool)
-        for i in np.flatnonzero(select):
-            u[dy.cubes[i].slices()] = True
+        u = dy.select(select).union_pixels(f.dims).mask
         vols[k] = np.count_nonzero(u & level) * hpow
     rhs = 2 ** (d + 1) * integrate_breakpoints(bps, vols, lower=fq0)
     return lhs, rhs
@@ -141,21 +141,13 @@ def covering_middensity(E: PixelSet, q0: GridCube) -> CoveringResult:
     if 2 * cnt0 >= q0.cell_count:
         raise PreconditionDensity(f"density {cnt0}/{q0.cell_count} not below 1/2")
     dy = dyadic_descendants(q0)
-    sides = dy.sides()
-    anchors = dy.anchors()
-    counts = sat.box_sum_many(anchors, sides)
-    cells = sides ** d
-    band = (counts * 2 ** (d + 1) >= cells) & (2 * counts < cells)
-    cover = np.zeros(E.dims, dtype=bool)
-    members = []
-    for i in np.flatnonzero(band):
-        members.append(dy.cubes[i])
-        cover[dy.cubes[i].slices()] = True
-    target = np.zeros(E.dims, dtype=bool)
-    target[q0.slices()] = True
-    target &= E.mask
+    counts = sat.box_sum_many(dy.anchors, dy.sides)
+    cells = dy.sides ** d
+    members = dy.select((counts * 2 ** (d + 1) >= cells) & (2 * counts < cells))
+    cover = members.union_pixels(E.dims).mask
+    target = q0.pixels(E.dims).mask & E.mask
     return CoveringResult(
-        CubeFamily(members),
+        members,
         PixelSet(E.dims, target & cover),
         PixelSet(E.dims, target & ~cover),
     )
@@ -344,17 +336,13 @@ def _deep_chain(f: GridFunction, sparse: SparseFamily, bps: np.ndarray) -> dict:
         if not is_power_of_two(q0.side):
             continue
         dy = dyadic_descendants(q0)
-        dy_avg = family_averages(f, dy.cubes)
-        parent = _dyadic_parents(dy)
         bases.append({
             "cube": q0, "avg": float(fq0), "lamq": float(lamq0),
-            "dy": dy, "dy_avg": dy_avg, "parent": parent,
-            "sides": dy.sides(), "anchors": dy.anchors(),
+            "dy": dy, "anc_max": _ancestor_max(dy, family_averages(f, dy)),
             "vol_integral": 0.0,
         })
 
-    s_union = CubeFamily([b["cube"] for b in bases]).union_pixels(f.dims) \
-        if bases else PixelSet.empty(f.dims)
+    s_union = CubeFamily([b["cube"] for b in bases]).union_pixels(f.dims)
     overlap_max = 0
     c1_max = 1.0
     c2_max = 1.0
@@ -369,17 +357,20 @@ def _deep_chain(f: GridFunction, sparse: SparseFamily, bps: np.ndarray) -> dict:
         level = f.array >= lam
         level_sat = SummedAreaTable(level.astype(np.int64))
         level_px = PixelSet(f.dims, level)
-        d_map: dict[GridCube, list[GridCube]] = {}
+        d_map: dict[GridCube, CubeFamily] = {}
         for b in active:
-            sel = _collect_band_with_ancestor(b, level_sat, lam, d)
-            if sel:
+            # dyadic cubes of the base in the density band having an ancestor
+            # (or themselves) with average at the level
+            dy = b["dy"]
+            counts = level_sat.box_sum_many(dy.anchors, dy.sides)
+            cells = dy.sides ** d
+            sel = dy.select((counts * 2 ** (d + 1) >= cells) & (2 * counts < cells)
+                            & (b["anc_max"] >= lam))
+            if len(sel):
                 d_map[b["cube"]] = sel
-                u = np.zeros(f.dims, dtype=bool)
-                for c in sel:
-                    u[c.slices()] = True
                 if bps[k - 1] >= b["avg"]:
                     b["vol_integral"] += (bps[k] - bps[k - 1]) * \
-                        float(np.count_nonzero(u)) * h ** d
+                        float(sel.union_pixels(f.dims).count) * h ** d
         if not d_map:
             continue
         s_fam = CubeFamily([b["cube"] for b in active])
@@ -389,16 +380,19 @@ def _deep_chain(f: GridFunction, sparse: SparseFamily, bps: np.ndarray) -> dict:
         c2_max = max(c2_max, fl.c2)
 
         # geometric scale sum: for each selected cube, the sum of inverse side
-        # lengths of bases whose c2-dilate contains it (log base 2 bracketing)
-        each_sum = 0.0
-        for q in fl.cubes:
-            qb = q.extent(h)
-            ssum = 0.0
-            for b in active:
-                if dilate(b["cube"], max(fl.c2, 1.0), h).contains_box(qb):
-                    ssum += 1.0 / (b["cube"].side * h)
-            massbelow_max = max(massbelow_max, ssum * (q.side * h))
-            each_sum += q.volume(h) * ssum
+        # lengths of bases whose c2-dilate contains it (log base 2 bracketing);
+        # running sums keep the base order of the accumulation
+        qa, qs = cube_arrays(fl.cubes, d)
+        ba, bs = cube_arrays([b["cube"] for b in active], d)
+        qlo, qhi = cube_bounds(qa, qs, h)
+        blo, bhi = dilate_bounds(*cube_bounds(ba, bs, h), max(fl.c2, 1.0))
+        inv_side = 1.0 / (bs * h)
+        ssum = np.empty(len(qs))
+        for rows in row_blocks(len(qs)):
+            inside = np.all((blo <= qlo[rows, None]) & (qhi[rows, None] <= bhi), axis=-1)
+            ssum[rows] = np.cumsum(np.where(inside, inv_side, 0.0), axis=1)[:, -1]
+        massbelow_max = max(massbelow_max, float(np.max(ssum * (qs * h))))
+        each_sum = float(np.cumsum((qs ** d) * float(h) ** d * ssum)[-1])
         rhs_prefix = perimeter(level_px, mask=s_union, h=h).measure
         if rhs_prefix > 0:
             eachlevel_max = max(eachlevel_max, each_sum / rhs_prefix)
@@ -425,37 +419,23 @@ def _deep_chain(f: GridFunction, sparse: SparseFamily, bps: np.ndarray) -> dict:
     }
 
 
-def _dyadic_parents(dy: CubeFamily) -> np.ndarray:
-    index = {c: i for i, c in enumerate(dy.cubes)}
-    parent = np.full(len(dy), -1, dtype=np.int64)
-    root = dy.cubes[0]  # canonical order puts the base cube first
-    for i, c in enumerate(dy.cubes):
-        if c.side == root.side:
-            continue
-        ps = c.side * 2
-        pa = tuple(r + ((a - r) // ps) * ps for a, r in zip(c.anchor, root.anchor))
-        parent[i] = index[GridCube(pa, ps)]
-    return parent
+def _ancestor_max(dy: CubeFamily, avgs: np.ndarray) -> np.ndarray:
+    """Per cube of ``dy = dyadic_descendants(q0)``, the largest average over
+    the cube and its dyadic ancestors (NaN averages ignored).
 
-
-def _collect_band_with_ancestor(base: dict, level_sat: SummedAreaTable,
-                                lam: float, d: int) -> list[GridCube]:
-    """Dyadic cubes of the base in the density band having an ancestor (or
-    themselves) with average at the level."""
-    dy = base["dy"]
-    sides = base["sides"]
-    anchors = base["anchors"]
-    avgs = base["dy_avg"]
-    parent = base["parent"]
-    counts = level_sat.box_sum_many(anchors, sides)
-    cells = sides ** d
-    band = (counts * 2 ** (d + 1) >= cells) & (2 * counts < cells)
-    anc_ok = avgs >= lam
-    # propagate down the tree: a cube qualifies if any ancestor does
-    order = np.argsort(-sides, kind="stable")
-    for i in order:
-        p = parent[i]
-        if p >= 0 and anc_ok[p]:
-            anc_ok[i] = True
-    pick = band & anc_ok
-    return [dy.cubes[i] for i in np.flatnonzero(pick)]
+    In canonical order the cubes of each side form one block whose tiles run
+    in row-major order, so a block's parents are the previous block with
+    every axis repeated twice.
+    """
+    d = dy.anchors.shape[1]
+    out, start, tiles = [], 0, 1
+    while start < len(dy):
+        block = avgs[start:start + tiles ** d].reshape((tiles,) * d)
+        if out:
+            parents = out[-1]
+            for ax in range(d):
+                parents = parents.repeat(2, axis=ax)
+            block = np.fmax(block, parents)
+        out.append(block)
+        start, tiles = start + tiles ** d, 2 * tiles
+    return np.concatenate([b.ravel() for b in out])

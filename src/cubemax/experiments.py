@@ -15,7 +15,13 @@ from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
-from .cubes import CubeFamily, GridCube, dyadic_descendants, is_dyadically_complete
+from .cubes import (
+    CubeFamily,
+    cube_arrays,
+    cube_contains,
+    dyadic_descendants,
+    is_dyadically_complete,
+)
 from .errors import ConfigError
 from .estimates import DEFAULT_RATIO_CAPS, theorem_main_evaluate
 from .generators import (
@@ -171,17 +177,13 @@ def checkerboard_family(n: int, n_max: int) -> CubeFamily:
     """Large dyadic cubes of the 4x4 box plus the even-parity scale-n subcells
     of the centered unit square, on the grid with cell 2^-n_max."""
     unit = 2 ** n_max            # cells per unit length
-    box = 4 * unit
-    cubes = [GridCube((0, 0), box)]
-    for qx in (0, 2 * unit):
-        for qy in (0, 2 * unit):
-            cubes.append(GridCube((qx, qy), 2 * unit))
     sub = 2 ** (n_max - n)       # cells per parity subcell
-    for n1 in range(2 ** n):
-        for n2 in range(2 ** n):
-            if (n1 + n2) % 2 == 0:
-                cubes.append(GridCube((unit + n1 * sub, unit + n2 * sub), sub))
-    return CubeFamily(cubes)
+    cells = np.indices((2 ** n, 2 ** n)).reshape(2, -1).T
+    even = cells[cells.sum(axis=1) % 2 == 0]
+    anchors = np.concatenate((unit * np.array([[0, 0], [0, 0], [0, 2], [2, 0], [2, 2]]),
+                              unit + even * sub))
+    sides = np.concatenate((unit * np.array([4, 2, 2, 2, 2]), np.full(len(even), sub)))
+    return CubeFamily.from_arrays(anchors, sides)
 
 
 def run_checkerboard(n_max: int = 6, seed: int = 0) -> dict:
@@ -330,8 +332,7 @@ def refine_instance(f: GridFunction, fam: CubeFamily) -> tuple[GridFunction, Cub
     for ax in range(f.d):
         arr = np.repeat(arr, 2, axis=ax)
     f2 = GridFunction(arr.shape, f.h / 2.0, arr.ravel())
-    cubes = [GridCube(tuple(2 * a for a in c.anchor), 2 * c.side) for c in fam.cubes]
-    return f2, CubeFamily(cubes).with_averages(f2)
+    return f2, CubeFamily.from_arrays(2 * fam.anchors, 2 * fam.sides).with_averages(f2)
 
 
 def run_refinement_stability(cfg: ExperimentConfig, pairs: int = 12) -> dict:
@@ -387,12 +388,15 @@ def run_sparse_audit(cfg: ExperimentConfig) -> dict:
         # the per-base collections are random dyadic descendants
         eps = default_contraction(f.d)
         bases = [c for c in sp.cubes if not (c.side & (c.side - 1))]
+        ba, bs = cube_arrays(bases, f.d)
         d_map = {}
         for q0 in bases:
             dy = dyadic_descendants(q0)
-            pick = [c for c in dy.cubes if rng.random() < 0.35
-                    and not any(c.contains_cube(s) and c != s for s in bases)]
-            if pick:
+            # a containing cube of another side holds that base strictly
+            holds = cube_contains(dy.anchors[:, None], dy.sides[:, None], ba, bs) \
+                & (dy.sides[:, None] != bs)
+            pick = dy.select((rng.random(len(dy)) < 0.35) & ~holds.any(axis=1))
+            if len(pick):
                 d_map[q0] = pick
         overlap_c = 0
         if d_map:

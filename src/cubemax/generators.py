@@ -6,7 +6,7 @@ import numpy as np
 from scipy.ndimage import gaussian_filter
 
 from .cubes import CubeFamily, GridCube, dyadic_completion
-from .grid import GridFunction, PixelSet
+from .grid import GridFunction
 
 FUNCTION_CLASSES = ("indicator", "simple", "block-decreasing", "radial",
                     "random-smooth", "spikes")
@@ -102,10 +102,6 @@ def make_function(rng: np.random.Generator, cls: str, dims, h: float) -> GridFun
     raise ValueError(f"unknown function class {cls!r}")
 
 
-def random_pixelset(rng: np.random.Generator, dims, density: float = 0.4) -> PixelSet:
-    return PixelSet(tuple(dims), rng.random(tuple(dims)) < density)
-
-
 def random_family(rng: np.random.Generator, dims, count: int,
                   pow2: bool = True) -> CubeFamily:
     """Random cubes inside the box; power-of-two sides by default."""
@@ -131,8 +127,7 @@ def random_complete_family(rng: np.random.Generator, dims, seeds: int) -> CubeFa
     """
     fam = random_family(rng, dims, seeds, pow2=True)
     side = min(dims)
-    cubes = list(fam.cubes)
     if not (side & (side - 1)) and max(dims) == side and rng.random() < 0.5:
-        cubes.append(GridCube((0,) * len(dims), side))
-    return dyadic_completion(CubeFamily(cubes))
+        fam = CubeFamily([*fam, GridCube((0,) * len(dims), side)])
+    return dyadic_completion(fam)
 

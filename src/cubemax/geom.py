@@ -16,7 +16,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .errors import UnsupportedDimension
+from .errors import SearchExhausted, UnsupportedDimension
 
 
 @dataclass(frozen=True)
@@ -115,7 +115,7 @@ def min_angle_search(eps: float, trials: int, d: int = 2, seed: int = 0,
     while n <= n_max and not min_angle_check(eps, n, trials, d, seed):
         n *= 2
     if n > n_max:
-        raise AssertionError("no passing N found")
+        raise SearchExhausted(f"no N <= {n_max} passes all {trials} trials at eps={eps!r}")
     lo, hi = n // 2, n
     while hi - lo > 1:
         mid = (lo + hi) // 2

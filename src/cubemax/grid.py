@@ -70,11 +70,6 @@ class GridFunction:
     def cell_count(self) -> int:
         return self.values.size
 
-    def require_finite(self) -> "GridFunction":
-        if not np.all(np.isfinite(self.values)):
-            raise ValueError("grid function contains non-finite values")
-        return self
-
 
 def grid_from_array(arr: np.ndarray, h: float = 1.0) -> GridFunction:
     arr = np.asarray(arr, dtype=np.float64)

@@ -10,7 +10,7 @@ from typing import Any
 
 import numpy as np
 
-from .cubes import CubeFamily, GridCube
+from .cubes import CubeFamily
 from .errors import GridFormatError
 from .grid import GridFunction
 
@@ -18,36 +18,46 @@ MAGIC = b"CUBEMAX1"
 
 
 def write_grid_csv(f: GridFunction, path) -> None:
-    """One row per grid line (d = 1 or 2); the cell width rides in a comment."""
+    """One row per grid line (d = 1 or 2); the cell width and the dimension
+    ride in comments."""
     if f.d > 2:
         raise ValueError("CSV grids support d <= 2; use the binary format")
     arr = f.array if f.d == 2 else f.array.reshape(1, -1)
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"# h={f.h!r}\n")
+        fh.write(f"# h={f.h!r}\n# d={f.d}\n")
         for row in arr:
             fh.write(",".join(repr(float(v)) for v in row) + "\n")
 
 
 def read_grid_csv(path) -> GridFunction:
-    h = 1.0
+    """The grid of a CSV file; without a ``# d=`` comment one row reads as 1-d.
+
+    Ragged rows, a non-numeric cell or a malformed ``h``/``d`` comment raise
+    :class:`GridFormatError`.
+    """
+    meta = {}
     rows = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                if "h=" in line:
-                    h = float(line.split("h=", 1)[1])
-                continue
-            rows.append([float(x) for x in line.split(",")])
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            for line in fh:
+                line = line.strip()
+                if line.startswith("#"):
+                    key, eq, value = line[1:].partition("=")
+                    if eq:
+                        meta[key.strip()] = value
+                elif line:
+                    rows.append([float(x) for x in line.split(",")])
+        h = float(meta.get("h", 1.0))
+        d = int(meta.get("d", 1 if len(rows) == 1 else 2))
+    except ValueError as exc:
+        raise GridFormatError(f"grid CSV: {exc}") from None
     widths = {len(r) for r in rows}
     if len(widths) != 1:
         raise GridFormatError(f"grid CSV needs rows of one common width, got widths {sorted(widths)}")
+    if d not in (1, 2) or d == 1 and len(rows) != 1:
+        raise GridFormatError(f"grid CSV of {len(rows)} rows cannot hold a grid of d={d}")
     arr = np.array(rows, dtype=np.float64)
-    if arr.shape[0] == 1:
-        return GridFunction((arr.shape[1],), h, arr.ravel())
-    return GridFunction(arr.shape, h, arr.ravel())
+    return GridFunction(arr.shape if d == 2 else arr.shape[1:], h, arr.ravel())
 
 
 def write_grid_binary(f: GridFunction, path) -> None:
@@ -83,13 +93,33 @@ def family_to_json(fam: CubeFamily, dims, h: float) -> dict:
     return {
         "dims": list(dims),
         "h": h,
-        "cubes": [{"anchor": list(c.anchor), "side": c.side} for c in fam.cubes],
+        "cubes": [{"anchor": a, "side": s} for a, s in zip(fam.anchors.tolist(), fam.sides.tolist())],
     }
 
 
+def _ints(values) -> bool:
+    return isinstance(values, list) and all(type(v) is int for v in values)
+
+
 def family_from_json(obj: dict) -> tuple[CubeFamily, tuple[int, ...], float]:
-    cubes = [GridCube(tuple(c["anchor"]), c["side"]) for c in obj["cubes"]]
-    return CubeFamily(cubes), tuple(obj["dims"]), float(obj["h"])
+    """(family, dims, h) of a family file body.
+
+    A missing key, a non-integer anchor or side, an anchor whose length is
+    not ``len(dims)``, a side below 1 or a cube outside ``dims`` raise
+    :class:`GridFormatError`.
+    """
+    try:
+        dims, h, rows = obj["dims"], float(obj["h"]), obj["cubes"]
+        anchors, sides = [c["anchor"] for c in rows], [c["side"] for c in rows]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise GridFormatError(f"family JSON needs dims, h and cubes with anchor and side: {exc!r}") from None
+    if not (_ints(dims) and _ints(sides) and all(_ints(a) and len(a) == len(dims) for a in anchors)):
+        raise GridFormatError("family JSON needs integer dims, sides and anchors of length len(dims)")
+    a = np.array(anchors, dtype=np.int64).reshape(len(sides), len(dims))
+    s = np.array(sides, dtype=np.int64)
+    if np.any(s < 1) or np.any(a < 0) or np.any(a + s[:, None] > dims):
+        raise GridFormatError(f"family JSON has a side below 1 or a cube outside dims {dims}")
+    return CubeFamily.from_arrays(a, s), tuple(dims), h
 
 
 def _fmt_float(x: float) -> str:

@@ -90,7 +90,7 @@ def maximal_family(f: GridFunction, fam: CubeFamily, include_f: bool = True) -> 
     max(f(x), max of f_Q over family cubes containing x); without it the
     family must cover the whole box and only cube averages compete.
     """
-    avgs = fam.averages if fam.averages is not None else family_averages(f, fam.cubes)
+    avgs = fam.averages if fam.averages is not None else family_averages(f, fam)
     if include_f:
         out = f.array.copy()
     else:

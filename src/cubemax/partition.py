@@ -73,7 +73,7 @@ def level_sweep(f: GridFunction, fam: CubeFamily,
     fam = fam if fam.averages is not None else fam.with_averages(f)
     avgs = np.asarray(fam.averages)
     n = len(fam)
-    anchors, sides = fam.anchors(), fam.sides()
+    anchors, sides = fam.anchors, fam.sides
     cells = sides ** f.d
     thr = 2 ** (f.d + 1)  # dense: overlap at least the 2^{-d-1} volume fraction
     u0 = np.zeros(f.dims, dtype=bool)
@@ -90,8 +90,7 @@ def level_sweep(f: GridFunction, fam: CubeFamily,
         counts = np.zeros(n, dtype=np.int64)
         counts[sel] = SummedAreaTable(level).box_sum_many(anchors[sel], sides[sel])
         q0 = sel & (counts * thr >= cells)
-        for i in np.flatnonzero(q0 & ~in_q0):
-            u0[fam.cubes[i].slices()] = True
+        _paint(u0, fam, q0 & ~in_q0)
         in_q0 = q0
 
         rest = sel & ~q0
@@ -99,19 +98,23 @@ def level_sweep(f: GridFunction, fam: CubeFamily,
         counts0[rest] = SummedAreaTable(u0).box_sum_many(anchors[rest], sides[rest])
         q1 = rest & (counts0 * thr >= cells)
         q2 = rest & ~q1
-        for i in np.flatnonzero((q0 | q1) & ~in_q01):
-            u01[fam.cubes[i].slices()] = True
+        _paint(u01, fam, (q0 | q1) & ~in_q01)
         in_q01 = q0 | q1
 
         u2 = np.zeros(f.dims, dtype=bool)
-        for i in np.flatnonzero(q2):
-            u2[fam.cubes[i].slices()] = True
+        _paint(u2, fam, q2)
         yield LevelPartition(
             lam=float(lam), level=PixelSet(f.dims, level), family=fam,
             q0_mask=q0, q1_mask=q1, q2_mask=q2,
             union_q01=PixelSet(f.dims, u01.copy()), union_q2=PixelSet(f.dims, u2),
             union_all=PixelSet(f.dims, u01 | u2),
         )
+
+
+def _paint(cells: np.ndarray, fam: CubeFamily, members: np.ndarray) -> None:
+    """Add the union of the ``members`` of ``fam`` to the boolean ``cells``."""
+    if members.any():
+        cells |= fam.select(members).union_pixels(cells.shape).mask
 
 
 def partition_at(f: GridFunction, fam: CubeFamily, lam: float) -> LevelPartition:

@@ -4,7 +4,6 @@ bounded-overlap family of slightly contracted dilates.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -13,10 +12,13 @@ import numpy as np
 from .cubes import (
     CubeFamily,
     GridCube,
-    RealBox,
-    dilate,
-    family_averages,
-    scale_index,
+    box_cover_counts,
+    cube_arrays,
+    cube_bounds,
+    cube_contains,
+    dilate_bounds,
+    row_blocks,
+    scale_indices,
 )
 from .errors import PremiseViolated
 from .grid import GridFunction, integrate_breakpoints, lambda_breakpoints, perimeter
@@ -82,14 +84,12 @@ def greedy_sparse(f: GridFunction, q2_union: CubeFamily) -> SparseFamily:
     of the smaller volume.  Surviving pairs either overlap weakly or are
     strictly scale-separated with increasing averages.
     """
-    cubes = list(q2_union.cubes)
-    n = len(cubes)
+    n = len(q2_union)
     if n == 0:
         return SparseFamily((), np.empty(0), np.empty(0), 0.0)
-    avgs = (np.asarray(q2_union.averages, dtype=np.float64)
-            if q2_union.averages is not None else family_averages(f, cubes))
-    scales = np.array([scale_index(c, f.h) for c in cubes], dtype=np.int64)
-    anchors, sides = q2_union.anchors(), q2_union.sides()
+    fam = q2_union if q2_union.averages is not None else q2_union.with_averages(f)
+    avgs, anchors, sides = fam.averages, fam.anchors, fam.sides
+    scales = scale_indices(sides, f.h)
     cellcounts = sides ** f.d
 
     alive = np.ones(n, dtype=bool)
@@ -106,7 +106,7 @@ def greedy_sparse(f: GridFunction, q2_union: CubeFamily) -> SparseFamily:
         alive &= ~kill
 
     sel = np.array(order, dtype=np.int64)
-    sel_cubes = tuple(cubes[i] for i in sel)
+    sel_cubes = tuple(fam[i] for i in sel)
     sel_avgs = avgs[sel]
     lambdas = np.array([lambda_q(f, c) for c in sel_cubes], dtype=np.float64)
     surf = np.array([cube_surface_measure(c, f.h) for c in sel_cubes])
@@ -124,25 +124,18 @@ def sparse_pairwise_violations(fam: SparseFamily, f: GridFunction) -> list[tuple
     admissible; the downstream bounded-overlap lemma assumes exactly this
     non-strict form.)
     """
+    anchors, sides = cube_arrays(fam.cubes, f.d)
+    avgs = np.asarray(fam.averages)
+    scales = scale_indices(sides, f.h)
     bad = []
-    n = len(fam.cubes)
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            R, Q = fam.cubes[i], fam.cubes[j]
-            if R.side > Q.side:
-                continue
-            lo = [max(a, b) for a, b in zip(R.anchor, Q.anchor)]
-            hi = [min(a + R.side, b + Q.side) for a, b in zip(R.anchor, Q.anchor)]
-            ov = 1
-            for a, b in zip(lo, hi):
-                ov *= max(0, b - a)
-            if 2 * ov <= R.cell_count:
-                continue
-            if scale_index(R, f.h) < scale_index(Q, f.h) and fam.averages[i] > fam.averages[j]:
-                continue
-            bad.append((i, j))
+    for rows in row_blocks(len(sides)):
+        lo = np.maximum(anchors[rows, None], anchors)
+        hi = np.minimum(anchors[rows, None] + sides[rows, None, None], anchors + sides[:, None])
+        ov = np.prod(np.maximum(0, hi - lo), axis=-1)
+        separated = (scales[rows, None] < scales) & (avgs[rows, None] > avgs)
+        viol = (sides[rows, None] <= sides) & (2 * ov > sides[rows, None] ** f.d) & ~separated
+        viol[np.arange(viol.shape[0]), np.arange(rows.start, rows.stop)] = False
+        bad.extend((int(i) + rows.start, int(j)) for i, j in zip(*np.nonzero(viol)))
     return bad
 
 
@@ -195,31 +188,19 @@ class OverlapFamily:
         }
 
 
-def _needed_dilation(inner: RealBox, outer: RealBox) -> float:
-    """Smallest K with inner contained in the K-dilate of outer."""
-    k = 0.0
-    for lo_i, hi_i, lo_o, hi_o in zip(inner.lo, inner.hi, outer.lo, outer.hi):
-        c = 0.5 * (lo_o + hi_o)
-        r = 0.5 * (hi_o - lo_o)
-        k = max(k, max(hi_i - c, c - lo_i) / r)
-    return k
+def _cover_dilation(ilo, ihi, olo, ohi) -> np.ndarray:
+    """Smallest K with the inner box inside the K-dilate of the outer box,
+    over the broadcast leading axes of the (..., d) corner arrays."""
+    c = 0.5 * (olo + ohi)
+    r = 0.5 * (ohi - olo)
+    return np.maximum(0.0, np.max(np.maximum(ihi - c, c - ilo) / r, axis=-1))
 
 
-def dilate_overlap_count(cubes: Sequence[GridCube], K: float, dims, h: float) -> int:
+def dilate_overlap_count(cubes: Sequence[GridCube] | CubeFamily, K: float, dims, h: float) -> int:
     """Max over grid cell centers of how many K-dilates contain the center."""
-    if not cubes:
-        return 0
-    counter = np.zeros(tuple(dims), dtype=np.int64)
-    for c in cubes:
-        box = dilate(c, K, h)
-        sl = []
-        for n, lo, hi in zip(dims, box.lo, box.hi):
-            # cell center (i + 0.5) h lies in [lo, hi)
-            i0 = max(0, math.ceil(lo / h - 0.5))
-            i1 = min(n, math.ceil(hi / h - 0.5))
-            sl.append(slice(i0, max(i0, i1)))
-        counter[tuple(sl)] += 1
-    return int(counter.max())
+    lo, hi = dilate_bounds(*cube_bounds(*cube_arrays(cubes, len(dims)), h), K)
+    # cell center (i + 0.5) h lies in [lo, hi) iff ceil(lo/h - 0.5) <= i < ceil(hi/h - 0.5)
+    return int(box_cover_counts(np.ceil(lo / h - 0.5), np.ceil(hi / h - 0.5), dims).max())
 
 
 def disjoint_select(S: CubeFamily, D_per_Q0: Mapping[GridCube, Sequence[GridCube]],
@@ -231,62 +212,74 @@ def disjoint_select(S: CubeFamily, D_per_Q0: Mapping[GridCube, Sequence[GridCube
     pairwise disjoint.  Verifies bounded pointwise overlap of the contracted
     dilates and that every input cube is captured by a selected cube of
     comparable size staying near its base cube; the observed constants are
-    returned.
+    returned.  Pair tests run on (rows, m, d) corner arrays, ``ROW_BLOCK``
+    rows at a time.
     """
     h = f.h
     d = f.d
-    for q0, ds in D_per_Q0.items():
-        for q in ds:
-            if not q0.contains_cube(q):
-                raise PremiseViolated(f"{q} not contained in its base cube {q0}")
-    all_d: list[GridCube] = sorted({q for ds in D_per_Q0.values() for q in ds},
-                                   key=lambda c: (-c.side, c.anchor))
-    for s_cube in S.cubes:
-        for q in all_d:
-            if q.contains_cube(s_cube) and q != s_cube:
-                raise PremiseViolated(f"selection cube {s_cube} strictly inside {q}")
-    if not all_d:
+    base_a, base_s = cube_arrays(list(D_per_Q0), d)
+    groups = [cube_arrays(ds, d) for ds in D_per_Q0.values()]
+    qa = np.concatenate([np.empty((0, d), dtype=np.int64)] + [a for a, _ in groups])
+    qs = np.concatenate([np.empty(0, dtype=np.int64)] + [s for _, s in groups])
+    owner = np.repeat(np.arange(len(groups)), [len(s) for _, s in groups])
+    outside = ~cube_contains(base_a[owner], base_s[owner], qa, qs)
+    if outside.any():
+        r = int(np.argmax(outside))
+        raise PremiseViolated(f"{GridCube(qa[r].tolist(), int(qs[r]))} not contained "
+                              f"in its base cube {list(D_per_Q0)[owner[r]]}")
+    all_d = CubeFamily.from_arrays(qa, qs)
+    A, side = all_d.anchors, all_d.sides
+    sa, ss = cube_arrays(S, d)
+    for rows in row_blocks(len(ss)):
+        # a containing cube of another side holds it strictly
+        hit = np.argwhere(cube_contains(A, side, sa[rows, None], ss[rows, None])
+                          & (ss[rows, None] != side))
+        if hit.size:
+            i, j = hit[0]
+            raise PremiseViolated(f"selection cube {S[rows.start + i]} strictly inside {all_d[j]}")
+    m = len(all_d)
+    if m == 0:
         return OverlapFamily((), eps, 0, 1.0, 1.0)
 
-    boxes = [c.extent(h) for c in all_d]
-    contracted = [dilate(c, 1.0 - eps, h) for c in all_d]
-    keep = []
-    for i, q in enumerate(all_d):
-        swallowed = any(j != i and contracted[j].contains_box(boxes[i]) for j in range(len(all_d)))
-        if not swallowed:
-            keep.append(i)
+    lo, hi = cube_bounds(A, side, h)
+    clo, chi = dilate_bounds(lo, hi, 1.0 - eps)
+    swallowed = np.zeros(m, dtype=bool)
+    for rows in row_blocks(m):
+        inside = np.all((clo <= lo[rows, None]) & (hi[rows, None] <= chi), axis=-1)
+        inside[np.arange(inside.shape[0]), np.arange(rows.start, rows.stop)] = False
+        swallowed[rows] = inside.any(axis=1)
+    keep = np.flatnonzero(~swallowed)
 
     # per-scale greedy maximal sets with disjoint (1-eps)^2 contractions
     factor = (1.0 - eps) ** 2
-    chosen: list[int] = []
-    by_scale: dict[int, list[int]] = {}
-    for i in keep:
-        by_scale.setdefault(scale_index(all_d[i], h), []).append(i)
-    for n in sorted(by_scale, reverse=True):
-        taken: list[int] = []
-        for i in by_scale[n]:
-            bi = dilate(all_d[i], factor, h)
-            if all(bi.intersection_volume(dilate(all_d[j], factor, h)) == 0.0 for j in taken):
-                taken.append(i)
-        chosen.extend(taken)
-    F = [all_d[i] for i in chosen]
-
+    flo, fhi = dilate_bounds(lo, hi, factor)
+    scales = scale_indices(side, h)
+    chosen = []
+    for n in np.unique(scales[keep])[::-1]:
+        grp = keep[scales[keep] == n]
+        taken = np.zeros(len(grp), dtype=bool)
+        for rows in row_blocks(len(grp)):
+            gap = (np.minimum(fhi[grp[rows], None], fhi[grp])
+                   - np.maximum(flo[grp[rows], None], flo[grp]))
+            meets = np.prod(np.maximum(0.0, gap), axis=-1) != 0.0
+            for r in range(meets.shape[0]):
+                taken[rows.start + r] = not (meets[r] & taken).any()
+        chosen.extend(grp[taken].tolist())
+    F = tuple(all_d[i] for i in chosen)
     overlap_c = dilate_overlap_count(F, factor, f.dims, h)
 
+    # capture: for each input cube the selected cube minimizing the larger of
+    # the two dilations; c1 and c2 are the largest dilations so chosen
+    plo, phi = lo[chosen], hi[chosen]
+    qlo, qhi = cube_bounds(qa, qs, h)
+    blo, bhi = cube_bounds(base_a, base_s, h)
     c1 = 1.0
     c2 = 1.0
-    f_boxes = [c.extent(h) for c in F]
-    for q0, ds in D_per_Q0.items():
-        base = q0.extent(h)
-        for q in ds:
-            qb = q.extent(h)
-            best = None
-            for pb in f_boxes:
-                need1 = _needed_dilation(qb, pb)
-                need2 = _needed_dilation(pb, base)
-                score = max(need1, need2)
-                if best is None or score < best[0]:
-                    best = (score, need1, need2)
-            c1 = max(c1, best[1])
-            c2 = max(c2, best[2])
-    return OverlapFamily(tuple(F), eps, overlap_c, c1, c2)
+    for rows in row_blocks(len(qs)):
+        need1 = _cover_dilation(qlo[rows, None], qhi[rows, None], plo, phi)
+        need2 = _cover_dilation(plo, phi, blo[owner[rows], None], bhi[owner[rows], None])
+        best = np.argmin(np.maximum(need1, need2), axis=1)
+        pick = np.arange(len(best))
+        c1 = max(c1, float(need1[pick, best].max()))
+        c2 = max(c2, float(need2[pick, best].max()))
+    return OverlapFamily(F, eps, overlap_c, c1, c2)

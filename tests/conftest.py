@@ -1,9 +1,12 @@
+import math
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from cubemax import CubeFamily, PixelSet, perimeter, superlevel
+from cubemax import CubeFamily, GridCube, PixelSet, RealBox, perimeter, superlevel
+from cubemax.errors import PremiseViolated
+from cubemax.sparse import OverlapFamily
 
 # formatted pass lines per acceptance criterion, filled in by the tests
 ACCEPTANCE_LINES: dict[int, str] = {}
@@ -52,6 +55,153 @@ def partition_from_scratch(f, fam, lam):
         level=level, q0=fam_of(q0), q1=fam_of(q1), q2=fam_of(q2),
         union_q0=PixelSet(f.dims, u0), union_q01=PixelSet(f.dims, u01),
         union_q2=PixelSet(f.dims, u2), union_all=PixelSet(f.dims, u01 | u2))
+
+
+def union_by_slices(cubes, dims):
+    """Oracle for ``CubeFamily.union_pixels``: paint each cube's slices."""
+    u = np.zeros(tuple(dims), dtype=bool)
+    for c in cubes:
+        u[c.slices()] = True
+    return u
+
+
+# Scalar oracles for the selection audits.  They work one cube pair at a
+# time on GridCube and RealBox objects, with their own dilation and scale
+# index, so they share no array arithmetic with the library.
+
+def scalar_scale_index(c, h):
+    x = c.side * h
+    exp = math.frexp(x)[1]
+    return exp if math.ldexp(1.0, exp) - x <= 4 * math.ulp(x) else exp - 1
+
+
+def scalar_dilate(q, K, h=1.0):
+    box = q.extent(h) if isinstance(q, GridCube) else q
+    lo, hi = [], []
+    for a, b in zip(box.lo, box.hi):
+        c = 0.5 * (a + b)
+        r = 0.5 * (b - a) * K
+        lo.append(c - r)
+        hi.append(c + r)
+    return RealBox(tuple(lo), tuple(hi))
+
+
+def scalar_pairwise_violations(fam, f):
+    """Oracle for ``sparse_pairwise_violations``."""
+    bad = []
+    n = len(fam.cubes)
+    for i in range(n):
+        for j in range(n):
+            if i == j:
+                continue
+            R, Q = fam.cubes[i], fam.cubes[j]
+            if R.side > Q.side:
+                continue
+            lo = [max(a, b) for a, b in zip(R.anchor, Q.anchor)]
+            hi = [min(a + R.side, b + Q.side) for a, b in zip(R.anchor, Q.anchor)]
+            ov = 1
+            for a, b in zip(lo, hi):
+                ov *= max(0, b - a)
+            if 2 * ov <= R.cell_count:
+                continue
+            if scalar_scale_index(R, f.h) < scalar_scale_index(Q, f.h) \
+                    and fam.averages[i] > fam.averages[j]:
+                continue
+            bad.append((i, j))
+    return bad
+
+
+def _box_overlap(a, b):
+    v = 1.0
+    for lo_a, hi_a, lo_b, hi_b in zip(a.lo, a.hi, b.lo, b.hi):
+        v *= max(0.0, min(hi_a, hi_b) - max(lo_a, lo_b))
+    return v
+
+
+def _needed_dilation(inner, outer):
+    """Smallest K with inner contained in the K-dilate of outer."""
+    k = 0.0
+    for lo_i, hi_i, lo_o, hi_o in zip(inner.lo, inner.hi, outer.lo, outer.hi):
+        c = 0.5 * (lo_o + hi_o)
+        r = 0.5 * (hi_o - lo_o)
+        k = max(k, max(hi_i - c, c - lo_i) / r)
+    return k
+
+
+def scalar_overlap_count(cubes, K, dims, h):
+    """Oracle for ``dilate_overlap_count``."""
+    if not cubes:
+        return 0
+    counter = np.zeros(tuple(dims), dtype=np.int64)
+    for c in cubes:
+        box = scalar_dilate(c, K, h)
+        sl = []
+        for n, lo, hi in zip(dims, box.lo, box.hi):
+            # cell center (i + 0.5) h lies in [lo, hi)
+            i0 = max(0, math.ceil(lo / h - 0.5))
+            i1 = min(n, math.ceil(hi / h - 0.5))
+            sl.append(slice(i0, max(i0, i1)))
+        counter[tuple(sl)] += 1
+    return int(counter.max())
+
+
+def scalar_disjoint_select(S, D_per_Q0, eps, f):
+    """Oracle for ``disjoint_select``."""
+    h = f.h
+    for q0, ds in D_per_Q0.items():
+        for q in ds:
+            if not q0.contains_cube(q):
+                raise PremiseViolated(f"{q} not contained in its base cube {q0}")
+    all_d = sorted({q for ds in D_per_Q0.values() for q in ds},
+                   key=lambda c: (-c.side, c.anchor))
+    for s_cube in S.cubes:
+        for q in all_d:
+            if q.contains_cube(s_cube) and q != s_cube:
+                raise PremiseViolated(f"selection cube {s_cube} strictly inside {q}")
+    if not all_d:
+        return OverlapFamily((), eps, 0, 1.0, 1.0)
+
+    boxes = [c.extent(h) for c in all_d]
+    contracted = [scalar_dilate(c, 1.0 - eps, h) for c in all_d]
+    keep = []
+    for i, q in enumerate(all_d):
+        swallowed = any(j != i and contracted[j].contains_box(boxes[i]) for j in range(len(all_d)))
+        if not swallowed:
+            keep.append(i)
+
+    factor = (1.0 - eps) ** 2
+    chosen = []
+    by_scale = {}
+    for i in keep:
+        by_scale.setdefault(scalar_scale_index(all_d[i], h), []).append(i)
+    for n in sorted(by_scale, reverse=True):
+        taken = []
+        for i in by_scale[n]:
+            bi = scalar_dilate(all_d[i], factor, h)
+            if all(_box_overlap(bi, scalar_dilate(all_d[j], factor, h)) == 0.0 for j in taken):
+                taken.append(i)
+        chosen.extend(taken)
+    F = [all_d[i] for i in chosen]
+
+    overlap_c = scalar_overlap_count(F, factor, f.dims, h)
+
+    c1 = 1.0
+    c2 = 1.0
+    f_boxes = [c.extent(h) for c in F]
+    for q0, ds in D_per_Q0.items():
+        base = q0.extent(h)
+        for q in ds:
+            qb = q.extent(h)
+            best = None
+            for pb in f_boxes:
+                need1 = _needed_dilation(qb, pb)
+                need2 = _needed_dilation(pb, base)
+                score = max(need1, need2)
+                if best is None or score < best[0]:
+                    best = (score, need1, need2)
+            c1 = max(c1, best[1])
+            c2 = max(c2, best[2])
+    return OverlapFamily(tuple(F), eps, overlap_c, c1, c2)
 
 
 @pytest.fixture

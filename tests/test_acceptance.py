@@ -35,7 +35,8 @@ from cubemax.geom import cube_angle_check, cube_cover_check
 from cubemax.io import canonical_json
 from cubemax.maximal import maximal_global
 from cubemax.partition import boundary_of_union_check
-from cubemax.sparse import greedy_sparse, sparse_pairwise_violations
+from cubemax.sparse import greedy_sparse
+from conftest import scalar_pairwise_violations
 
 
 import conftest
@@ -142,7 +143,7 @@ def test_c04_greedy_selection_postconditions():
         fam = random_family(rng, dims, count, pow2=bool(rng.integers(0, 2)))
         sp = greedy_sparse(f, fam.with_averages(f))
         assert len(sp) <= len(fam)
-        bad = sparse_pairwise_violations(sp, f)
+        bad = scalar_pairwise_violations(sp, f)
         assert bad == [], f"instance {k}: {len(bad)} violating pairs"
     elapsed = time.perf_counter() - t0
     assert elapsed < 30.0

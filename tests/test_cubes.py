@@ -17,7 +17,9 @@ from cubemax import (
     maximal_cube_reduction,
     scale_index,
 )
+from cubemax.cubes import scale_indices
 from cubemax.errors import NonDyadicSide
+from conftest import scalar_scale_index, union_by_slices
 
 
 def brute_force_completion(cubes):
@@ -245,3 +247,52 @@ class TestFamilyBasics:
         assert np.array_equal(sub.averages, fam.with_averages(f).averages[mask])
         assert fam.select(mask).averages is None
         assert len(fam.select(np.zeros(3, dtype=bool))) == 0
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_array_form_matches_sorted_set(self, rng, d):
+        # repeats keep their last average, as a dict built in input order does
+        for _ in range(100):
+            n = int(rng.integers(0, 30))
+            cubes = [GridCube(tuple(int(a) for a in rng.integers(-3, 6, d)), int(rng.integers(1, 5)))
+                     for _ in range(n)]
+            cubes += [cubes[i] for i in rng.integers(0, n, n // 2)] if n else []
+            avgs = rng.random(len(cubes))
+            want = sorted(set(cubes), key=lambda c: (-c.side, c.anchor))
+            last = dict(zip(cubes, avgs))
+            anchors = np.array([c.anchor for c in cubes], dtype=np.int64).reshape(len(cubes), d)
+            sides = np.array([c.side for c in cubes], dtype=np.int64)
+            for fam in (CubeFamily(cubes, avgs), CubeFamily.from_arrays(anchors, sides, avgs)):
+                assert fam.cubes == tuple(want)
+                assert [fam[i] for i in range(len(fam))] == want
+                assert fam.averages.tolist() == [last[c] for c in want]
+                assert fam.sides.tolist() == [c.side for c in want]
+                assert all(c in fam for c in cubes)
+                assert GridCube((7,) * d, 9) not in fam
+                assert not (fam.anchors.flags.writeable or fam.sides.flags.writeable
+                            or fam.averages.flags.writeable)
+
+    def test_side_below_one_rejected(self):
+        with pytest.raises(ValueError):
+            CubeFamily.from_arrays(np.zeros((2, 2), dtype=np.int64), np.array([1, 0]))
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_union_pixels_matches_slicing_loop(self, rng, d):
+        dims = tuple(int(n) for n in rng.integers(3, 9, d))
+        assert not CubeFamily([]).union_pixels(dims).mask.any()
+        for _ in range(60):
+            cubes = []
+            for _ in range(int(rng.integers(1, 12))):
+                side = int(rng.integers(1, min(dims) + 1))
+                cubes.append(GridCube(tuple(int(rng.integers(0, n - side + 1)) for n in dims), side))
+            got = CubeFamily(cubes).union_pixels(dims)
+            assert np.array_equal(got.mask, union_by_slices(cubes, dims))
+
+
+@given(st.lists(st.integers(1, 10 ** 6), min_size=1, max_size=20),
+       st.one_of(st.sampled_from([1.0, 0.5, 1 / 3, 2.0 ** -7]),
+                 st.floats(1e-6, 1e3, allow_nan=False)))
+@settings(max_examples=200, deadline=None)
+def test_scale_indices_match_scalar_formula(sides, h):
+    want = [scalar_scale_index(GridCube((0,), s), h) for s in sides]
+    assert scale_indices(np.array(sides), h).tolist() == want
+    assert [scale_index(GridCube((0,), s), h) for s in sides] == want

@@ -378,3 +378,15 @@ class TestTheoremEvaluate:
                          perimeter(p.union_q2).face_count)
                 assert faces == (rep.lam_table["lhs"][k], rep.lam_table["term1"][k],
                                  rep.lam_table["term2"][k])
+
+
+class TestAncestorMax:
+    @pytest.mark.parametrize("d, side", [(1, 16), (2, 8), (3, 4), (2, 1)])
+    def test_max_over_containing_cubes(self, rng, d, side):
+        dy = dyadic_descendants(GridCube(tuple(range(3, 3 + d)), side))
+        avgs = rng.integers(0, 9, len(dy)).astype(float)
+        avgs[rng.random(len(dy)) < 0.2] = np.nan
+        got = estimates._ancestor_max(dy, avgs)
+        for c, g in zip(dy.cubes, got):
+            chain = [a for q, a in zip(dy.cubes, avgs) if q.contains_cube(c) and not np.isnan(a)]
+            assert g == max(chain) if chain else np.isnan(g)

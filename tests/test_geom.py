@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from cubemax.errors import UnsupportedDimension
+from cubemax.errors import CubemaxError, SearchExhausted, UnsupportedDimension
 from cubemax.geom import (
     BlowupResult,
     OrientedCube,
@@ -62,6 +62,13 @@ class TestMinAngle:
         n = min_angle_search(eps, 3000, d=d, seed=5)
         assert n >= 1
         assert min_angle_check(eps, n, 3000, d=d, seed=5)
+
+    def test_exhausted_search_is_typed(self):
+        # N = 1 fails at eps = 0.01, and n_max = 1 allows no doubling
+        assert not min_angle_check(0.01, 1, 500, seed=2)
+        with pytest.raises(SearchExhausted) as err:
+            min_angle_search(0.01, 500, seed=2, n_max=1)
+        assert isinstance(err.value, CubemaxError)
 
 
 class TestCubeCover:

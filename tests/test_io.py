@@ -67,9 +67,9 @@ def small_dims(d_max):
         lambda d: st.tuples(*[st.integers(1, 5)] * d))
 
 
-# a one-row 2-d grid reads back as 1-d, so the CSV strategy keeps two rows
+# one-row 2-d grids included: the dimension rides in a comment
 csv_dims = st.one_of(st.tuples(st.integers(1, 12)),
-                     st.tuples(st.integers(2, 5), st.integers(1, 5)))
+                     st.tuples(st.integers(1, 5), st.integers(1, 5)))
 file_settings = settings(max_examples=60, deadline=None,
                  suppress_health_check=[HealthCheck.function_scoped_fixture])
 
@@ -119,8 +119,68 @@ class TestGridFormatProperties:
             read_grid_csv(p)
         assert isinstance(err.value, CubemaxError) and isinstance(err.value, ValueError)
 
+    @pytest.mark.parametrize("text", ["# h=1.0\n1.0,x\n", "# h=abc\n1.0,2.0\n",
+                                      "# d=1\n1.0\n2.0\n", "# d=3\n1.0\n"],
+                             ids=["non-numeric-cell", "malformed-h", "d1-two-rows", "d3"])
+    def test_malformed_csv_is_typed(self, tmp_path, text):
+        p = tmp_path / "g.csv"
+        p.write_text(text, encoding="utf-8")
+        with pytest.raises(GridFormatError):
+            read_grid_csv(p)
+
+    def test_csv_without_dimension_comment_keeps_row_rule(self, tmp_path):
+        p = tmp_path / "g.csv"
+        p.write_text("# h=0.5\n1.0,2.0,3.0\n", encoding="utf-8")
+        assert read_grid_csv(p).dims == (3,)
+        p.write_text("1.0,2.0\n3.0,4.0\n", encoding="utf-8")
+        assert read_grid_csv(p).dims == (2, 2)
+
+
+def families(d_max):
+    """(dims, h, cubes inside dims) with repeats allowed."""
+    def build(dims):
+        cube = st.integers(1, min(dims)).flatmap(lambda s: st.tuples(
+            st.tuples(*[st.integers(0, n - s) for n in dims]), st.just(s)))
+        return st.tuples(st.just(dims), st.floats(1e-3, 1e3), st.lists(cube, max_size=12))
+    return small_dims(d_max).flatmap(build)
+
 
 class TestFamilyJson:
+    @given(families(3))
+    @settings(max_examples=100, deadline=None)
+    def test_round_trip_property(self, case):
+        dims, h, rows = case
+        fam = CubeFamily([GridCube(a, s) for a, s in rows])
+        back, dims2, h2 = family_from_json(json.loads(canonical_json(family_to_json(fam, dims, h))))
+        assert dims2 == dims and h2 == h
+        assert back.anchors.shape == (len(fam), len(dims))
+        assert back.anchors.tolist() == fam.anchors.tolist()
+        assert back.sides.tolist() == fam.sides.tolist()
+        assert back.cubes == fam.cubes
+
+    @pytest.mark.parametrize("obj", [
+        {"h": 1.0, "cubes": []},
+        {"dims": [4, 4], "cubes": []},
+        {"dims": [4, 4], "h": 1.0},
+        {"dims": [4, 4], "h": 1.0, "cubes": [{"side": 2}]},
+        {"dims": [4, 4], "h": 1.0, "cubes": [{"anchor": [0, 0]}]},
+        {"dims": [4, 4], "h": 1.0, "cubes": [{"anchor": [0, 0.5], "side": 1}]},
+        {"dims": [4, 4], "h": 1.0, "cubes": [{"anchor": [0, 0], "side": 1.0}]},
+        {"dims": [4, 4], "h": 1.0, "cubes": [{"anchor": [0, True], "side": 1}]},
+        {"dims": [4, 4], "h": 1.0, "cubes": [{"anchor": [0], "side": 2}]},
+        {"dims": [4, 4], "h": 1.0, "cubes": [{"anchor": [0, 0, 0], "side": 2}]},
+        {"dims": [4, 4], "h": 1.0, "cubes": [{"anchor": [0, 0], "side": 0}]},
+        {"dims": [4, 4], "h": 1.0, "cubes": [{"anchor": [3, 3], "side": 4}]},
+        {"dims": [4, 4], "h": 1.0, "cubes": [{"anchor": [-1, 0], "side": 1}]},
+        {"dims": [4, 4], "h": "abc", "cubes": []},
+        [4, 4],
+    ], ids=["no-dims", "no-h", "no-cubes", "no-anchor", "no-side", "float-anchor", "float-side",
+            "bool-anchor", "short-anchor", "long-anchor", "side-0", "outside-high",
+            "outside-low", "h-text", "not-object"])
+    def test_bad_input_is_typed(self, obj):
+        with pytest.raises(GridFormatError):
+            family_from_json(obj)
+
     def test_round_trip(self):
         fam = CubeFamily([GridCube((0, 1), 2), GridCube((3, 3), 1)])
         obj = family_to_json(fam, (8, 8), 0.5)

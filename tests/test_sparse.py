@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from cubemax import CubeFamily, GridCube, GridFunction, grid_from_array
+from cubemax import CubeFamily, GridCube, GridFunction, dyadic_descendants, grid_from_array
 from cubemax.errors import PremiseViolated
 from cubemax.sparse import (
+    SparseFamily,
     accumulate_q2_cubes,
     cube_surface_measure,
     default_contraction,
@@ -14,6 +15,7 @@ from cubemax.sparse import (
     significant_mass_bound,
     sparse_pairwise_violations,
 )
+from conftest import scalar_disjoint_select, scalar_overlap_count, scalar_pairwise_violations
 
 
 def lambda_q_scan_oracle(f, q):
@@ -293,3 +295,94 @@ class TestAccumulateQ2:
             assert significant_mass_bound(f, fam) == (want_lhs, greedy_sparse(f, want_q2).rhs_sum)
             found_q2 += len(want_q2)
         assert found_q2 > 0
+
+
+def nested_instance(rng, d):
+    """A random grid function with bases and per-base collections inside
+    them: dyadic descendants or arbitrary subcubes, none strictly holding a
+    base."""
+    n = {1: 64, 2: 16, 3: 8}[d]
+    dims = (n,) * d
+    f = GridFunction(dims, float(rng.choice([0.25, 1 / 3, 1.0])), rng.random(n ** d))
+    bases = []
+    for _ in range(int(rng.integers(1, 5))):
+        side = int(2 ** rng.integers(1, int(np.log2(n))))
+        bases.append(GridCube(tuple(int(a) for a in rng.integers(0, n - side + 1, d)), side))
+    bases = list(dict.fromkeys(bases))
+    d_map = {}
+    for q0 in bases:
+        if rng.random() < 0.5:
+            cands = [c for c in dyadic_descendants(q0).cubes if rng.random() < 0.35]
+        else:
+            cands = []
+            for _ in range(int(rng.integers(1, 12))):
+                side = int(rng.integers(1, q0.side + 1))
+                cands.append(GridCube(tuple(int(rng.integers(a, a + q0.side - side + 1))
+                                            for a in q0.anchor), side))
+        pick = [c for c in cands if not any(c.contains_cube(b) and c != b for b in bases)]
+        if pick:
+            d_map[q0] = pick
+    return f, d_map
+
+
+def random_selection(rng, d):
+    """A hand-built selection with heavy overlaps, ties and non-dyadic sides;
+    unlike greedy output it usually has violating pairs."""
+    n = {1: 32, 2: 12, 3: 6}[d]
+    f = GridFunction((n,) * d, float(rng.choice([0.25, 1 / 3, 1.0])), rng.random(n ** d))
+    cubes = []
+    for _ in range(int(rng.integers(2, 40))):
+        side = int(rng.integers(1, n // 2 + 1))
+        cubes.append(GridCube(tuple(int(a) for a in rng.integers(0, n - side + 1, d)), side))
+    avgs = rng.integers(0, 4, len(cubes)).astype(float)
+    return SparseFamily(tuple(cubes), avgs, np.zeros(len(cubes)), 0.0), f
+
+
+class TestArrayFormAgainstScalarOracles:
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_disjoint_select_matches_oracle(self, rng, d):
+        eps = default_contraction(d)
+        done = 0
+        while done < 25:
+            f, d_map = nested_instance(rng, d)
+            if not d_map:
+                continue
+            S = CubeFamily(list(d_map))
+            got = disjoint_select(S, d_map, eps, f)
+            assert got == scalar_disjoint_select(S, d_map, eps, f)
+            done += 1
+
+    @pytest.mark.parametrize("S, d_map", [
+        ([GridCube((0, 0), 4)], {GridCube((0, 0), 4): [GridCube((3, 3), 2)]}),
+        ([GridCube((1, 1), 1), GridCube((0, 0), 4)],
+         {GridCube((0, 0), 4): [GridCube((0, 0), 4), GridCube((0, 0), 2)]}),
+        ([GridCube((4, 4), 2), GridCube((0, 0), 8)],
+         {GridCube((0, 0), 8): [GridCube((0, 0), 2), GridCube((4, 4), 4)],
+          GridCube((4, 4), 2): [GridCube((4, 4), 1)]}),
+    ], ids=["outside-base", "inside-selection-cube", "inside-other-collection"])
+    def test_premise_messages_match_oracle(self, rng, S, d_map):
+        f = grid_from_array(rng.random((8, 8)))
+        with pytest.raises(PremiseViolated) as want:
+            scalar_disjoint_select(CubeFamily(S), d_map, default_contraction(2), f)
+        with pytest.raises(PremiseViolated) as got:
+            disjoint_select(CubeFamily(S), d_map, default_contraction(2), f)
+        assert str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_pairwise_violations_match_oracle(self, rng, d):
+        found = 0
+        for _ in range(40):
+            sp, f = random_selection(rng, d)
+            want = scalar_pairwise_violations(sp, f)
+            assert sparse_pairwise_violations(sp, f) == want
+            found += len(want)
+        assert found > 0
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_overlap_count_matches_oracle(self, rng, d):
+        for _ in range(40):
+            sp, f = random_selection(rng, d)
+            for K in (0.4, (1 - default_contraction(d)) ** 2, 1.0, 2.5):
+                assert dilate_overlap_count(sp.cubes, K, f.dims, f.h) == \
+                    scalar_overlap_count(sp.cubes, K, f.dims, f.h)
+        assert dilate_overlap_count([], 1.0, f.dims, f.h) == 0
