@@ -78,6 +78,15 @@ class ExperimentConfig:
             raise ConfigError(f"unknown function class {self.function_class!r}")
         if self.repetitions < 1 or self.threads < 1:
             raise ConfigError("repetitions and threads must be positive")
+        if self.geom_samples < 1:
+            raise ConfigError("geom_samples must be positive")
+        if not 1 <= self.family_seeds <= 24:
+            # sparse-audit draws between 8 * family_seeds and 200 cubes
+            raise ConfigError(f"family_seeds must be in 1..24, got {self.family_seeds}")
+        if self.checkerboard_n_max < 3:
+            raise ConfigError(f"checkerboard_n_max must be at least 3, got {self.checkerboard_n_max}")
+        if self.deep_instances < 0:
+            raise ConfigError("deep_instances must be non-negative")
         if not all(isinstance(v, numbers.Real) and not isinstance(v, bool)
                    for v in self.caps.values()):
             raise ConfigError(f"caps values must be numbers, got {self.caps!r}")

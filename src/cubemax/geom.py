@@ -9,6 +9,7 @@ bands.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -17,6 +18,14 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .errors import SearchExhausted, UnsupportedDimension
+
+
+@functools.cache
+def _corners(d: int) -> np.ndarray:
+    """The 2^d sign vectors of the centered cube's vertices, in ndindex order."""
+    corners = np.array(list(np.ndindex(*([2] * d)))) * 2.0 - 1.0
+    corners.setflags(write=False)
+    return corners
 
 
 @dataclass(frozen=True)
@@ -40,22 +49,28 @@ class OrientedCube:
         return np.all(np.abs(local) <= dilation * self.side / 2.0, axis=1)
 
     def vertices(self) -> np.ndarray:
-        d = len(self.center)
-        corners = np.array(list(np.ndindex(*([2] * d)))) * 2 - 1
+        corners = _corners(len(self.center))
         return np.asarray(self.center) + (corners * self.side / 2.0) @ self.rotation.T
 
 
-def rotation_2d(theta: float) -> np.ndarray:
-    c, s = math.cos(theta), math.sin(theta)
-    return np.array([[c, -s], [s, c]])
+def rotation_2d(theta) -> np.ndarray:
+    """Rotation by ``theta``; an array of angles gives a (..., 2, 2) stack."""
+    c, s = np.cos(theta), np.sin(theta)
+    out = np.empty(np.shape(c) + (2, 2))
+    out[..., 0, 0], out[..., 0, 1], out[..., 1, 0], out[..., 1, 1] = c, -s, s, c
+    return out
 
 
-def rotation_3d(axis: np.ndarray, theta: float) -> np.ndarray:
+def rotation_3d(axis, theta) -> np.ndarray:
+    """Rotation by ``theta`` about ``axis`` (Rodrigues); axes of shape
+    (..., 3) and angles of shape (...) give a (..., 3, 3) stack."""
     axis = np.asarray(axis, dtype=np.float64)
-    axis = axis / np.linalg.norm(axis)
-    kx, ky, kz = axis
-    K = np.array([[0, -kz, ky], [kz, 0, -kx], [-ky, kx, 0]])
-    return np.eye(3) + math.sin(theta) * K + (1 - math.cos(theta)) * (K @ K)
+    kx, ky, kz = np.moveaxis(axis / np.linalg.norm(axis, axis=-1, keepdims=True), -1, 0)
+    zero = np.zeros_like(kx)
+    K = np.stack([zero, -kz, ky, kz, zero, -kx, -ky, kx, zero],
+                 axis=-1).reshape(kx.shape + (3, 3))
+    theta = np.asarray(theta, dtype=np.float64)[..., None, None]
+    return np.eye(3) + np.sin(theta) * K + (1 - np.cos(theta)) * (K @ K)
 
 
 def _angles(u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -76,8 +91,7 @@ def cube_angle_check(d: int, samples: int, seed: int = 0) -> float:
         raise UnsupportedDimension("cube angle sampling needs d in {2,3}")
     rng = np.random.default_rng(seed)
     pts = rng.uniform(-1.0, 1.0, size=(samples, d))
-    corners = np.array(list(np.ndindex(*([2] * d)))) * 2.0 - 1.0
-    pts = np.vstack([pts, corners])
+    pts = np.vstack([pts, _corners(d)])
     pts[:, 0] = 1.0  # project onto the face with outer normal e_0
     e = np.zeros(d)
     e[0] = 1.0
@@ -132,10 +146,68 @@ class CubeCoverResult(NamedTuple):
     min_margin: float  # smallest slack of any vertex against the dilated bound
 
 
+_COVER_BLOCK = 4096  # trials drawn and evaluated together; fixes the RNG draw order
+
+
+class _CoverDraws(NamedTuple):
+    """Random parameters of a block of cube-cover trials.
+
+    ``frac`` holds the size, shift and angle perturbations as fractions of
+    delta; stress trials have all three at 1.  ``axis_q`` and ``axis_p`` are
+    None for d = 2.
+    """
+
+    s_q: np.ndarray       # (n,) side of the unperturbed cube
+    c_q: np.ndarray       # (n, d) its center
+    axis_q: np.ndarray | None   # (n, 3) its rotation axis
+    angle_q: np.ndarray   # (n,) its rotation angle
+    frac: np.ndarray      # (n, 3)
+    shift: np.ndarray     # (n, d) direction of the center shift, not normalized
+    axis_p: np.ndarray | None   # (n, 3) axis of the perturbing rotation
+
+
+def _draw_cover_block(rng: np.random.Generator, start: int, n: int, d: int,
+                      stress: bool) -> _CoverDraws:
+    """Draws for trials start .. start+n-1; every trial index t with
+    t % 4 == 0 is a stress trial when ``stress`` is set."""
+    s_q = rng.uniform(0.5, 2.0, n)
+    c_q = rng.uniform(-1.0, 1.0, (n, d))
+    axis_q = rng.normal(size=(n, 3)) if d == 3 else None
+    angle_q = rng.uniform(0, 2 * math.pi, n)
+    frac = rng.random((n, 3))
+    if stress:
+        frac[(start + np.arange(n)) % 4 == 0] = 1.0
+    shift = rng.normal(size=(n, d))
+    axis_p = rng.normal(size=(n, 3)) if d == 3 else None
+    return _CoverDraws(s_q, c_q, axis_q, angle_q, frac, shift, axis_p)
+
+
+def _cover_margins(draws: _CoverDraws, eps: float, delta: float) -> np.ndarray:
+    """Per trial, the smallest slack of a perturbed cube's vertices against
+    the (1+eps)-dilate of the unperturbed cube, in that cube's frame."""
+    s_q, c_q, frac = draws.s_q, draws.c_q, draws.frac
+    d = c_q.shape[1]
+    s_p = s_q * (1 + delta * frac[:, 0])
+    shift = draws.shift * (delta * s_q * frac[:, 1]
+                           / np.linalg.norm(draws.shift, axis=1))[:, None]
+    theta = delta * frac[:, 2]
+    if d == 2:
+        rot_q = rotation_2d(draws.angle_q)
+        rot_p = rotation_2d(theta) @ rot_q
+    else:
+        rot_q = rotation_3d(draws.axis_q, draws.angle_q)
+        rot_p = rotation_3d(draws.axis_p, theta) @ rot_q
+    corners = _corners(d) * (s_p / 2.0)[:, None, None]  # (n, 2^d, d)
+    verts = (c_q + shift)[:, None, :] + corners @ rot_p.transpose(0, 2, 1)
+    local = (verts - c_q[:, None, :]) @ rot_q
+    return (1 + eps) * s_q / 2.0 - np.abs(local).max(axis=(1, 2))
+
+
 def cube_cover_check(eps: float, trials: int, d: int = 2, seed: int = 0,
                      stress: bool = True) -> CubeCoverResult:
     """Perturbing a cube within delta = eps/(2 + 2 sqrt d) in size, center and
-    orientation keeps it inside the (1+eps)-dilate.  Vertex containment test.
+    orientation keeps it inside the (1+eps)-dilate.  Vertex containment test,
+    run on blocks of trials.
     """
     if d not in (2, 3):
         raise UnsupportedDimension("cube cover sampling needs d in {2,3}")
@@ -143,29 +215,11 @@ def cube_cover_check(eps: float, trials: int, d: int = 2, seed: int = 0,
     delta = eps / (2.0 + 2.0 * math.sqrt(d))
     failures = 0
     min_margin = math.inf
-    corners = np.array(list(np.ndindex(*([2] * d)))) * 2.0 - 1.0
-    for t in range(trials):
-        at_limit = stress and (t % 4 == 0)
-        s_q = rng.uniform(0.5, 2.0)
-        c_q = rng.uniform(-1.0, 1.0, d)
-        if d == 2:
-            rot_q = rotation_2d(rng.uniform(0, 2 * math.pi))
-        else:
-            rot_q = rotation_3d(rng.normal(size=3), rng.uniform(0, 2 * math.pi))
-        s_p = s_q * (1 + (delta if at_limit else delta * rng.random()))
-        shift = rng.normal(size=d)
-        shift *= (delta * s_q * (1.0 if at_limit else rng.random())) / np.linalg.norm(shift)
-        theta = delta if at_limit else delta * rng.random()
-        if d == 2:
-            rot_p = rotation_2d(theta) @ rot_q
-        else:
-            rot_p = rotation_3d(rng.normal(size=3), theta) @ rot_q
-        verts = c_q + shift + (corners * s_p / 2.0) @ rot_p.T
-        local = (verts - c_q) @ rot_q
-        margin = (1 + eps) * s_q / 2.0 - np.abs(local).max()
-        min_margin = min(min_margin, float(margin))
-        if margin < 0:
-            failures += 1
+    for start in range(0, trials, _COVER_BLOCK):
+        draws = _draw_cover_block(rng, start, min(_COVER_BLOCK, trials - start), d, stress)
+        margin = _cover_margins(draws, eps, delta)
+        failures += int(np.count_nonzero(margin < 0))
+        min_margin = min(min_margin, float(margin.min()))
     return CubeCoverResult(failures, delta, min_margin)
 
 
@@ -214,86 +268,60 @@ def lipschitz_blowup_check(L: float, diam: float, eps: float,
     return BlowupResult(estimate, bound, stderr)
 
 
-def _segment_interval_in_square(p0: np.ndarray, direction: np.ndarray,
-                                length: float, sq: OrientedCube) -> tuple[float, float] | None:
-    """Parameter interval of p0 + t*direction, t in [0, length], inside the open square."""
-    c = np.asarray(sq.center)
-    q0 = (p0 - c) @ sq.rotation
-    dv = direction @ sq.rotation
-    t0, t1 = 0.0, length
-    half = sq.side / 2.0
-    for k in range(2):
-        if abs(dv[k]) < 1e-15:
-            if abs(q0[k]) >= half:
-                return None
-            continue
-        a = (-half - q0[k]) / dv[k]
-        b = (half - q0[k]) / dv[k]
-        if a > b:
-            a, b = b, a
-        t0, t1 = max(t0, a), min(t1, b)
-        if t0 >= t1:
-            return None
-    return (t0, t1)
-
-
-def _segment_interval_in_disk(p0: np.ndarray, direction: np.ndarray,
-                              length: float, radius: float) -> tuple[float, float] | None:
-    # |p0 + t v|^2 < r^2, unit v
-    b = float(np.dot(p0, direction))
-    c = float(np.dot(p0, p0)) - radius * radius
-    disc = b * b - c
-    if disc <= 0:
-        return None
-    r = math.sqrt(disc)
-    t0, t1 = max(0.0, -b - r), min(length, -b + r)
-    return (t0, t1) if t0 < t1 else None
-
-
-def _subtract_intervals(base: tuple[float, float],
-                        holes: list[tuple[float, float]]) -> float:
-    """Length of base minus the union of holes."""
-    lo, hi = base
-    clipped = sorted((max(lo, a), min(hi, b)) for a, b in holes
-                     if min(hi, b) > max(lo, a))
-    covered = 0.0
-    cur = lo
-    for a, b in clipped:
-        if b <= cur:
-            continue
-        covered += b - max(a, cur)
-        cur = b
-    return (hi - lo) - covered
-
-
 def boundary_length_in_disk(squares: list[OrientedCube], radius: float = 1.0) -> float:
     """Exact length of the boundary of a union of squares inside a disk.
 
     Each square edge contributes the part of the edge that lies in the disk
-    and in no other square's interior.
+    and in no other square's interior.  All edges are clipped against all
+    squares at once; the holes of an edge are merged by sorting them and
+    taking a running maximum of their ends.
     """
-    total = 0.0
-    for i, sq in enumerate(squares):
-        verts = sq.vertices()
-        order = [0, 1, 3, 2]  # ndindex corner order traced as a closed loop
-        for a in range(4):
-            p0 = verts[order[a]]
-            p1 = verts[order[(a + 1) % 4]]
-            seg = p1 - p0
-            length = float(np.linalg.norm(seg))
-            v = seg / length
-            disk = _segment_interval_in_disk(p0, v, length, radius)
-            if disk is None:
-                continue
-            holes = []
-            for j, other in enumerate(squares):
-                if j == i:
-                    continue
-                iv = _segment_interval_in_square(p0, v, length, other)
-                if iv is not None:
-                    holes.append(iv)
-            total += _subtract_intervals(disk, holes)
-    return total
+    if not squares:
+        return 0.0
+    centers = np.array([sq.center for sq in squares], dtype=np.float64)  # (n, 2)
+    sides = np.array([sq.side for sq in squares], dtype=np.float64)
+    rots = np.stack([sq.rotation for sq in squares])                     # (n, 2, 2)
+    n = len(squares)
+    corners = _corners(2) * (sides / 2.0)[:, None, None]                # (n, 4, 2)
+    verts = centers[:, None, :] + corners @ rots.transpose(0, 2, 1)
+    # ndindex corner order traced as a closed loop: edge k runs from p0 to p1
+    p0 = verts[:, [0, 1, 3, 2]].reshape(4 * n, 2)
+    seg = verts[:, [1, 3, 2, 0]].reshape(4 * n, 2) - p0
+    length = np.linalg.norm(seg, axis=1)                                 # (E,)
+    v = seg / length[:, None]
+
+    # part of each edge inside the open disk: |p0 + t v|^2 < r^2
+    b = np.sum(p0 * v, axis=1)
+    disc = b * b - (np.sum(p0 * p0, axis=1) - radius * radius)
+    root = np.sqrt(np.maximum(disc, 0.0))
+    lo = np.maximum(0.0, -b - root)
+    hi = np.minimum(length, -b + root)
+    in_disk = (disc > 0) & (lo < hi)
+
+    # part of each edge inside each open square, in the square's frame
+    q0 = np.einsum("ejk,jkl->ejl", p0[:, None, :] - centers[None], rots)  # (E, n, 2)
+    dv = np.einsum("ek,jkl->ejl", v, rots)                               # (E, n, 2)
+    half = (sides / 2.0)[None, :, None]
+    par = np.abs(dv) < 1e-15
+    step = np.where(par, 1.0, dv)
+    a, c = (-half - q0) / step, (half - q0) / step
+    t0 = np.maximum(0.0, np.where(par, -np.inf, np.minimum(a, c)).max(axis=2))
+    t1 = np.minimum(length[:, None], np.where(par, np.inf, np.maximum(a, c)).min(axis=2))
+    hit = np.all(~par | (np.abs(q0) < half), axis=2) & (t0 < t1)
+    hit &= np.repeat(np.arange(n), 4)[:, None] != np.arange(n)[None, :]  # not its own square
+
+    # clip the holes to the disk part; a missed square becomes an empty hole at lo
+    h0 = np.maximum(lo[:, None], t0)
+    h1 = np.minimum(hi[:, None], t1)
+    keep = hit & (h1 > h0)
+    h0 = np.where(keep, h0, lo[:, None])
+    h1 = np.where(keep, h1, lo[:, None])
+    order = np.argsort(h0, axis=1, kind="stable")
+    h0 = np.take_along_axis(h0, order, axis=1)
+    h1 = np.take_along_axis(h1, order, axis=1)
+    reach = np.maximum.accumulate(np.concatenate([lo[:, None], h1[:, :-1]], axis=1), axis=1)
+    covered = np.sum(np.maximum(0.0, h1 - np.maximum(h0, reach)), axis=1)
+    return float(np.sum(np.where(in_disk, (hi - lo) - covered, 0.0)))
 
 
 class LargeBoundaryResult(NamedTuple):

@@ -4,6 +4,7 @@ and gnuplot-ready plot data."""
 from __future__ import annotations
 
 import json
+import math
 import struct
 from pathlib import Path
 from typing import Any
@@ -105,7 +106,8 @@ def family_from_json(obj: dict) -> tuple[CubeFamily, tuple[int, ...], float]:
     """(family, dims, h) of a family file body.
 
     A missing key, a non-integer anchor or side, an anchor whose length is
-    not ``len(dims)``, a side below 1 or a cube outside ``dims`` raise
+    not ``len(dims)``, an ``h`` that is not finite and positive, a ``dims``
+    entry below 1, a side below 1 or a cube outside ``dims`` raise
     :class:`GridFormatError`.
     """
     try:
@@ -115,6 +117,9 @@ def family_from_json(obj: dict) -> tuple[CubeFamily, tuple[int, ...], float]:
         raise GridFormatError(f"family JSON needs dims, h and cubes with anchor and side: {exc!r}") from None
     if not (_ints(dims) and _ints(sides) and all(_ints(a) and len(a) == len(dims) for a in anchors)):
         raise GridFormatError("family JSON needs integer dims, sides and anchors of length len(dims)")
+    if not (math.isfinite(h) and h > 0) or any(n < 1 for n in dims):
+        raise GridFormatError(f"family JSON needs a finite positive h and dims of at least 1, "
+                              f"got h={h!r}, dims={dims}")
     a = np.array(anchors, dtype=np.int64).reshape(len(sides), len(dims))
     s = np.array(sides, dtype=np.int64)
     if np.any(s < 1) or np.any(a < 0) or np.any(a + s[:, None] > dims):

@@ -204,6 +204,117 @@ def scalar_disjoint_select(S, D_per_Q0, eps, f):
     return OverlapFamily(tuple(F), eps, overlap_c, c1, c2)
 
 
+# Scalar oracles for the sampled geometry checks.  They evaluate one cover
+# trial, one edge and one square at a time, with their own rotation
+# formulas, so they share no array arithmetic with ``cubemax.geom``.
+
+def scalar_rotation_2d(theta):
+    c, s = math.cos(theta), math.sin(theta)
+    return np.array([[c, -s], [s, c]])
+
+
+def scalar_rotation_3d(axis, theta):
+    axis = np.asarray(axis, dtype=np.float64)
+    kx, ky, kz = axis / np.linalg.norm(axis)
+    K = np.array([[0, -kz, ky], [kz, 0, -kx], [-ky, kx, 0]])
+    return np.eye(3) + math.sin(theta) * K + (1 - math.cos(theta)) * (K @ K)
+
+
+def scalar_cover_margin(draws, t, eps, delta):
+    """Oracle for ``geom._cover_margins``: trial ``t`` of a block of draws,
+    evaluated alone."""
+    d = draws.c_q.shape[1]
+    s_q, c_q = float(draws.s_q[t]), draws.c_q[t]
+    f_size, f_shift, f_angle = (float(x) for x in draws.frac[t])
+    angle_q = float(draws.angle_q[t])
+    rot_q = scalar_rotation_2d(angle_q) if d == 2 else scalar_rotation_3d(draws.axis_q[t], angle_q)
+    s_p = s_q * (1 + delta * f_size)
+    shift = draws.shift[t] * (delta * s_q * f_shift) / np.linalg.norm(draws.shift[t])
+    theta = delta * f_angle
+    turn = scalar_rotation_2d(theta) if d == 2 else scalar_rotation_3d(draws.axis_p[t], theta)
+    rot_p = turn @ rot_q
+    corners = np.array(list(np.ndindex(*([2] * d)))) * 2.0 - 1.0
+    verts = c_q + shift + (corners * s_p / 2.0) @ rot_p.T
+    local = (verts - c_q) @ rot_q
+    return float((1 + eps) * s_q / 2.0 - np.abs(local).max())
+
+
+def _segment_interval_in_square(p0, direction, length, sq):
+    """Parameter interval of p0 + t*direction, t in [0, length], inside the open square."""
+    c = np.asarray(sq.center)
+    q0 = (p0 - c) @ sq.rotation
+    dv = direction @ sq.rotation
+    t0, t1 = 0.0, length
+    half = sq.side / 2.0
+    for k in range(2):
+        if abs(dv[k]) < 1e-15:
+            if abs(q0[k]) >= half:
+                return None
+            continue
+        a = (-half - q0[k]) / dv[k]
+        b = (half - q0[k]) / dv[k]
+        if a > b:
+            a, b = b, a
+        t0, t1 = max(t0, a), min(t1, b)
+        if t0 >= t1:
+            return None
+    return (t0, t1)
+
+
+def _segment_interval_in_disk(p0, direction, length, radius):
+    # |p0 + t v|^2 < r^2, unit v
+    b = float(np.dot(p0, direction))
+    c = float(np.dot(p0, p0)) - radius * radius
+    disc = b * b - c
+    if disc <= 0:
+        return None
+    r = math.sqrt(disc)
+    t0, t1 = max(0.0, -b - r), min(length, -b + r)
+    return (t0, t1) if t0 < t1 else None
+
+
+def _subtract_intervals(base, holes):
+    """Length of base minus the union of holes."""
+    lo, hi = base
+    clipped = sorted((max(lo, a), min(hi, b)) for a, b in holes
+                     if min(hi, b) > max(lo, a))
+    covered = 0.0
+    cur = lo
+    for a, b in clipped:
+        if b <= cur:
+            continue
+        covered += b - max(a, cur)
+        cur = b
+    return (hi - lo) - covered
+
+
+def scalar_boundary_length_in_disk(squares, radius=1.0):
+    """Oracle for ``geom.boundary_length_in_disk``: each edge of each square
+    clipped to the disk and against every other square in turn."""
+    total = 0.0
+    for i, sq in enumerate(squares):
+        verts = sq.vertices()
+        order = [0, 1, 3, 2]  # ndindex corner order traced as a closed loop
+        for a in range(4):
+            p0 = verts[order[a]]
+            p1 = verts[order[(a + 1) % 4]]
+            seg = p1 - p0
+            length = float(np.linalg.norm(seg))
+            v = seg / length
+            disk = _segment_interval_in_disk(p0, v, length, radius)
+            if disk is None:
+                continue
+            holes = []
+            for j, other in enumerate(squares):
+                if j == i:
+                    continue
+                iv = _segment_interval_in_square(p0, v, length, other)
+                if iv is not None:
+                    holes.append(iv)
+            total += _subtract_intervals(disk, holes)
+    return total
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260809)

@@ -156,6 +156,26 @@ class TestSparseAudit:
         assert rep["constants"]["selected_max"] >= 1
 
 
+class TestGeomCommand:
+    def test_geom_command_passes_and_is_deterministic(self, tmp_path):
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps({"geom_samples": 2000}))
+        bodies = []
+        for run, threads in enumerate(("1", "1", "2")):
+            out = tmp_path / f"o{run}"
+            assert main(["geom", "--config", str(cfgfile), "--threads", threads,
+                         "--out", str(out)]) == 0
+            bodies.append((out / "report.json").read_bytes())
+        assert bodies[0] == bodies[1] == bodies[2]
+        rep = json.loads(bodies[0])
+        assert len(rep["assertions"]) == 7
+        assert all(a["passed"] for a in rep["assertions"])
+        assert sorted(rep["results"]["geom_checks"]) == [
+            "cube_angle_d2", "cube_angle_d3", "cube_cover_d2", "cube_cover_d3",
+            "large_boundary_K1", "large_boundary_K2", "lipschitz_blowup",
+            "min_angle_d2", "min_angle_d3"]
+
+
 class TestCli:
     def test_checkerboard_command(self, tmp_path):
         code = main(["checkerboard", "--out", str(tmp_path), "--seed", "1"])
@@ -187,8 +207,17 @@ class TestCli:
         {"grid": 2.5},
         {"seed": -1},
         {"family_class": "dyadic"},
+        {"geom_samples": 0},
+        {"geom_samples": -5},
+        {"family_seeds": 0},
+        {"family_seeds": 25},
+        {"checkerboard_n_max": 0},
+        {"checkerboard_n_max": 2},
+        {"deep_instances": -1},
     ], ids=["caps-value", "caps-missing-dimension", "grid-float", "seed-negative",
-            "family-class-removed"])
+            "family-class-removed", "geom-samples-0", "geom-samples-negative",
+            "family-seeds-0", "family-seeds-25", "checkerboard-n-max-0",
+            "checkerboard-n-max-2", "deep-instances-negative"])
     def test_invalid_config_exit_2(self, tmp_path, config):
         cfgfile = tmp_path / "cfg.json"
         cfgfile.write_text(json.dumps({"repetitions": 1, **config}))

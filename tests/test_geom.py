@@ -3,8 +3,16 @@ import math
 import numpy as np
 import pytest
 
+from conftest import (
+    scalar_boundary_length_in_disk,
+    scalar_cover_margin,
+    scalar_rotation_2d,
+    scalar_rotation_3d,
+)
+from cubemax import geom
 from cubemax.errors import CubemaxError, SearchExhausted, UnsupportedDimension
 from cubemax.geom import (
+    _COVER_BLOCK,
     BlowupResult,
     OrientedCube,
     boundary_length_in_disk,
@@ -89,6 +97,46 @@ class TestCubeCover:
         assert res.failures == 0
 
 
+class TestCubeCoverBlocks:
+    """The block evaluation against the per-trial oracle on the same draws."""
+
+    @pytest.mark.parametrize("stress", [True, False])
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_margins_match_per_trial_oracle(self, d, stress):
+        draws = geom._draw_cover_block(np.random.default_rng(7), 4097, 500, d, stress)
+        # a dilate of 1.04 is too tight for delta(0.1), so margins of both signs occur
+        for eps in (0.1, 0.04):
+            delta = 0.1 / (2 + 2 * math.sqrt(d))
+            got = geom._cover_margins(draws, eps, delta)
+            want = np.array([scalar_cover_margin(draws, t, eps, delta) for t in range(500)])
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+        assert (want < 0).any() and (want > 0).any()
+
+    @pytest.mark.parametrize("trials", [1, 3, 4095, 4096, 4097, 8193])
+    def test_block_edges(self, trials):
+        assert _COVER_BLOCK == 4096
+        d, eps, seed = 2, 0.1, 5
+        delta = eps / (2 + 2 * math.sqrt(d))
+        rng = np.random.default_rng(seed)
+        margins, stressed = [], []
+        for start in range(0, trials, _COVER_BLOCK):
+            draws = geom._draw_cover_block(rng, start, min(_COVER_BLOCK, trials - start), d, True)
+            margins += [scalar_cover_margin(draws, t, eps, delta) for t in range(len(draws.s_q))]
+            stressed.append(np.all(draws.frac == 1.0, axis=1))
+        res = cube_cover_check(eps, trials, d=d, seed=seed, stress=True)
+        assert res.failures == sum(m < 0 for m in margins) == 0
+        assert res.min_margin == pytest.approx(min(margins), rel=0, abs=1e-12)
+        assert np.array_equal(np.concatenate(stressed), np.arange(trials) % 4 == 0)
+
+    def test_stress_follows_the_global_trial_index(self):
+        on = geom._draw_cover_block(np.random.default_rng(3), 4097, 4096, 3, True)
+        off = geom._draw_cover_block(np.random.default_rng(3), 4097, 4096, 3, False)
+        limit = (4097 + np.arange(4096)) % 4 == 0
+        assert np.array_equal(np.all(on.frac == 1.0, axis=1), limit)
+        assert np.array_equal(on.frac[~limit], off.frac[~limit])
+        assert not np.any(off.frac == 1.0)
+
+
 class TestLipschitzBlowup:
     def test_flat_segment_analytic(self):
         # neighborhood of a length-l segment: area 2*eps*l + pi*eps^2, below
@@ -142,6 +190,53 @@ class TestLargeBoundary:
         with pytest.raises(UnsupportedDimension):
             large_boundary_in_ball_check(1.0, 10, d=3)
 
+    @staticmethod
+    def _random_union(rng, n, turn=None):
+        return [OrientedCube(tuple(rng.normal(size=2)), float(rng.uniform(0.3, 4.0)),
+                             rotation_2d(rng.uniform(0, 2 * math.pi) if turn is None else turn))
+                for _ in range(n)]
+
+    def test_random_unions_match_scalar_oracle(self):
+        rng = np.random.default_rng(17)
+        for k in range(60):
+            squares = self._random_union(rng, 1 + k % 11, turn=0.4 if k % 3 == 0 else None)
+            want = scalar_boundary_length_in_disk(squares)
+            assert boundary_length_in_disk(squares) == pytest.approx(want, rel=1e-12, abs=1e-12)
+
+    # axis-aligned squares on dyadic coordinates: every clip is exact, so
+    # edges lying on other squares' edges fall the same way in both codes
+    @pytest.mark.parametrize("spec", [
+        [((0.25, 0.5), 1.5), ((0.25, 0.5), 1.5)],
+        [((0.25, 0.5), 1.5), ((0.25, 0.5), 1.5), ((0.25, 0.5), 1.5)],
+        [((0.75, 0.0), 3.0), ((0.25, -0.25), 1.0), ((0.25, -0.25), 0.5)],
+        [((-0.5, 0.0), 1.0), ((0.5, 0.0), 1.0), ((0.5, 0.25), 1.0)],
+        [((-0.5, 0.0), 1.0), ((0.5, 0.5), 2.0), ((0.0, -0.75), 0.5)],
+        [((5.0, 5.0), 1.0), ((-4.0, 0.0), 2.0)],
+        [((5.0, 5.0), 1.0), ((0.0, 0.0), 1.0)],
+    ], ids=["identical", "identical-three", "nested", "shared-edge-lines",
+            "touching-parallel", "all-miss-disk", "one-misses-disk"])
+    def test_degenerate_unions_match_scalar_oracle(self, spec):
+        squares = [OrientedCube(c, side, rotation_2d(0.0)) for c, side in spec]
+        want = scalar_boundary_length_in_disk(squares)
+        assert boundary_length_in_disk(squares) == pytest.approx(want, rel=1e-12, abs=1e-12)
+
+    def test_rotated_nested_squares_add_no_boundary(self):
+        # one edge of the outer square crosses the disk; the inner ones lie inside it
+        outer = OrientedCube((1.22, 0.87), 4.0, rotation_2d(0.7))
+        inner = OrientedCube((0.3, 0.1), 0.8, rotation_2d(0.7))
+        tilted = OrientedCube((0.3, 0.1), 0.8, rotation_2d(1.9))
+        assert boundary_length_in_disk([inner, tilted]) > 1.0
+        got = boundary_length_in_disk([outer, inner, tilted])
+        assert got > 1.0
+        assert got == pytest.approx(scalar_boundary_length_in_disk([outer, inner, tilted]), rel=1e-12)
+        assert got == pytest.approx(scalar_boundary_length_in_disk([outer]), rel=1e-12)
+
+    def test_suite_matches_scalar_oracle(self, monkeypatch):
+        got = large_boundary_in_ball_check(1.0, 60, seed=8)
+        monkeypatch.setattr(geom, "boundary_length_in_disk", scalar_boundary_length_in_disk)
+        want = large_boundary_in_ball_check(1.0, 60, seed=8)
+        assert got.max_ratio == pytest.approx(want.max_ratio, rel=1e-12)
+
 
 class TestRotations:
     def test_orthogonality(self):
@@ -150,3 +245,31 @@ class TestRotations:
         r3 = rotation_3d(np.array([1.0, 2.0, -0.5]), 1.1)
         assert np.allclose(r3 @ r3.T, np.eye(3), atol=1e-12)
         assert np.linalg.det(r3) == pytest.approx(1.0)
+
+    def test_broadcast_rotation_3d_matches_scalar_calls(self):
+        rng = np.random.default_rng(4)
+        axes = rng.normal(size=(4, 5, 3))
+        thetas = rng.uniform(0, 2 * math.pi, (4, 5))
+        rots = rotation_3d(axes, thetas)
+        assert rots.shape == (4, 5, 3, 3)
+        for idx in np.ndindex(4, 5):
+            np.testing.assert_allclose(rots[idx], rotation_3d(axes[idx], thetas[idx]),
+                                       rtol=0, atol=1e-15)
+            np.testing.assert_allclose(rots[idx], scalar_rotation_3d(axes[idx], thetas[idx]),
+                                       rtol=0, atol=1e-15)
+        eye = np.broadcast_to(np.eye(3), rots.shape)
+        np.testing.assert_allclose(rots @ np.swapaxes(rots, -1, -2), eye, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(np.linalg.det(rots), 1.0, rtol=0, atol=1e-12)
+
+    def test_broadcast_rotation_2d_matches_scalar_calls(self):
+        thetas = np.random.default_rng(5).uniform(0, 2 * math.pi, 50)
+        rots = rotation_2d(thetas)
+        assert rots.shape == (50, 2, 2) and rotation_2d(0.3).shape == (2, 2)
+        for t, r in zip(thetas, rots):
+            assert np.array_equal(r, rotation_2d(t))
+            np.testing.assert_allclose(r, scalar_rotation_2d(t), rtol=0, atol=1e-15)
+
+    def test_one_axis_many_angles(self):
+        rots = rotation_3d(np.array([0.0, 0.0, 2.0]), np.array([0.0, math.pi / 2]))
+        np.testing.assert_allclose(rots[0], np.eye(3), atol=1e-15)
+        np.testing.assert_allclose(rots[1], [[0, -1, 0], [1, 0, 0], [0, 0, 1]], atol=1e-15)

@@ -174,9 +174,16 @@ class TestFamilyJson:
         {"dims": [4, 4], "h": 1.0, "cubes": [{"anchor": [-1, 0], "side": 1}]},
         {"dims": [4, 4], "h": "abc", "cubes": []},
         [4, 4],
+        {"dims": [4], "h": -1.0, "cubes": []},
+        {"dims": [4], "h": 0.0, "cubes": []},
+        {"dims": [4], "h": float("nan"), "cubes": []},
+        {"dims": [4], "h": "inf", "cubes": []},
+        {"dims": [0], "h": 1.0, "cubes": []},
+        {"dims": [4, 0], "h": 1.0, "cubes": []},
     ], ids=["no-dims", "no-h", "no-cubes", "no-anchor", "no-side", "float-anchor", "float-side",
             "bool-anchor", "short-anchor", "long-anchor", "side-0", "outside-high",
-            "outside-low", "h-text", "not-object"])
+            "outside-low", "h-text", "not-object", "h-negative", "h-zero", "h-nan", "h-inf",
+            "dims-0", "dims-4-0"])
     def test_bad_input_is_typed(self, obj):
         with pytest.raises(GridFormatError):
             family_from_json(obj)
