@@ -4,7 +4,10 @@
             [--config file.json] [--seed N] [--out DIR] [--threads N]
 
 Exit codes: 0 all assertions passed, 1 an assertion failed (the failing
-configuration is printed for replay), 2 invalid configuration.
+configuration is printed for replay), 2 invalid configuration, 3 a library
+error (a ``CubemaxError`` such as ``InvariantViolated``) stopped the run
+(one ``error: <ErrorType>: <message>`` line and the replay configuration go
+to stderr).
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, CubemaxError
 from .experiments import (
     ExperimentConfig,
     report_passed,
@@ -149,6 +152,11 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
+    except CubemaxError as exc:
+        message = str(exc).replace("\n", " ")
+        print(f"error: {type(exc).__name__}: {message}", file=sys.stderr)
+        _print_replay(cfg.to_json())
+        return 3
     elapsed = time.perf_counter() - t0
 
     out = Path(args.out)
@@ -167,10 +175,14 @@ def main(argv=None) -> int:
         detail = f" [{a['detail']}]" if a.get("detail") else ""
         print(f"  {mark:6s} {a['name']}{detail}")
     if not ok:
-        print("replay configuration:", file=sys.stderr)
-        print(canonical_json(report["config"]), file=sys.stderr)
+        _print_replay(report["config"])
         return 1
     return 0
+
+
+def _print_replay(config: dict) -> None:
+    print("replay configuration:", file=sys.stderr)
+    print(canonical_json(config), file=sys.stderr)
 
 
 if __name__ == "__main__":

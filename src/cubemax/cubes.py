@@ -238,6 +238,16 @@ class CubeFamily:
         counts = box_cover_counts(self.anchors, self.anchors + self.sides[:, None], dims)
         return PixelSet(tuple(dims), counts > 0)
 
+    def max_paint(self, values: np.ndarray, dims: Sequence[int]) -> np.ndarray:
+        """Per cell, the largest of the per-member ``values`` over the members
+        holding the cell; -inf where none does.  A NaN value propagates."""
+        out = np.full(tuple(dims), -np.inf)
+        for a, s, v in zip(self.anchors.tolist(), self.sides.tolist(),
+                           np.asarray(values, dtype=np.float64).tolist()):
+            region = out[tuple(slice(x, x + s) for x in a)]
+            np.maximum(region, v, out=region)
+        return out
+
 
 def family_averages(f: GridFunction, cubes: Sequence[GridCube] | CubeFamily,
                     sat: SummedAreaTable | None = None) -> np.ndarray:

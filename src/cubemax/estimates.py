@@ -1,7 +1,8 @@
 """Quantitative estimates and the end-to-end level-integral evaluator.
 
-The evaluator runs the level sweep of :mod:`cubemax.partition`, which holds
-the only implementation of the density split, once over all breakpoints and
+The evaluator computes the per-cube density levels (lam0, lam1, avg) of
+:mod:`cubemax.partition`, the only implementation of the density split,
+once per instance, reads the split at every breakpoint from them, and
 produces exact breakpoint sums for both sides of the main inequality
 together with every intermediate quantity of the reduction chain (density
 partition terms, greedy sparse selection, per-base dyadic collections,
@@ -44,7 +45,7 @@ from .grid import (
     perimeter,
     variation,
 )
-from .partition import level_sweep
+from .partition import density_levels
 from .sat import SummedAreaTable
 from .sparse import (
     SparseFamily,
@@ -244,8 +245,9 @@ def theorem_main_evaluate(f: GridFunction, fam: CubeFamily, *,
     """Exact breakpoint evaluation of the main boundary inequality.
 
     Checks dyadic completeness, reduces to the maximal subfamily (which
-    leaves every level union unchanged), runs :func:`level_sweep` over the
-    breakpoints in descending order, and integrates both sides.
+    leaves every level union unchanged), reads the density split at every
+    breakpoint from the reduced family's :func:`density_levels` triple, and
+    integrates both sides.
     With ``deep`` the full reduction chain is evaluated per level and its
     observed constants are reported.
     """
@@ -269,10 +271,11 @@ def theorem_main_evaluate(f: GridFunction, fam: CubeFamily, *,
     term2s = np.zeros(m)
     hd_ratios = np.zeros(m)
     q_sizes = np.zeros((m, 3), dtype=np.int64)
-    ever_q2 = np.zeros(len(red), dtype=bool)
+    split = density_levels(f, red)
 
-    # intervals (bps[k-1], bps[k]] from the top down
-    for k, p in zip(range(m - 1, 0, -1), level_sweep(f, red, bps[:0:-1])):
+    # the interval (bps[k-1], bps[k]] takes the split at bps[k]
+    for k in range(1, m):
+        p = split.at(bps[k])
         lhs_b = boundary_faces_outside(p.union_all, p.level, h=f.h)
         term1_b = boundary_faces_outside(p.union_q01, p.level, h=f.h)
         term2_b = perimeter(p.union_q2, h=f.h)
@@ -287,14 +290,13 @@ def theorem_main_evaluate(f: GridFunction, fam: CubeFamily, *,
         hd_ratios[k] = term1s[k] / rhs_lam if rhs_lam > 0 else (
             0.0 if term1s[k] == 0 else math.inf)
         q_sizes[k] = p.sizes
-        ever_q2 |= p.q2_mask
 
     lhs = integrate_breakpoints(bps, lhs_terms)
     rhs = integrate_breakpoints(bps, rhs_terms)
     q2_integral = integrate_breakpoints(bps, term2s)
     hd_integral = integrate_breakpoints(bps, term1s)
 
-    sparse = greedy_sparse(f, red.select(ever_q2))
+    sparse = greedy_sparse(f, red.select(split.ever_q2))
 
     ratio = lhs / rhs if rhs > 0 else (0.0 if lhs == 0 else math.inf)
     report = TheoremReport(

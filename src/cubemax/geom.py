@@ -39,7 +39,7 @@ class OrientedCube:
     def __post_init__(self):
         r = np.asarray(self.rotation, dtype=np.float64)
         d = len(self.center)
-        if r.shape != (d, d) or not np.allclose(r @ r.T, np.eye(d), atol=1e-12):
+        if r.shape != (d, d) or not np.allclose(r @ r.T, np.eye(d), rtol=0, atol=1e-12):
             raise ValueError("rotation must be orthogonal")
         r.setflags(write=False)
         object.__setattr__(self, "rotation", r)

@@ -91,14 +91,10 @@ def maximal_family(f: GridFunction, fam: CubeFamily, include_f: bool = True) -> 
     family must cover the whole box and only cube averages compete.
     """
     avgs = fam.averages if fam.averages is not None else family_averages(f, fam)
+    out = fam.max_paint(avgs, f.dims)
     if include_f:
-        out = f.array.copy()
-    else:
-        out = np.full(f.dims, NEG_INF)
-    for cube, a in zip(fam.cubes, avgs):
-        region = out[cube.slices()]
-        np.maximum(region, a, out=region)
-    if not include_f and not np.all(np.isfinite(out)):
+        out = np.maximum(f.array, out)
+    elif not np.all(np.isfinite(out)):
         raise ValueError("family does not cover the grid box; no value at some cells")
     return MaxFunction(GridFunction(f.dims, f.h, out.ravel()), "family")
 

@@ -1,28 +1,38 @@
-"""Density partition of a level family and exact boundary decompositions.
+"""Density partition of a level family and the boundary-of-union face check.
 
 At a level lam the cubes with average at least lam split into three classes:
-high-density cubes (their overlap with the superlevel set is at least the
-2^{-d-1} volume fraction), cubes dense against the high-density union, and
-the remainder.  All class predicates are exact integer cell-count tests.
+high-density cubes q0 (their overlap with the superlevel set is at least the
+2^{-d-1} volume fraction), cubes q1 dense against the q0 union, and the
+remaining low-density cubes q2.
 
-:func:`level_sweep` is the one implementation of the split.  It walks the
-levels from the top down and carries the monotone unions between levels;
-the evaluator in :mod:`cubemax.estimates` and the low-density accumulation
-in :mod:`cubemax.sparse` consume it, and :func:`partition_at` is the sweep
+The split has a closed form.  Let k = ceil(side^d / 2^{d+1}) cells and let
+v_k(g|Q) be the k-th largest value of g on the cube Q.  Then Q is in q0 for
+lam <= lam0(Q) = min(avg_Q, v_k(f|Q)).  The q0 union at lam is {P0 >= lam},
+where P0 paints each cell with the largest lam0 of the cubes holding it, so
+Q is in q1 for lam0 < lam <= lam1(Q) = min(avg_Q, v_k(P0|Q)), in q2 for
+lam1 < lam <= avg_Q, and unselected above avg_Q.  Each comparison is
+equivalent to the integer cell-count test that defines its class.
+
+:func:`density_levels` computes the triple (lam0, lam1, avg) once per
+function and family; it is the one implementation of the split.  At each
+level the class masks are comparisons against the triple, the q0+q1 union
+and the full union are superlevel sets of the max-painted lam1 and averages,
+and only the q2 union, which is not monotone in lam, is painted per level.
+The evaluator in :mod:`cubemax.estimates` and the low-density accumulation
+in :mod:`cubemax.sparse` read the triple; :func:`partition_at` is the split
 at a single level.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .cubes import CubeFamily
-from .grid import GridFunction, PixelSet, boundary_faces_outside, perimeter
-from .sat import SummedAreaTable
+from .grid import GridFunction, PixelSet
 
 
 @dataclass(frozen=True)
@@ -60,84 +70,71 @@ class LevelPartition:
         return tuple(int(np.count_nonzero(m)) for m in (self.q0_mask, self.q1_mask, self.q2_mask))
 
 
-def level_sweep(f: GridFunction, fam: CubeFamily,
-                levels: Iterable[float]) -> Iterator[LevelPartition]:
-    """The density split of ``fam`` at each of the non-increasing ``levels``.
+@dataclass(frozen=True)
+class DensityLevels:
+    """The per-cube triple (lam0, lam1, avg) of ``family`` over ``f``, with
+    the per-cell max-paints of lam1 and avg that give the monotone unions."""
 
-    As the level falls, the level set and the selected cubes only grow, so a
-    cube that is high-density, or dense against the high-density union,
-    stays so.  The q0 and q0+q1 unions are therefore painted once per
-    entering cube and carried between levels; the low-density union is not
-    monotone and is repainted at each level.
-    """
-    fam = fam if fam.averages is not None else fam.with_averages(f)
-    avgs = np.asarray(fam.averages)
-    n = len(fam)
-    anchors, sides = fam.anchors, fam.sides
-    cells = sides ** f.d
-    thr = 2 ** (f.d + 1)  # dense: overlap at least the 2^{-d-1} volume fraction
-    u0 = np.zeros(f.dims, dtype=bool)
-    u01 = np.zeros(f.dims, dtype=bool)
-    in_q0 = np.zeros(n, dtype=bool)
-    in_q01 = np.zeros(n, dtype=bool)
-    prev = math.inf
-    for lam in levels:
-        if lam > prev:
-            raise ValueError(f"levels must be non-increasing: {lam!r} follows {prev!r}")
-        prev = lam
-        level = f.array >= lam
-        sel = avgs >= lam
-        counts = np.zeros(n, dtype=np.int64)
-        counts[sel] = SummedAreaTable(level).box_sum_many(anchors[sel], sides[sel])
-        q0 = sel & (counts * thr >= cells)
-        _paint(u0, fam, q0 & ~in_q0)
-        in_q0 = q0
+    f: GridFunction
+    family: CubeFamily
+    lam0: np.ndarray
+    lam1: np.ndarray
+    avg: np.ndarray
+    paint01: np.ndarray
+    paint_all: np.ndarray
 
-        rest = sel & ~q0
-        counts0 = np.zeros(n, dtype=np.int64)
-        counts0[rest] = SummedAreaTable(u0).box_sum_many(anchors[rest], sides[rest])
-        q1 = rest & (counts0 * thr >= cells)
-        q2 = rest & ~q1
-        _paint(u01, fam, (q0 | q1) & ~in_q01)
-        in_q01 = q0 | q1
+    @property
+    def ever_q2(self) -> np.ndarray:
+        """Cubes in the low-density class at some level."""
+        return self.lam1 < self.avg
 
-        u2 = np.zeros(f.dims, dtype=bool)
-        _paint(u2, fam, q2)
-        yield LevelPartition(
-            lam=float(lam), level=PixelSet(f.dims, level), family=fam,
+    def at(self, lam: float) -> LevelPartition:
+        """The three-way split at the finite level ``lam``."""
+        q0 = self.lam0 >= lam
+        q1 = (self.lam0 < lam) & (lam <= self.lam1)
+        q2 = (self.lam1 < lam) & (lam <= self.avg)
+        dims = self.f.dims
+        return LevelPartition(
+            lam=float(lam), level=PixelSet(dims, self.f.array >= lam), family=self.family,
             q0_mask=q0, q1_mask=q1, q2_mask=q2,
-            union_q01=PixelSet(f.dims, u01.copy()), union_q2=PixelSet(f.dims, u2),
-            union_all=PixelSet(f.dims, u01 | u2),
+            union_q01=PixelSet(dims, self.paint01 >= lam),
+            union_q2=self.family.select(q2).union_pixels(dims),
+            union_all=PixelSet(dims, self.paint_all >= lam),
         )
 
 
-def _paint(cells: np.ndarray, fam: CubeFamily, members: np.ndarray) -> None:
-    """Add the union of the ``members`` of ``fam`` to the boolean ``cells``."""
-    if members.any():
-        cells |= fam.select(members).union_pixels(cells.shape).mask
+def density_levels(f: GridFunction, fam: CubeFamily) -> DensityLevels:
+    """The density split of ``fam`` at every level, as one triple per cube.
+
+    A NaN cell counts as -inf (it is in no superlevel set), and so does a
+    NaN average (its cube is never selected).
+    """
+    fam = fam if fam.averages is not None else fam.with_averages(f)
+    avg = np.nan_to_num(np.asarray(fam.averages, dtype=np.float64), nan=-np.inf)
+    lam0 = np.minimum(avg, _kth_largest(np.nan_to_num(f.array, nan=-np.inf), fam))
+    lam1 = np.minimum(avg, _kth_largest(fam.max_paint(lam0, f.dims), fam))
+    return DensityLevels(f, fam, lam0, lam1, avg,
+                         fam.max_paint(lam1, f.dims), fam.max_paint(avg, f.dims))
+
+
+def _kth_largest(values: np.ndarray, fam: CubeFamily) -> np.ndarray:
+    """Per cube, the k-th largest of ``values`` over its cells with
+    k = ceil(side^d / 2^{d+1}): the cube is dense in {values >= lam}
+    exactly when lam is at most this number."""
+    d = values.ndim
+    out = np.empty(len(fam))
+    for side in np.unique(fam.sides).tolist():
+        rows = np.flatnonzero(fam.sides == side)
+        cells = side ** d
+        k = -(-cells // 2 ** (d + 1))
+        windows = sliding_window_view(values, (side,) * d)[tuple(fam.anchors[rows].T)]
+        out[rows] = np.partition(windows.reshape(rows.size, cells), cells - k, axis=1)[:, cells - k]
+    return out
 
 
 def partition_at(f: GridFunction, fam: CubeFamily, lam: float) -> LevelPartition:
     """Classify every cube with average >= lam into the three density classes."""
-    return next(level_sweep(f, fam, [lam]))
-
-
-def boundary_decomposition_terms(p: LevelPartition, f: GridFunction) -> tuple[float, float]:
-    """The two summands bounding the level-union boundary outside the level set.
-
-    Returns (measure of boundary(q0-union + q1-union) minus the closure of
-    the superlevel set, measure of boundary(q2-union)); their sum dominates
-    the corresponding measure for the full level union, exactly in face
-    counts.
-    """
-    term1 = boundary_faces_outside(p.union_q01, p.level, h=f.h).measure
-    term2 = perimeter(p.union_q2, h=f.h).measure
-    return term1, term2
-
-
-def decomposition_lhs(p: LevelPartition, f: GridFunction) -> float:
-    """Measure of the full level-union boundary outside the superlevel closure."""
-    return boundary_faces_outside(p.union_all, p.level, h=f.h).measure
+    return density_levels(f, fam).at(lam)
 
 
 class FaceWitness(NamedTuple):
@@ -174,24 +171,3 @@ def boundary_of_union_check(A: PixelSet, B: PixelSet) -> tuple[bool, FaceWitness
                 w_out[ax] += step
                 return False, FaceWitness(tuple(w_in), tuple(w_out))
     return True, None
-
-
-class HighDensityRatio(NamedTuple):
-    ratio: float
-    defined: bool
-    lhs: float
-    rhs: float
-
-
-def high_density_ratio(p: LevelPartition, f: GridFunction) -> HighDensityRatio:
-    """Boundary of the dense-union outside the level set, relative to the
-    level-set boundary inside the level union.
-
-    The suite records the supremum of this ratio over instances as the
-    empirical constant of the dense-cube boundary bound.
-    """
-    lhs = boundary_faces_outside(p.union_q01, p.level, h=f.h).measure
-    rhs = perimeter(p.level, mask=p.union_all, h=f.h).measure
-    if rhs == 0.0:
-        return HighDensityRatio(0.0 if lhs == 0.0 else float("inf"), False, lhs, rhs)
-    return HighDensityRatio(lhs / rhs, True, lhs, rhs)

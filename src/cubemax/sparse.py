@@ -22,7 +22,7 @@ from .cubes import (
 )
 from .errors import PremiseViolated
 from .grid import GridFunction, integrate_breakpoints, lambda_breakpoints, perimeter
-from .partition import level_sweep
+from .partition import density_levels
 
 
 def default_contraction(d: int) -> float:
@@ -142,14 +142,10 @@ def sparse_pairwise_violations(fam: SparseFamily, f: GridFunction) -> list[tuple
 def _q2_sweep(f: GridFunction, fam: CubeFamily) -> tuple[np.ndarray, np.ndarray, CubeFamily]:
     """(breakpoints, low-density union boundary measure at each breakpoint,
     union over all breakpoints of the low-density class)."""
-    fam = fam if fam.averages is not None else fam.with_averages(f)
-    bps = lambda_breakpoints(f, fam.averages)
-    q2_terms = np.zeros(bps.size)
-    ever = np.zeros(len(fam), dtype=bool)
-    for k, p in zip(range(bps.size - 1, -1, -1), level_sweep(f, fam, bps[::-1])):
-        q2_terms[k] = perimeter(p.union_q2, h=f.h).measure
-        ever |= p.q2_mask
-    return bps, q2_terms, fam.select(ever)
+    split = density_levels(f, fam)
+    bps = lambda_breakpoints(f, split.family.averages)
+    q2_terms = np.array([perimeter(split.at(lam).union_q2, h=f.h).measure for lam in bps])
+    return bps, q2_terms, split.family.select(split.ever_q2)
 
 
 def accumulate_q2_cubes(f: GridFunction, fam: CubeFamily) -> CubeFamily:

@@ -6,6 +6,8 @@ import pytest
 
 from cubemax import CubeFamily, GridCube, PixelSet, RealBox, perimeter, superlevel
 from cubemax.errors import PremiseViolated
+from cubemax.partition import LevelPartition
+from cubemax.sat import SummedAreaTable
 from cubemax.sparse import OverlapFamily
 
 # formatted pass lines per acceptance criterion, filled in by the tests
@@ -23,8 +25,8 @@ def threshold_sum_variation(f, mask=None):
 
 
 def partition_from_scratch(f, fam, lam):
-    """Oracle for the level sweep: the density split at one level rebuilt
-    with no state from other levels, counting each cube's cells directly."""
+    """Oracle for the density split: the split at one level rebuilt with no
+    state from other levels, counting each cube's cells directly."""
     d = f.d
     cubes = fam.cubes
     avgs = np.asarray(fam.averages)
@@ -55,6 +57,43 @@ def partition_from_scratch(f, fam, lam):
         level=level, q0=fam_of(q0), q1=fam_of(q1), q2=fam_of(q2),
         union_q0=PixelSet(f.dims, u0), union_q01=PixelSet(f.dims, u01),
         union_q2=PixelSet(f.dims, u2), union_all=PixelSet(f.dims, u01 | u2))
+
+
+def carried_level_sweep(f, fam, levels):
+    """Second oracle for the density split: the level sweep that walks
+    non-increasing levels and carries the monotone q0 and q0+q1 unions from
+    level to level, counting cells with two summed-area tables per level."""
+    fam = fam if fam.averages is not None else fam.with_averages(f)
+    avgs = np.asarray(fam.averages)
+    n = len(fam)
+    anchors, sides = fam.anchors, fam.sides
+    cells = sides ** f.d
+    thr = 2 ** (f.d + 1)
+    u0 = np.zeros(f.dims, dtype=bool)
+    u01 = np.zeros(f.dims, dtype=bool)
+    prev = math.inf
+    for lam in levels:
+        if lam > prev:
+            raise ValueError(f"levels must be non-increasing: {lam!r} follows {prev!r}")
+        prev = lam
+        level = f.array >= lam
+        sel = avgs >= lam
+        counts = np.zeros(n, dtype=np.int64)
+        counts[sel] = SummedAreaTable(level).box_sum_many(anchors[sel], sides[sel])
+        q0 = sel & (counts * thr >= cells)
+        u0 |= fam.select(q0).union_pixels(f.dims).mask
+        rest = sel & ~q0
+        counts0 = np.zeros(n, dtype=np.int64)
+        counts0[rest] = SummedAreaTable(u0).box_sum_many(anchors[rest], sides[rest])
+        q1 = rest & (counts0 * thr >= cells)
+        q2 = rest & ~q1
+        u01 |= fam.select(q0 | q1).union_pixels(f.dims).mask
+        u2 = fam.select(q2).union_pixels(f.dims).mask
+        yield LevelPartition(
+            lam=float(lam), level=PixelSet(f.dims, level), family=fam,
+            q0_mask=q0, q1_mask=q1, q2_mask=q2,
+            union_q01=PixelSet(f.dims, u01.copy()), union_q2=PixelSet(f.dims, u2),
+            union_all=PixelSet(f.dims, u01 | u2))
 
 
 def union_by_slices(cubes, dims):

@@ -287,6 +287,25 @@ class TestFamilyBasics:
             got = CubeFamily(cubes).union_pixels(dims)
             assert np.array_equal(got.mask, union_by_slices(cubes, dims))
 
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_max_paint_matches_per_cell_max(self, rng, d):
+        dims = tuple(int(n) for n in rng.integers(3, 7, d))
+        assert np.all(CubeFamily([]).max_paint([], dims) == -np.inf)
+        for _ in range(30):
+            cubes = []
+            for _ in range(int(rng.integers(1, 8))):
+                side = int(rng.integers(1, min(dims) + 1))
+                cubes.append(GridCube(tuple(int(rng.integers(0, n - side + 1)) for n in dims), side))
+            fam = CubeFamily(cubes)
+            vals = rng.integers(-5, 5, len(fam)).astype(float)
+            got = fam.max_paint(vals, dims)
+            for cell in np.ndindex(*dims):
+                held = [v for c, v in zip(fam.cubes, vals) if c.contains_cell(cell)]
+                assert got[cell] == max(held, default=-np.inf)
+            vals[0] = np.nan
+            nan_cells = fam.max_paint(vals, dims)
+            assert np.array_equal(np.isnan(nan_cells), fam.cubes[0].pixels(dims).mask)
+
 
 @given(st.lists(st.integers(1, 10 ** 6), min_size=1, max_size=20),
        st.one_of(st.sampled_from([1.0, 0.5, 1 / 3, 2.0 ** -7]),

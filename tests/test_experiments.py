@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from cubemax.cli import emit_plot_data, main
-from cubemax.errors import ConfigError
+from cubemax.errors import ConfigError, InvariantViolated
 from cubemax.experiments import (
     ExperimentConfig,
     dumbbell_domain,
@@ -250,6 +250,22 @@ class TestCliFailurePath:
         err = capsys.readouterr().err
         assert "replay configuration" in err
         assert '"seed": 4' in err
+
+
+    def test_library_error_exit_3_without_traceback(self, tmp_path, capsys, monkeypatch):
+        def broken(cfg):
+            raise InvariantViolated("at level 0.5: 7 level-union boundary faces exceed 3 + 2")
+
+        monkeypatch.setattr("cubemax.cli.run_theorem_suite", broken)
+        code = main(["theorem", "--seed", "4", "--out", str(tmp_path / "o")])
+        assert code == 3
+        err = capsys.readouterr().err
+        lines = err.splitlines()
+        assert lines[0] == ("error: InvariantViolated: at level 0.5: 7 level-union "
+                            "boundary faces exceed 3 + 2")
+        assert lines[1] == "replay configuration:"
+        assert '"seed": 4' in err and "Traceback" not in err
+        assert not (tmp_path / "o" / "report.json").exists()
 
 
 class TestRatioSuperadditivity:

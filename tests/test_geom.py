@@ -273,3 +273,16 @@ class TestRotations:
         rots = rotation_3d(np.array([0.0, 0.0, 2.0]), np.array([0.0, math.pi / 2]))
         np.testing.assert_allclose(rots[0], np.eye(3), atol=1e-15)
         np.testing.assert_allclose(rots[1], [[0, -1, 0], [1, 0, 0], [0, 0, 1]], atol=1e-15)
+
+
+class TestOrientedCube:
+    def test_scaled_rotation_rejected(self):
+        with pytest.raises(ValueError, match="orthogonal"):
+            OrientedCube((0.0, 0.0), 1.0, rotation_2d(0.3) * (1 + 4e-6))
+
+    def test_rotations_accepted(self):
+        rng = np.random.default_rng(6)
+        for t in rng.uniform(0, 2 * math.pi, 200):
+            OrientedCube((0.0, 0.0), 1.0, rotation_2d(t))
+        for axis, t in zip(rng.normal(size=(200, 3)), rng.uniform(0, 2 * math.pi, 200)):
+            OrientedCube((0.0, 0.0, 0.0), 1.0, rotation_3d(axis, t))

@@ -1,17 +1,11 @@
 import numpy as np
 import pytest
 
-from cubemax import CubeFamily, GridCube, PixelSet, grid_from_array, lambda_breakpoints
+from cubemax import CubeFamily, GridCube, PixelSet, grid_from_array, lambda_breakpoints, perimeter
+from cubemax.grid import boundary_faces_outside
 from cubemax.generators import make_function, random_complete_family, random_family
-from cubemax.partition import (
-    boundary_decomposition_terms,
-    boundary_of_union_check,
-    decomposition_lhs,
-    high_density_ratio,
-    level_sweep,
-    partition_at,
-)
-from conftest import partition_from_scratch
+from cubemax.partition import boundary_of_union_check, density_levels, partition_at
+from conftest import carried_level_sweep, partition_from_scratch
 
 
 def random_instance(rng, dims=(10, 10), n_cubes=7, levels=5):
@@ -56,27 +50,49 @@ class TestPartitionAt:
                 assert p.q2.cubes == want.q2.cubes
 
 
+def assert_same_split(p, want):
+    """``p`` and an oracle partition agree on the level set, every class
+    (cubes and averages) and all three unions."""
+    assert p.level.equals(want.level)
+    for got_q, want_q in ((p.q0, want.q0), (p.q1, want.q1), (p.q2, want.q2)):
+        assert got_q.cubes == want_q.cubes
+        assert np.array_equal(got_q.averages, want_q.averages)
+    assert p.sizes == (len(want.q0), len(want.q1), len(want.q2))
+    assert p.union_q01.equals(want.union_q01)
+    assert p.union_q2.equals(want.union_q2)
+    assert p.union_all.equals(want.union_all)
+
+
+def levels_with_gaps(bps):
+    """Every breakpoint and the midpoint of each gap, descending."""
+    return np.sort(np.concatenate((bps, 0.5 * (bps[1:] + bps[:-1]))))[::-1]
+
+
+def assert_matches_both_oracles(f, fam):
+    """The split read from the triple against the carried sweep and the
+    from-scratch split, at every breakpoint and inside every gap."""
+    split = density_levels(f, fam)
+    avgs = split.family.averages
+    lams = levels_with_gaps(lambda_breakpoints(f, avgs[np.isfinite(avgs)]))
+    for lam, carried in zip(lams, carried_level_sweep(f, fam, lams)):
+        p = split.at(lam)
+        assert p.lam == lam
+        assert_same_split(p, carried)
+        assert_same_split(p, partition_from_scratch(f, split.family, lam))
+    return split
+
+
 class TestLevelSweep:
     @pytest.mark.parametrize("d", [1, 2, 3])
     @pytest.mark.parametrize("complete", [True, False])
     def test_every_breakpoint_matches_from_scratch_oracle(self, rng, d, complete):
         grid = {1: 32, 2: 16, 3: 8}[d]
         dims = (grid,) * d
-        for cls in ("spikes", "simple", "random-smooth"):
+        for cls in ("spikes", "simple", "indicator", "random-smooth"):
             f = make_function(rng, cls, dims, 1.0)
             fam = (random_complete_family(rng, dims, 4) if complete
                    else random_family(rng, dims, 8, pow2=False)).with_averages(f)
-            bps = lambda_breakpoints(f, fam.averages)[::-1]
-            for lam, p in zip(bps, level_sweep(f, fam, bps)):
-                want = partition_from_scratch(f, fam, lam)
-                assert p.lam == lam and p.level.equals(want.level)
-                for got_q, want_q in ((p.q0, want.q0), (p.q1, want.q1), (p.q2, want.q2)):
-                    assert got_q.cubes == want_q.cubes
-                    assert np.array_equal(got_q.averages, want_q.averages)
-                assert p.sizes == (len(want.q0), len(want.q1), len(want.q2))
-                assert p.union_q01.equals(want.union_q01)
-                assert p.union_q2.equals(want.union_q2)
-                assert p.union_all.equals(want.union_all)
+            assert_matches_both_oracles(f, fam)
 
     def test_cube_turning_dense_late_joins_the_dense_union(self):
         # A = [0, 8) is selected but sparse at its own average and dense at
@@ -86,30 +102,76 @@ class TestLevelSweep:
         vals[0], vals[1:6], vals[6:8], vals[13] = 80.0, 1.0, 0.5, 10.0
         f = grid_from_array(vals)
         a, b = GridCube((0,), 8), GridCube((6,), 8)
-        fam = CubeFamily([a, b]).with_averages(f)
-        bps = lambda_breakpoints(f, fam.averages)[::-1]
-        seen = {}
-        for lam, p in zip(bps, level_sweep(f, fam, bps)):
-            assert p.q1.cubes == partition_from_scratch(f, fam, lam).q1.cubes
-            seen[lam] = p
-        assert seen[86 / 8].q2.cubes == (a,)
-        assert seen[1.0].q0.cubes == (a,) and seen[1.0].q1.cubes == (b,)
+        split = assert_matches_both_oracles(f, CubeFamily([a, b]).with_averages(f))
+        assert split.at(86 / 8).q2.cubes == (a,)
+        assert split.at(1.0).q0.cubes == (a,) and split.at(1.0).q1.cubes == (b,)
+        assert list(split.lam0) == [1.0, 0.5] and list(split.lam1) == [1.0, 1.0]
+
+    def test_nan_masked_cells(self, rng):
+        # NaN cells are in no superlevel set; averages taken over the
+        # unmasked cells keep cubes with masked cells selectable, and a
+        # NaN average leaves its cube unselected at every level
+        for d, grid in ((1, 32), (2, 12), (3, 6)):
+            dims = (grid,) * d
+            for masked in (0.3, 0.6, 0.9):
+                vals = np.where(rng.random(dims) < 0.1, rng.integers(1, 40, dims), 0).astype(float)
+                vals[rng.random(dims) < masked] = np.nan
+                f = grid_from_array(vals)
+                fam = random_family(rng, dims, 10, pow2=False)
+                avgs = np.array([np.nanmean(vals[c.slices()]) if np.isfinite(vals[c.slices()]).any()
+                                 else np.nan for c in fam.cubes])
+                avgs[0] = np.nan
+                split = assert_matches_both_oracles(f, CubeFamily(fam.cubes, avgs))
+                assert split.lam0[0] == split.lam1[0] == split.avg[0] == -np.inf
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_levels_are_ordered(self, rng, d):
+        dims = ({1: 32, 2: 16, 3: 8}[d],) * d
+        for cls in ("spikes", "simple", "indicator", "random-smooth"):
+            f = make_function(rng, cls, dims, 1.0)
+            for fam in (random_complete_family(rng, dims, 4), random_family(rng, dims, 8, pow2=False)):
+                split = density_levels(f, fam)
+                assert np.all(split.lam0 <= split.lam1) and np.all(split.lam1 <= split.avg)
+                assert np.array_equal(split.avg, split.family.averages)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_ever_q2_is_the_union_over_breakpoints(self, rng, d):
+        dims = ({1: 32, 2: 16, 3: 8}[d],) * d
+        found = 0
+        for cls in ("spikes", "simple", "random-smooth"):
+            f = make_function(rng, cls, dims, 1.0)
+            for fam in (random_complete_family(rng, dims, 4), random_family(rng, dims, 8, pow2=False)):
+                split = density_levels(f, fam)
+                union = set()
+                for lam in lambda_breakpoints(f, split.family.averages):
+                    union |= set(partition_from_scratch(f, split.family, lam).q2.cubes)
+                assert set(split.family.select(split.ever_q2).cubes) == union
+                found += len(union)
+        assert found > 0
 
     def test_partitions_keep_their_unions_after_the_sweep_moves_on(self, rng):
         f, fam = random_instance(rng)
+        split = density_levels(f, fam)
         bps = lambda_breakpoints(f, fam.averages)[::-1]
-        parts = list(level_sweep(f, fam, bps))
+        parts = [split.at(lam) for lam in bps]
         for lam, p in zip(bps, parts):
             assert p.union_q01.equals(partition_from_scratch(f, fam, lam).union_q01)
 
-    def test_rising_level_rejected(self, rng):
-        f, fam = random_instance(rng)
-        with pytest.raises(ValueError, match="non-increasing"):
-            list(level_sweep(f, fam, [1.0, 2.0]))
+    def test_shuffled_levels_match_sorted(self, rng):
+        for _ in range(5):
+            f, fam = random_instance(rng)
+            split = density_levels(f, fam)
+            lams = levels_with_gaps(lambda_breakpoints(f, fam.averages))
+            by_level = dict(zip(lams, carried_level_sweep(f, fam, lams)))
+            for lam in rng.permutation(lams):
+                assert_same_split(split.at(lam), by_level[lam])
+                assert_same_split(partition_at(f, fam, lam), by_level[lam])
 
     def test_empty_family(self):
         f = grid_from_array(np.arange(16.0).reshape(4, 4))
-        for p in level_sweep(f, CubeFamily([]), [9.0, 3.0, 3.0]):
+        split = density_levels(f, CubeFamily([]))
+        for lam in (9.0, 3.0, 3.0, 12.5):
+            p = split.at(lam)
             assert p.sizes == (0, 0, 0) and p.union_all.count == 0
             assert p.level.count == int(np.sum(f.array >= p.lam))
 
@@ -121,8 +183,7 @@ class TestBoundaryDecomposition:
         f = grid_from_array(vals)
         fam = CubeFamily([GridCube((2, 2), 2)]).with_averages(f)
         p = partition_at(f, fam, 1.0)
-        t1, t2 = boundary_decomposition_terms(p, f)
-        assert t2 == 0.0
+        assert perimeter(p.union_q2).face_count == 0
 
     def test_empty_q01_first_term_zero(self):
         vals = np.zeros((8, 8))
@@ -130,17 +191,17 @@ class TestBoundaryDecomposition:
         f = grid_from_array(vals)
         fam = CubeFamily([GridCube((0, 0), 8)]).with_averages(f)
         p = partition_at(f, fam, 0.5)
-        t1, t2 = boundary_decomposition_terms(p, f)
-        assert t1 == 0.0
+        assert boundary_faces_outside(p.union_q01, p.level).face_count == 0
 
     def test_split_dominates_exactly(self, rng):
         for _ in range(20):
             f, fam = random_instance(rng, dims=(9, 9))
             for lam in lambda_breakpoints(f, fam.averages):
                 p = partition_at(f, fam, float(lam))
-                t1, t2 = boundary_decomposition_terms(p, f)
-                lhs = decomposition_lhs(p, f)
-                assert lhs <= t1 + t2 + 1e-12
+                lhs = boundary_faces_outside(p.union_all, p.level).face_count
+                t1 = boundary_faces_outside(p.union_q01, p.level).face_count
+                t2 = perimeter(p.union_q2).face_count
+                assert lhs <= t1 + t2
 
 
 class TestBoundaryOfUnion:
@@ -166,28 +227,32 @@ class TestBoundaryOfUnion:
 
 
 class TestHighDensityRatio:
+    """Boundary of the dense union outside the level set, against the
+    level-set boundary inside the level union."""
+
     def test_cube_indicator_ratio_zero(self):
         vals = np.zeros((8, 8))
         vals[2:6, 2:6] = 1.0
         f = grid_from_array(vals)
         fam = CubeFamily([GridCube((2, 2), 4)]).with_averages(f)
         p = partition_at(f, fam, 1.0)
-        r = high_density_ratio(p, f)
-        assert r.lhs == 0.0 and r.ratio == 0.0
+        assert p.q0.cubes == (GridCube((2, 2), 4),)
+        assert boundary_faces_outside(p.union_q01, p.level).face_count == 0
 
     def test_empty_level_set_flagged(self):
         f = grid_from_array(np.zeros((4, 4)))
         fam = CubeFamily([GridCube((0, 0), 2)]).with_averages(f)
         p = partition_at(f, fam, 5.0)
-        r = high_density_ratio(p, f)
-        assert not r.defined or r.rhs > 0
+        assert perimeter(p.level, mask=p.union_all).face_count == 0
+        assert boundary_faces_outside(p.union_q01, p.level).face_count == 0
 
     def test_random_suite_finite_max(self, rng):
         worst = 0.0
         for _ in range(15):
             f, fam = random_instance(rng, dims=(12, 12))
             for lam in lambda_breakpoints(f, fam.averages):
-                r = high_density_ratio(partition_at(f, fam, float(lam)), f)
-                if r.defined:
-                    worst = max(worst, r.ratio)
+                p = partition_at(f, fam, float(lam))
+                rhs = perimeter(p.level, mask=p.union_all).face_count
+                if rhs > 0:
+                    worst = max(worst, boundary_faces_outside(p.union_q01, p.level).face_count / rhs)
         assert np.isfinite(worst)
