@@ -2,11 +2,19 @@
 
 The evaluator computes the per-cube density levels (lam0, lam1, avg) of
 :mod:`cubemax.partition`, the only implementation of the density split,
-once per instance, reads the split at every breakpoint from them, and
-produces exact breakpoint sums for both sides of the main inequality
-together with every intermediate quantity of the reduction chain (density
-partition terms, greedy sparse selection, per-base dyadic collections,
-bounded-overlap families, and the geometric scale sums).
+once per instance and produces exact breakpoint sums for both sides of the
+main inequality together with every intermediate quantity of the reduction
+chain (density partition terms, greedy sparse selection, per-base dyadic
+collections, bounded-overlap families, and the geometric scale sums).
+
+Its per-level columns are not computed level by level.  Every monotone
+column (the level-union boundary, the q0+q1 term, the level set's boundary
+and the high-density denominator) counts each face on one interval of
+levels read from the cell values and the max-painted triple, so one
+difference array over breakpoint indices gives the whole column.  The q2
+boundary, which is not monotone, is painted only where the q2 class
+changes.  The cost grows with cells plus class changes, not with cells
+times breakpoints.
 """
 
 from __future__ import annotations
@@ -34,18 +42,18 @@ from .errors import (
     InvariantViolated,
     NotDyadicallyComplete,
     PreconditionDensity,
+    PremiseViolated,
     ZeroVariationInput,
 )
 from .grid import (
     GridFunction,
     PixelSet,
-    boundary_faces_outside,
     integrate_breakpoints,
     lambda_breakpoints,
     perimeter,
     variation,
 )
-from .partition import density_levels
+from .partition import DensityLevels, density_levels
 from .sat import SummedAreaTable
 from .sparse import (
     SparseFamily,
@@ -245,9 +253,11 @@ def theorem_main_evaluate(f: GridFunction, fam: CubeFamily, *,
     """Exact breakpoint evaluation of the main boundary inequality.
 
     Checks dyadic completeness, reduces to the maximal subfamily (which
-    leaves every level union unchanged), reads the density split at every
-    breakpoint from the reduced family's :func:`density_levels` triple, and
-    integrates both sides.
+    leaves every level union unchanged), reads every per-level column from
+    the reduced family's :func:`density_levels` triple (see
+    :func:`_level_face_columns` and :meth:`DensityLevels.q2_boundary_faces`),
+    and integrates both sides.  The interval ``(bps[k-1], bps[k]]`` takes
+    the columns' entry ``k``; entry 0 is 0.
     With ``deep`` the full reduction chain is evaluated per level and its
     observed constants are reported.
     """
@@ -260,36 +270,39 @@ def theorem_main_evaluate(f: GridFunction, fam: CubeFamily, *,
 
     fam = fam if fam.averages is not None else fam.with_averages(f)
     red = maximal_cube_reduction(fam, f)
-    full_union = red.union_pixels(f.dims)
+    if not np.all(np.isfinite(red.averages)):
+        bad = int(np.argmax(~np.isfinite(red.averages)))
+        raise PremiseViolated(f"cube {red[bad]} has the non-finite average "
+                              f"{float(red.averages[bad])!r}")
 
     bps = lambda_breakpoints(f, red.averages)
-    m = bps.size
-
-    lhs_terms = np.zeros(m)
-    rhs_terms = np.zeros(m)
-    term1s = np.zeros(m)
-    term2s = np.zeros(m)
-    hd_ratios = np.zeros(m)
-    q_sizes = np.zeros((m, 3), dtype=np.int64)
     split = density_levels(f, red)
+    lhs_c, term1_c, rhs_c, hd_c = _level_face_columns(
+        f, split, red.union_pixels(f.dims).mask, bps)
+    term2_c = split.q2_boundary_faces(bps)
+    term2_c[0] = 0
+    # the split dominates the full boundary, exactly in face counts
+    bad = np.flatnonzero(lhs_c > term1_c + term2_c)
+    if bad.size:
+        k = int(bad[0])
+        raise InvariantViolated(
+            f"at level {float(bps[k])!r}: {int(lhs_c[k])} level-union boundary faces exceed "
+            f"{int(term1_c[k])} + {int(term2_c[k])} in the density split")
 
-    # the interval (bps[k-1], bps[k]] takes the split at bps[k]
-    for k in range(1, m):
-        p = split.at(bps[k])
-        lhs_b = boundary_faces_outside(p.union_all, p.level, h=f.h)
-        term1_b = boundary_faces_outside(p.union_q01, p.level, h=f.h)
-        term2_b = perimeter(p.union_q2, h=f.h)
-        # the split dominates the full boundary, exactly in face counts
-        if lhs_b.face_count > term1_b.face_count + term2_b.face_count:
-            raise InvariantViolated(
-                f"at level {p.lam!r}: {lhs_b.face_count} level-union boundary faces exceed "
-                f"{term1_b.face_count} + {term2_b.face_count} in the density split")
-        lhs_terms[k], term1s[k], term2s[k] = lhs_b.measure, term1_b.measure, term2_b.measure
-        rhs_terms[k] = perimeter(p.level, mask=full_union, h=f.h).measure
-        rhs_lam = perimeter(p.level, mask=p.union_all, h=f.h).measure
-        hd_ratios[k] = term1s[k] / rhs_lam if rhs_lam > 0 else (
-            0.0 if term1s[k] == 0 else math.inf)
-        q_sizes[k] = p.sizes
+    unit = float(f.h) ** (d - 1)
+    lhs_terms, term1s, term2s, rhs_terms, rhs_lam = (
+        c * unit for c in (lhs_c, term1_c, term2_c, rhs_c, hd_c))
+    hd_ratios = np.where(term1s == 0, 0.0, math.inf)
+    np.divide(term1s, rhs_lam, out=hd_ratios, where=rhs_lam > 0)
+
+    # class sizes at each level: lam0 <= lam1 <= avg, so each class is a
+    # difference of two counts of triple entries at or above the level
+    def at_or_above(v):
+        return v.size - np.searchsorted(np.sort(v), bps, "left")
+
+    n0, n01, n_all = at_or_above(split.lam0), at_or_above(split.lam1), at_or_above(split.avg)
+    q_sizes = np.stack((n0, n01 - n0, n_all - n01), axis=1)
+    q_sizes[0] = 0
 
     lhs = integrate_breakpoints(bps, lhs_terms)
     rhs = integrate_breakpoints(bps, rhs_terms)
@@ -320,6 +333,48 @@ def theorem_main_evaluate(f: GridFunction, fam: CubeFamily, *,
     if deep:
         report.deep = _deep_chain(f, sparse, bps)
     return report
+
+
+def _level_face_columns(f: GridFunction, split: DensityLevels, full_union: np.ndarray,
+                        bps: np.ndarray) -> np.ndarray:
+    """Four per-level face-count columns over the sorted, finite ``bps``.
+
+    Row 0 (lhs): faces of the full level union outside the level set.
+    Row 1 (term1): the same for the q0+q1 union.  Row 2 (f_boundary): faces
+    of the level set inside ``full_union``.  Row 3 (the high-density
+    denominator): faces of the level set inside the full level union.
+
+    With F the values (NaN as -inf) and PA, P01 the max-paints of the
+    averages and of lam1, a directed face (x inside, y outside) counts at
+    the levels lam of one interval: lhs on (max(F(x), F(y), PA(y)), PA(x)],
+    term1 on the same with P01 for PA, f_boundary on (F(y), F(x)] when both
+    cells lie in ``full_union``, and the denominator on
+    (F(y), min(F(x), PA(x), PA(y))].  Each interval adds +1/-1 at its
+    breakpoint indices in a difference array; column entry 0 is 0.
+    """
+    m = bps.size
+    F = np.nan_to_num(f.array, nan=-np.inf)
+    diffs = np.zeros((4, m + 1), dtype=np.int64)
+
+    def count(row, lo, hi):
+        keep = lo < hi
+        diffs[row] += np.bincount(np.searchsorted(bps, lo[keep], "right"), minlength=m + 1)
+        diffs[row] -= np.bincount(np.searchsorted(bps, hi[keep], "right"), minlength=m + 1)
+
+    for ax in range(f.d):
+        fa, pa, p01, fu = (np.moveaxis(a, ax, 0)
+                           for a in (F, split.paint_all, split.paint01, full_union))
+        for x, y in ((slice(None, -1), slice(1, None)), (slice(1, None), slice(None, -1))):
+            fx, fy = fa[x], fa[y]
+            top = np.maximum(fx, fy)
+            count(0, np.maximum(top, pa[y]), pa[x])
+            count(1, np.maximum(top, p01[y]), p01[x])
+            both = fu[x] & fu[y]
+            count(2, fy[both], fx[both])
+            count(3, fy, np.minimum(fx, np.minimum(pa[x], pa[y])))
+    cols = np.cumsum(diffs[:, :m], axis=1)
+    cols[:, 0] = 0
+    return cols
 
 
 def _deep_chain(f: GridFunction, sparse: SparseFamily, bps: np.ndarray) -> dict:

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .errors import SearchExhausted, UnsupportedDimension
 
@@ -236,6 +235,8 @@ def lipschitz_blowup_check(L: float, diam: float, eps: float,
     returned with the bound constant * (diam + eps)^(d-1) * (1 + L) * eps it
     is judged against (estimate + 5 stderr at most the bound).
     """
+    from scipy.spatial import cKDTree  # its only user; keeps the package import light
+
     if d not in (2, 3):
         raise UnsupportedDimension("blowup sampling needs d in {2,3}")
     rng = np.random.default_rng(seed)

@@ -17,9 +17,14 @@ equivalent to the integer cell-count test that defines its class.
 function and family; it is the one implementation of the split.  At each
 level the class masks are comparisons against the triple, the q0+q1 union
 and the full union are superlevel sets of the max-painted lam1 and averages,
-and only the q2 union, which is not monotone in lam, is painted per level.
-The evaluator in :mod:`cubemax.estimates` and the low-density accumulation
-in :mod:`cubemax.sparse` read the triple; :func:`partition_at` is the split
+and only the q2 union, which is not monotone in lam, is painted.  Over a
+sorted breakpoint array a cube is in q2 for one run of indices, from the
+insertion point of lam1 to that of avg, so
+:meth:`DensityLevels.q2_boundary_faces` paints the q2 union only where a
+run starts or ends and carries its face count in between.  The evaluator in
+:mod:`cubemax.estimates` reads the triple and its paints as per-face level
+intervals; the low-density accumulation in :mod:`cubemax.sparse` reads
+``ever_q2`` and the q2 boundary column; :func:`partition_at` is the split
 at a single level.
 """
 
@@ -32,7 +37,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .cubes import CubeFamily
-from .grid import GridFunction, PixelSet
+from .grid import GridFunction, PixelSet, perimeter
 
 
 @dataclass(frozen=True)
@@ -87,6 +92,26 @@ class DensityLevels:
     def ever_q2(self) -> np.ndarray:
         """Cubes in the low-density class at some level."""
         return self.lam1 < self.avg
+
+    def q2_boundary_faces(self, bps: np.ndarray) -> np.ndarray:
+        """Face count of the q2 union's boundary at every level ``bps[k]``.
+
+        ``bps`` must be sorted ascending.  Cube i is in q2 at ``bps[k]``
+        exactly for ``enter[i] <= k < leave[i]``, with ``enter`` and ``leave``
+        the right insertion points of lam1 and avg, so the union changes only
+        at those indices: it is painted there and its count carried forward.
+        """
+        enter = np.searchsorted(bps, self.lam1, "right")
+        leave = np.searchsorted(bps, self.avg, "right")
+        live = enter < leave
+        points = np.unique(np.concatenate((enter[live], leave[live])))
+        points = points[points < bps.size].tolist()
+        out = np.zeros(bps.size, dtype=np.int64)
+        for k, nxt in zip(points, points[1:] + [bps.size]):
+            q2 = (enter <= k) & (k < leave)
+            if q2.any():
+                out[k:nxt] = perimeter(self.family.select(q2).union_pixels(self.f.dims)).face_count
+        return out
 
     def at(self, lam: float) -> LevelPartition:
         """The three-way split at the finite level ``lam``."""

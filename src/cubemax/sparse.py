@@ -21,7 +21,7 @@ from .cubes import (
     scale_indices,
 )
 from .errors import PremiseViolated
-from .grid import GridFunction, integrate_breakpoints, lambda_breakpoints, perimeter
+from .grid import GridFunction, integrate_breakpoints, lambda_breakpoints
 from .partition import density_levels
 
 
@@ -139,18 +139,10 @@ def sparse_pairwise_violations(fam: SparseFamily, f: GridFunction) -> list[tuple
     return bad
 
 
-def _q2_sweep(f: GridFunction, fam: CubeFamily) -> tuple[np.ndarray, np.ndarray, CubeFamily]:
-    """(breakpoints, low-density union boundary measure at each breakpoint,
-    union over all breakpoints of the low-density class)."""
-    split = density_levels(f, fam)
-    bps = lambda_breakpoints(f, split.family.averages)
-    q2_terms = np.array([perimeter(split.at(lam).union_q2, h=f.h).measure for lam in bps])
-    return bps, q2_terms, split.family.select(split.ever_q2)
-
-
 def accumulate_q2_cubes(f: GridFunction, fam: CubeFamily) -> CubeFamily:
     """Union over all breakpoint levels of the low-density class."""
-    return _q2_sweep(f, fam)[2]
+    split = density_levels(f, fam)
+    return split.family.select(split.ever_q2)
 
 
 def significant_mass_bound(f: GridFunction, fam: CubeFamily) -> tuple[float, float]:
@@ -159,9 +151,11 @@ def significant_mass_bound(f: GridFunction, fam: CubeFamily) -> tuple[float, flo
     The experiment suite records the ratio of the two as the empirical
     constant of the sparse reduction inequality.
     """
-    bps, q2_terms, q2_fam = _q2_sweep(f, fam)
+    split = density_levels(f, fam)
+    bps = lambda_breakpoints(f, split.family.averages)
+    q2_terms = split.q2_boundary_faces(bps) * float(f.h) ** (f.d - 1)
     lhs = integrate_breakpoints(bps, q2_terms)
-    return lhs, greedy_sparse(f, q2_fam).rhs_sum
+    return lhs, greedy_sparse(f, split.family.select(split.ever_q2)).rhs_sum
 
 
 @dataclass(frozen=True)

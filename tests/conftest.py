@@ -6,7 +6,8 @@ import pytest
 
 from cubemax import CubeFamily, GridCube, PixelSet, RealBox, perimeter, superlevel
 from cubemax.errors import PremiseViolated
-from cubemax.partition import LevelPartition
+from cubemax.grid import boundary_faces_outside
+from cubemax.partition import LevelPartition, density_levels
 from cubemax.sat import SummedAreaTable
 from cubemax.sparse import OverlapFamily
 
@@ -94,6 +95,39 @@ def carried_level_sweep(f, fam, levels):
             q0_mask=q0, q1_mask=q1, q2_mask=q2,
             union_q01=PixelSet(f.dims, u01.copy()), union_q2=PixelSet(f.dims, u2),
             union_all=PixelSet(f.dims, u01 | u2))
+
+
+def per_level_columns(f, red, bps):
+    """Oracle for the evaluator's per-level columns: the split read at every
+    breakpoint ``bps[k]``, k >= 1, with the boundary faces counted from the
+    level's unions.  Returns the face counts (``lhs``, ``term1``, ``term2``,
+    ``f_boundary``, ``hd_den``, the ``n_q*`` sizes) and the measures and
+    ratios computed from them as the report does (``*_measure``,
+    ``hd_ratios``); entry 0 of every column is 0."""
+    m = bps.size
+    h = f.h
+    unit = float(h) ** (f.d - 1)
+    full_union = red.union_pixels(f.dims)
+    split = density_levels(f, red)
+    keys = ("lhs", "term1", "term2", "f_boundary", "hd_den", "n_q0", "n_q1", "n_q2")
+    out = {key: np.zeros(m, dtype=np.int64) for key in keys}
+    hd_ratios = np.zeros(m)
+    for k in range(1, m):
+        p = split.at(bps[k])
+        row = (boundary_faces_outside(p.union_all, p.level, h=h).face_count,
+               boundary_faces_outside(p.union_q01, p.level, h=h).face_count,
+               perimeter(p.union_q2, h=h).face_count,
+               perimeter(p.level, mask=full_union, h=h).face_count,
+               perimeter(p.level, mask=p.union_all, h=h).face_count,
+               *p.sizes)
+        for key, value in zip(keys, row):
+            out[key][k] = value
+        term1, den = out["term1"][k] * unit, out["hd_den"][k] * unit
+        hd_ratios[k] = term1 / den if den > 0 else (0.0 if term1 == 0 else math.inf)
+    for key in ("lhs", "term1", "term2", "f_boundary"):
+        out[f"{key}_measure"] = out[key] * unit
+    out["hd_ratios"] = hd_ratios
+    return SimpleNamespace(**out)
 
 
 def union_by_slices(cubes, dims):

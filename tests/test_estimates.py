@@ -17,6 +17,7 @@ from cubemax.errors import (
     InvariantViolated,
     NotDyadicallyComplete,
     PreconditionDensity,
+    PremiseViolated,
     ZeroVariationInput,
 )
 from cubemax.estimates import (
@@ -28,6 +29,7 @@ from cubemax.estimates import (
     theorem_main_evaluate,
 )
 from cubemax.grid import boundary_faces_outside
+from cubemax.partition import DensityLevels
 from cubemax.sparse import default_contraction, lambda_q
 
 
@@ -261,18 +263,24 @@ class TestTheoremEvaluate:
             theorem_main_evaluate(f, fam)
 
     def test_split_domination_violation_raises(self, rng, monkeypatch):
-        # a perimeter that loses one face breaks the exact face-count bound
-        # lhs <= term1 + term2 at a level where it is tight
-        real = estimates.perimeter
-
-        def short_one(*args, **kwargs):
-            bm = real(*args, **kwargs)
-            return type(bm)(bm.face_count - 1, bm.measure)
-
-        monkeypatch.setattr(estimates, "perimeter", short_one)
+        # a q2-boundary column that loses one face breaks the exact
+        # face-count bound lhs <= term1 + term2 at a level where it is tight
+        real = DensityLevels.q2_boundary_faces
+        monkeypatch.setattr(DensityLevels, "q2_boundary_faces",
+                            lambda self, bps: real(self, bps) - 1)
         f = grid_from_array(rng.random((8, 8)))
         fam = dyadic_descendants(GridCube((0, 0), 8)).with_averages(f)
-        with pytest.raises(InvariantViolated):
+        with pytest.raises(InvariantViolated, match="at level "):
+            theorem_main_evaluate(f, fam, deep=False)
+
+    def test_nan_average_rejected(self):
+        # a NaN cell makes the prefix-sum averages of later cubes NaN too;
+        # a NaN breakpoint would make both sides NaN, so the evaluator stops
+        vals = np.arange(16.0).reshape(4, 4)
+        vals[0, 0] = np.nan
+        f = grid_from_array(vals)
+        fam = dyadic_descendants(GridCube((0, 0), 4)).with_averages(f)
+        with pytest.raises(PremiseViolated, match="non-finite average"):
             theorem_main_evaluate(f, fam, deep=False)
 
     def test_indicator_cross_check_direct_sums(self):
@@ -355,29 +363,89 @@ class TestTheoremEvaluate:
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_sweep_matches_direct_partition_path(self, rng, d):
-        # the evaluator consumes the incremental level sweep; the oracle
-        # rebuilds every level from scratch.  At h = 1 each per-level table
-        # entry is an integer face count and must equal the oracle's exactly.
+        # the evaluator counts each face on its interval of levels; the
+        # oracle rebuilds every level from scratch.  At h = 1 each per-level
+        # table entry is an integer face count and must equal the oracle's
+        # exactly, and so must the high-density ratio built from them.
+        # NaN-masked cells take averages over the unmasked cells (0 for a
+        # cube with none).
         from cubemax import maximal_cube_reduction
         from cubemax.generators import random_complete_family, simple_function
         from conftest import partition_from_scratch
 
         grid = {1: 48, 2: 12, 3: 6}[d]
-        for _ in range(5):
-            f = simple_function(rng, (grid,) * d, 1.0)
-            fam = random_complete_family(rng, (grid,) * d, 5).with_averages(f)
+        dims = (grid,) * d
+        for masked in (0.0, 0.0, 0.0, 0.3, 0.6, 0.9):
+            vals = simple_function(rng, dims, 1.0).array.copy()
+            vals[rng.random(dims) < masked] = np.nan
+            f = grid_from_array(vals)
+            fam = random_complete_family(rng, dims, 5)
+            fam = CubeFamily(fam.cubes, np.array(
+                [np.nanmean(vals[c.slices()]) if np.isfinite(vals[c.slices()]).any() else 0.0
+                 for c in fam.cubes]))
             rep = theorem_main_evaluate(f, fam, deep=False)
             red = maximal_cube_reduction(fam, f)
+            full_union = red.union_pixels(f.dims)
             lams = rep.lam_table["lam"]
+            hd_ratios = [0.0]
             for k in range(1, lams.size):
                 p = partition_from_scratch(f, red, lams[k])
                 assert (len(p.q0), len(p.q1), len(p.q2)) == (
                     rep.lam_table["n_q0"][k], rep.lam_table["n_q1"][k], rep.lam_table["n_q2"][k])
                 faces = (boundary_faces_outside(p.union_all, p.level).face_count,
                          boundary_faces_outside(p.union_q01, p.level).face_count,
-                         perimeter(p.union_q2).face_count)
+                         perimeter(p.union_q2).face_count,
+                         perimeter(p.level, mask=full_union).face_count)
                 assert faces == (rep.lam_table["lhs"][k], rep.lam_table["term1"][k],
-                                 rep.lam_table["term2"][k])
+                                 rep.lam_table["term2"][k], rep.lam_table["f_boundary"][k])
+                den = perimeter(p.level, mask=p.union_all).face_count
+                hd_ratios.append(faces[1] / den if den else (0.0 if faces[1] == 0 else np.inf))
+            finite = [r for r in hd_ratios if np.isfinite(r)]
+            assert rep.subterms["high_density_ratio_max"] == (max(finite) if finite else 0.0)
+            # the interval ending at the lowest breakpoint is empty
+            assert all(rep.lam_table[key][0] == 0 for key in (
+                "lhs", "term1", "term2", "f_boundary", "n_q0", "n_q1", "n_q2"))
+
+    def test_q01_face_against_a_q2_only_cell(self):
+        # cells 4..7 form a q0 cube up to 1.25 and cells 8..15 a q2 cube up
+        # to 2; the face between cells 7 and 8 bounds the q0+q1 union outside
+        # the level set while its outer cell lies in the full union
+        from conftest import per_level_columns
+
+        vals = np.zeros(16)
+        vals[4], vals[15] = 5.0, 16.0
+        f = grid_from_array(vals)
+        fam = CubeFamily([GridCube((4,), 4), GridCube((8,), 8)]).with_averages(f)
+        rep = theorem_main_evaluate(f, fam, deep=False)
+        assert list(rep.lam_table["lam"]) == [0.0, 1.25, 2.0, 5.0, 16.0]
+        assert list(rep.lam_table["term1"]) == [0, 1, 0, 0, 0]
+        assert list(rep.lam_table["term2"]) == [0, 1, 1, 0, 0]
+        assert list(rep.lam_table["lhs"]) == [0, 0, 1, 0, 0]
+        want = per_level_columns(f, fam, rep.lam_table["lam"])
+        for key in ("lhs", "term1", "term2", "f_boundary"):
+            assert np.array_equal(rep.lam_table[key], getattr(want, f"{key}_measure"))
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_columns_match_per_level_loop(self, rng, d):
+        # the interval columns against the per-breakpoint loop they replace,
+        # float for float at a cell width other than 1
+        from cubemax import maximal_cube_reduction
+        from cubemax.generators import make_function, random_complete_family
+        from conftest import per_level_columns
+
+        dims = ({1: 64, 2: 16, 3: 8}[d],) * d
+        for cls in ("simple", "spikes", "random-smooth", "indicator"):
+            f = make_function(rng, cls, dims, 0.37)
+            fam = random_complete_family(rng, dims, 5).with_averages(f)
+            rep = theorem_main_evaluate(f, fam, deep=False)
+            bps = rep.lam_table["lam"]
+            want = per_level_columns(f, maximal_cube_reduction(fam, f), bps)
+            for key in ("n_q0", "n_q1", "n_q2"):
+                assert np.array_equal(rep.lam_table[key], getattr(want, key))
+            for key in ("lhs", "term1", "term2", "f_boundary"):
+                assert np.array_equal(rep.lam_table[key], getattr(want, f"{key}_measure"))
+            finite = want.hd_ratios[np.isfinite(want.hd_ratios)]
+            assert rep.subterms["high_density_ratio_max"] == float(np.max(finite))
 
 
 class TestAncestorMax:

@@ -1,6 +1,10 @@
-"""The library must not rely on checks that ``python -O`` strips."""
+"""The library must not rely on checks that ``python -O`` strips, and
+importing it must stay light."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import cubemax
@@ -30,3 +34,13 @@ def test_no_assert_statements_or_assertion_errors():
 def test_scan_finds_both_forms():
     tree = ast.parse("assert x\nraise AssertionError('no')\nraise AssertionError\n")
     assert _stripped_checks(tree) == [1, 2, 3]
+
+
+def test_package_import_loads_no_scipy_submodules():
+    # scipy.ndimage and scipy.spatial cost about 37 MB and 0.5 s to import;
+    # only geom.lipschitz_blowup_check needs one, and imports it itself
+    code = ("import sys, cubemax.cli, cubemax.geom; "
+            "print(sorted(m for m in sys.modules if m.startswith(('scipy.ndimage', 'scipy.spatial'))))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": str(SRC.parent)})
+    assert out.stdout.strip() == "[]"

@@ -149,6 +149,24 @@ class TestLevelSweep:
                 found += len(union)
         assert found > 0
 
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_q2_boundary_column_matches_every_breakpoint(self, rng, d):
+        # painted only where the q2 class changes, carried in between; the
+        # oracle paints the from-scratch q2 union at every breakpoint
+        dims = ({1: 32, 2: 12, 3: 6}[d],) * d
+        found = 0
+        for cls in ("spikes", "simple", "random-smooth"):
+            f = make_function(rng, cls, dims, 1.0)
+            for fam in (random_complete_family(rng, dims, 4), random_family(rng, dims, 8, pow2=False)):
+                split = density_levels(f, fam)
+                bps = lambda_breakpoints(f, split.family.averages)
+                want = [perimeter(partition_from_scratch(f, split.family, lam).union_q2).face_count
+                        for lam in bps]
+                got = split.q2_boundary_faces(bps)
+                assert got.tolist() == want
+                found += int(np.count_nonzero(got))
+        assert found > 0
+
     def test_partitions_keep_their_unions_after_the_sweep_moves_on(self, rng):
         f, fam = random_instance(rng)
         split = density_levels(f, fam)
