@@ -8,7 +8,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import NonDyadicSide
+from .errors import NonDyadicSide, PremiseViolated
 from .grid import GridFunction, PixelSet
 from .sat import SummedAreaTable
 
@@ -255,6 +255,15 @@ def family_averages(f: GridFunction, cubes: Sequence[GridCube] | CubeFamily,
     if sat is None:
         sat = SummedAreaTable(f.array)
     return sat.box_avg_many(*cube_arrays(cubes, f.d))
+
+
+def require_finite_averages(fam: CubeFamily) -> None:
+    """Raise :class:`PremiseViolated` at the first cube whose average is not
+    finite; its breakpoint would make every level integral NaN."""
+    bad = np.flatnonzero(~np.isfinite(fam.averages))
+    if bad.size:
+        raise PremiseViolated(f"cube {fam[int(bad[0])]} has the non-finite average "
+                              f"{float(fam.averages[bad[0]])!r}")
 
 
 def dyadic_descendants(q0: GridCube) -> CubeFamily:

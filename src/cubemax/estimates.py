@@ -36,13 +36,13 @@ from .cubes import (
     is_dyadically_complete,
     is_power_of_two,
     maximal_cube_reduction,
+    require_finite_averages,
     row_blocks,
 )
 from .errors import (
     InvariantViolated,
     NotDyadicallyComplete,
     PreconditionDensity,
-    PremiseViolated,
     ZeroVariationInput,
 )
 from .grid import (
@@ -270,10 +270,7 @@ def theorem_main_evaluate(f: GridFunction, fam: CubeFamily, *,
 
     fam = fam if fam.averages is not None else fam.with_averages(f)
     red = maximal_cube_reduction(fam, f)
-    if not np.all(np.isfinite(red.averages)):
-        bad = int(np.argmax(~np.isfinite(red.averages)))
-        raise PremiseViolated(f"cube {red[bad]} has the non-finite average "
-                              f"{float(red.averages[bad])!r}")
+    require_finite_averages(red)
 
     bps = lambda_breakpoints(f, red.averages)
     split = density_levels(f, red)

@@ -1,9 +1,9 @@
 """Uncentered maximal operators over grid cubes: global, family, and masked-local.
 
 The global operator is computed per side length: a prefix-sum table yields the
-average map over anchors, and d separable trailing-window maxima (the van
-Herk / Gil-Werman block trick) spread each average to every cell the cube
-covers.  Cost is O(cells * d) per side length, independent of the side.
+average map over anchors, and d separable trailing-window maxima spread each
+average to every cell the cube covers.  Each window max is taken in place by
+doubling shifts, so the cost is O(cells * d * log side) per side length.
 All candidate averages come from one shared table, so a brute-force
 enumeration over cubes reproduces the result bit for bit.
 """
@@ -43,32 +43,23 @@ class MaxFunction:
         return self.func.array
 
 
-def _sliding_max_trailing(a: np.ndarray, window: int, axis: int) -> np.ndarray:
-    """Max over the trailing window [i-window+1, i] along ``axis``; -inf beyond edges."""
-    if window == 1:
-        return a
-    a = np.moveaxis(a, axis, -1)
-    n = a.shape[-1]
-    lead = np.full(a.shape[:-1] + (window - 1,), NEG_INF)
-    w = np.concatenate((lead, a), axis=-1)
-    m = w.shape[-1]
-    pad = (-m) % window
-    if pad:
-        tail = np.full(a.shape[:-1] + (pad,), NEG_INF)
-        w = np.concatenate((w, tail), axis=-1)
-    blocks = w.reshape(a.shape[:-1] + (-1, window))
-    pre = np.maximum.accumulate(blocks, axis=-1).reshape(w.shape)
-    suf = np.maximum.accumulate(blocks[..., ::-1], axis=-1)[..., ::-1].reshape(w.shape)
-    out = np.maximum(suf[..., :n], pre[..., window - 1:window - 1 + n])
-    return np.moveaxis(out, -1, axis)
-
-
 def _spread_anchor_max(avg: np.ndarray, side: int, dims: tuple[int, ...]) -> np.ndarray:
-    """From an anchor-indexed average map, the per-cell max over covering anchors."""
+    """From an anchor-indexed average map, the per-cell max over covering anchors.
+
+    Along each axis the trailing window of ``side`` cells grows in place by
+    doubling: a window of ``span`` cells and its copy shifted by
+    ``s <= span`` make a window of ``span + s``.  numpy reads overlapping
+    ufunc operands as they were before the call, so each shift is exact.
+    """
     full = np.full(dims, NEG_INF)
     full[tuple(slice(0, n) for n in avg.shape)] = avg
     for ax in range(len(dims)):
-        full = _sliding_max_trailing(full, side, ax)
+        line = np.moveaxis(full, ax, 0)
+        span = 1
+        while span < side:
+            s = min(span, side - span)
+            np.maximum(line[s:], line[:-s], out=line[s:])
+            span += s
     return full
 
 

@@ -29,7 +29,13 @@ class SummedAreaTable:
     compensated summation.  All query paths share one corner-accumulation
     order, so a scalar query and the corresponding slice of a vectorized
     query are bit-identical.
+
+    A NaN cell enters the float table as 0, and an integer table of NaN
+    counts, kept only when there is a NaN cell, makes exactly the boxes that
+    hold one sum to NaN; no other box sum depends on the NaN cells.
     """
+
+    nan_counts: SummedAreaTable | None = None
 
     def __init__(self, array: np.ndarray):
         arr = np.asarray(array)
@@ -43,6 +49,10 @@ class SummedAreaTable:
         else:
             table = np.zeros(tuple(n + 1 for n in arr.shape), dtype=np.float64)
             core = arr.astype(np.float64, copy=True)
+            nan = np.isnan(core)
+            if nan.any():
+                self.nan_counts = SummedAreaTable(nan)
+                core[nan] = 0.0
             for ax in range(self.d):
                 core = _compensated_cumsum(core, ax)
             table[(slice(1, None),) * self.d] = core
@@ -62,6 +72,8 @@ class SummedAreaTable:
                        for k, a in enumerate(anchor))
             term = self.table[ix]
             acc = sign * term if acc is None else acc + sign * term
+        if self.nan_counts is not None and self.nan_counts.box_sum(anchor, side):
+            return np.float64(np.nan)
         return acc
 
     def box_sum_grid(self, side: int) -> np.ndarray:
@@ -72,6 +84,8 @@ class SummedAreaTable:
                        for k, n in enumerate(self.dims))
             term = self.table[sl]
             acc = sign * term if acc is None else acc + sign * term
+        if self.nan_counts is not None:
+            acc[self.nan_counts.box_sum_grid(side) > 0] = np.nan
         return acc
 
     def box_sum_many(self, anchors: np.ndarray, sides) -> np.ndarray:
@@ -89,6 +103,8 @@ class SummedAreaTable:
                        for k in range(self.d))
             term = self.table[ix]
             acc = sign * term if acc is None else acc + sign * term
+        if self.nan_counts is not None:
+            acc[self.nan_counts.box_sum_many(anchors, sides) > 0] = np.nan
         return acc
 
     def box_avg(self, anchor, side: int) -> float:

@@ -17,6 +17,7 @@ from .cubes import (
     cube_bounds,
     cube_contains,
     dilate_bounds,
+    require_finite_averages,
     row_blocks,
     scale_indices,
 )
@@ -152,6 +153,7 @@ def significant_mass_bound(f: GridFunction, fam: CubeFamily) -> tuple[float, flo
     constant of the sparse reduction inequality.
     """
     split = density_levels(f, fam)
+    require_finite_averages(split.family)
     bps = lambda_breakpoints(f, split.family.averages)
     q2_terms = split.q2_boundary_faces(bps) * float(f.h) ** (f.d - 1)
     lhs = integrate_breakpoints(bps, q2_terms)

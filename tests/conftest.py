@@ -130,6 +130,27 @@ def per_level_columns(f, red, bps):
     return SimpleNamespace(**out)
 
 
+def van_herk_spread(avg, side, dims):
+    """Oracle for ``maximal._spread_anchor_max``: the van Herk / Gil-Werman
+    block pass.  Per axis it pads with -inf to whole windows and takes the
+    max of a block suffix max and a block prefix max."""
+    full = np.full(dims, -np.inf)
+    full[tuple(slice(0, n) for n in avg.shape)] = avg
+    if side == 1:
+        return full
+    for ax in range(len(dims)):
+        a = np.moveaxis(full, ax, -1)
+        n = a.shape[-1]
+        w = np.concatenate((np.full(a.shape[:-1] + (side - 1,), -np.inf), a), axis=-1)
+        pad = (-w.shape[-1]) % side
+        w = np.concatenate((w, np.full(a.shape[:-1] + (pad,), -np.inf)), axis=-1)
+        blocks = w.reshape(a.shape[:-1] + (-1, side))
+        pre = np.maximum.accumulate(blocks, axis=-1).reshape(w.shape)
+        suf = np.maximum.accumulate(blocks[..., ::-1], axis=-1)[..., ::-1].reshape(w.shape)
+        full = np.moveaxis(np.maximum(suf[..., :n], pre[..., side - 1:side - 1 + n]), -1, ax)
+    return full
+
+
 def union_by_slices(cubes, dims):
     """Oracle for ``CubeFamily.union_pixels``: paint each cube's slices."""
     u = np.zeros(tuple(dims), dtype=bool)

@@ -274,13 +274,13 @@ class TestTheoremEvaluate:
             theorem_main_evaluate(f, fam, deep=False)
 
     def test_nan_average_rejected(self):
-        # a NaN cell makes the prefix-sum averages of later cubes NaN too;
-        # a NaN breakpoint would make both sides NaN, so the evaluator stops
+        # the cubes that hold the NaN cell average to NaN; a NaN breakpoint
+        # would make both sides NaN, so the evaluator stops
         vals = np.arange(16.0).reshape(4, 4)
         vals[0, 0] = np.nan
         f = grid_from_array(vals)
         fam = dyadic_descendants(GridCube((0, 0), 4)).with_averages(f)
-        with pytest.raises(PremiseViolated, match="non-finite average"):
+        with pytest.raises(PremiseViolated, match=r"side=4\) has the non-finite average nan"):
             theorem_main_evaluate(f, fam, deep=False)
 
     def test_indicator_cross_check_direct_sums(self):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cubemax import (
     CubeFamily,
@@ -12,7 +14,14 @@ from cubemax import (
     superlevel,
 )
 from cubemax.errors import EmptyDomain, ZeroVariationInput
-from cubemax.maximal import maximal_family, maximal_global, maximal_local, variation_ratio
+from cubemax.maximal import (
+    _spread_anchor_max,
+    maximal_family,
+    maximal_global,
+    maximal_local,
+    variation_ratio,
+)
+from conftest import van_herk_spread
 
 
 def brute_force_global(f):
@@ -26,6 +35,28 @@ def brute_force_global(f):
             region = out[tuple(slice(a, a + side) for a in anchor)]
             np.maximum(region, v, out=region)
     return out
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_spread_matches_oracles(d, data):
+    # every side from 1 to min(dims), so sides 2^k - 1, 2^k, 2^k + 1 and
+    # side = n all occur; integer values with -inf holes make ties and
+    # inadmissible anchors
+    dims = tuple(data.draw(st.lists(st.integers(1, {1: 40, 2: 17, 3: 9}[d]),
+                                    min_size=d, max_size=d), label="dims"))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1), label="seed"))
+    for side in range(1, min(dims) + 1):
+        shape = tuple(n - side + 1 for n in dims)
+        avg = np.where(rng.random(shape) < 0.2, -np.inf, rng.integers(-8, 8, shape).astype(float))
+        got = _spread_anchor_max(avg, side, dims)
+        assert np.array_equal(got, van_herk_spread(avg, side, dims))
+        want = np.full(dims, -np.inf)
+        for anchor in np.ndindex(*shape):
+            region = want[tuple(slice(a, a + side) for a in anchor)]
+            np.maximum(region, avg[anchor], out=region)
+        assert np.array_equal(got, want)
 
 
 class TestSummedAreaTable:
@@ -145,24 +176,29 @@ class TestMaximalLocal:
         with pytest.raises(EmptyDomain):
             maximal_local(f, PixelSet.empty((3, 3)))
 
-    def test_brute_force_small(self, rng):
-        for _ in range(10):
-            dims = (5, 5)
-            f = grid_from_array(rng.integers(0, 4, dims).astype(float))
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_brute_force_small(self, rng, d):
+        # every admissible cube's average from the shared table, as C02 does
+        # for the global operator; half the inputs are NaN off omega
+        for trial in range(10):
+            dims = tuple(int(rng.integers(1, {1: 17, 2: 8, 3: 6}[d])) for _ in range(d))
             omega = rng.random(dims) < 0.8
             if not omega.any():
                 continue
+            vals = rng.random(dims)
+            if trial % 2:
+                vals[~omega] = np.nan
+            f = GridFunction(dims, 1.0, vals.ravel())
             got = maximal_local(f, PixelSet(dims, omega)).array
-            want = np.full(dims, -np.inf)
-            for side in range(1, 6):
-                for anchor in np.ndindex(5 - side + 1, 5 - side + 1):
+            sat = SummedAreaTable(vals)
+            want = np.where(omega, vals, -np.inf)
+            for side in range(1, min(dims) + 1):
+                for anchor in np.ndindex(*[n - side + 1 for n in dims]):
                     sl = tuple(slice(a, a + side) for a in anchor)
                     if omega[sl].all():
-                        want[sl] = np.maximum(want[sl], float(np.mean(f.array[sl])))
+                        want[sl] = np.maximum(want[sl], sat.box_avg(anchor, side))
             want[~omega] = np.nan
-            assert np.array_equal(np.isnan(got), np.isnan(want))
-            ok = ~np.isnan(want)
-            assert np.allclose(got[ok], want[ok], rtol=1e-12)
+            assert np.array_equal(got, want, equal_nan=True)
 
 
 class TestVariationRatio:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from cubemax import SummedAreaTable
+from cubemax import GridCube, SummedAreaTable, family_averages, grid_from_array
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
@@ -21,3 +21,42 @@ def test_mixed_sides_bit_equal_to_scalar_queries(rng, d, kind):
     assert np.array_equal(avg, [sat.box_avg(tuple(a), int(s)) for a, s in zip(anchors, sides)])
     # a scalar side broadcasts to every anchor
     assert np.array_equal(sat.box_sum_many(anchors, 1), [sat.box_sum(tuple(a), 1) for a in anchors])
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_nan_cells_make_only_their_boxes_nan(rng, d):
+    dims = (11, 9, 7)[:d]
+    arr = rng.random(dims) * 10 - 5
+    nan = rng.random(dims) < 0.05
+    nan.flat[rng.integers(nan.size)] = True
+    arr[nan] = np.nan
+    sat = SummedAreaTable(arr)
+    zeroed = SummedAreaTable(np.where(nan, 0.0, arr))
+    assert zeroed.nan_counts is None
+    assert np.array_equal(sat.table, zeroed.table)
+    for side in range(1, min(dims) + 1):
+        windows = np.lib.stride_tricks.sliding_window_view(nan, (side,) * d)
+        holds = windows.reshape(windows.shape[:d] + (-1,)).any(axis=-1)
+        for got, want in ((sat.box_sum_grid(side), zeroed.box_sum_grid(side)),
+                          (sat.box_avg_grid(side), zeroed.box_avg_grid(side))):
+            assert np.array_equal(np.isnan(got), holds)
+            assert np.array_equal(got[~holds], want[~holds])
+    sides = rng.integers(1, min(dims) + 1, 200)
+    anchors = np.stack([rng.integers(0, np.array(dims)[k] - sides + 1) for k in range(d)], axis=1)
+    holds = [nan[tuple(slice(x, x + s) for x in a)].any() for a, s in zip(anchors, sides)]
+    got = sat.box_sum_many(anchors, sides)
+    assert np.array_equal(np.isnan(got), holds)
+    assert np.array_equal(got, [sat.box_sum(tuple(a), int(s)) for a, s in zip(anchors, sides)],
+                          equal_nan=True)
+    assert np.array_equal(sat.box_avg_many(anchors, sides),
+                          [sat.box_avg(tuple(a), int(s)) for a, s in zip(anchors, sides)],
+                          equal_nan=True)
+
+
+def test_nan_cell_leaves_other_cubes_finite():
+    vals = np.arange(16.0).reshape(4, 4)
+    vals[0, 0] = np.nan
+    f = grid_from_array(vals)
+    cubes = [GridCube((0, 2), 2), GridCube((2, 0), 2), GridCube((2, 2), 2)]
+    assert family_averages(f, cubes).tolist() == [4.5, 10.5, 12.5]
+    assert np.isnan(family_averages(f, [GridCube((0, 0), 2)])[0])

@@ -123,6 +123,16 @@ class TestSignificantMass:
         lhs, rhs = significant_mass_bound(f, fam)
         assert lhs == 0.0
 
+    def test_nan_average_rejected(self):
+        # the same premise as the evaluator's: a NaN breakpoint would make
+        # the level integral NaN
+        vals = np.arange(16.0).reshape(4, 4)
+        vals[0, 0] = np.nan
+        f = grid_from_array(vals)
+        fam = dyadic_descendants(GridCube((0, 0), 4))
+        with pytest.raises(PremiseViolated, match=r"side=4\) has the non-finite average nan"):
+            significant_mass_bound(f, fam)
+
     def test_indicator_ratio_finite(self, rng):
         vals = np.zeros((8, 8))
         vals[0, 0] = 32.0
