@@ -31,7 +31,7 @@ from .generators import (
     random_family,
 )
 from .grid import GridFunction, PixelSet, variation
-from .maximal import maximal_family, maximal_global, maximal_local, variation_ratio
+from .maximal import maximal_family, maximal_global, maximal_local, nonzero_variation
 from .sparse import (
     accumulate_q2_cubes,
     default_contraction,
@@ -159,11 +159,12 @@ def run_ratio_suite(cfg: ExperimentConfig) -> dict:
     def one(k: int) -> tuple[float, bool]:
         rng = _instance_rng(cfg.seed, k)
         f = make_function(rng, cfg.function_class, cfg.dims, cfg.h)
-        ratio = variation_ratio(f, maximal_global(f))
+        var_mf = variation(maximal_global(f).func)
+        ratio = var_mf / nonzero_variation(f)
         g = make_function(rng, cfg.function_class, cfg.dims, cfg.h)
         fg = GridFunction(f.dims, f.h, f.values + g.values)
         superadd = variation(maximal_global(fg).func) > \
-            variation(maximal_global(f).func) + variation(maximal_global(g).func)
+            var_mf + variation(maximal_global(g).func)
         return ratio, superadd
 
     rows = _parallel(one, cfg.repetitions, cfg.threads)

@@ -1,11 +1,19 @@
 """Uncentered maximal operators over grid cubes: global, family, and masked-local.
 
-The global operator is computed per side length: a prefix-sum table yields the
-average map over anchors, and d separable trailing-window maxima spread each
-average to every cell the cube covers.  Each window max is taken in place by
-doubling shifts, so the cost is O(cells * d * log side) per side length.
-All candidate averages come from one shared table, so a brute-force
-enumeration over cubes reproduces the result bit for bit.
+The global and masked-local operators share one descent over side lengths.
+Let A_s be the map of side-``s`` cube averages over anchors and T_s the max
+of A over every cube of side at least s that contains the side-``s`` cube at
+each anchor.  A cube of side s' > s that contains (a, s) contains one of the
+at most 2^d cubes of side s + 1 anchored in {a - 1, a}^d, and each of those
+contains (a, s); so T_s = max(A_s, T_{s+1} widened by one cell per axis),
+where widening takes the max of two neighbours.  The descent starts with
+T_S = A_S at the largest side S that has a candidate cube (min(dims) for the
+global operator, the largest admissible side for the masked-local one), and
+the maximal function is max(f, T_1).
+Max is exact and order-free, so the result is bit for bit the brute-force
+max over all cubes when every average comes from the one shared table, and a
+NaN average reaches exactly the cells its cube covers.  Each side costs
+O(cells * d) on arrays that shrink as the side grows.
 """
 
 from __future__ import annotations
@@ -43,35 +51,44 @@ class MaxFunction:
         return self.func.array
 
 
-def _spread_anchor_max(avg: np.ndarray, side: int, dims: tuple[int, ...]) -> np.ndarray:
-    """From an anchor-indexed average map, the per-cell max over covering anchors.
+def _widen(t: np.ndarray, ax: int) -> np.ndarray:
+    """One cell longer along ``ax``: each inner entry is the max of its two
+    neighbours in ``t`` and the two end rows are copied."""
+    shape = list(t.shape)
+    shape[ax] += 1
+    w = np.empty(shape)
+    src, dst = np.moveaxis(t, ax, 0), np.moveaxis(w, ax, 0)
+    np.maximum(src[:-1], src[1:], out=dst[1:-1])
+    dst[0] = src[0]
+    dst[-1] = src[-1]
+    return w
 
-    Along each axis the trailing window of ``side`` cells grows in place by
-    doubling: a window of ``span`` cells and its copy shifted by
-    ``s <= span`` make a window of ``span + s``.  numpy reads overlapping
-    ufunc operands as they were before the call, so each shift is exact.
+
+def _max_over_containing_cubes(avg_at, top: int) -> np.ndarray:
+    """Per cell, the max of the side-``s`` anchor maps ``avg_at(s)`` over every
+    cube of side ``1 <= s <= top`` that covers it, by descent from ``top``.
+
+    ``avg_at(s)`` returns a fresh array of shape dims - s + 1, which the
+    descent overwrites; the widening of the last axis is folded into it by
+    two in-place maxima.
     """
-    full = np.full(dims, NEG_INF)
-    full[tuple(slice(0, n) for n in avg.shape)] = avg
-    for ax in range(len(dims)):
-        line = np.moveaxis(full, ax, 0)
-        span = 1
-        while span < side:
-            s = min(span, side - span)
-            np.maximum(line[s:], line[:-s], out=line[s:])
-            span += s
-    return full
+    t = avg_at(top)
+    for side in range(top - 1, 0, -1):
+        a = avg_at(side)
+        for ax in range(a.ndim - 1):
+            t = _widen(t, ax)
+        np.maximum(a[..., :-1], t, out=a[..., :-1])
+        np.maximum(a[..., 1:], t, out=a[..., 1:])
+        t = a
+    return t
 
 
 def maximal_global(f: GridFunction) -> MaxFunction:
     """max(f(x), sup of averages over every grid cube containing x)."""
-    dims = f.dims
     sat = SummedAreaTable(f.array)
-    out = f.array.copy()
-    for side in range(1, min(dims) + 1):
-        avg = sat.box_avg_grid(side)
-        np.maximum(out, _spread_anchor_max(avg, side, dims), out=out)
-    return MaxFunction(GridFunction(dims, f.h, out.ravel()), "global")
+    out = _max_over_containing_cubes(sat.box_avg_grid, min(f.dims))
+    np.maximum(f.array, out, out=out)
+    return MaxFunction(GridFunction(f.dims, f.h, out.ravel()), "global")
 
 
 def maximal_family(f: GridFunction, fam: CubeFamily, include_f: bool = True) -> MaxFunction:
@@ -101,25 +118,38 @@ def maximal_local(f: GridFunction, omega: PixelSet) -> MaxFunction:
     dims = f.dims
     satf = SummedAreaTable(f.array)
     satm = SummedAreaTable(omega.mask.astype(np.int64))
+
+    def admissible(side: int) -> np.ndarray:
+        return satm.box_sum_grid(side) == side ** len(dims)
+
+    # the sub-cubes of an admissible cube are admissible, so the sides with an
+    # admissible anchor are 1..top; bisect for top
+    top, hi = 1, min(dims)
+    while top < hi:
+        mid = (top + hi + 1) // 2
+        if admissible(mid).any():
+            top = mid
+        else:
+            hi = mid - 1
+    acc = _max_over_containing_cubes(
+        lambda side: np.where(admissible(side), satf.box_avg_grid(side), NEG_INF), top)
     # a single cell is an admissible cube at every omega cell and its average
     # is the exact cell value, free of prefix-sum roundoff
-    acc = np.where(omega.mask, f.array, NEG_INF)
-    for side in range(1, min(dims) + 1):
-        counts = satm.box_sum_grid(side)
-        admissible = counts == side ** len(dims)
-        if not admissible.any():
-            break  # an inadmissible side stays inadmissible at larger sides
-        avg = np.where(admissible, satf.box_avg_grid(side), NEG_INF)
-        np.maximum(acc, _spread_anchor_max(avg, side, dims), out=acc)
+    np.maximum(np.where(omega.mask, f.array, NEG_INF), acc, out=acc)
     out = np.where(omega.mask, acc, np.nan)
     return MaxFunction(GridFunction(dims, f.h, out.ravel()), "local-masked", omega)
+
+
+def nonzero_variation(f: GridFunction, mask: PixelSet | None = None) -> float:
+    """variation(f) as the denominator of a ratio: a constant input raises."""
+    var_f = variation(f, mask)
+    if var_f == 0.0:
+        raise ZeroVariationInput("input function is constant on the domain")
+    return var_f
 
 
 def variation_ratio(f: GridFunction, mf: MaxFunction, mask: PixelSet | None = None) -> float:
     """variation(M f) / variation(f) over a common domain."""
     if mask is None:
         mask = mf.domain
-    var_f = variation(f, mask)
-    if var_f == 0.0:
-        raise ZeroVariationInput("input function is constant on the domain")
-    return variation(mf.func, mask) / var_f
+    return variation(mf.func, mask) / nonzero_variation(f, mask)

@@ -6,20 +6,30 @@ import numpy as np
 
 
 def _compensated_cumsum(a: np.ndarray, axis: int) -> np.ndarray:
-    """Neumaier-compensated running sums along one axis."""
-    a = np.moveaxis(a, axis, 0)
-    out = np.empty_like(a)
-    s = np.array(a[0], dtype=np.float64, copy=True)
-    c = np.zeros_like(s)
-    out[0] = s
-    for i in range(1, a.shape[0]):
-        x = a[i]
-        t = s + x
-        swap = np.abs(s) >= np.abs(x)
-        c = c + np.where(swap, (s - t) + x, (x - t) + s)
-        s = t
-        out[i] = s + c
-    return np.moveaxis(out, 0, axis)
+    """Neumaier-compensated running sums along one axis.
+
+    The running sums are ``np.cumsum`` (numpy accumulates left to right), the
+    error of each step follows from the sums before and after it, and the
+    running total of those errors, started at 0, corrects every sum after the
+    first.  Two scratch arrays of the input's size hold the errors.
+    """
+    a = np.moveaxis(np.asarray(a, dtype=np.float64), axis, 0)
+    s = np.cumsum(a, axis=0)
+    prev, x, t = s[:-1], a[1:], s[1:]
+    err = np.empty_like(s)
+    err[0] = 0.0
+    step, other = err[1:], np.empty_like(x)
+    np.abs(prev, out=step)
+    np.abs(x, out=other)
+    swap = step >= other
+    np.subtract(prev, t, out=step)
+    step += x
+    np.subtract(x, t, out=other)
+    other += prev
+    np.copyto(step, other, where=~swap)
+    np.cumsum(err, axis=0, out=err)
+    t += err[1:]
+    return np.moveaxis(s, 0, axis)
 
 
 class SummedAreaTable:
@@ -47,7 +57,6 @@ class SummedAreaTable:
             for ax in range(self.d):
                 np.cumsum(table, axis=ax, out=table)
         else:
-            table = np.zeros(tuple(n + 1 for n in arr.shape), dtype=np.float64)
             core = arr.astype(np.float64, copy=True)
             nan = np.isnan(core)
             if nan.any():
@@ -55,6 +64,7 @@ class SummedAreaTable:
                 core[nan] = 0.0
             for ax in range(self.d):
                 core = _compensated_cumsum(core, ax)
+            table = np.zeros(tuple(n + 1 for n in arr.shape), dtype=np.float64)
             table[(slice(1, None),) * self.d] = core
         self.table = table
         # corner order is fixed: ascending bitmask over axes

@@ -130,10 +130,29 @@ def per_level_columns(f, red, bps):
     return SimpleNamespace(**out)
 
 
+def doubling_spread(avg, side, dims):
+    """Oracle for one side of ``maximal._max_over_containing_cubes``: the
+    per-cell max over the side-``side`` cubes that cover it.  Along each axis
+    the trailing window grows in place by doubling: a window of ``span``
+    cells and its copy shifted by ``s <= span`` make a window of
+    ``span + s`` (numpy reads overlapping ufunc operands as they were before
+    the call)."""
+    full = np.full(dims, -np.inf)
+    full[tuple(slice(0, n) for n in avg.shape)] = avg
+    for ax in range(len(dims)):
+        line = np.moveaxis(full, ax, 0)
+        span = 1
+        while span < side:
+            s = min(span, side - span)
+            np.maximum(line[s:], line[:-s], out=line[s:])
+            span += s
+    return full
+
+
 def van_herk_spread(avg, side, dims):
-    """Oracle for ``maximal._spread_anchor_max``: the van Herk / Gil-Werman
-    block pass.  Per axis it pads with -inf to whole windows and takes the
-    max of a block suffix max and a block prefix max."""
+    """Oracle for one side of ``maximal._max_over_containing_cubes``: the van
+    Herk / Gil-Werman block pass.  Per axis it pads with -inf to whole
+    windows and takes the max of a block suffix max and a block prefix max."""
     full = np.full(dims, -np.inf)
     full[tuple(slice(0, n) for n in avg.shape)] = avg
     if side == 1:
@@ -149,6 +168,24 @@ def van_herk_spread(avg, side, dims):
         suf = np.maximum.accumulate(blocks[..., ::-1], axis=-1)[..., ::-1].reshape(w.shape)
         full = np.moveaxis(np.maximum(suf[..., :n], pre[..., side - 1:side - 1 + n]), -1, ax)
     return full
+
+
+def loop_compensated_cumsum(a, axis):
+    """Oracle for ``sat._compensated_cumsum``: Neumaier's running sum, one
+    numpy step per row of the axis."""
+    a = np.moveaxis(a, axis, 0)
+    out = np.empty_like(a)
+    s = np.array(a[0], dtype=np.float64, copy=True)
+    c = np.zeros_like(s)
+    out[0] = s
+    for i in range(1, a.shape[0]):
+        x = a[i]
+        t = s + x
+        swap = np.abs(s) >= np.abs(x)
+        c = c + np.where(swap, (s - t) + x, (x - t) + s)
+        s = t
+        out[i] = s + c
+    return np.moveaxis(out, 0, axis)
 
 
 def union_by_slices(cubes, dims):

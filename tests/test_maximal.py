@@ -15,13 +15,13 @@ from cubemax import (
 )
 from cubemax.errors import EmptyDomain, ZeroVariationInput
 from cubemax.maximal import (
-    _spread_anchor_max,
+    _max_over_containing_cubes,
     maximal_family,
     maximal_global,
     maximal_local,
     variation_ratio,
 )
-from conftest import van_herk_spread
+from conftest import doubling_spread, van_herk_spread
 
 
 def brute_force_global(f):
@@ -37,26 +37,71 @@ def brute_force_global(f):
     return out
 
 
+def brute_force_local(vals, omega):
+    """Oracle: every admissible cube's average from the shared table, spread
+    over its cells; NaN off omega."""
+    sat = SummedAreaTable(vals)
+    want = np.where(omega, vals, -np.inf)
+    for side in range(1, min(omega.shape) + 1):
+        for anchor in np.ndindex(*[n - side + 1 for n in omega.shape]):
+            sl = tuple(slice(a, a + side) for a in anchor)
+            if omega[sl].all():
+                want[sl] = np.maximum(want[sl], sat.box_avg(anchor, side))
+    want[~omega] = np.nan
+    return want
+
+
+def random_anchor_maps(rng, dims, top, nan_frac):
+    """Integer anchor maps for sides 1..top with -inf holes (ties and
+    inadmissible anchors) and NaN anchors."""
+    avgs = {}
+    for side in range(1, top + 1):
+        shape = tuple(n - side + 1 for n in dims)
+        avg = rng.integers(-8, 8, shape).astype(float)
+        avg[rng.random(shape) < 0.2] = -np.inf
+        avg[rng.random(shape) < nan_frac] = np.nan
+        avgs[side] = avg
+    return avgs
+
+
+def check_descent(avgs, dims):
+    """The descent against the per-side doubling and van Herk spreads and a
+    per-anchor loop, bit for bit, NaN cells included."""
+    got = _max_over_containing_cubes(lambda side: avgs[side].copy(), max(avgs))
+    assert got.shape == dims
+    for spread in (doubling_spread, van_herk_spread):
+        want = np.full(dims, -np.inf)
+        for side, avg in avgs.items():
+            np.maximum(want, spread(avg, side, dims), out=want)
+        assert np.array_equal(got, want, equal_nan=True)
+    want = np.full(dims, -np.inf)
+    for side, avg in avgs.items():
+        for anchor in np.ndindex(*avg.shape):
+            region = want[tuple(slice(a, a + side) for a in anchor)]
+            np.maximum(region, avg[anchor], out=region)
+    assert np.array_equal(got, want, equal_nan=True)
+
+
 @pytest.mark.parametrize("d", [1, 2, 3])
 @given(data=st.data())
 @settings(max_examples=40, deadline=None)
 def test_spread_matches_oracles(d, data):
-    # every side from 1 to min(dims), so sides 2^k - 1, 2^k, 2^k + 1 and
-    # side = n all occur; integer values with -inf holes make ties and
-    # inadmissible anchors
+    # anchor maps for every side from 1 to top; top may lie below min(dims),
+    # as it does for maximal_local
     dims = tuple(data.draw(st.lists(st.integers(1, {1: 40, 2: 17, 3: 9}[d]),
                                     min_size=d, max_size=d), label="dims"))
+    top = data.draw(st.integers(1, min(dims)), label="top")
+    nan_frac = data.draw(st.sampled_from([0.0, 0.03]), label="nan_frac")
     rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1), label="seed"))
-    for side in range(1, min(dims) + 1):
-        shape = tuple(n - side + 1 for n in dims)
-        avg = np.where(rng.random(shape) < 0.2, -np.inf, rng.integers(-8, 8, shape).astype(float))
-        got = _spread_anchor_max(avg, side, dims)
-        assert np.array_equal(got, van_herk_spread(avg, side, dims))
-        want = np.full(dims, -np.inf)
-        for anchor in np.ndindex(*shape):
-            region = want[tuple(slice(a, a + side) for a in anchor)]
-            np.maximum(region, avg[anchor], out=region)
-        assert np.array_equal(got, want)
+    check_descent(random_anchor_maps(rng, dims, top, nan_frac), dims)
+
+
+@pytest.mark.parametrize("dims", [(1,), (2,), (1, 7), (6, 1), (2, 9), (9, 2), (3, 1, 4),
+                                  (4, 4, 1), (6, 3, 5), (2, 7, 3)])
+def test_descent_on_non_cubic_boxes(rng, dims):
+    for top in range(1, min(dims) + 1):
+        for nan_frac in (0.0, 0.1):
+            check_descent(random_anchor_maps(rng, dims, top, nan_frac), dims)
 
 
 class TestSummedAreaTable:
@@ -98,10 +143,15 @@ class TestMaximalGlobal:
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_oracle_equivalence_exact(self, rng, d):
-        for _ in range(12):
+        # half the inputs hold one or two NaN cells, whose NaN must reach
+        # exactly the cells of the cubes that hold them
+        for trial in range(12):
             dims = tuple(int(rng.integers(2, {1: 13, 2: 13, 3: 9}[d])) for _ in range(d))
-            f = GridFunction(dims, 1.0, rng.random(dims).ravel())
-            assert np.array_equal(maximal_global(f).array, brute_force_global(f))
+            vals = rng.random(dims)
+            if trial % 2:
+                vals.flat[rng.integers(vals.size, size=int(rng.integers(1, 3)))] = np.nan
+            f = GridFunction(dims, 1.0, vals.ravel())
+            assert np.array_equal(maximal_global(f).array, brute_force_global(f), equal_nan=True)
 
     def test_monotone_in_argument(self, rng):
         a = rng.random((7, 7))
@@ -190,15 +240,35 @@ class TestMaximalLocal:
                 vals[~omega] = np.nan
             f = GridFunction(dims, 1.0, vals.ravel())
             got = maximal_local(f, PixelSet(dims, omega)).array
-            sat = SummedAreaTable(vals)
-            want = np.where(omega, vals, -np.inf)
-            for side in range(1, min(dims) + 1):
-                for anchor in np.ndindex(*[n - side + 1 for n in dims]):
-                    sl = tuple(slice(a, a + side) for a in anchor)
-                    if omega[sl].all():
-                        want[sl] = np.maximum(want[sl], sat.box_avg(anchor, side))
-            want[~omega] = np.nan
-            assert np.array_equal(got, want, equal_nan=True)
+            assert np.array_equal(got, brute_force_local(vals, omega), equal_nan=True)
+
+    @pytest.mark.parametrize("dims,block", [((23,), 5), ((9, 11), 3), ((7, 6, 8), 2)])
+    def test_largest_admissible_side_below_box(self, rng, dims, block):
+        # sparse omega plus one planted block: the descent starts at the
+        # block's side, below min(dims)
+        for _ in range(4):
+            omega = rng.random(dims) < 0.3
+            corner = [int(rng.integers(0, n - block + 1)) for n in dims]
+            omega[tuple(slice(c, c + block) for c in corner)] = True
+            top = max(s for s in range(1, min(dims) + 1)
+                      if SummedAreaTable(omega.astype(np.int64)).box_sum_grid(s).max() == s ** len(dims))
+            assert block <= top < min(dims)
+            vals = rng.random(dims)
+            f = GridFunction(dims, 1.0, vals.ravel())
+            got = maximal_local(f, PixelSet(dims, omega)).array
+            assert np.array_equal(got, brute_force_local(vals, omega), equal_nan=True)
+
+    @pytest.mark.parametrize("dims", [(9,), (6, 7), (4, 5, 3)])
+    def test_only_single_cells_admissible(self, rng, dims):
+        # a parity checkerboard holds no cube of side 2: on omega M f is the
+        # max of f and its side-1 table averages (equal up to roundoff)
+        omega = np.indices(dims).sum(axis=0) % 2 == 0
+        vals = rng.random(dims)
+        f = GridFunction(dims, 1.0, vals.ravel())
+        got = maximal_local(f, PixelSet(dims, omega)).array
+        assert np.array_equal(got, brute_force_local(vals, omega), equal_nan=True)
+        cells = np.maximum(vals, SummedAreaTable(vals).box_avg_grid(1))
+        assert np.array_equal(got[omega], cells[omega])
 
 
 class TestVariationRatio:

@@ -1,7 +1,37 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cubemax import GridCube, SummedAreaTable, family_averages, grid_from_array
+from cubemax.sat import _compensated_cumsum
+from conftest import loop_compensated_cumsum
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_compensated_cumsum_matches_row_loop(d, data):
+    # lengths 1 and 2 on every axis occur; magnitudes span 1e-8 to 1e8 with
+    # both signs and signed zeros, so both Neumaier branches and cancellation
+    # are hit; bit for bit, sign of zero included
+    dims = tuple(data.draw(st.lists(st.integers(1, {1: 64, 2: 12, 3: 6}[d]),
+                                    min_size=d, max_size=d), label="dims"))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1), label="seed"))
+    a = rng.choice([-1.0, 1.0], dims) * 10.0 ** rng.uniform(-8, 8, dims)
+    a[rng.random(dims) < 0.1] = 0.0
+    a[rng.random(dims) < 0.1] = -0.0
+    for axis in range(d):
+        got = _compensated_cumsum(a, axis)
+        assert got.shape == a.shape
+        assert got.tobytes() == loop_compensated_cumsum(a, axis).tobytes()
+
+
+@pytest.mark.parametrize("dims", [(1,), (2,), (1, 5), (5, 2), (2, 1, 3), (1, 1, 1)])
+def test_compensated_cumsum_short_axes(rng, dims):
+    a = rng.choice([-1.0, 1.0], dims) * 10.0 ** rng.uniform(-8, 8, dims)
+    for axis in range(len(dims)):
+        assert _compensated_cumsum(a, axis).tobytes() == loop_compensated_cumsum(a, axis).tobytes()
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
