@@ -61,15 +61,29 @@ def rotation_2d(theta) -> np.ndarray:
 
 
 def rotation_3d(axis, theta) -> np.ndarray:
-    """Rotation by ``theta`` about ``axis`` (Rodrigues); axes of shape
-    (..., 3) and angles of shape (...) give a (..., 3, 3) stack."""
+    """Rotation by ``theta`` about ``axis``; axes of shape (..., 3) and angles
+    of shape (...) give a (..., 3, 3) stack.
+
+    Rodrigues' formula I + sin(theta) K + (1 - cos(theta)) K^2 with K the
+    cross-product matrix of the unit axis k, written entry by entry over the
+    whole stack: K^2 is k_i k_j off the diagonal and minus the other two
+    squares on it.
+    """
     axis = np.asarray(axis, dtype=np.float64)
     kx, ky, kz = np.moveaxis(axis / np.linalg.norm(axis, axis=-1, keepdims=True), -1, 0)
-    zero = np.zeros_like(kx)
-    K = np.stack([zero, -kz, ky, kz, zero, -kx, -ky, kx, zero],
-                 axis=-1).reshape(kx.shape + (3, 3))
-    theta = np.asarray(theta, dtype=np.float64)[..., None, None]
-    return np.eye(3) + np.sin(theta) * K + (1 - np.cos(theta)) * (K @ K)
+    s, t = np.sin(theta), 1 - np.cos(theta)
+    xy, xz, yz = kx * ky, kx * kz, ky * kz
+    out = np.empty(np.broadcast_shapes(kx.shape, np.shape(s)) + (3, 3))
+    out[..., 0, 0] = 1 + t * (-kz * kz - ky * ky)
+    out[..., 0, 1] = t * xy - s * kz
+    out[..., 0, 2] = t * xz + s * ky
+    out[..., 1, 0] = t * xy + s * kz
+    out[..., 1, 1] = 1 + t * (-kz * kz - kx * kx)
+    out[..., 1, 2] = t * yz - s * kx
+    out[..., 2, 0] = t * xz - s * ky
+    out[..., 2, 1] = t * yz + s * kx
+    out[..., 2, 2] = 1 + t * (-ky * ky - kx * kx)
+    return out
 
 
 def _angles(u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -98,14 +112,26 @@ def cube_angle_check(d: int, samples: int, seed: int = 0) -> float:
     return float(ang.max())
 
 
-def min_angle_check(eps: float, N: float, trials: int, d: int = 2, seed: int = 0) -> bool:
-    """Far viewpoints with nearly equal directions see a unit ball under
-    nearly equal directions: checks ang(y1-x1, y2-x2) <= 2 eps.
+class _AngleDraws(NamedTuple):
+    """Samples of the far-viewpoint angle check that do not depend on N.
+
+    ``m1_u`` and ``m2_u`` are the unit-interval draws behind the viewpoint
+    distances; ``_min_angle_holds`` scales them to [N+1, 4(N+1)) the way
+    ``Generator.uniform`` does (low + (high - low) * u), so one set of draws
+    serves every N of a search.
     """
+
+    y: np.ndarray     # (2, trials, d) points of the unit ball
+    u1: np.ndarray    # (trials, d) first viewing direction
+    u2: np.ndarray    # (trials, d) second one, within eps of the first
+    m1_u: np.ndarray  # (trials, 1)
+    m2_u: np.ndarray  # (trials, 1)
+
+
+def _draw_min_angle(eps: float, trials: int, d: int, seed: int) -> _AngleDraws:
     rng = np.random.default_rng(seed)
-    r = 1.0  # ball radius; the statement is scale invariant
     y = rng.normal(size=(2, trials, d))
-    y *= rng.uniform(0, r, size=(2, trials, 1)) ** (1.0 / d) / np.linalg.norm(y, axis=-1, keepdims=True)
+    y *= rng.uniform(0, 1.0, size=(2, trials, 1)) ** (1.0 / d) / np.linalg.norm(y, axis=-1, keepdims=True)
     u1 = rng.normal(size=(trials, d))
     u1 /= np.linalg.norm(u1, axis=-1, keepdims=True)
     # second direction within angle eps of the first
@@ -114,25 +140,42 @@ def min_angle_check(eps: float, N: float, trials: int, d: int = 2, seed: int = 0
     perp /= np.linalg.norm(perp, axis=-1, keepdims=True)
     theta = rng.uniform(0, eps, size=(trials, 1))
     u2 = np.cos(theta) * u1 + np.sin(theta) * perp
-    lo = (N + 1) * r  # (N+1) * diam / 2
-    m1 = rng.uniform(lo, 4 * lo, size=(trials, 1))
-    m2 = rng.uniform(lo, 4 * lo, size=(trials, 1))
-    ang = _angles(y[0] - m1 * u1, y[1] - m2 * u2)
+    return _AngleDraws(y, u1, u2, rng.random((trials, 1)), rng.random((trials, 1)))
+
+
+def _min_angle_holds(draws: _AngleDraws, eps: float, N: float) -> bool:
+    lo = float(N + 1)  # (N+1) * diam / 2 for the unit ball
+    m1 = lo + (4 * lo - lo) * draws.m1_u
+    m2 = lo + (4 * lo - lo) * draws.m2_u
+    ang = _angles(draws.y[0] - m1 * draws.u1, draws.y[1] - m2 * draws.u2)
     return bool(np.all(ang <= 2 * eps + 1e-12))
+
+
+def min_angle_check(eps: float, N: float, trials: int, d: int = 2, seed: int = 0) -> bool:
+    """Far viewpoints with nearly equal directions see a unit ball under
+    nearly equal directions: checks ang(y1-x1, y2-x2) <= 2 eps.
+    The statement is scale invariant, so the ball radius is 1.
+    """
+    return _min_angle_holds(_draw_min_angle(eps, trials, d, seed), eps, N)
 
 
 def min_angle_search(eps: float, trials: int, d: int = 2, seed: int = 0,
                      n_max: int = 1 << 20) -> int:
-    """Smallest integer N (by doubling, then bisection) passing all trials."""
+    """Smallest integer N (by doubling, then bisection) passing all trials.
+
+    The samples are drawn once; every candidate N is tested on them, which
+    is what re-seeding ``min_angle_check`` per candidate would do.
+    """
+    draws = _draw_min_angle(eps, trials, d, seed)
     n = 1
-    while n <= n_max and not min_angle_check(eps, n, trials, d, seed):
+    while n <= n_max and not _min_angle_holds(draws, eps, n):
         n *= 2
     if n > n_max:
         raise SearchExhausted(f"no N <= {n_max} passes all {trials} trials at eps={eps!r}")
     lo, hi = n // 2, n
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        if min_angle_check(eps, mid, trials, d, seed):
+        if _min_angle_holds(draws, eps, mid):
             hi = mid
         else:
             lo = mid
@@ -157,7 +200,7 @@ class _CoverDraws(NamedTuple):
     """
 
     s_q: np.ndarray       # (n,) side of the unperturbed cube
-    c_q: np.ndarray       # (n, d) its center
+    c_q: np.ndarray       # (n, d) its center; the margin does not depend on it
     axis_q: np.ndarray | None   # (n, 3) its rotation axis
     angle_q: np.ndarray   # (n,) its rotation angle
     frac: np.ndarray      # (n, 3)
@@ -183,9 +226,16 @@ def _draw_cover_block(rng: np.random.Generator, start: int, n: int, d: int,
 
 def _cover_margins(draws: _CoverDraws, eps: float, delta: float) -> np.ndarray:
     """Per trial, the smallest slack of a perturbed cube's vertices against
-    the (1+eps)-dilate of the unperturbed cube, in that cube's frame."""
-    s_q, c_q, frac = draws.s_q, draws.c_q, draws.frac
-    d = c_q.shape[1]
+    the (1+eps)-dilate of the unperturbed cube, in that cube's frame.
+
+    In Q's frame the perturbed cube's vertex with sign vector sigma sits at
+    a + (s_p/2) sigma M, with a = shift rot_q and M = rot_p^T rot_q.  Every
+    sign vector is a vertex and the signs can be picked per term, so the
+    largest |coordinate j| over the vertices is the support function
+    |a_j| + (s_p/2) sum_k |M_kj|: O(d^2) per trial instead of 2^d d^2.
+    """
+    s_q, frac = draws.s_q, draws.frac
+    d = draws.c_q.shape[1]
     s_p = s_q * (1 + delta * frac[:, 0])
     shift = draws.shift * (delta * s_q * frac[:, 1]
                            / np.linalg.norm(draws.shift, axis=1))[:, None]
@@ -196,17 +246,20 @@ def _cover_margins(draws: _CoverDraws, eps: float, delta: float) -> np.ndarray:
     else:
         rot_q = rotation_3d(draws.axis_q, draws.angle_q)
         rot_p = rotation_3d(draws.axis_p, theta) @ rot_q
-    corners = _corners(d) * (s_p / 2.0)[:, None, None]  # (n, 2^d, d)
-    verts = (c_q + shift)[:, None, :] + corners @ rot_p.transpose(0, 2, 1)
-    local = (verts - c_q[:, None, :]) @ rot_q
-    return (1 + eps) * s_q / 2.0 - np.abs(local).max(axis=(1, 2))
+    a = (shift[:, None, :] @ rot_q)[:, 0]             # (n, d)
+    m = np.abs(rot_p.transpose(0, 2, 1) @ rot_q)       # (n, d, d)
+    # sums and maxima over the d rows and columns are spelled out: a numpy
+    # reduction over an axis of length 2 or 3 costs more than its arithmetic
+    reach = np.abs(a) + (s_p / 2.0)[:, None] * sum(m[:, k] for k in range(d))
+    return (1 + eps) * s_q / 2.0 - functools.reduce(np.maximum, reach.T)
 
 
 def cube_cover_check(eps: float, trials: int, d: int = 2, seed: int = 0,
                      stress: bool = True) -> CubeCoverResult:
     """Perturbing a cube within delta = eps/(2 + 2 sqrt d) in size, center and
-    orientation keeps it inside the (1+eps)-dilate.  Vertex containment test,
-    run on blocks of trials.
+    orientation keeps it inside the (1+eps)-dilate.  Vertex containment test
+    (through the support function, see ``_cover_margins``), run on blocks of
+    trials.
     """
     if d not in (2, 3):
         raise UnsupportedDimension("cube cover sampling needs d in {2,3}")
@@ -269,60 +322,71 @@ def lipschitz_blowup_check(L: float, diam: float, eps: float,
     return BlowupResult(estimate, bound, stderr)
 
 
-def boundary_length_in_disk(squares: list[OrientedCube], radius: float = 1.0) -> float:
-    """Exact length of the boundary of a union of squares inside a disk.
+def _boundary_lengths(centers: np.ndarray, sides: np.ndarray, rots: np.ndarray,
+                      radius: float) -> np.ndarray:
+    """Exact length of the boundary of a union of squares inside a disk, for
+    a stack of T unions of n squares each: centers (T, n, 2), sides (T, n),
+    rotations (T, n, 2, 2); returns (T,).
 
     Each square edge contributes the part of the edge that lies in the disk
-    and in no other square's interior.  All edges are clipped against all
-    squares at once; the holes of an edge are merged by sorting them and
-    taking a running maximum of their ends.
+    and in no other square's interior.  All edges of a union are clipped
+    against all of its squares at once; the holes of an edge are merged by
+    sorting them and taking a running maximum of their ends.  Every
+    reduction runs along a last axis of length 4n or n, so a union gives the
+    same bits alone or in a stack.
     """
-    if not squares:
-        return 0.0
-    centers = np.array([sq.center for sq in squares], dtype=np.float64)  # (n, 2)
-    sides = np.array([sq.side for sq in squares], dtype=np.float64)
-    rots = np.stack([sq.rotation for sq in squares])                     # (n, 2, 2)
-    n = len(squares)
-    corners = _corners(2) * (sides / 2.0)[:, None, None]                # (n, 4, 2)
-    verts = centers[:, None, :] + corners @ rots.transpose(0, 2, 1)
+    T, n = sides.shape
+    corners = _corners(2) * (sides / 2.0)[..., None, None]              # (T, n, 4, 2)
+    verts = centers[..., None, :] + corners @ np.swapaxes(rots, -1, -2)
     # ndindex corner order traced as a closed loop: edge k runs from p0 to p1
-    p0 = verts[:, [0, 1, 3, 2]].reshape(4 * n, 2)
-    seg = verts[:, [1, 3, 2, 0]].reshape(4 * n, 2) - p0
-    length = np.linalg.norm(seg, axis=1)                                 # (E,)
-    v = seg / length[:, None]
+    p0 = verts[:, :, [0, 1, 3, 2]].reshape(T, 4 * n, 2)
+    seg = verts[:, :, [1, 3, 2, 0]].reshape(T, 4 * n, 2) - p0
+    length = np.linalg.norm(seg, axis=-1)                                # (T, E)
+    v = seg / length[..., None]
 
     # part of each edge inside the open disk: |p0 + t v|^2 < r^2
-    b = np.sum(p0 * v, axis=1)
-    disc = b * b - (np.sum(p0 * p0, axis=1) - radius * radius)
+    b = np.sum(p0 * v, axis=-1)
+    disc = b * b - (np.sum(p0 * p0, axis=-1) - radius * radius)
     root = np.sqrt(np.maximum(disc, 0.0))
     lo = np.maximum(0.0, -b - root)
     hi = np.minimum(length, -b + root)
     in_disk = (disc > 0) & (lo < hi)
 
     # part of each edge inside each open square, in the square's frame
-    q0 = np.einsum("ejk,jkl->ejl", p0[:, None, :] - centers[None], rots)  # (E, n, 2)
-    dv = np.einsum("ek,jkl->ejl", v, rots)                               # (E, n, 2)
-    half = (sides / 2.0)[None, :, None]
+    q0 = np.einsum("tejk,tjkl->tejl", p0[:, :, None, :] - centers[:, None], rots)  # (T, E, n, 2)
+    dv = np.einsum("tek,tjkl->tejl", v, rots)                                      # (T, E, n, 2)
+    half = (sides / 2.0)[:, None, :, None]
     par = np.abs(dv) < 1e-15
     step = np.where(par, 1.0, dv)
     a, c = (-half - q0) / step, (half - q0) / step
-    t0 = np.maximum(0.0, np.where(par, -np.inf, np.minimum(a, c)).max(axis=2))
-    t1 = np.minimum(length[:, None], np.where(par, np.inf, np.maximum(a, c)).min(axis=2))
-    hit = np.all(~par | (np.abs(q0) < half), axis=2) & (t0 < t1)
+    t0 = np.maximum(0.0, np.where(par, -np.inf, np.minimum(a, c)).max(axis=-1))
+    t1 = np.minimum(length[..., None], np.where(par, np.inf, np.maximum(a, c)).min(axis=-1))
+    hit = np.all(~par | (np.abs(q0) < half), axis=-1) & (t0 < t1)
     hit &= np.repeat(np.arange(n), 4)[:, None] != np.arange(n)[None, :]  # not its own square
 
     # clip the holes to the disk part; a missed square becomes an empty hole at lo
-    h0 = np.maximum(lo[:, None], t0)
-    h1 = np.minimum(hi[:, None], t1)
+    h0 = np.maximum(lo[..., None], t0)
+    h1 = np.minimum(hi[..., None], t1)
     keep = hit & (h1 > h0)
-    h0 = np.where(keep, h0, lo[:, None])
-    h1 = np.where(keep, h1, lo[:, None])
-    order = np.argsort(h0, axis=1, kind="stable")
-    h0 = np.take_along_axis(h0, order, axis=1)
-    h1 = np.take_along_axis(h1, order, axis=1)
-    reach = np.maximum.accumulate(np.concatenate([lo[:, None], h1[:, :-1]], axis=1), axis=1)
-    covered = np.sum(np.maximum(0.0, h1 - np.maximum(h0, reach)), axis=1)
-    return float(np.sum(np.where(in_disk, (hi - lo) - covered, 0.0)))
+    h0 = np.where(keep, h0, lo[..., None])
+    h1 = np.where(keep, h1, lo[..., None])
+    order = np.argsort(h0, axis=-1, kind="stable")
+    h0 = np.take_along_axis(h0, order, axis=-1)
+    h1 = np.take_along_axis(h1, order, axis=-1)
+    reach = np.maximum.accumulate(np.concatenate([lo[..., None], h1[..., :-1]], axis=-1), axis=-1)
+    covered = np.sum(np.maximum(0.0, h1 - np.maximum(h0, reach)), axis=-1)
+    return np.sum(np.where(in_disk, (hi - lo) - covered, 0.0), axis=-1)
+
+
+def boundary_length_in_disk(squares: list[OrientedCube], radius: float = 1.0) -> float:
+    """Exact length of the boundary of a union of squares inside a disk
+    (``_boundary_lengths`` on a stack of one union)."""
+    if not squares:
+        return 0.0
+    centers = np.array([sq.center for sq in squares], dtype=np.float64)
+    sides = np.array([sq.side for sq in squares], dtype=np.float64)
+    rots = np.stack([sq.rotation for sq in squares])
+    return float(_boundary_lengths(centers[None], sides[None], rots[None], radius)[0])
 
 
 class LargeBoundaryResult(NamedTuple):
@@ -334,25 +398,37 @@ def large_boundary_in_ball_check(K: float, trials: int, seed: int = 0,
                                  d: int = 2) -> LargeBoundaryResult:
     """Boundary length of unions of big squares inside the unit disk, relative
     to (K^-d + 1) times the circle length.  Exact segment clipping; d = 2 only.
+
+    The squares are drawn one scalar at a time in the order of the original
+    per-trial loop (square count, then side, angle, direction and distance of
+    each square), so a seed gives the same unions as before.  The unions are
+    then grouped by square count and each group is measured by one
+    ``_boundary_lengths`` call; grouping rather than padding to 11 squares
+    keeps every per-union reduction the length it has alone, so each length
+    is bit-equal to ``boundary_length_in_disk`` on that union.
     """
     if d != 2:
         raise UnsupportedDimension("exact union boundary measure implemented for d=2")
     rng = np.random.default_rng(seed)
     circ = 2 * math.pi
     bound = (K ** (-d) + 1.0) * circ
-    worst = 0.0
+    by_count: dict[int, list[np.ndarray]] = {}
     for _ in range(trials):
         n = int(rng.integers(1, 12))
-        squares = []
-        for _ in range(n):
+        union = np.empty((n, 4))  # rows (center x, center y, side, theta)
+        for i in range(n):
             side = 2 * K * (1.0 + float(rng.exponential(0.7)))
             theta = rng.uniform(0, 2 * math.pi)
             # put an edge near the disk: center at roughly half a side away
             direction = rng.normal(size=2)
             direction /= np.linalg.norm(direction)
             dist = side / 2.0 * rng.uniform(0.0, 1.2)
-            center = direction * dist
-            squares.append(OrientedCube(tuple(center), side, rotation_2d(theta)))
-        length = boundary_length_in_disk(squares, 1.0)
-        worst = max(worst, length / bound)
+            union[i, :2] = direction * dist
+            union[i, 2:] = side, theta
+        by_count.setdefault(n, []).append(union)
+    worst = 0.0
+    for unions in by_count.values():
+        rows = np.stack(unions)  # (T, n, 4)
+        lengths = _boundary_lengths(rows[..., :2], rows[..., 2], rotation_2d(rows[..., 3]), 1.0)
+        worst = max(worst, float(np.max(lengths / bound)))
     return LargeBoundaryResult(worst, trials)

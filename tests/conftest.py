@@ -446,6 +446,52 @@ def scalar_boundary_length_in_disk(squares, radius=1.0):
     return total
 
 
+def scalar_large_boundary(K, trials, seed):
+    """Oracle for ``geom.large_boundary_in_ball_check`` (its ``max_ratio``):
+    the same scalar draws, one ``OrientedCube`` union per trial, each
+    measured alone by ``scalar_boundary_length_in_disk``."""
+    from cubemax.geom import OrientedCube
+
+    rng = np.random.default_rng(seed)
+    bound = (K ** -2 + 1.0) * 2 * math.pi
+    worst = 0.0
+    for _ in range(trials):
+        squares = []
+        for _ in range(int(rng.integers(1, 12))):
+            side = 2 * K * (1.0 + float(rng.exponential(0.7)))
+            theta = rng.uniform(0, 2 * math.pi)
+            direction = rng.normal(size=2)
+            direction /= np.linalg.norm(direction)
+            center = direction * (side / 2.0 * rng.uniform(0.0, 1.2))
+            squares.append(OrientedCube(tuple(center), side, scalar_rotation_2d(theta)))
+        worst = max(worst, scalar_boundary_length_in_disk(squares) / bound)
+    return worst
+
+
+def scalar_min_angle_check(eps, N, trials, d=2, seed=0):
+    """Oracle for ``geom.min_angle_check``: one seeded draw per call, with the
+    viewpoint distances drawn by ``Generator.uniform(N+1, 4(N+1))``."""
+    rng = np.random.default_rng(seed)
+    y = rng.normal(size=(2, trials, d))
+    y *= rng.uniform(0, 1.0, size=(2, trials, 1)) ** (1.0 / d) / np.linalg.norm(y, axis=-1, keepdims=True)
+    u1 = rng.normal(size=(trials, d))
+    u1 /= np.linalg.norm(u1, axis=-1, keepdims=True)
+    perp = rng.normal(size=(trials, d))
+    perp -= np.sum(perp * u1, axis=-1, keepdims=True) * u1
+    perp /= np.linalg.norm(perp, axis=-1, keepdims=True)
+    theta = rng.uniform(0, eps, size=(trials, 1))
+    u2 = np.cos(theta) * u1 + np.sin(theta) * perp
+    lo = float(N + 1)
+    m1 = rng.uniform(lo, 4 * lo, size=(trials, 1))
+    m2 = rng.uniform(lo, 4 * lo, size=(trials, 1))
+    for t in range(trials):
+        v1, v2 = y[0, t] - m1[t] * u1[t], y[1, t] - m2[t] * u2[t]
+        cos = float(np.dot(v1, v2) / (np.linalg.norm(v1) * np.linalg.norm(v2)))
+        if math.acos(min(1.0, max(-1.0, cos))) > 2 * eps + 1e-12:
+            return False
+    return True
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260809)

@@ -6,6 +6,8 @@ import pytest
 from conftest import (
     scalar_boundary_length_in_disk,
     scalar_cover_margin,
+    scalar_large_boundary,
+    scalar_min_angle_check,
     scalar_rotation_2d,
     scalar_rotation_3d,
 )
@@ -71,6 +73,25 @@ class TestMinAngle:
         assert n >= 1
         assert min_angle_check(eps, n, 3000, d=d, seed=5)
 
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("seed", [2, 5])
+    def test_check_matches_reseeded_oracle(self, d, seed):
+        # the distances reproduce Generator.uniform(N+1, 4(N+1)) from unit draws
+        for eps in (0.01, 0.05, math.asin(1.0 / math.sqrt(d)) / 2):
+            for N in (1, 2, 3, 7, 2.5, 50, 1000):
+                assert min_angle_check(eps, N, 400, d=d, seed=seed) == \
+                    scalar_min_angle_check(eps, N, 400, d=d, seed=seed)
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_search_matches_a_reseeding_search(self, d):
+        # the search that re-drew its samples for every candidate N
+        # at eps = 0.05 the smallest passing N (about 20) differs from seed to seed
+        eps, trials, seed = 0.05, 600, 5
+        passing = [n for n in range(1, 48) if scalar_min_angle_check(eps, n, trials, d, seed)]
+        n = min_angle_search(eps, trials, d=d, seed=seed)
+        assert n == passing[0] and passing == list(range(n, 48))
+        assert n != min_angle_search(eps, trials, d=d, seed=seed + 1)
+
     def test_exhausted_search_is_typed(self):
         # N = 1 fails at eps = 0.01, and n_max = 1 allows no doubling
         assert not min_angle_check(0.01, 1, 500, seed=2)
@@ -127,6 +148,48 @@ class TestCubeCoverBlocks:
         assert res.failures == sum(m < 0 for m in margins) == 0
         assert res.min_margin == pytest.approx(min(margins), rel=0, abs=1e-12)
         assert np.array_equal(np.concatenate(stressed), np.arange(trials) % 4 == 0)
+
+    @staticmethod
+    def _draws(d, s_q, frac, shift, angle_q=0.0, axis=(0.0, 0.0, 1.0)):
+        n = len(s_q)
+        axes = np.tile(axis, (n, 1)) if d == 3 else None
+        return geom._CoverDraws(np.asarray(s_q, dtype=float), np.zeros((n, d)), axes,
+                                np.full(n, angle_q), np.asarray(frac, dtype=float),
+                                np.asarray(shift, dtype=float), axes)
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_shift_only_margin(self, d):
+        # aligned, same size, no turn: margin = eps s/2 - max_j |shift_j|
+        eps, delta = 0.1, 0.02
+        shifts = np.random.default_rng(d).normal(size=(5, d))
+        s_q = np.array([0.5, 1.0, 1.3, 2.0, 0.7])
+        frac = np.column_stack([np.zeros(5), [0.0, 0.3, 0.5, 1.0, 0.9], np.zeros(5)])
+        draws = self._draws(d, s_q, frac, shifts)
+        shift = shifts * (delta * s_q * frac[:, 1] / np.linalg.norm(shifts, axis=1))[:, None]
+        want = eps * s_q / 2 - np.abs(shift).max(axis=1)
+        got = geom._cover_margins(draws, eps, delta)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-15)
+        for t in range(5):
+            assert got[t] == pytest.approx(scalar_cover_margin(draws, t, eps, delta),
+                                           rel=0, abs=1e-15)
+
+    def test_turn_only_margin_d2(self):
+        # a turn by theta in [0, pi/2]: margin = (1+eps) s/2 - (s/2)(cos theta + sin theta)
+        eps, delta = 0.1, 0.5
+        f_angle = np.array([0.0, 0.1, 0.4, 1.0, 2.0, math.pi / 2])  # theta = delta * f_angle
+        s_q = np.linspace(0.5, 2.0, 6)
+        frac = np.column_stack([np.zeros(6), np.zeros(6), f_angle])
+        for angle_q in (0.0, 0.9):
+            draws = self._draws(2, s_q, frac, np.ones((6, 2)), angle_q=angle_q)
+            theta = delta * f_angle
+            want = (1 + eps) * s_q / 2 - s_q / 2 * (np.cos(theta) + np.sin(theta))
+            got = geom._cover_margins(draws, eps, delta)
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-15)
+            for t in range(6):
+                assert got[t] == pytest.approx(scalar_cover_margin(draws, t, eps, delta),
+                                               rel=0, abs=1e-15)
+        # theta = pi/4 puts a vertex on the diagonal
+        assert want[-1] == pytest.approx(eps * s_q[-1] / 2 - (math.sqrt(2) - 1) * s_q[-1] / 2)
 
     def test_stress_follows_the_global_trial_index(self):
         on = geom._draw_cover_block(np.random.default_rng(3), 4097, 4096, 3, True)
@@ -231,11 +294,43 @@ class TestLargeBoundary:
         assert got == pytest.approx(scalar_boundary_length_in_disk([outer, inner, tilted]), rel=1e-12)
         assert got == pytest.approx(scalar_boundary_length_in_disk([outer]), rel=1e-12)
 
-    def test_suite_matches_scalar_oracle(self, monkeypatch):
-        got = large_boundary_in_ball_check(1.0, 60, seed=8)
-        monkeypatch.setattr(geom, "boundary_length_in_disk", scalar_boundary_length_in_disk)
-        want = large_boundary_in_ball_check(1.0, 60, seed=8)
-        assert got.max_ratio == pytest.approx(want.max_ratio, rel=1e-12)
+    def test_suite_matches_scalar_oracle(self):
+        for K, trials, seed in ((1.0, 60, 8), (2.0, 80, 3), (0.5, 80, 11)):
+            got = large_boundary_in_ball_check(K, trials, seed=seed)
+            assert got.max_ratio == pytest.approx(scalar_large_boundary(K, trials, seed), rel=1e-12)
+
+    @staticmethod
+    def _stack_of_unions(rng, n):
+        """Six unions of n squares: axis-aligned ones, one where a big square
+        holds the others, one that misses the disk, and three turned at random."""
+        centers = rng.normal(size=(6, n, 2))
+        sides = rng.uniform(0.3, 4.0, (6, n))
+        thetas = rng.uniform(0, 2 * math.pi, (6, n))
+        thetas[0] = 0.0
+        centers[1, 0], sides[1, 0] = (0.5, 0.5), 40.0
+        centers[1, 1:] = rng.uniform(-1.0, 1.0, (n - 1, 2))
+        sides[1, 1:] = rng.uniform(0.2, 1.0, n - 1)
+        centers[2] += 20.0
+        return centers, sides, thetas
+
+    @pytest.mark.parametrize("n", range(1, 12))
+    def test_stacked_lengths_equal_one_union_calls(self, n):
+        centers, sides, thetas = self._stack_of_unions(np.random.default_rng(n), n)
+        rots = rotation_2d(thetas)
+        got = geom._boundary_lengths(centers, sides, rots, 1.0)
+        assert got.shape == (6,)
+        for t in range(6):
+            squares = [OrientedCube(tuple(c), float(s), r)
+                       for c, s, r in zip(centers[t], sides[t], rots[t])]
+            assert got[t] == boundary_length_in_disk(squares)
+            assert got[t] == pytest.approx(scalar_boundary_length_in_disk(squares),
+                                           rel=1e-12, abs=1e-12)
+        assert got[2] == 0.0
+        # the big square's edges miss the disk and the small ones lie inside it
+        assert got[1] == 0.0
+        if n > 1:
+            inner = geom._boundary_lengths(centers[1:2, 1:], sides[1:2, 1:], rots[1:2, 1:], 1.0)
+            assert inner[0] > 0.0
 
 
 class TestRotations:
