@@ -227,7 +227,8 @@ class CubeFamily:
         return CubeFamily.from_arrays(self.anchors, self.sides, family_averages(f, self))
 
     def select(self, mask: np.ndarray) -> "CubeFamily":
-        """The members where the boolean ``mask`` is set, with their averages."""
+        """The members where the boolean ``mask`` is set, with their averages.
+        An index array instead picks the members in its own order."""
         fam = CubeFamily.__new__(CubeFamily)
         fam._set(self.anchors[mask], self.sides[mask],
                  None if self.averages is None else self.averages[mask])

@@ -15,6 +15,10 @@ difference array over breakpoint indices gives the whole column.  The q2
 boundary, which is not monotone, is painted only where the q2 class
 changes.  The cost grows with cells plus class changes, not with cells
 times breakpoints.
+
+The sparse mass estimate, the mid-density covering and the deep chain read
+each dyadic cube's density edges once, as k-th largest cell values (see
+:mod:`cubemax.partition`), so no level builds a prefix-sum table.
 """
 
 from __future__ import annotations
@@ -53,7 +57,7 @@ from .grid import (
     perimeter,
     variation,
 )
-from .partition import DensityLevels, density_levels
+from .partition import DensityLevels, density_band, density_levels, kth_largest
 from .sat import SummedAreaTable
 from .sparse import (
     SparseFamily,
@@ -79,28 +83,26 @@ def sparse_mass_estimate(f: GridFunction, q0: GridCube,
     subcubes whose average reaches the level and whose superlevel density is
     at most one half.
 
-    The density hypothesis is checked in its limiting form (counts strictly
-    above lam0), which is the form the level construction realizes; at the
-    density level itself the non-strict count sits exactly on the threshold.
+    The density hypothesis, count(f >= lam0) * 2^{d+1} <= cells, holds
+    exactly for lam0 above the density level (see :mod:`cubemax.partition`);
+    the default lam0 is the level itself, the limit the construction uses.
     """
     d = f.d
-    cells0 = q0.cell_count
-    vals0 = f.array[q0.slices()].ravel()
+    lam_q = lambda_q(f, q0)
     if lam0 is None:
-        lam0 = lambda_q(f, q0)
-        count = int(np.sum(vals0 > lam0))
-    else:
-        count = int(np.sum(vals0 >= lam0))
-    if count * 2 ** (d + 1) > cells0:
+        lam0 = lam_q
+    elif lam0 <= lam_q:
         raise PreconditionDensity(
-            f"superlevel fraction {count}/{cells0} above 2^-{d + 1} at lam0={lam0}")
+            f"more than 2^-{d + 1} of the cube lies in {{f >= {lam0}}}: "
+            f"lam0 is at most the density level {lam_q}")
 
-    fq0 = float(np.mean(vals0))
+    fq0 = float(np.mean(f.array[q0.slices()].ravel()))
     lhs = q0.volume(f.h) * (fq0 - lam0)
 
     dy = dyadic_descendants(q0)
     dy_avgs = family_averages(f, dy)
-    dycells = dy.sides ** d
+    # a dyadic cube holds at most half its cells in {f >= lam} exactly above this
+    sparse_above = kth_largest(f.array, dy, lambda cells: cells // 2 + 1)
 
     bps = lambda_breakpoints(f, np.concatenate((dy_avgs, [fq0])))
     vols = np.zeros(bps.size)
@@ -109,18 +111,11 @@ def sparse_mass_estimate(f: GridFunction, q0: GridCube,
         if bps[k - 1] < fq0:
             continue  # interval below the average contributes nothing
         lam = bps[k]
-        level = f.array >= lam
-        sat = SummedAreaTable(level.astype(np.int64))
-        eligible = dy_avgs >= lam
-        if not eligible.any():
-            continue
-        counts = np.zeros(len(dy), dtype=np.int64)
-        counts[eligible] = sat.box_sum_many(dy.anchors[eligible], dy.sides[eligible])
-        select = eligible & (2 * counts <= dycells)
+        select = (sparse_above < lam) & (lam <= dy_avgs)
         if not select.any():
             continue
         u = dy.select(select).union_pixels(f.dims).mask
-        vols[k] = np.count_nonzero(u & level) * hpow
+        vols[k] = np.count_nonzero(u & (f.array >= lam)) * hpow
     rhs = 2 ** (d + 1) * integrate_breakpoints(bps, vols, lower=fq0)
     return lhs, rhs
 
@@ -144,15 +139,12 @@ def covering_middensity(E: PixelSet, q0: GridCube) -> CoveringResult:
     band cubes cover every E-cell of q0 (descend the dyadic chain to the
     first level where the density reaches the lower band edge).
     """
-    d = len(E.dims)
-    sat = SummedAreaTable(E.mask.astype(np.int64))
-    cnt0 = int(sat.box_sum(q0.anchor, q0.side))
+    cnt0 = int(np.count_nonzero(E.mask[q0.slices()]))
     if 2 * cnt0 >= q0.cell_count:
         raise PreconditionDensity(f"density {cnt0}/{q0.cell_count} not below 1/2")
     dy = dyadic_descendants(q0)
-    counts = sat.box_sum_many(dy.anchors, dy.sides)
-    cells = dy.sides ** d
-    members = dy.select((counts * 2 ** (d + 1) >= cells) & (2 * counts < cells))
+    lo, hi = density_band(E.mask.astype(np.float64), dy)
+    members = dy.select((lo < 1.0) & (1.0 <= hi))
     cover = members.union_pixels(E.dims).mask
     target = q0.pixels(E.dims).mask & E.mask
     return CoveringResult(
@@ -384,42 +376,32 @@ def _deep_chain(f: GridFunction, sparse: SparseFamily, bps: np.ndarray) -> dict:
                 "C1_max": 1.0, "C2_max": 1.0,
                 "massbelow_ratio_max": 0.0, "eachlevel_ratio_max": 0.0}
 
-    # per-base dyadic machinery, computed once per base cube
+    # per base, once: a descendant is selected at the levels lam in (lo, hi], where
+    # it is in the density band and it or an ancestor has average at least lam
+    f_sat = SummedAreaTable(f.array)
     bases = []
     for q0, fq0, lamq0 in zip(sparse.cubes, sparse.averages, sparse.lambdas):
         if not is_power_of_two(q0.side):
             continue
         dy = dyadic_descendants(q0)
+        lo, hi = density_band(f.array, dy)
         bases.append({
-            "cube": q0, "avg": float(fq0), "lamq": float(lamq0),
-            "dy": dy, "anc_max": _ancestor_max(dy, family_averages(f, dy)),
+            "cube": q0, "avg": float(fq0), "lamq": float(lamq0), "dy": dy, "lo": lo,
+            "hi": np.minimum(hi, _ancestor_max(dy, family_averages(f, dy, f_sat))),
             "vol_integral": 0.0,
         })
 
     s_union = CubeFamily([b["cube"] for b in bases]).union_pixels(f.dims)
-    overlap_max = 0
-    c1_max = 1.0
-    c2_max = 1.0
-    massbelow_max = 0.0
-    eachlevel_max = 0.0
+    overlap_max, c1_max, c2_max, massbelow_max, eachlevel_max = 0, 1.0, 1.0, 0.0, 0.0
 
     for k in range(1, bps.size):
         lam = float(bps[k])
         active = [b for b in bases if b["avg"] <= lam]
         if not active:
             continue
-        level = f.array >= lam
-        level_sat = SummedAreaTable(level.astype(np.int64))
-        level_px = PixelSet(f.dims, level)
         d_map: dict[GridCube, CubeFamily] = {}
         for b in active:
-            # dyadic cubes of the base in the density band having an ancestor
-            # (or themselves) with average at the level
-            dy = b["dy"]
-            counts = level_sat.box_sum_many(dy.anchors, dy.sides)
-            cells = dy.sides ** d
-            sel = dy.select((counts * 2 ** (d + 1) >= cells) & (2 * counts < cells)
-                            & (b["anc_max"] >= lam))
+            sel = b["dy"].select((b["lo"] < lam) & (lam <= b["hi"]))
             if len(sel):
                 d_map[b["cube"]] = sel
                 if bps[k - 1] >= b["avg"]:
@@ -447,7 +429,7 @@ def _deep_chain(f: GridFunction, sparse: SparseFamily, bps: np.ndarray) -> dict:
             ssum[rows] = np.cumsum(np.where(inside, inv_side, 0.0), axis=1)[:, -1]
         massbelow_max = max(massbelow_max, float(np.max(ssum * (qs * h))))
         each_sum = float(np.cumsum((qs ** d) * float(h) ** d * ssum)[-1])
-        rhs_prefix = perimeter(level_px, mask=s_union, h=h).measure
+        rhs_prefix = perimeter(PixelSet(f.dims, f.array >= lam), mask=s_union, h=h).measure
         if rhs_prefix > 0:
             eachlevel_max = max(eachlevel_max, each_sum / rhs_prefix)
 

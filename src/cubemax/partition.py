@@ -5,13 +5,24 @@ high-density cubes q0 (their overlap with the superlevel set is at least the
 2^{-d-1} volume fraction), cubes q1 dense against the q0 union, and the
 remaining low-density cubes q2.
 
-The split has a closed form.  Let k = ceil(side^d / 2^{d+1}) cells and let
-v_k(g|Q) be the k-th largest value of g on the cube Q.  Then Q is in q0 for
+Every density test asks how many cells of a cube Q lie in a superlevel set.
+With count(lam) = #{x in Q : g(x) >= lam} and v_k the k-th largest value of
+g on Q (NaN as -inf), count(lam) >= k exactly when lam <= v_k: the k largest
+values are at least v_k, and k cells at or above lam put v_k at or above lam.
+So :func:`kth_largest` turns each integer threshold into a rank:
+
+    test at level lam                  rank k                      holds when
+    count * 2^{d+1} >= cells (dense)   ceil(cells / 2^{d+1})       lam <= v_k
+    2 count < cells (below half)       ceil(cells / 2)             lam >  v_k
+    2 count <= cells (at most half)    floor(cells / 2) + 1        lam >  v_k
+    count * 2^{d+1} > cells (lam_Q)    floor(cells / 2^{d+1}) + 1  lam_Q = v_k
+
+A cube is in the band [2^{-d-1}, 1/2) on one interval (:func:`density_band`).
+The split is then closed form: with k the dense rank, Q is in q0 for
 lam <= lam0(Q) = min(avg_Q, v_k(f|Q)).  The q0 union at lam is {P0 >= lam},
 where P0 paints each cell with the largest lam0 of the cubes holding it, so
 Q is in q1 for lam0 < lam <= lam1(Q) = min(avg_Q, v_k(P0|Q)), in q2 for
-lam1 < lam <= avg_Q, and unselected above avg_Q.  Each comparison is
-equivalent to the integer cell-count test that defines its class.
+lam1 < lam <= avg_Q, and unselected above avg_Q.
 
 :func:`density_levels` computes the triple (lam0, lam1, avg) once per
 function and family; it is the one implementation of the split.  At each
@@ -136,25 +147,38 @@ def density_levels(f: GridFunction, fam: CubeFamily) -> DensityLevels:
     """
     fam = fam if fam.averages is not None else fam.with_averages(f)
     avg = np.nan_to_num(np.asarray(fam.averages, dtype=np.float64), nan=-np.inf)
-    lam0 = np.minimum(avg, _kth_largest(np.nan_to_num(f.array, nan=-np.inf), fam))
-    lam1 = np.minimum(avg, _kth_largest(fam.max_paint(lam0, f.dims), fam))
+    rank = _dense_rank(f.d)
+    lam0 = np.minimum(avg, kth_largest(f.array, fam, rank))
+    lam1 = np.minimum(avg, kth_largest(fam.max_paint(lam0, f.dims), fam, rank))
     return DensityLevels(f, fam, lam0, lam1, avg,
                          fam.max_paint(lam1, f.dims), fam.max_paint(avg, f.dims))
 
 
-def _kth_largest(values: np.ndarray, fam: CubeFamily) -> np.ndarray:
-    """Per cube, the k-th largest of ``values`` over its cells with
-    k = ceil(side^d / 2^{d+1}): the cube is dense in {values >= lam}
-    exactly when lam is at most this number."""
-    d = values.ndim
+def kth_largest(values: np.ndarray, fam: CubeFamily, rank) -> np.ndarray:
+    """Per cube, the k-th largest of ``values`` over its cells (NaN as -inf),
+    k = ``rank(cells)`` in [1, cells]: the cube has at least k cells with
+    ``values >= lam`` exactly when lam is at most this number."""
+    values = np.nan_to_num(values, nan=-np.inf)
     out = np.empty(len(fam))
     for side in np.unique(fam.sides).tolist():
         rows = np.flatnonzero(fam.sides == side)
-        cells = side ** d
-        k = -(-cells // 2 ** (d + 1))
-        windows = sliding_window_view(values, (side,) * d)[tuple(fam.anchors[rows].T)]
+        cells = side ** values.ndim
+        k = rank(cells)
+        windows = sliding_window_view(values, (side,) * values.ndim)[tuple(fam.anchors[rows].T)]
         out[rows] = np.partition(windows.reshape(rows.size, cells), cells - k, axis=1)[:, cells - k]
     return out
+
+
+def _dense_rank(d: int):
+    """The rank ceil(cells / 2^{d+1}) of the high-density test."""
+    return lambda cells: -(-cells // 2 ** (d + 1))
+
+
+def density_band(values: np.ndarray, fam: CubeFamily) -> tuple[np.ndarray, np.ndarray]:
+    """Per cube, the levels (lo, hi) between which it is in the density band
+    [2^{-d-1}, 1/2) of {values >= lam}: exactly for lo < lam <= hi."""
+    below_half = kth_largest(values, fam, lambda cells: -(-cells // 2))
+    return below_half, kth_largest(values, fam, _dense_rank(values.ndim))
 
 
 def partition_at(f: GridFunction, fam: CubeFamily, lam: float) -> LevelPartition:

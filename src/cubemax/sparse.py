@@ -23,7 +23,7 @@ from .cubes import (
 )
 from .errors import PremiseViolated
 from .grid import GridFunction, integrate_breakpoints, lambda_breakpoints
-from .partition import density_levels
+from .partition import density_levels, kth_largest
 
 
 def default_contraction(d: int) -> float:
@@ -38,21 +38,15 @@ def cube_surface_measure(c: GridCube, h: float) -> float:
 
 
 def lambda_q(f: GridFunction, q: GridCube) -> float:
-    """Smallest level at which the cube's superlevel overlap drops to the
-    2^{-d-1} volume fraction.
+    """Largest level at which more than 2^{-d-1} of the cube lies in the
+    superlevel set: its k-th largest cell value, k = floor(cells / 2^{d+1}) + 1.
+    A NaN cell counts as -inf, in no superlevel set."""
+    return float(_lambda_levels(f, CubeFamily([q]))[0])
 
-    Realized over the cell values of the cube: the largest value v whose
-    superlevel count still exceeds the threshold; for every level above it
-    the count is at or below the threshold.
-    """
-    d = f.d
-    vals = f.array[q.slices()].ravel()
-    u, first = np.unique(vals, return_index=True)
-    # counts of cells >= each distinct value (suffix sums of group sizes)
-    counts = vals.size - np.searchsorted(np.sort(vals), u, side="left")
-    over = counts * 2 ** (d + 1) > q.cell_count
-    # the minimum value always exceeds the threshold (count = all cells)
-    return float(u[over][-1])
+
+def _lambda_levels(f: GridFunction, fam: CubeFamily) -> np.ndarray:
+    """:func:`lambda_q` of every cube of ``fam``."""
+    return kth_largest(f.array, fam, lambda cells: cells // 2 ** (f.d + 1) + 1)
 
 
 @dataclass(frozen=True)
@@ -106,13 +100,11 @@ def greedy_sparse(f: GridFunction, q2_union: CubeFamily) -> SparseFamily:
         kill = (avgs <= avgs[pick]) & (2 * ov > np.minimum(cellcounts, cellcounts[pick]))
         alive &= ~kill
 
-    sel = np.array(order, dtype=np.int64)
-    sel_cubes = tuple(fam[i] for i in sel)
-    sel_avgs = avgs[sel]
-    lambdas = np.array([lambda_q(f, c) for c in sel_cubes], dtype=np.float64)
-    surf = np.array([cube_surface_measure(c, f.h) for c in sel_cubes])
-    rhs = float(np.sum((sel_avgs - lambdas) * surf))
-    return SparseFamily(sel_cubes, sel_avgs, lambdas, rhs)
+    picked = fam.select(np.array(order, dtype=np.int64))
+    lambdas = _lambda_levels(f, picked)
+    surf = np.array([cube_surface_measure(c, f.h) for c in picked.cubes])
+    rhs = float(np.sum((picked.averages - lambdas) * surf))
+    return SparseFamily(picked.cubes, picked.averages, lambdas, rhs)
 
 
 def sparse_pairwise_violations(fam: SparseFamily, f: GridFunction) -> list[tuple[int, int]]:

@@ -97,6 +97,21 @@ def carried_level_sweep(f, fam, levels):
             union_all=PixelSet(f.dims, u01 | u2))
 
 
+def counted_density_tests(values, fam, lam):
+    """Oracle for the rank-statistic density tests: the superlevel cell count
+    of every cube of ``fam`` at ``lam`` from one summed-area table of
+    {values >= lam} (NaN cells are in no superlevel set), and the integer
+    tests read from it.  Returns the masks ``dense`` (count * 2^{d+1} >=
+    cells), ``below_half`` (2 count < cells), ``at_most_half`` (2 count <=
+    cells) and ``strictly_dense`` (count * 2^{d+1} > cells)."""
+    d = values.ndim
+    counts = SummedAreaTable(values >= lam).box_sum_many(fam.anchors, fam.sides)
+    cells = fam.sides ** d
+    return SimpleNamespace(
+        dense=counts * 2 ** (d + 1) >= cells, below_half=2 * counts < cells,
+        at_most_half=2 * counts <= cells, strictly_dense=counts * 2 ** (d + 1) > cells)
+
+
 def per_level_columns(f, red, bps):
     """Oracle for the evaluator's per-level columns: the split read at every
     breakpoint ``bps[k]``, k >= 1, with the boundary faces counted from the

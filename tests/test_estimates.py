@@ -7,6 +7,7 @@ from cubemax import (
     GridFunction,
     PixelSet,
     dyadic_descendants,
+    family_averages,
     grid_from_array,
     lambda_breakpoints,
     perimeter,
@@ -28,9 +29,10 @@ from cubemax.estimates import (
     sparse_mass_estimate,
     theorem_main_evaluate,
 )
-from cubemax.grid import boundary_faces_outside
+from cubemax.grid import boundary_faces_outside, integrate_breakpoints
 from cubemax.partition import DensityLevels
 from cubemax.sparse import default_contraction, lambda_q
+from conftest import counted_density_tests
 
 
 def enumerate_dyadic_1d(anchor, side):
@@ -113,6 +115,28 @@ class TestSparseMassEstimate:
             lhs, rhs = sparse_mass_estimate(f, GridCube(anchor, side))
             assert lhs <= rhs + 1e-9 * max(1.0, abs(rhs))
 
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_rhs_matches_counted_oracle(self, rng, d):
+        # the per-level form: count each dyadic cube's superlevel cells at
+        # every breakpoint above the average
+        for _ in range(15):
+            side = 4
+            dims = (side + int(rng.integers(0, 3)),) * d
+            f = GridFunction(dims, float(rng.choice([0.5, 1.0])),
+                             rng.integers(0, 4, dims).ravel().astype(float))
+            q0 = GridCube(tuple(int(rng.integers(0, n - side + 1)) for n in dims), side)
+            dy = dyadic_descendants(q0)
+            avgs = family_averages(f, dy)
+            fq0 = float(np.mean(f.array[q0.slices()]))
+            bps = lambda_breakpoints(f, np.concatenate((avgs, [fq0])))
+            vols = np.zeros(bps.size)
+            for k in range(1, bps.size):
+                sel = (avgs >= bps[k]) & counted_density_tests(f.array, dy, bps[k]).at_most_half
+                u = dy.select(sel).union_pixels(dims).mask
+                vols[k] = np.count_nonzero(u & (f.array >= bps[k])) * f.h ** d
+            want = 2 ** (d + 1) * integrate_breakpoints(bps, vols, lower=fq0)
+            assert sparse_mass_estimate(f, q0)[1] == want
+
     def test_explicit_level_precondition(self, rng):
         f = grid_from_array(np.array([4.0, 0.0, 0.0, 0.0]))
         q0 = GridCube((0,), 4)
@@ -148,6 +172,9 @@ class TestCoveringMiddensity:
             E = PixelSet(dims, m)
             r = covering_middensity(E, q0)
             assert r.exact, "every set cell must be covered by a band cube"
+            dy = dyadic_descendants(q0)
+            counted = counted_density_tests(m.astype(float), dy, 1.0)
+            assert r.band.cubes == dy.select(counted.dense & counted.below_half).cubes
             # re-verify the band predicate with direct volume counts
             for c in r.band.cubes:
                 cnt = int(m[c.slices()].sum())

@@ -1,11 +1,30 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cubemax import CubeFamily, GridCube, PixelSet, grid_from_array, lambda_breakpoints, perimeter
+from cubemax import (
+    CubeFamily,
+    GridCube,
+    PixelSet,
+    dyadic_descendants,
+    grid_from_array,
+    lambda_breakpoints,
+    perimeter,
+)
 from cubemax.grid import boundary_faces_outside
 from cubemax.generators import make_function, random_complete_family, random_family
-from cubemax.partition import boundary_of_union_check, density_levels, partition_at
-from conftest import carried_level_sweep, partition_from_scratch
+from cubemax.partition import (
+    boundary_of_union_check,
+    density_band,
+    density_levels,
+    kth_largest,
+    partition_at,
+)
+from cubemax.sparse import lambda_q
+from conftest import carried_level_sweep, counted_density_tests, partition_from_scratch
 
 
 def random_instance(rng, dims=(10, 10), n_cubes=7, levels=5):
@@ -274,3 +293,43 @@ class TestHighDensityRatio:
                 if rhs > 0:
                     worst = max(worst, boundary_faces_outside(p.union_q01, p.level).face_count / rhs)
         assert np.isfinite(worst)
+
+
+@st.composite
+def grid_and_base(draw):
+    """A d = 1, 2 or 3 grid of tied values and NaN cells, with a random
+    power-of-two base cube inside it."""
+    d = draw(st.integers(1, 3))
+    side = 2 ** draw(st.integers(0, 5 - d))
+    dims = tuple(side + draw(st.integers(0, 2)) for _ in range(d))
+    vals = draw(st.lists(st.sampled_from([0.0, 1.0, 1.0, 2.5, 4.0, math.nan]),
+                         min_size=math.prod(dims), max_size=math.prod(dims)))
+    anchor = tuple(draw(st.integers(0, n - side)) for n in dims)
+    return np.array(vals).reshape(dims), GridCube(anchor, side)
+
+
+class TestRankTable:
+    """Each integer density test is a comparison with a k-th largest value."""
+
+    @given(grid_and_base())
+    @settings(max_examples=150, deadline=None)
+    def test_rank_tests_match_counted_tests(self, case):
+        values, base = case
+        d = values.ndim
+        dy = dyadic_descendants(base)
+        dense = kth_largest(values, dy, lambda c: math.ceil(c / 2 ** (d + 1)))
+        below_half = kth_largest(values, dy, lambda c: math.ceil(c / 2))
+        at_most_half = kth_largest(values, dy, lambda c: c // 2 + 1)
+        strictly_dense = kth_largest(values, dy, lambda c: c // 2 ** (d + 1) + 1)
+        lo, hi = density_band(values, dy)
+        f = grid_from_array(values)
+        assert np.array_equal([lambda_q(f, c) for c in dy], strictly_dense)
+        finite = np.unique(values[np.isfinite(values)])
+        ends = (finite[0] - 1.0, finite[-1] + 1.0) if finite.size else (-1.0, 1.0)
+        for lam in (ends[0], *finite, ends[1]):
+            want = counted_density_tests(values, dy, lam)
+            assert np.array_equal(lam <= dense, want.dense)
+            assert np.array_equal(lam > below_half, want.below_half)
+            assert np.array_equal(lam > at_most_half, want.at_most_half)
+            assert np.array_equal(lam <= strictly_dense, want.strictly_dense)
+            assert np.array_equal((lo < lam) & (lam <= hi), want.dense & want.below_half)

@@ -3,6 +3,7 @@ import pytest
 
 from cubemax import CubeFamily, GridCube, GridFunction, dyadic_descendants, grid_from_array
 from cubemax.errors import PremiseViolated
+from cubemax.generators import random_family
 from cubemax.sparse import (
     SparseFamily,
     accumulate_q2_cubes,
@@ -52,6 +53,12 @@ class TestLambdaQ:
         # the top value equals the threshold exactly, so the level drops to 0
         f = grid_from_array(np.array([4.0, 0.0, 0.0, 0.0]))
         assert lambda_q(f, GridCube((0,), 4)) == 0.0
+
+    def test_nan_cell_is_in_no_superlevel_set(self):
+        q = GridCube((0,), 4)
+        # a NaN cell counted as above every level would make 1 the level
+        assert lambda_q(grid_from_array(np.array([np.nan, 1.0, 0.0, 0.0])), q) == 0.0
+        assert lambda_q(grid_from_array(np.array([np.nan, np.nan, np.nan, 0.0])), q) == -np.inf
 
     def test_matches_scan_oracle(self, rng):
         for _ in range(40):
@@ -104,6 +111,18 @@ class TestGreedySparse:
                 cubes.append(GridCube(anchor, side))
             sp = greedy_sparse(f, CubeFamily(cubes).with_averages(f))
             assert sparse_pairwise_violations(sp, f) == []
+
+    def test_lambdas_match_scan_oracle(self):
+        # the acceptance-suite inputs: 16 x 16 integer grids, random families
+        rng = np.random.default_rng(104)
+        for _ in range(20):
+            dims = (16, 16)
+            f = GridFunction(dims, float(rng.choice([0.5, 1.0])),
+                             rng.integers(0, 7, dims).ravel().astype(float))
+            count = int(rng.integers(20, 201))
+            fam = random_family(rng, dims, count, pow2=bool(rng.integers(0, 2)))
+            sp = greedy_sparse(f, fam.with_averages(f))
+            assert sp.lambdas.tolist() == [lambda_q_scan_oracle(f, c) for c in sp.cubes]
 
     def test_rhs_sum_formula(self, rng):
         f = grid_from_array(rng.integers(0, 4, (8, 8)).astype(float))
