@@ -12,8 +12,9 @@ from .errors import NonDyadicSide, PremiseViolated
 from .grid import GridFunction, PixelSet
 from .sat import SummedAreaTable
 
-#: Rows per block of pairwise arithmetic on (rows, m, d) arrays: O(ROW_BLOCK*m*d) memory.
-ROW_BLOCK = 32
+#: Pair elements per block of pairwise arithmetic: a block of rows against m
+#: columns holds at most this many pairs per (rows, m) plane, whatever m is.
+PAIR_BUDGET = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -138,10 +139,12 @@ def cube_contains(outer_a: np.ndarray, outer_s, inner_a: np.ndarray, inner_s) ->
     return ok
 
 
-def row_blocks(n: int):
-    """Consecutive slices of at most ``ROW_BLOCK`` rows covering ``range(n)``."""
-    for start in range(0, n, ROW_BLOCK):
-        yield slice(start, min(start + ROW_BLOCK, n))
+def row_blocks(n: int, m: int):
+    """Consecutive slices covering ``range(n)``, each of floor(PAIR_BUDGET / m)
+    rows (at least one), for pairwise arithmetic of n rows against m columns."""
+    step = max(1, PAIR_BUDGET // max(m, 1))
+    for start in range(0, n, step):
+        yield slice(start, min(start + step, n))
 
 
 def box_cover_counts(lo: np.ndarray, hi: np.ndarray, dims: Sequence[int]) -> np.ndarray:
@@ -199,8 +202,13 @@ class CubeFamily:
         keeps its last average."""
         if np.any(sides < 1):
             raise ValueError("cube side must be at least one cell")
-        _, last = np.unique(np.column_stack((-sides, anchors))[::-1], axis=0, return_index=True)
-        idx = len(sides) - 1 - last
+        # reversed rows, so that a stable sort puts the last repeat first
+        keys = np.column_stack((-sides, anchors))[::-1]
+        order = np.lexsort(keys.T[::-1])
+        ranked = keys[order]
+        first = np.ones(len(order), dtype=bool)
+        first[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
+        idx = len(sides) - 1 - order[first]
         self._set(anchors[idx], sides[idx],
                   None if averages is None else np.asarray(averages, dtype=np.float64)[idx])
 
@@ -292,7 +300,7 @@ def _with_dyadic_parents(fam: CubeFamily) -> CubeFamily:
     # members of the smallest side, last in canonical order, hold only themselves
     pow2 = np.flatnonzero(((s & (s - 1)) == 0) & (s > s[-1:]))
     pairs = [np.empty((0, 2), dtype=np.int64)]
-    for rows in row_blocks(len(pow2)):
+    for rows in row_blocks(len(pow2), len(s)):
         hit = cube_contains(a[pow2[rows], None], s[pow2[rows], None], a, s)
         hit[np.arange(hit.shape[0]), pow2[rows]] = False
         i, j = np.nonzero(hit)
@@ -338,7 +346,7 @@ def maximal_cube_reduction(fam: CubeFamily, f: GridFunction) -> CubeFamily:
     fam = fam if fam.averages is not None else fam.with_averages(f)
     avgs, anchors, sides = fam.averages, fam.anchors, fam.sides
     keep = np.ones(len(fam), dtype=bool)
-    for rows in row_blocks(len(fam)):
+    for rows in row_blocks(len(fam), len(fam)):
         # strict containment needs a strictly larger side
         sup = (sides > sides[rows, None]) & cube_contains(anchors, sides, anchors[rows, None],
                                                            sides[rows, None])

@@ -47,6 +47,7 @@ from .errors import (
     InvariantViolated,
     NotDyadicallyComplete,
     PreconditionDensity,
+    PremiseViolated,
     ZeroVariationInput,
 )
 from .grid import (
@@ -86,6 +87,7 @@ def sparse_mass_estimate(f: GridFunction, q0: GridCube,
     The density hypothesis, count(f >= lam0) * 2^{d+1} <= cells, holds
     exactly for lam0 above the density level (see :mod:`cubemax.partition`);
     the default lam0 is the level itself, the limit the construction uses.
+    A non-finite cell in the cube raises :class:`PremiseViolated`.
     """
     d = f.d
     lam_q = lambda_q(f, q0)
@@ -97,6 +99,8 @@ def sparse_mass_estimate(f: GridFunction, q0: GridCube,
             f"lam0 is at most the density level {lam_q}")
 
     fq0 = float(np.mean(f.array[q0.slices()].ravel()))
+    if not np.isfinite(fq0):
+        raise PremiseViolated(f"cube {q0} has the non-finite average {fq0!r}")
     lhs = q0.volume(f.h) * (fq0 - lam0)
 
     dy = dyadic_descendants(q0)
@@ -424,7 +428,7 @@ def _deep_chain(f: GridFunction, sparse: SparseFamily, bps: np.ndarray) -> dict:
         blo, bhi = dilate_bounds(*cube_bounds(ba, bs, h), max(fl.c2, 1.0))
         inv_side = 1.0 / (bs * h)
         ssum = np.empty(len(qs))
-        for rows in row_blocks(len(qs)):
+        for rows in row_blocks(len(qs), len(bs)):
             inside = np.all((blo <= qlo[rows, None]) & (qhi[rows, None] <= bhi), axis=-1)
             ssum[rows] = np.cumsum(np.where(inside, inv_side, 0.0), axis=1)[:, -1]
         massbelow_max = max(massbelow_max, float(np.max(ssum * (qs * h))))

@@ -120,11 +120,13 @@ def sparse_pairwise_violations(fam: SparseFamily, f: GridFunction) -> list[tuple
     anchors, sides = cube_arrays(fam.cubes, f.d)
     avgs = np.asarray(fam.averages)
     scales = scale_indices(sides, f.h)
+    lo, hi = anchors.T, (anchors + sides[:, None]).T
     bad = []
-    for rows in row_blocks(len(sides)):
-        lo = np.maximum(anchors[rows, None], anchors)
-        hi = np.minimum(anchors[rows, None] + sides[rows, None, None], anchors + sides[:, None])
-        ov = np.prod(np.maximum(0, hi - lo), axis=-1)
+    for rows in row_blocks(len(sides), len(sides)):
+        ov = 1
+        for k in range(f.d):
+            ov = ov * np.maximum(0, np.minimum(hi[k, rows, None], hi[k])
+                                 - np.maximum(lo[k, rows, None], lo[k]))
         separated = (scales[rows, None] < scales) & (avgs[rows, None] > avgs)
         viol = (sides[rows, None] <= sides) & (2 * ov > sides[rows, None] ** f.d) & ~separated
         viol[np.arange(viol.shape[0]), np.arange(rows.start, rows.stop)] = False
@@ -174,10 +176,34 @@ class OverlapFamily:
 
 def _cover_dilation(ilo, ihi, olo, ohi) -> np.ndarray:
     """Smallest K with the inner box inside the K-dilate of the outer box,
-    over the broadcast leading axes of the (..., d) corner arrays."""
-    c = 0.5 * (olo + ohi)
-    r = 0.5 * (ohi - olo)
-    return np.maximum(0.0, np.max(np.maximum(ihi - c, c - ilo) / r, axis=-1))
+    over the broadcast trailing axes of per-axis corner arrays (d, ...).
+    Each axis is one pass over whole planes; the max over axes, then with 0,
+    is exact in any order."""
+    need = 0.0
+    for k in range(len(olo)):
+        c = 0.5 * (olo[k] + ohi[k])
+        r = 0.5 * (ohi[k] - olo[k])
+        need = np.maximum(need, np.maximum(ihi[k] - c, c - ilo[k]) / r)
+    return need
+
+
+def _first_fit(lo, hi) -> np.ndarray:
+    """Which of the boxes with per-axis corners (d, g) a greedy pass in row
+    order takes: a box is taken when it overlaps every box taken before it
+    in zero volume.  A box that meets no earlier box is always taken, so only
+    the rows that meet an earlier one step through the sequential pass."""
+    g = lo.shape[1]
+    taken = np.ones(g, dtype=bool)
+    for rows in row_blocks(g, g):
+        ov = 1.0
+        for k in range(len(lo)):
+            gap = (np.minimum(hi[k, rows, None], hi[k, :rows.stop])
+                   - np.maximum(lo[k, rows, None], lo[k, :rows.stop]))
+            ov = ov * np.maximum(0.0, gap)
+        meets = (ov != 0.0) & (np.arange(rows.stop) < np.arange(rows.start, rows.stop)[:, None])
+        for i in np.flatnonzero(meets.any(axis=1)).tolist():
+            taken[rows.start + i] = not (meets[i] & taken[:rows.stop]).any()
+    return taken
 
 
 def dilate_overlap_count(cubes: Sequence[GridCube] | CubeFamily, K: float, dims, h: float) -> int:
@@ -189,16 +215,19 @@ def dilate_overlap_count(cubes: Sequence[GridCube] | CubeFamily, K: float, dims,
 
 def disjoint_select(S: CubeFamily, D_per_Q0: Mapping[GridCube, Sequence[GridCube]],
                     eps: float, f: GridFunction) -> OverlapFamily:
-    """Whitney-style thinning of per-base cube collections.
+    """Whitney-style thinning of per-base cube collections, for a
+    contraction ``0 <= eps < 1``.
 
     Discards cubes swallowed by the (1-eps)-contraction of another, then
     greedily keeps, per scale, a maximal set whose (1-eps)^2-contractions are
     pairwise disjoint.  Verifies bounded pointwise overlap of the contracted
     dilates and that every input cube is captured by a selected cube of
     comparable size staying near its base cube; the observed constants are
-    returned.  Pair tests run on (rows, m, d) corner arrays, ``ROW_BLOCK``
-    rows at a time.
+    returned.  Pair tests run one axis at a time on (rows, m) planes, in
+    blocks of rows within the pair budget of :func:`~cubemax.cubes.row_blocks`.
     """
+    if not 0.0 <= eps < 1.0:
+        raise ValueError(f"contraction eps must lie in [0, 1), got {eps!r}")
     h = f.h
     d = f.d
     base_a, base_s = cube_arrays(list(D_per_Q0), d)
@@ -213,25 +242,34 @@ def disjoint_select(S: CubeFamily, D_per_Q0: Mapping[GridCube, Sequence[GridCube
                               f"in its base cube {list(D_per_Q0)[owner[r]]}")
     all_d = CubeFamily.from_arrays(qa, qs)
     A, side = all_d.anchors, all_d.sides
+    m = len(all_d)
     sa, ss = cube_arrays(S, d)
-    for rows in row_blocks(len(ss)):
+    for rows in row_blocks(len(ss), m):
         # a containing cube of another side holds it strictly
         hit = np.argwhere(cube_contains(A, side, sa[rows, None], ss[rows, None])
                           & (ss[rows, None] != side))
         if hit.size:
             i, j = hit[0]
             raise PremiseViolated(f"selection cube {S[rows.start + i]} strictly inside {all_d[j]}")
-    m = len(all_d)
     if m == 0:
         return OverlapFamily((), eps, 0, 1.0, 1.0)
 
-    lo, hi = cube_bounds(A, side, h)
+    # per-axis corner planes (d, m)
+    lo, hi = (x.T.copy() for x in cube_bounds(A, side, h))
     clo, chi = dilate_bounds(lo, hi, 1.0 - eps)
+    # a contraction (eps >= 0) holds no cube of its own side or smaller, and
+    # canonical order puts the larger sides first: each run of one side is
+    # tested against the rows before it only
     swallowed = np.zeros(m, dtype=bool)
-    for rows in row_blocks(m):
-        inside = np.all((clo <= lo[rows, None]) & (hi[rows, None] <= chi), axis=-1)
-        inside[np.arange(inside.shape[0]), np.arange(rows.start, rows.stop)] = False
-        swallowed[rows] = inside.any(axis=1)
+    runs = np.append(np.flatnonzero(side[1:] != side[:-1]) + 1, m)
+    for start, stop in zip(runs[:-1].tolist(), runs[1:].tolist()):
+        for rows in row_blocks(stop - start, start):
+            own = slice(start + rows.start, start + rows.stop)
+            inside = True
+            for k in range(d):
+                inside = inside & (clo[k, :start] <= lo[k, own, None]) \
+                    & (hi[k, own, None] <= chi[k, :start])
+            swallowed[own] = inside.any(axis=1)
     keep = np.flatnonzero(~swallowed)
 
     # per-scale greedy maximal sets with disjoint (1-eps)^2 contractions
@@ -241,29 +279,25 @@ def disjoint_select(S: CubeFamily, D_per_Q0: Mapping[GridCube, Sequence[GridCube
     chosen = []
     for n in np.unique(scales[keep])[::-1]:
         grp = keep[scales[keep] == n]
-        taken = np.zeros(len(grp), dtype=bool)
-        for rows in row_blocks(len(grp)):
-            gap = (np.minimum(fhi[grp[rows], None], fhi[grp])
-                   - np.maximum(flo[grp[rows], None], flo[grp]))
-            meets = np.prod(np.maximum(0.0, gap), axis=-1) != 0.0
-            for r in range(meets.shape[0]):
-                taken[rows.start + r] = not (meets[r] & taken).any()
-        chosen.extend(grp[taken].tolist())
-    F = tuple(all_d[i] for i in chosen)
+        chosen.append(grp[_first_fit(flo[:, grp], fhi[:, grp])])
+    chosen = np.concatenate(chosen)
+    F = all_d.select(chosen)
     overlap_c = dilate_overlap_count(F, factor, f.dims, h)
 
     # capture: for each input cube the selected cube minimizing the larger of
-    # the two dilations; c1 and c2 are the largest dilations so chosen
-    plo, phi = lo[chosen], hi[chosen]
-    qlo, qhi = cube_bounds(qa, qs, h)
-    blo, bhi = cube_bounds(base_a, base_s, h)
+    # the two dilations; c1 and c2 are the largest dilations so chosen.  The
+    # second depends only on the base, so it is computed once per base of a block.
+    plo, phi = lo[:, None, chosen], hi[:, None, chosen]
+    qlo, qhi = (x.T[..., None] for x in cube_bounds(qa, qs, h))
+    blo, bhi = (x.T[..., None] for x in cube_bounds(base_a, base_s, h))
     c1 = 1.0
     c2 = 1.0
-    for rows in row_blocks(len(qs)):
-        need1 = _cover_dilation(qlo[rows, None], qhi[rows, None], plo, phi)
-        need2 = _cover_dilation(plo, phi, blo[owner[rows], None], bhi[owner[rows], None])
+    for rows in row_blocks(len(qs), len(chosen)):
+        bases, of_row = np.unique(owner[rows], return_inverse=True)
+        need1 = _cover_dilation(qlo[:, rows], qhi[:, rows], plo, phi)
+        need2 = _cover_dilation(plo, phi, blo[:, bases], bhi[:, bases])[of_row]
         best = np.argmin(np.maximum(need1, need2), axis=1)
         pick = np.arange(len(best))
         c1 = max(c1, float(need1[pick, best].max()))
         c2 = max(c2, float(need2[pick, best].max()))
-    return OverlapFamily(F, eps, overlap_c, c1, c2)
+    return OverlapFamily(F.cubes, eps, overlap_c, c1, c2)

@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 
 from cubemax import CubeFamily, GridCube, PixelSet, RealBox, perimeter, superlevel
+from cubemax import cubes as cubes_module
+from cubemax.cubes import cube_arrays, cube_bounds
 from cubemax.errors import PremiseViolated
 from cubemax.grid import boundary_faces_outside
 from cubemax.partition import LevelPartition, density_levels
@@ -203,6 +205,23 @@ def loop_compensated_cumsum(a, axis):
     return np.moveaxis(out, 0, axis)
 
 
+def unique_canonical_order(anchors, sides, averages=None):
+    """Oracle for ``CubeFamily`` canonicalisation: ``np.unique`` over the
+    reversed rows (-side, anchor...), whose first-occurrence index is the
+    last repeat in input order.  Returns the canonical anchors, sides and
+    averages (None without averages)."""
+    _, last = np.unique(np.column_stack((-sides, anchors))[::-1], axis=0, return_index=True)
+    idx = len(sides) - 1 - last
+    return (anchors[idx], sides[idx],
+            None if averages is None else np.asarray(averages, dtype=np.float64)[idx])
+
+
+@pytest.fixture
+def one_row_blocks(monkeypatch):
+    """Shrink the pair budget so that ``row_blocks`` yields one row per block."""
+    monkeypatch.setattr(cubes_module, "PAIR_BUDGET", 1)
+
+
 def union_by_slices(cubes, dims):
     """Oracle for ``CubeFamily.union_pixels``: paint each cube's slices."""
     u = np.zeros(tuple(dims), dtype=bool)
@@ -348,6 +367,39 @@ def scalar_disjoint_select(S, D_per_Q0, eps, f):
             c1 = max(c1, best[1])
             c2 = max(c2, best[2])
     return OverlapFamily(tuple(F), eps, overlap_c, c1, c2)
+
+
+def _broadcast_cover_dilation(ilo, ihi, olo, ohi):
+    c = 0.5 * (olo + ohi)
+    r = 0.5 * (ohi - olo)
+    return np.maximum(0.0, np.max(np.maximum(ihi - c, c - ilo) / r, axis=-1))
+
+
+def broadcast_capture(D_per_Q0, F, h):
+    """Oracle for the capture constants (c1, c2) of ``disjoint_select`` given
+    its selection ``F``: every (input cube, selected cube) pair scored on
+    (rows, m, d) corner arrays, 32 input rows at a time, with both dilations
+    computed per pair."""
+    d = F[0].d
+    base_a, base_s = cube_arrays(list(D_per_Q0), d)
+    groups = [cube_arrays(ds, d) for ds in D_per_Q0.values()]
+    qa = np.concatenate([a for a, _ in groups])
+    qs = np.concatenate([s for _, s in groups])
+    owner = np.repeat(np.arange(len(groups)), [len(s) for _, s in groups])
+    plo, phi = cube_bounds(*cube_arrays(F, d), h)
+    qlo, qhi = cube_bounds(qa, qs, h)
+    blo, bhi = cube_bounds(base_a, base_s, h)
+    c1 = 1.0
+    c2 = 1.0
+    for start in range(0, len(qs), 32):
+        rows = slice(start, start + 32)
+        need1 = _broadcast_cover_dilation(qlo[rows, None], qhi[rows, None], plo, phi)
+        need2 = _broadcast_cover_dilation(plo, phi, blo[owner[rows], None], bhi[owner[rows], None])
+        best = np.argmin(np.maximum(need1, need2), axis=1)
+        pick = np.arange(len(best))
+        c1 = max(c1, float(need1[pick, best].max()))
+        c2 = max(c2, float(need2[pick, best].max()))
+    return c1, c2
 
 
 # Scalar oracles for the sampled geometry checks.  They evaluate one cover

@@ -17,9 +17,9 @@ from cubemax import (
     maximal_cube_reduction,
     scale_index,
 )
-from cubemax.cubes import scale_indices
+from cubemax.cubes import row_blocks, scale_indices
 from cubemax.errors import NonDyadicSide
-from conftest import scalar_scale_index, union_by_slices
+from conftest import scalar_scale_index, union_by_slices, unique_canonical_order
 
 
 def brute_force_completion(cubes):
@@ -131,6 +131,28 @@ class TestDyadicCompletion:
             max_side = max(c.side for c in fam.cubes)
             bound = len(fam) * (1 + max(1, int(np.log2(max(2, max_side)))) * 2 ** d)
             assert len(done) <= bound
+
+
+def test_one_row_blocks_match_oracles(rng, one_row_blocks):
+    # completion, the completeness check and the reduction, one row per block
+    assert list(row_blocks(3, 5)) == [slice(0, 1), slice(1, 2), slice(2, 3)]
+    f = grid_from_array(rng.integers(0, 4, (16, 16)).astype(float))
+    for _ in range(10):
+        cubes = []
+        for _ in range(int(rng.integers(2, 6))):
+            side = int(2 ** rng.integers(0, 4))
+            cubes.append(GridCube(tuple(int(rng.integers(0, 17 - side)) for _ in range(2)), side))
+        fam = CubeFamily(cubes)
+        done = dyadic_completion(fam)
+        assert set(done.cubes) == brute_force_completion(cubes)
+        ok, witness = is_dyadically_complete(fam)
+        assert ok == (len(done) == len(fam))
+        assert ok or (witness in done and witness not in fam)
+        full = done.with_averages(f)
+        pairs = list(zip(full.cubes, full.averages.tolist()))
+        want = tuple(c for c, a in pairs
+                     if not any(o.side > c.side and o.contains_cube(c) and b >= a for o, b in pairs))
+        assert maximal_cube_reduction(full, f).cubes == want
 
 
 class TestMaximalCubeReduction:
@@ -315,3 +337,34 @@ def test_scale_indices_match_scalar_formula(sides, h):
     want = [scalar_scale_index(GridCube((0,), s), h) for s in sides]
     assert scale_indices(np.array(sides), h).tolist() == want
     assert [scale_index(GridCube((0,), s), h) for s in sides] == want
+
+
+@st.composite
+def cube_rows(draw):
+    """Anchor rows, sides and averages in d = 1..3, with repeated cubes that
+    carry other averages."""
+    d = draw(st.integers(1, 3))
+    cubes = draw(st.lists(st.tuples(st.tuples(*[st.integers(-3, 3)] * d), st.integers(1, 3)),
+                          max_size=20))
+    if cubes:
+        cubes += draw(st.lists(st.sampled_from(cubes), max_size=10))
+    avgs = draw(st.lists(st.floats(width=64), min_size=len(cubes), max_size=len(cubes)))
+    anchors = np.array([a for a, _ in cubes], dtype=np.int64).reshape(len(cubes), d)
+    sides = np.array([s for _, s in cubes], dtype=np.int64)
+    return anchors, sides, np.array(avgs, dtype=np.float64)
+
+
+@given(cube_rows())
+@settings(max_examples=300, deadline=None)
+def test_canonical_order_matches_unique_oracle(rows):
+    anchors, sides, avgs = rows
+    fam = CubeFamily.from_arrays(anchors, sides, avgs)
+    for got, want in zip((fam.anchors, fam.sides, fam.averages),
+                         unique_canonical_order(anchors, sides, avgs)):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+    # a repeated cube keeps the average of its last occurrence
+    last = {(tuple(a), s): v for a, s, v in zip(anchors.tolist(), sides.tolist(), avgs)}
+    kept = [last[(tuple(a), s)] for a, s in zip(fam.anchors.tolist(), fam.sides.tolist())]
+    assert np.array(kept, dtype=np.float64).tobytes() == fam.averages.tobytes()
+    assert CubeFamily.from_arrays(anchors, sides).averages is None

@@ -137,6 +137,11 @@ class TestSparseMassEstimate:
             want = 2 ** (d + 1) * integrate_breakpoints(bps, vols, lower=fq0)
             assert sparse_mass_estimate(f, q0)[1] == want
 
+    def test_nan_cell_rejected(self):
+        f = grid_from_array(np.array([np.nan, 4, 0, 0, 0, 0, 0, 0]))
+        with pytest.raises(PremiseViolated, match="non-finite average nan"):
+            sparse_mass_estimate(f, GridCube((0,), 8))
+
     def test_explicit_level_precondition(self, rng):
         f = grid_from_array(np.array([4.0, 0.0, 0.0, 0.0]))
         q0 = GridCube((0,), 4)

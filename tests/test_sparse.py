@@ -16,7 +16,12 @@ from cubemax.sparse import (
     significant_mass_bound,
     sparse_pairwise_violations,
 )
-from conftest import scalar_disjoint_select, scalar_overlap_count, scalar_pairwise_violations
+from conftest import (
+    broadcast_capture,
+    scalar_disjoint_select,
+    scalar_overlap_count,
+    scalar_pairwise_violations,
+)
 
 
 def lambda_q_scan_oracle(f, q):
@@ -205,6 +210,13 @@ class TestDisjointSelect:
     def test_default_contraction_value(self):
         assert default_contraction(2) == pytest.approx(1 / 64)
         assert default_contraction(1) == pytest.approx(1 / 16)
+
+    def test_contraction_out_of_range_rejected(self, rng):
+        f = grid_from_array(rng.random((8, 8)))
+        q0 = GridCube((0, 0), 4)
+        for eps in (-0.01, 1.0):
+            with pytest.raises(ValueError, match="contraction eps"):
+                disjoint_select(CubeFamily([q0]), {q0: [q0]}, eps, f)
 
     def test_premise_violation_raises(self, rng):
         f = grid_from_array(rng.random((8, 8)))
@@ -415,3 +427,53 @@ class TestArrayFormAgainstScalarOracles:
                 assert dilate_overlap_count(sp.cubes, K, f.dims, f.h) == \
                     scalar_overlap_count(sp.cubes, K, f.dims, f.h)
         assert dilate_overlap_count([], 1.0, f.dims, f.h) == 0
+
+
+class TestPairBudget:
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_one_row_blocks_match_oracles(self, rng, one_row_blocks, d):
+        # block boundaries, the swallow prefix and the conflict-row greedy
+        eps = default_contraction(d)
+        for _ in range(15):
+            f, d_map = nested_instance(rng, d)
+            if d_map:
+                S = CubeFamily(list(d_map))
+                got = disjoint_select(S, d_map, eps, f)
+                assert got == scalar_disjoint_select(S, d_map, eps, f)
+                assert (got.c1, got.c2) == broadcast_capture(d_map, got.cubes, f.h)
+            sp, g = random_selection(rng, d)
+            assert sparse_pairwise_violations(sp, g) == scalar_pairwise_violations(sp, g)
+
+    def test_capture_over_several_blocks_matches_oracles(self, rng):
+        # 60% of the dyadic descendants of two side-16 bases on a 32x32
+        # grid: more pairs than one block holds
+        from cubemax import cubes
+
+        f = grid_from_array(rng.random((32, 32)))
+        eps = default_contraction(2)
+        for anchors in ([(4, 4), (16, 8)], [(0, 0), (16, 16)]):
+            d_map = {}
+            for a in anchors:
+                q0 = GridCube(a, 16)
+                dy = dyadic_descendants(q0)
+                d_map[q0] = [q0] + [c for c in dy.cubes[1:] if rng.random() < 0.6]
+            got = disjoint_select(CubeFamily(list(d_map)), d_map, eps, f)
+            assert sum(map(len, d_map.values())) * len(got.cubes) > cubes.PAIR_BUDGET
+            assert got == scalar_disjoint_select(CubeFamily(list(d_map)), d_map, eps, f)
+            assert (got.c1, got.c2) == broadcast_capture(d_map, got.cubes, f.h)
+
+    def test_deep_chain_independent_of_blocks(self, rng, monkeypatch):
+        from cubemax import cubes
+        from cubemax.estimates import theorem_main_evaluate
+        from cubemax.generators import random_complete_family, spikes_function
+
+        selected = 0
+        for _ in range(3):
+            f = spikes_function(rng, (16, 16), 1.0)
+            fam = random_complete_family(rng, (16, 16), 8).with_averages(f)
+            want = theorem_main_evaluate(f, fam, deep=True).deep
+            with monkeypatch.context() as m:
+                m.setattr(cubes, "PAIR_BUDGET", 1)
+                assert theorem_main_evaluate(f, fam, deep=True).deep == want
+            selected += want["overlap_C_max"]
+        assert selected > 0
