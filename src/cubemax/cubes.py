@@ -77,8 +77,9 @@ def scale_indices(sides: np.ndarray, h: float) -> np.ndarray:
     return np.where(np.ldexp(1.0, exp) - x <= 4 * np.spacing(x), exp, exp - 1)
 
 
-def is_power_of_two(n: int) -> bool:
-    return n >= 1 and (n & (n - 1)) == 0
+def is_power_of_two(n):
+    """Whether ``n``, an integer or an integer array (elementwise), is a power of two."""
+    return (n >= 1) & ((n & (n - 1)) == 0)
 
 
 @dataclass(frozen=True)
@@ -161,17 +162,23 @@ def box_cover_counts(lo: np.ndarray, hi: np.ndarray, dims: Sequence[int]) -> np.
     return counts
 
 
-def cube_arrays(cubes: Iterable[GridCube] | "CubeFamily",
-                d: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+def cube_arrays(cubes: Iterable[GridCube], d: int | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Anchor rows (n, d) and sides (n,) of the cubes in their given order:
     the one place where ``GridCube`` objects become arrays.  ``d`` sets the
-    row width of an empty input."""
-    if isinstance(cubes, CubeFamily):
-        return cubes.anchors, cubes.sides
+    row width of an empty input.  A :class:`CubeFamily` already holds these
+    arrays; only its constructor and the base cubes keying the collections of
+    :func:`~cubemax.sparse.disjoint_select` come through here."""
     cubes = list(cubes)
     anchors = np.array([c.anchor for c in cubes], dtype=np.int64)
     return (anchors.reshape(len(cubes), -1 if cubes else d or 0),
             np.array([c.side for c in cubes], dtype=np.int64))
+
+
+def _same_bits(a: np.ndarray | None, b: np.ndarray | None) -> bool:
+    """Whether two arrays agree in shape and bytes; None agrees only with None."""
+    if a is None or b is None:
+        return a is b
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 class CubeFamily:
@@ -181,8 +188,15 @@ class CubeFamily:
     (n, d) and ``sides`` of shape (n,).  Canonical order is side descending,
     then anchor lexicographic; it fixes every tie-break made by the
     selection procedures downstream.  A family may carry cached per-cube
-    averages of a bound grid function.  ``GridCube`` objects are built only
-    when ``cubes``, iteration or indexing asks for them.
+    averages of a bound grid function.  :meth:`select` with an index array
+    keeps the order of its indices, so a selection (such as the greedy
+    sparse one) stays a family in selection order.
+
+    Two families are equal when their anchors, sides and averages agree bit
+    for bit, row by row in order; a family without averages equals only
+    another without.  ``GridCube`` objects are built only when ``cubes``,
+    iteration or indexing asks for them: for reports, error messages and
+    the base cubes that key per-base collections.
     """
 
     def __init__(self, cubes: Iterable[GridCube], averages: np.ndarray | None = None):
@@ -225,6 +239,12 @@ class CubeFamily:
     def __len__(self) -> int:
         return len(self.sides)
 
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, CubeFamily):
+            return NotImplemented
+        return all(_same_bits(getattr(self, k), getattr(other, k))
+                   for k in ("anchors", "sides", "averages"))
+
     def __iter__(self):
         return iter(self.cubes)
 
@@ -258,12 +278,12 @@ class CubeFamily:
         return out
 
 
-def family_averages(f: GridFunction, cubes: Sequence[GridCube] | CubeFamily,
+def family_averages(f: GridFunction, fam: CubeFamily,
                     sat: SummedAreaTable | None = None) -> np.ndarray:
     """Per-cube averages of ``f``, computed from one shared prefix-sum table."""
     if sat is None:
         sat = SummedAreaTable(f.array)
-    return sat.box_avg_many(*cube_arrays(cubes, f.d))
+    return sat.box_avg_many(fam.anchors, fam.sides)
 
 
 def require_finite_averages(fam: CubeFamily) -> None:
@@ -298,7 +318,7 @@ def _with_dyadic_parents(fam: CubeFamily) -> CubeFamily:
     """
     a, s = fam.anchors, fam.sides
     # members of the smallest side, last in canonical order, hold only themselves
-    pow2 = np.flatnonzero(((s & (s - 1)) == 0) & (s > s[-1:]))
+    pow2 = np.flatnonzero(is_power_of_two(s) & (s > s[-1:]))
     pairs = [np.empty((0, 2), dtype=np.int64)]
     for rows in row_blocks(len(pow2), len(s)):
         hit = cube_contains(a[pow2[rows], None], s[pow2[rows], None], a, s)

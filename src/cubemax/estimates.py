@@ -31,7 +31,6 @@ import numpy as np
 from .cubes import (
     CubeFamily,
     GridCube,
-    cube_arrays,
     cube_bounds,
     dilate,
     dilate_bounds,
@@ -375,60 +374,56 @@ def _deep_chain(f: GridFunction, sparse: SparseFamily, bps: np.ndarray) -> dict:
     d = f.d
     h = f.h
     eps = default_contraction(d)
-    if len(sparse) == 0:
-        return {"eps": eps, "bases": [], "overlap_C_max": 0,
-                "C1_max": 1.0, "C2_max": 1.0,
-                "massbelow_ratio_max": 0.0, "eachlevel_ratio_max": 0.0}
 
-    # per base, once: a descendant is selected at the levels lam in (lo, hi], where
+    # the bases are the power-of-two selected cubes, in selection order.  Per
+    # base, once: a descendant is selected at the levels lam in (lo, hi], where
     # it is in the density band and it or an ancestor has average at least lam
-    f_sat = SummedAreaTable(f.array)
-    bases = []
-    for q0, fq0, lamq0 in zip(sparse.cubes, sparse.averages, sparse.lambdas):
-        if not is_power_of_two(q0.side):
-            continue
+    pow2 = is_power_of_two(sparse.cubes.sides)
+    bases = sparse.cubes.select(pow2)
+    lamq = sparse.lambdas[pow2]
+    f_sat = SummedAreaTable(f.array) if len(bases) else None
+    dys, bands = [], []
+    for q0 in bases:
         dy = dyadic_descendants(q0)
         lo, hi = density_band(f.array, dy)
-        bases.append({
-            "cube": q0, "avg": float(fq0), "lamq": float(lamq0), "dy": dy, "lo": lo,
-            "hi": np.minimum(hi, _ancestor_max(dy, family_averages(f, dy, f_sat))),
-            "vol_integral": 0.0,
-        })
+        dys.append(dy)
+        bands.append((lo, np.minimum(hi, _ancestor_max(dy, family_averages(f, dy, f_sat)))))
+    vol_integral = np.zeros(len(bases))
 
-    s_union = CubeFamily([b["cube"] for b in bases]).union_pixels(f.dims)
+    s_union = bases.union_pixels(f.dims)
     overlap_max, c1_max, c2_max, massbelow_max, eachlevel_max = 0, 1.0, 1.0, 0.0, 0.0
 
-    for k in range(1, bps.size):
+    # no base is active at a level below every base average
+    first = int(np.searchsorted(bps, bases.averages.min(initial=np.inf)))
+    for k in range(max(1, first), bps.size):
         lam = float(bps[k])
-        active = [b for b in bases if b["avg"] <= lam]
-        if not active:
-            continue
+        active = np.flatnonzero(bases.averages <= lam)
         d_map: dict[GridCube, CubeFamily] = {}
-        for b in active:
-            sel = b["dy"].select((b["lo"] < lam) & (lam <= b["hi"]))
+        for i in active.tolist():
+            lo, hi = bands[i]
+            sel = dys[i].select((lo < lam) & (lam <= hi))
             if len(sel):
-                d_map[b["cube"]] = sel
-                if bps[k - 1] >= b["avg"]:
-                    b["vol_integral"] += (bps[k] - bps[k - 1]) * \
+                d_map[bases.cubes[i]] = sel
+                if bps[k - 1] >= bases.averages[i]:
+                    vol_integral[i] += (bps[k] - bps[k - 1]) * \
                         float(sel.union_pixels(f.dims).count) * h ** d
         if not d_map:
             continue
-        s_fam = CubeFamily([b["cube"] for b in active])
-        fl = disjoint_select(s_fam, d_map, eps, f)
+        S = bases.select(active)
+        fl = disjoint_select(S, d_map, eps, f)
         overlap_max = max(overlap_max, fl.overlap_constant)
         c1_max = max(c1_max, fl.c1)
         c2_max = max(c2_max, fl.c2)
 
         # geometric scale sum: for each selected cube, the sum of inverse side
         # lengths of bases whose c2-dilate contains it (log base 2 bracketing);
-        # running sums keep the base order of the accumulation
-        qa, qs = cube_arrays(fl.cubes, d)
-        ba, bs = cube_arrays([b["cube"] for b in active], d)
-        qlo, qhi = cube_bounds(qa, qs, h)
-        blo, bhi = dilate_bounds(*cube_bounds(ba, bs, h), max(fl.c2, 1.0))
-        inv_side = 1.0 / (bs * h)
+        # running sums keep the selection order of the active bases
+        qs = fl.cubes.sides
+        qlo, qhi = cube_bounds(fl.cubes.anchors, qs, h)
+        blo, bhi = dilate_bounds(*cube_bounds(S.anchors, S.sides, h), max(fl.c2, 1.0))
+        inv_side = 1.0 / (S.sides * h)
         ssum = np.empty(len(qs))
-        for rows in row_blocks(len(qs), len(bs)):
+        for rows in row_blocks(len(qs), len(S)):
             inside = np.all((blo <= qlo[rows, None]) & (qhi[rows, None] <= bhi), axis=-1)
             ssum[rows] = np.cumsum(np.where(inside, inv_side, 0.0), axis=1)[:, -1]
         massbelow_max = max(massbelow_max, float(np.max(ssum * (qs * h))))
@@ -437,23 +432,21 @@ def _deep_chain(f: GridFunction, sparse: SparseFamily, bps: np.ndarray) -> dict:
         if rhs_prefix > 0:
             eachlevel_max = max(eachlevel_max, each_sum / rhs_prefix)
 
-    mass_slack = 0.0
-    for b in bases:
-        lhs_b = (b["avg"] - b["lamq"]) * 2 * d * (b["cube"].side * h) ** (d - 1)
-        rhs_b = b["vol_integral"] / (b["cube"].side * h)
-        if rhs_b > 0:
-            mass_slack = max(mass_slack, lhs_b / rhs_b)
+    side_h = bases.sides * h
+    lhs_b = (bases.averages - lamq) * 2 * d * side_h ** (d - 1)
+    rhs_b = vol_integral / side_h
+    pos = rhs_b > 0
     return {
         "eps": eps,
         "bases": [
-            {"anchor": list(b["cube"].anchor), "side": b["cube"].side,
-             "avg": b["avg"], "lamq": b["lamq"], "vol_integral": b["vol_integral"]}
-            for b in bases
+            {"anchor": a, "side": s, "avg": v, "lamq": l, "vol_integral": w}
+            for a, s, v, l, w in zip(bases.anchors.tolist(), bases.sides.tolist(),
+                                     bases.averages.tolist(), lamq.tolist(), vol_integral.tolist())
         ],
         "overlap_C_max": overlap_max,
         "C1_max": c1_max,
         "C2_max": c2_max,
-        "mass_estimate_slack": mass_slack,
+        "mass_estimate_slack": float(np.max(lhs_b[pos] / rhs_b[pos], initial=0.0)),
         "massbelow_ratio_max": massbelow_max,
         "eachlevel_ratio_max": eachlevel_max,
     }

@@ -17,10 +17,10 @@ import numpy as np
 
 from .cubes import (
     CubeFamily,
-    cube_arrays,
     cube_contains,
     dyadic_descendants,
     is_dyadically_complete,
+    is_power_of_two,
 )
 from .errors import ConfigError
 from .estimates import DEFAULT_RATIO_CAPS, theorem_main_evaluate
@@ -397,8 +397,8 @@ def run_sparse_audit(cfg: ExperimentConfig) -> dict:
         # bounded-overlap instance: bases are power-of-two selected cubes,
         # the per-base collections are random dyadic descendants
         eps = default_contraction(f.d)
-        bases = [c for c in sp.cubes if not (c.side & (c.side - 1))]
-        ba, bs = cube_arrays(bases, f.d)
+        bases = sp.cubes.select(is_power_of_two(sp.cubes.sides))
+        ba, bs = bases.anchors, bases.sides
         d_map = {}
         for q0 in bases:
             dy = dyadic_descendants(q0)

@@ -5,7 +5,7 @@ bounded-overlap family of slightly contracted dilates.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
@@ -31,12 +31,6 @@ def default_contraction(d: int) -> float:
     return 2.0 ** (-d - 3) / d
 
 
-def cube_surface_measure(c: GridCube, h: float) -> float:
-    """Surface measure of the cube's topological boundary: 2d * (side*h)^(d-1)."""
-    d = c.d
-    return 2 * d * (c.side * h) ** (d - 1)
-
-
 def lambda_q(f: GridFunction, q: GridCube) -> float:
     """Largest level at which more than 2^{-d-1} of the cube lies in the
     superlevel set: its k-th largest cell value, k = floor(cells / 2^{d+1}) + 1.
@@ -51,23 +45,15 @@ def _lambda_levels(f: GridFunction, fam: CubeFamily) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SparseFamily:
-    """Greedy selection output, in selection order, with per-cube levels."""
+    """Greedy selection output: the selected cubes in selection order, with
+    their averages, and per-cube levels."""
 
-    cubes: tuple[GridCube, ...]
-    averages: np.ndarray
+    cubes: CubeFamily
     lambdas: np.ndarray
     rhs_sum: float  # sum of (f_Q - lambda_Q) * surface(Q)
 
     def __len__(self) -> int:
         return len(self.cubes)
-
-    def to_json(self) -> dict:
-        return {
-            "cubes": [{"anchor": list(c.anchor), "side": c.side} for c in self.cubes],
-            "averages": [float(a) for a in self.averages],
-            "lambdas": [float(l) for l in self.lambdas],
-            "rhs_sum": float(self.rhs_sum),
-        }
 
 
 def greedy_sparse(f: GridFunction, q2_union: CubeFamily) -> SparseFamily:
@@ -81,7 +67,8 @@ def greedy_sparse(f: GridFunction, q2_union: CubeFamily) -> SparseFamily:
     """
     n = len(q2_union)
     if n == 0:
-        return SparseFamily((), np.empty(0), np.empty(0), 0.0)
+        empty = np.empty(0)
+        return SparseFamily(CubeFamily.from_arrays(np.empty((0, f.d)), empty, empty), empty, 0.0)
     fam = q2_union if q2_union.averages is not None else q2_union.with_averages(f)
     avgs, anchors, sides = fam.averages, fam.anchors, fam.sides
     scales = scale_indices(sides, f.h)
@@ -102,9 +89,10 @@ def greedy_sparse(f: GridFunction, q2_union: CubeFamily) -> SparseFamily:
 
     picked = fam.select(np.array(order, dtype=np.int64))
     lambdas = _lambda_levels(f, picked)
-    surf = np.array([cube_surface_measure(c, f.h) for c in picked.cubes])
+    # surface measure of each cube's boundary, 2d * (side*h)^(d-1)
+    surf = 2 * f.d * (picked.sides * f.h) ** (f.d - 1)
     rhs = float(np.sum((picked.averages - lambdas) * surf))
-    return SparseFamily(picked.cubes, picked.averages, lambdas, rhs)
+    return SparseFamily(picked, lambdas, rhs)
 
 
 def sparse_pairwise_violations(fam: SparseFamily, f: GridFunction) -> list[tuple[int, int]]:
@@ -117,8 +105,7 @@ def sparse_pairwise_violations(fam: SparseFamily, f: GridFunction) -> list[tuple
     admissible; the downstream bounded-overlap lemma assumes exactly this
     non-strict form.)
     """
-    anchors, sides = cube_arrays(fam.cubes, f.d)
-    avgs = np.asarray(fam.averages)
+    anchors, sides, avgs = fam.cubes.anchors, fam.cubes.sides, fam.cubes.averages
     scales = scale_indices(sides, f.h)
     lo, hi = anchors.T, (anchors + sides[:, None]).T
     bad = []
@@ -158,20 +145,11 @@ def significant_mass_bound(f: GridFunction, fam: CubeFamily) -> tuple[float, flo
 class OverlapFamily:
     """Per-scale maximal family with disjoint contracted dilates."""
 
-    cubes: tuple[GridCube, ...]
+    cubes: CubeFamily
     eps: float
     overlap_constant: int       # max count of contracted dilates covering a grid point
     c1: float                   # dilation making every input cube fit in a selected one
     c2: float                   # dilation of the base cube containing the selected one
-
-    def to_json(self) -> dict:
-        return {
-            "cubes": [{"anchor": list(c.anchor), "side": c.side} for c in self.cubes],
-            "eps": self.eps,
-            "C": self.overlap_constant,
-            "C1": self.c1,
-            "C2": self.c2,
-        }
 
 
 def _cover_dilation(ilo, ihi, olo, ohi) -> np.ndarray:
@@ -206,17 +184,18 @@ def _first_fit(lo, hi) -> np.ndarray:
     return taken
 
 
-def dilate_overlap_count(cubes: Sequence[GridCube] | CubeFamily, K: float, dims, h: float) -> int:
-    """Max over grid cell centers of how many K-dilates contain the center."""
-    lo, hi = dilate_bounds(*cube_bounds(*cube_arrays(cubes, len(dims)), h), K)
+def dilate_overlap_count(fam: CubeFamily, K: float, dims, h: float) -> int:
+    """Max over grid cell centers of how many K-dilates of the members contain the center."""
+    lo, hi = dilate_bounds(*cube_bounds(fam.anchors, fam.sides, h), K)
     # cell center (i + 0.5) h lies in [lo, hi) iff ceil(lo/h - 0.5) <= i < ceil(hi/h - 0.5)
     return int(box_cover_counts(np.ceil(lo / h - 0.5), np.ceil(hi / h - 0.5), dims).max())
 
 
-def disjoint_select(S: CubeFamily, D_per_Q0: Mapping[GridCube, Sequence[GridCube]],
+def disjoint_select(S: CubeFamily, D_per_Q0: Mapping[GridCube, CubeFamily],
                     eps: float, f: GridFunction) -> OverlapFamily:
     """Whitney-style thinning of per-base cube collections, for a
-    contraction ``0 <= eps < 1``.
+    contraction ``0 <= eps < 1``.  ``D_per_Q0`` maps each base cube to its
+    collection; the selection comes back as one family in canonical order.
 
     Discards cubes swallowed by the (1-eps)-contraction of another, then
     greedily keeps, per scale, a maximal set whose (1-eps)^2-contractions are
@@ -230,11 +209,11 @@ def disjoint_select(S: CubeFamily, D_per_Q0: Mapping[GridCube, Sequence[GridCube
         raise ValueError(f"contraction eps must lie in [0, 1), got {eps!r}")
     h = f.h
     d = f.d
-    base_a, base_s = cube_arrays(list(D_per_Q0), d)
-    groups = [cube_arrays(ds, d) for ds in D_per_Q0.values()]
-    qa = np.concatenate([np.empty((0, d), dtype=np.int64)] + [a for a, _ in groups])
-    qs = np.concatenate([np.empty(0, dtype=np.int64)] + [s for _, s in groups])
-    owner = np.repeat(np.arange(len(groups)), [len(s) for _, s in groups])
+    base_a, base_s = cube_arrays(D_per_Q0, d)
+    groups = list(D_per_Q0.values())
+    qa = np.concatenate([np.empty((0, d), dtype=np.int64)] + [ds.anchors for ds in groups])
+    qs = np.concatenate([np.empty(0, dtype=np.int64)] + [ds.sides for ds in groups])
+    owner = np.repeat(np.arange(len(groups)), [len(ds) for ds in groups])
     outside = ~cube_contains(base_a[owner], base_s[owner], qa, qs)
     if outside.any():
         r = int(np.argmax(outside))
@@ -243,7 +222,7 @@ def disjoint_select(S: CubeFamily, D_per_Q0: Mapping[GridCube, Sequence[GridCube
     all_d = CubeFamily.from_arrays(qa, qs)
     A, side = all_d.anchors, all_d.sides
     m = len(all_d)
-    sa, ss = cube_arrays(S, d)
+    sa, ss = S.anchors, S.sides
     for rows in row_blocks(len(ss), m):
         # a containing cube of another side holds it strictly
         hit = np.argwhere(cube_contains(A, side, sa[rows, None], ss[rows, None])
@@ -252,7 +231,7 @@ def disjoint_select(S: CubeFamily, D_per_Q0: Mapping[GridCube, Sequence[GridCube
             i, j = hit[0]
             raise PremiseViolated(f"selection cube {S[rows.start + i]} strictly inside {all_d[j]}")
     if m == 0:
-        return OverlapFamily((), eps, 0, 1.0, 1.0)
+        return OverlapFamily(all_d, eps, 0, 1.0, 1.0)
 
     # per-axis corner planes (d, m)
     lo, hi = (x.T.copy() for x in cube_bounds(A, side, h))
@@ -300,4 +279,4 @@ def disjoint_select(S: CubeFamily, D_per_Q0: Mapping[GridCube, Sequence[GridCube
         pick = np.arange(len(best))
         c1 = max(c1, float(need1[pick, best].max()))
         c2 = max(c2, float(need2[pick, best].max()))
-    return OverlapFamily(F.cubes, eps, overlap_c, c1, c2)
+    return OverlapFamily(F, eps, overlap_c, c1, c2)

@@ -270,7 +270,7 @@ def scalar_pairwise_violations(fam, f):
             if 2 * ov <= R.cell_count:
                 continue
             if scalar_scale_index(R, f.h) < scalar_scale_index(Q, f.h) \
-                    and fam.averages[i] > fam.averages[j]:
+                    and fam.cubes.averages[i] > fam.cubes.averages[j]:
                 continue
             bad.append((i, j))
     return bad
@@ -324,7 +324,8 @@ def scalar_disjoint_select(S, D_per_Q0, eps, f):
             if q.contains_cube(s_cube) and q != s_cube:
                 raise PremiseViolated(f"selection cube {s_cube} strictly inside {q}")
     if not all_d:
-        return OverlapFamily((), eps, 0, 1.0, 1.0)
+        return OverlapFamily(CubeFamily.from_arrays(np.empty((0, f.d)), np.empty(0)),
+                             eps, 0, 1.0, 1.0)
 
     boxes = [c.extent(h) for c in all_d]
     contracted = [scalar_dilate(c, 1.0 - eps, h) for c in all_d]
@@ -366,7 +367,7 @@ def scalar_disjoint_select(S, D_per_Q0, eps, f):
                     best = (score, need1, need2)
             c1 = max(c1, best[1])
             c2 = max(c2, best[2])
-    return OverlapFamily(tuple(F), eps, overlap_c, c1, c2)
+    return OverlapFamily(CubeFamily(F), eps, overlap_c, c1, c2)
 
 
 def _broadcast_cover_dilation(ilo, ihi, olo, ohi):
@@ -380,13 +381,12 @@ def broadcast_capture(D_per_Q0, F, h):
     its selection ``F``: every (input cube, selected cube) pair scored on
     (rows, m, d) corner arrays, 32 input rows at a time, with both dilations
     computed per pair."""
-    d = F[0].d
-    base_a, base_s = cube_arrays(list(D_per_Q0), d)
-    groups = [cube_arrays(ds, d) for ds in D_per_Q0.values()]
-    qa = np.concatenate([a for a, _ in groups])
-    qs = np.concatenate([s for _, s in groups])
-    owner = np.repeat(np.arange(len(groups)), [len(s) for _, s in groups])
-    plo, phi = cube_bounds(*cube_arrays(F, d), h)
+    base_a, base_s = cube_arrays(D_per_Q0)
+    groups = list(D_per_Q0.values())
+    qa = np.concatenate([ds.anchors for ds in groups])
+    qs = np.concatenate([ds.sides for ds in groups])
+    owner = np.repeat(np.arange(len(groups)), [len(ds) for ds in groups])
+    plo, phi = cube_bounds(F.anchors, F.sides, h)
     qlo, qhi = cube_bounds(qa, qs, h)
     blo, bhi = cube_bounds(base_a, base_s, h)
     c1 = 1.0

@@ -255,7 +255,7 @@ class TestFamilyBasics:
 
     def test_cached_averages_exact(self, rng):
         f = grid_from_array(rng.random((6, 6)))
-        cubes = [GridCube((0, 0), 4), GridCube((2, 2), 2), GridCube((5, 5), 1)]
+        cubes = CubeFamily([GridCube((0, 0), 4), GridCube((2, 2), 2), GridCube((5, 5), 1)])
         avgs = family_averages(f, cubes)
         for c, a in zip(cubes, avgs):
             assert a == pytest.approx(float(np.mean(f.array[c.slices()])), rel=1e-12)
@@ -292,6 +292,17 @@ class TestFamilyBasics:
                 assert GridCube((7,) * d, 9) not in fam
                 assert not (fam.anchors.flags.writeable or fam.sides.flags.writeable
                             or fam.averages.flags.writeable)
+
+    def test_equality_is_bitwise_in_row_order(self):
+        fam = CubeFamily([GridCube((0, 0), 2), GridCube((1, 1), 1)], np.array([1.0, np.nan]))
+        assert fam == CubeFamily.from_arrays(fam.anchors.copy(), fam.sides.copy(),
+                                             fam.averages.copy())
+        assert fam != fam.select(np.array([1, 0]))
+        assert fam != CubeFamily.from_arrays(fam.anchors, np.array([2, 2]), fam.averages)
+        assert fam != CubeFamily.from_arrays(fam.anchors, fam.sides, np.array([2.0, np.nan]))
+        assert fam != CubeFamily.from_arrays(fam.anchors, fam.sides, np.array([1.0, 0.0]))
+        assert fam != CubeFamily.from_arrays(fam.anchors, fam.sides)
+        assert CubeFamily(fam.cubes) == CubeFamily.from_arrays(fam.anchors, fam.sides)
 
     def test_side_below_one_rejected(self):
         with pytest.raises(ValueError):

@@ -288,6 +288,16 @@ class TestTheoremEvaluate:
         rep = theorem_main_evaluate(f, CubeFamily([]).with_averages(f), deep=False)
         assert rep.lhs == 0.0 and rep.rhs == 0.0
 
+    def test_deep_keys_do_not_depend_on_the_selection(self):
+        # a zero grid selects no sparse cube; one spike selects some
+        reps = []
+        for n, vals in ((4, np.zeros((4, 4))), (8, np.eye(1, 64, 27).reshape(8, 8))):
+            f = grid_from_array(vals)
+            fam = dyadic_descendants(GridCube((0, 0), n)).with_averages(f)
+            reps.append(theorem_main_evaluate(f, fam, deep=True))
+        assert [r.subterms["sparse_size"] == 0 for r in reps] == [True, False]
+        assert set(reps[0].deep) == set(reps[1].deep)
+
     def test_incomplete_family_rejected(self, rng):
         f = grid_from_array(rng.random((8, 8)))
         fam = CubeFamily([GridCube((0, 0), 4), GridCube((0, 0), 1)]).with_averages(f)

@@ -18,7 +18,6 @@ from cubemax.io import (
     write_grid_csv,
     write_plot_columns,
 )
-from cubemax.sparse import greedy_sparse
 
 
 class TestGridFormats:
@@ -195,14 +194,6 @@ class TestFamilyJson:
         back, dims, h = family_from_json(json.loads(text))
         assert back.cubes == fam.cubes and dims == (8, 8) and h == 0.5
 
-    def test_sparse_family_preserves_selection_order(self, rng):
-        f = grid_from_array(rng.integers(0, 5, (8, 8)).astype(float))
-        cubes = [GridCube((0, 0), 4), GridCube((4, 4), 2), GridCube((2, 2), 2)]
-        sp = greedy_sparse(f, CubeFamily(cubes).with_averages(f))
-        obj = sp.to_json()
-        assert [tuple(c["anchor"]) for c in obj["cubes"]] == \
-            [c.anchor for c in sp.cubes]
-
 
 class TestCanonicalJson:
     def test_sorted_keys_and_17_digits(self):
@@ -245,15 +236,3 @@ class TestMaxFunctionEmission:
         write_grid_binary(mf.func, p_bin)
         assert np.array_equal(read_grid_csv(p_csv).values, mf.values)
         assert np.array_equal(read_grid_binary(p_bin).values, mf.values)
-
-
-class TestOverlapFamilyJson:
-    def test_serialization_fields(self, rng):
-        from cubemax.sparse import default_contraction, disjoint_select
-        f = grid_from_array(rng.random((8, 8)))
-        q0 = GridCube((0, 0), 4)
-        out = disjoint_select(CubeFamily([q0]), {q0: [q0, GridCube((0, 0), 2)]},
-                              default_contraction(2), f)
-        obj = out.to_json()
-        assert set(obj) == {"cubes", "eps", "C", "C1", "C2"}
-        assert obj["C"] >= 1

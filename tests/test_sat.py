@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cubemax import GridCube, SummedAreaTable, family_averages, grid_from_array
+from cubemax import CubeFamily, GridCube, SummedAreaTable, family_averages, grid_from_array
 from cubemax.sat import _compensated_cumsum
 from conftest import loop_compensated_cumsum
 
@@ -87,6 +87,6 @@ def test_nan_cell_leaves_other_cubes_finite():
     vals = np.arange(16.0).reshape(4, 4)
     vals[0, 0] = np.nan
     f = grid_from_array(vals)
-    cubes = [GridCube((0, 2), 2), GridCube((2, 0), 2), GridCube((2, 2), 2)]
+    cubes = CubeFamily([GridCube((0, 2), 2), GridCube((2, 0), 2), GridCube((2, 2), 2)])
     assert family_averages(f, cubes).tolist() == [4.5, 10.5, 12.5]
-    assert np.isnan(family_averages(f, [GridCube((0, 0), 2)])[0])
+    assert np.isnan(family_averages(f, CubeFamily([GridCube((0, 0), 2)]))[0])

@@ -7,7 +7,6 @@ from cubemax.generators import random_family
 from cubemax.sparse import (
     SparseFamily,
     accumulate_q2_cubes,
-    cube_surface_measure,
     default_contraction,
     dilate_overlap_count,
     disjoint_select,
@@ -81,7 +80,7 @@ class TestGreedySparse:
         f = grid_from_array(rng.random((4, 4)))
         fam = CubeFamily([GridCube((0, 0), 2)]).with_averages(f)
         sp = greedy_sparse(f, fam)
-        assert sp.cubes == fam.cubes
+        assert sp.cubes == fam
 
     def test_same_scale_majority_overlap_keeps_larger_average(self):
         vals = np.zeros((4, 8))
@@ -90,7 +89,7 @@ class TestGreedySparse:
         a = GridCube((0, 0), 4)   # average 2
         b = GridCube((0, 1), 4)   # average 1.5, overlaps a in 3/4 of volume
         sp = greedy_sparse(f, CubeFamily([a, b]).with_averages(f))
-        assert sp.cubes == (a,)
+        assert sp.cubes.cubes == (a,)
 
     def test_termination_and_subset(self, rng):
         f = grid_from_array(rng.random((16, 16)))
@@ -133,8 +132,8 @@ class TestGreedySparse:
         f = grid_from_array(rng.integers(0, 4, (8, 8)).astype(float))
         fam = CubeFamily([GridCube((0, 0), 4), GridCube((3, 3), 2)]).with_averages(f)
         sp = greedy_sparse(f, fam)
-        want = sum((a - l) * cube_surface_measure(c, f.h)
-                   for c, a, l in zip(sp.cubes, sp.averages, sp.lambdas))
+        want = sum((a - l) * 2 * c.d * (c.side * f.h) ** (c.d - 1)
+                   for c, a, l in zip(sp.cubes, sp.cubes.averages, sp.lambdas))
         assert sp.rhs_sum == pytest.approx(want, rel=1e-12)
 
 
@@ -203,8 +202,8 @@ class TestDisjointSelect:
         f = grid_from_array(rng.random((8, 8)))
         q0 = GridCube((0, 0), 4)
         fam = CubeFamily([q0])
-        out = disjoint_select(fam, {q0: [q0]}, default_contraction(2), f)
-        assert out.cubes == (q0,)
+        out = disjoint_select(fam, {q0: fam}, default_contraction(2), f)
+        assert out.cubes == fam
         assert out.overlap_constant == 1
 
     def test_default_contraction_value(self):
@@ -216,14 +215,14 @@ class TestDisjointSelect:
         q0 = GridCube((0, 0), 4)
         for eps in (-0.01, 1.0):
             with pytest.raises(ValueError, match="contraction eps"):
-                disjoint_select(CubeFamily([q0]), {q0: [q0]}, eps, f)
+                disjoint_select(CubeFamily([q0]), {q0: CubeFamily([q0])}, eps, f)
 
     def test_premise_violation_raises(self, rng):
         f = grid_from_array(rng.random((8, 8)))
         big = GridCube((0, 0), 4)
         small = GridCube((1, 1), 1)
         with pytest.raises(PremiseViolated):
-            disjoint_select(CubeFamily([small, big]), {big: [big]},
+            disjoint_select(CubeFamily([small, big]), {big: CubeFamily([big])},
                             default_contraction(2), f)
 
     def test_properties_on_random_nested_families(self, rng):
@@ -247,7 +246,7 @@ class TestDisjointSelect:
                     if not any(c.contains_cube(b) and c != b for b in bases):
                         subs.append(c)
                 if subs:
-                    d_map[q0] = subs
+                    d_map[q0] = CubeFamily(subs)
             if not d_map:
                 continue
             out = disjoint_select(CubeFamily(list(d_map)), d_map, eps, f)
@@ -290,7 +289,7 @@ class TestDisjointSelect:
                 if ok:
                     chosen.append(c)
             for K in (1.0, 2.0, 3.0):
-                cnt = dilate_overlap_count(chosen, K, f.dims, f.h)
+                cnt = dilate_overlap_count(CubeFamily(chosen), K, f.dims, f.h)
                 assert cnt <= 16 * K * K + 8
 
 
@@ -362,21 +361,22 @@ def nested_instance(rng, d):
                                             for a in q0.anchor), side))
         pick = [c for c in cands if not any(c.contains_cube(b) and c != b for b in bases)]
         if pick:
-            d_map[q0] = pick
+            d_map[q0] = CubeFamily(pick)
     return f, d_map
 
 
 def random_selection(rng, d):
-    """A hand-built selection with heavy overlaps, ties and non-dyadic sides;
-    unlike greedy output it usually has violating pairs."""
+    """A hand-built selection with heavy overlaps, ties and non-dyadic sides,
+    in a random order; unlike greedy output it usually has violating pairs.
+    A cube drawn twice is kept once, with its last average, as in greedy
+    output."""
     n = {1: 32, 2: 12, 3: 6}[d]
     f = GridFunction((n,) * d, float(rng.choice([0.25, 1 / 3, 1.0])), rng.random(n ** d))
-    cubes = []
-    for _ in range(int(rng.integers(2, 40))):
-        side = int(rng.integers(1, n // 2 + 1))
-        cubes.append(GridCube(tuple(int(a) for a in rng.integers(0, n - side + 1, d)), side))
-    avgs = rng.integers(0, 4, len(cubes)).astype(float)
-    return SparseFamily(tuple(cubes), avgs, np.zeros(len(cubes)), 0.0), f
+    m = int(rng.integers(2, 40))
+    sides = rng.integers(1, n // 2 + 1, m)
+    anchors = rng.integers(0, n - sides[:, None] + 1, (m, d))
+    fam = CubeFamily.from_arrays(anchors, sides, rng.integers(0, 4, m).astype(float))
+    return SparseFamily(fam.select(rng.permutation(len(fam))), np.zeros(len(fam)), 0.0), f
 
 
 class TestArrayFormAgainstScalarOracles:
@@ -403,6 +403,7 @@ class TestArrayFormAgainstScalarOracles:
     ], ids=["outside-base", "inside-selection-cube", "inside-other-collection"])
     def test_premise_messages_match_oracle(self, rng, S, d_map):
         f = grid_from_array(rng.random((8, 8)))
+        d_map = {q0: CubeFamily(ds) for q0, ds in d_map.items()}
         with pytest.raises(PremiseViolated) as want:
             scalar_disjoint_select(CubeFamily(S), d_map, default_contraction(2), f)
         with pytest.raises(PremiseViolated) as got:
@@ -426,7 +427,27 @@ class TestArrayFormAgainstScalarOracles:
             for K in (0.4, (1 - default_contraction(d)) ** 2, 1.0, 2.5):
                 assert dilate_overlap_count(sp.cubes, K, f.dims, f.h) == \
                     scalar_overlap_count(sp.cubes, K, f.dims, f.h)
-        assert dilate_overlap_count([], 1.0, f.dims, f.h) == 0
+        assert dilate_overlap_count(CubeFamily([]), 1.0, f.dims, f.h) == 0
+
+
+def test_selection_path_builds_no_grid_cubes(rng, monkeypatch):
+    # the inputs, the mapping keys included, are built before counting
+    f, d_map = nested_instance(rng, 2)
+    while not d_map:
+        f, d_map = nested_instance(rng, 2)
+    fam = random_family(rng, f.dims, 60, pow2=False).with_averages(f)
+    S = CubeFamily(list(d_map))
+    built = []
+    real = GridCube.__post_init__
+
+    def counted(self):
+        real(self)
+        built.append(self)
+
+    monkeypatch.setattr(GridCube, "__post_init__", counted)
+    sp = greedy_sparse(f, fam)
+    out = disjoint_select(S, d_map, default_contraction(2), f)
+    assert len(sp) and len(out.cubes) and not built
 
 
 class TestPairBudget:
@@ -456,7 +477,7 @@ class TestPairBudget:
             for a in anchors:
                 q0 = GridCube(a, 16)
                 dy = dyadic_descendants(q0)
-                d_map[q0] = [q0] + [c for c in dy.cubes[1:] if rng.random() < 0.6]
+                d_map[q0] = dy.select(np.append(True, rng.random(len(dy) - 1) < 0.6))
             got = disjoint_select(CubeFamily(list(d_map)), d_map, eps, f)
             assert sum(map(len, d_map.values())) * len(got.cubes) > cubes.PAIR_BUDGET
             assert got == scalar_disjoint_select(CubeFamily(list(d_map)), d_map, eps, f)
