@@ -12,7 +12,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -98,17 +98,17 @@ def cube_angle_check(d: int, samples: int, seed: int = 0) -> float:
     the outer normal of its face; the bound it is judged against is
     pi/2 - arcsin(1/sqrt d).
 
-    Corner points are included, where the bound is attained exactly.
+    Corner points are included, where the bound is attained exactly.  The
+    points are projected onto the face with outer normal e_0, so the cosine
+    of the angle is p . e_0 / |p| = 1 / |p|.
     """
     if d not in (2, 3):
         raise UnsupportedDimension("cube angle sampling needs d in {2,3}")
     rng = np.random.default_rng(seed)
     pts = rng.uniform(-1.0, 1.0, size=(samples, d))
     pts = np.vstack([pts, _corners(d)])
-    pts[:, 0] = 1.0  # project onto the face with outer normal e_0
-    e = np.zeros(d)
-    e[0] = 1.0
-    ang = _angles(pts, np.broadcast_to(e, pts.shape))
+    pts[:, 0] = 1.0
+    ang = np.arccos(np.clip(1.0 / np.linalg.norm(pts, axis=-1), -1.0, 1.0))
     return float(ang.max())
 
 
@@ -281,43 +281,178 @@ class BlowupResult(NamedTuple):
     stderr: float
 
 
+_HEIGHT_BLOCK = 8192  # rows per height evaluation; bounds its (rows, 8, d-1) temporaries
+_PRUNE_SLACK = 1e-9   # relative slack of the neighbour search's prunes, on the safe side
+
+
+def _cone_heights(u: np.ndarray, anchors: np.ndarray, offsets: np.ndarray,
+                  L: float) -> np.ndarray:
+    """min_j offsets_j + L |u - anchors_j| at the rows of u (n, d-1): an
+    L-Lipschitz height field, evaluated in blocks of rows."""
+    out = np.empty(len(u))
+    for start in range(0, len(u), _HEIGHT_BLOCK):
+        dist = np.linalg.norm(u[start:start + _HEIGHT_BLOCK, None, :] - anchors, axis=2)
+        out[start:start + _HEIGHT_BLOCK] = np.min(offsets + L * dist, axis=1)
+    return out
+
+
+class _BlowupDraws(NamedTuple):
+    """A random Lipschitz graph, its mesh and the Monte Carlo samples."""
+
+    heights: Callable[[np.ndarray], np.ndarray]  # (n, d-1) -> (n,) graph heights
+    spacing: float        # mesh step along each horizontal axis
+    grid: np.ndarray      # (m,) mesh coordinates along each horizontal axis
+    mesh_z: np.ndarray    # (m,) * (d-1) graph heights at the mesh points
+    x: np.ndarray         # (mc_samples, d) samples of the bounding box
+    box_vol: float
+
+
+def _draw_blowup(L: float, diam: float, eps: float, mc_samples: int, d: int,
+                 seed: int) -> _BlowupDraws:
+    rng = np.random.default_rng(seed)
+    du = d - 1
+    span = diam / math.sqrt(du * (1.0 + L * L))  # graph over [0, span]^du has diameter <= diam
+    anchors = rng.uniform(0, span, size=(8, du))
+    offsets = rng.uniform(0, L * span / 2 if L > 0 else 1.0, size=8)
+    heights = functools.partial(_cone_heights, anchors=anchors, offsets=offsets, L=L)
+    spacing = eps / 20.0
+    grid = np.arange(0, span + spacing, spacing)
+    mesh = np.stack([g.ravel() for g in np.meshgrid(*[grid] * du, indexing="ij")], axis=1)
+    mesh_z = heights(mesh)
+    lo = np.array([-eps] * du + [mesh_z.min() - eps])
+    hi = np.array([span + eps] * du + [mesh_z.max() + eps])
+    x = rng.uniform(lo, hi, size=(mc_samples, d))
+    return _BlowupDraws(heights, spacing, grid, mesh_z.reshape((len(grid),) * du), x,
+                        float(np.prod(hi - lo)))
+
+
+def _ring_offsets(du: int, width: int, spacing: float, reach: float):
+    """Index offsets of the search window grouped into rings of increasing
+    horizontal radius: yields (r_lo, r_hi, offsets) with offsets (k, du)."""
+    axis = np.arange(-width, width + 1)
+    off = np.stack(np.meshgrid(*[axis] * du, indexing="ij"), axis=-1).reshape(-1, du)
+    near = np.sqrt(np.sum(np.maximum(np.abs(off) - 1, 0) ** 2, axis=1))  # in steps
+    far = np.sqrt(np.sum((np.abs(off) + 1) ** 2, axis=1))
+    keep = spacing * near < reach
+    off, near, far = off[keep], near[keep], far[keep]
+    ring = np.floor(near).astype(np.intp)
+    order = np.lexsort((np.sum(off * off, axis=1), ring))
+    for rows in np.split(order, np.flatnonzero(np.diff(ring[order])) + 1):
+        yield spacing * float(near[rows].min()), spacing * float(far[rows].max()), off[rows]
+
+
+class _Samples(NamedTuple):
+    """The samples still in a neighbour search, one entry each."""
+
+    rows: np.ndarray                # sample index
+    cell: np.ndarray                # flat index of the sample's cell in the padded mesh
+    gap: np.ndarray                 # |x_z - s(x_u)|
+    z: np.ndarray                   # x_z
+    index: tuple[np.ndarray, ...]   # per horizontal axis, the cell's padded mesh index
+    coord: tuple[np.ndarray, ...]   # per horizontal axis, x_u
+
+    def take(self, keep: np.ndarray) -> "_Samples":
+        # one-dimensional integer gathers: a boolean or a 2-d gather costs
+        # several times more
+        keep = np.flatnonzero(keep)
+        return _Samples(self.rows[keep], self.cell[keep], self.gap[keep], self.z[keep],
+                        tuple(a[keep] for a in self.index), tuple(a[keep] for a in self.coord))
+
+
+def _graph_hits(draws: _BlowupDraws, L: float, eps: float) -> np.ndarray:
+    """Per sample, whether some mesh point of the graph lies closer than eps:
+    the mesh point (g[i], z[i]) at distance sqrt(sum_k (x_k - p_k)^2), summed
+    in axis order, below eps.  See ``lipschitz_blowup_check``."""
+    x, h = draws.x, draws.spacing
+    du = x.shape[1] - 1
+    reach = eps * (1.0 + _PRUNE_SLACK)
+    gap = np.abs(x[:, du] - draws.heights(x[:, :du]))
+    rows = np.flatnonzero(gap < reach * math.sqrt(1.0 + L * L))
+    width = math.ceil(eps / h) + 1
+    coord = tuple(x[rows, k] for k in range(du))
+    base = [np.floor(c / h).astype(np.intp) for c in coord]
+    # pad the mesh with NaN heights so that every window lies inside it; a
+    # NaN distance is never below eps, exactly as a missing point
+    pad_lo = max(0, width - min((int(b.min(initial=0)) for b in base)))
+    pad_hi = max(0, max(int(b.max(initial=0)) for b in base) + width - (len(draws.grid) - 1))
+    z = np.pad(draws.mesh_z, [(pad_lo, pad_hi)] * du, constant_values=np.nan)
+    g = np.pad(draws.grid, (pad_lo, pad_hi), constant_values=np.nan)
+    strides = np.array(z.strides) // z.itemsize
+    z = z.ravel()
+    index = tuple(b + pad_lo for b in base)
+    cell = sum(i * int(s) for i, s in zip(index, strides))
+    live = _Samples(rows, cell, gap[rows], x[rows, du], index, coord)
+    hits = np.zeros(len(x), dtype=bool)
+    for r_lo, r_hi, offsets in _ring_offsets(du, width, h, reach):
+        vert = np.maximum(live.gap - L * r_hi, 0.0)
+        cand = live.take(r_lo * r_lo + vert * vert < reach * reach)
+        for o in offsets:
+            s = 0.0
+            for k in range(du):
+                dx = cand.coord[k] - g[cand.index[k] + o[k]]
+                s = s + dx * dx
+            dz = cand.z - z[cand.cell + int(o @ strides)]
+            hit = np.sqrt(s + dz * dz) < eps
+            if hit.any():
+                hits[cand.rows[hit]] = True
+                cand = cand.take(~hit)
+        live = live.take(~hits[live.rows])
+    return hits
+
+
 def lipschitz_blowup_check(L: float, diam: float, eps: float,
                            mc_samples: int, d: int = 2, seed: int = 0,
                            constant: float = 4.0) -> BlowupResult:
     """Monte Carlo volume of the eps-neighborhood of a random Lipschitz graph,
     returned with the bound constant * (diam + eps)^(d-1) * (1 + L) * eps it
     is judged against (estimate + 5 stderr at most the bound).
-    """
-    from scipy.spatial import cKDTree  # its only user; keeps the package import light
 
+    The graph is the mesh p_i = (g[i], s(g[i])) of the L-Lipschitz height
+    field s over the axis grid g = 0, h, 2h, ... (h = eps/20), and a sample
+    x = (x_u, x_z) hits when some p_i has |x - p_i| < eps, the distance
+    computed as sqrt(sum_k (x_k - p_k)^2) in axis order, as a k-d tree
+    computes it.  ``_graph_hits`` decides this by visiting, per sample, only
+    the mesh points that can be that close:
+
+    * Window.  With b = floor(x_u / h) per horizontal axis, x_u lies in
+      [b h, (b+1) h).  A point with |x_u - i h| < eps has i - b < eps/h + 1
+      and b - i < eps/h, so |i - b| <= W = ceil(eps/h) + 1; the extra index
+      absorbs the rounding of x_u / h and of g[i] = fl(i h).  Indices of the
+      window outside the mesh (samples within eps of its edge) are padding
+      with NaN heights, whose distance is never below eps.
+    * Rings.  A point at offset o = i - b lies at horizontal distance at
+      least r_lo = h |max(|o| - 1, 0)| and at most r_hi = h ||o| + 1|, both
+      taken per axis.  Offsets with r_lo >= eps can never hit and are
+      dropped; the rest are visited in rings of increasing r_lo, and a
+      sample stops being tested once it hits.
+    * Sample prune.  Let D = |x_z - s(x_u)|.  Since s is L-Lipschitz, a point
+      at horizontal distance r has |x_z - s(p_u)| >= D - L r, so its squared
+      distance is at least r^2 + max(0, D - L r)^2, whose minimum over r is
+      D^2 / (1 + L^2).  A sample with D >= eps sqrt(1 + L^2) has no point
+      within eps and is dropped; a ring is tested only on the samples with
+      r_lo^2 + max(0, D - L r_hi)^2 < eps^2.
+    * Slack.  The prunes compare with eps (1 + 1e-9) instead of eps, so
+      they only keep more samples than the real-number bounds ask for.  The
+      bounds are computed in floating point from heights of size about
+      diam (1 + L); their rounding errors, about 1e-16 of that size, stay far
+      below 1e-9 eps for any mesh that fits in memory ((20 diam/eps)^(d-1)
+      points).  The hit test itself has no slack, so each sample is decided
+      as the tree decides it, bit for bit.
+    """
     if d not in (2, 3):
         raise UnsupportedDimension("blowup sampling needs d in {2,3}")
-    rng = np.random.default_rng(seed)
-    du = d - 1
-    span = diam / math.sqrt(du * (1.0 + L * L))  # graph over [0, span]^du has diameter <= diam
-    anchors = rng.uniform(0, span, size=(8, du))
-    offsets = rng.uniform(0, L * span / 2 if L > 0 else 1.0, size=8)
-
-    def surf(x):
-        dist = np.linalg.norm(x[:, None, :] - anchors[None, :, :], axis=2)
-        return np.min(offsets[None, :] + L * dist, axis=1)
-
-    spacing = eps / 20.0
-    grids = [np.arange(0, span + spacing, spacing)] * du
-    mesh = np.stack([g.ravel() for g in np.meshgrid(*grids, indexing="ij")], axis=1)
-    pts = np.column_stack([mesh, surf(mesh)])
-    tree = cKDTree(pts)
-
-    zmin, zmax = pts[:, -1].min(), pts[:, -1].max()
-    lo = np.array([-eps] * du + [zmin - eps])
-    hi = np.array([span + eps] * du + [zmax + eps])
-    box_vol = float(np.prod(hi - lo))
-    x = rng.uniform(lo, hi, size=(mc_samples, d))
-    dist, _ = tree.query(x, k=1)
-    hits = dist < eps
-    p = hits.mean()
-    estimate = box_vol * p
-    stderr = box_vol * math.sqrt(max(p * (1 - p), 1e-12) / mc_samples)
+    if not 0 < eps < math.inf:
+        raise ValueError(f"eps must be positive and finite, got {eps!r}")
+    if not 0 <= L < math.inf:
+        raise ValueError(f"Lipschitz constant L must lie in [0, inf), got {L!r}")
+    if not 0 < diam < math.inf:
+        raise ValueError(f"diam must be positive and finite, got {diam!r}")
+    if mc_samples < 1:
+        raise ValueError(f"mc_samples must be at least 1, got {mc_samples!r}")
+    draws = _draw_blowup(L, diam, eps, mc_samples, d, seed)
+    p = _graph_hits(draws, L, eps).mean()
+    estimate = draws.box_vol * p
+    stderr = draws.box_vol * math.sqrt(max(p * (1 - p), 1e-12) / mc_samples)
     bound = constant * (diam + eps) ** (d - 1) * (1.0 + L) * eps
     return BlowupResult(estimate, bound, stderr)
 

@@ -437,6 +437,17 @@ def scalar_cover_margin(draws, t, eps, delta):
     return float((1 + eps) * s_q / 2.0 - np.abs(local).max())
 
 
+def kdtree_blowup_hits(draws, eps):
+    """Oracle for ``geom._graph_hits``: a k-d tree over every mesh point of
+    the graph, and a sample hits when its nearest one is closer than eps."""
+    from scipy.spatial import cKDTree
+
+    du = draws.x.shape[1] - 1
+    mesh = np.stack([g.ravel() for g in np.meshgrid(*[draws.grid] * du, indexing="ij")], axis=1)
+    dist, _ = cKDTree(np.column_stack([mesh, draws.mesh_z.ravel()])).query(draws.x, k=1)
+    return dist < eps
+
+
 def _segment_interval_in_square(p0, direction, length, sq):
     """Parameter interval of p0 + t*direction, t in [0, length], inside the open square."""
     c = np.asarray(sq.center)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import (
+    kdtree_blowup_hits,
     scalar_boundary_length_in_disk,
     scalar_cover_margin,
     scalar_large_boundary,
@@ -47,6 +48,17 @@ class TestCubeAngle:
     def test_bound_never_exceeded(self, d):
         bound = math.pi / 2 - math.asin(1.0 / math.sqrt(d))
         assert cube_angle_check(d, 20000, seed=3) <= bound + 1e-9
+
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("seed", [0, 5])
+    def test_equals_angle_to_face_normal(self, d, seed):
+        # the same points through the general angle formula against e_0
+        rng = np.random.default_rng(seed)
+        pts = np.vstack([rng.uniform(-1.0, 1.0, size=(3000, d)), geom._corners(d)])
+        pts[:, 0] = 1.0
+        e = np.broadcast_to(np.eye(d)[0], pts.shape)
+        cos = np.sum(pts * e, axis=-1) / (np.linalg.norm(pts, axis=-1) * np.linalg.norm(e, axis=-1))
+        assert cube_angle_check(d, 3000, seed=seed) == float(np.arccos(np.clip(cos, -1.0, 1.0)).max())
 
 
 class TestMinAngle:
@@ -227,6 +239,60 @@ class TestLipschitzBlowup:
         res = lipschitz_blowup_check(1.0, 1.0, 0.1, 10_000, d=2, seed=2, constant=1e-6)
         assert isinstance(res, BlowupResult)
         assert res.estimate + 5 * res.stderr > res.bound
+
+    @pytest.mark.parametrize("kwargs", [
+        {"eps": 0.0}, {"eps": -0.1}, {"eps": math.nan}, {"eps": math.inf},
+        {"L": -1.0}, {"L": math.nan}, {"L": math.inf},
+        {"diam": 0.0}, {"diam": math.nan},
+        {"mc_samples": 0}, {"mc_samples": -5},
+    ])
+    def test_invalid_input_rejected(self, kwargs):
+        args = {"L": 1.0, "diam": 1.0, "eps": 0.1, "mc_samples": 1000, **kwargs}
+        with pytest.raises(ValueError):
+            lipschitz_blowup_check(**args)
+
+
+class TestBlowupNeighbourSearch:
+    """The index-window search decides every sample exactly as a k-d tree
+    over the whole mesh does."""
+
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("L", [0.0, 0.5, 1.0, 3.0])
+    @pytest.mark.parametrize("eps", [0.05, 0.1, 0.2])
+    def test_hits_equal_kdtree(self, d, L, eps):
+        n = 20_000 if d == 2 else 3_000
+        for seed in (0, 1, 2):
+            draws = geom._draw_blowup(L, 1.0, eps, n, d, seed)
+            hits = geom._graph_hits(draws, L, eps)
+            np.testing.assert_array_equal(hits, kdtree_blowup_hits(draws, eps))
+            assert 0 < hits.sum() < n
+
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("L", [0.0, 1.0, 3.0])
+    def test_clipped_windows(self, d, L):
+        # samples whose horizontal coordinates lie in [-eps, 0) or beyond the
+        # last mesh point, within eps of the graph's edge in height
+        eps = 0.1
+        draws = geom._draw_blowup(L, 1.0, eps, 1, d, 4)
+        rng = np.random.default_rng(11)
+        n, du, last = 4000, d - 1, draws.grid[-1]
+        u = rng.uniform(0.0, last, size=(n, du))
+        side = rng.integers(0, du, size=n)
+        edge = np.where(rng.random(n) < 0.5, rng.uniform(-eps, 0.0, n),
+                        rng.uniform(np.nextafter(last, np.inf), last + eps, n))
+        u[np.arange(n), side] = edge
+        z = draws.heights(np.clip(u, 0.0, last)) + rng.uniform(-1.2 * eps, 1.2 * eps, n)
+        draws = draws._replace(x=np.column_stack([u, z]))
+        hits = geom._graph_hits(draws, L, eps)
+        np.testing.assert_array_equal(hits, kdtree_blowup_hits(draws, eps))
+        assert 0 < hits.sum() < n
+
+    def test_unchanged_estimate_at_suite_config(self):
+        # the geom suite's call at seed 0: every sample decided as the tree does
+        draws = geom._draw_blowup(1.0, 1.0, 0.1, 100_000, 2, 0)
+        hits = kdtree_blowup_hits(draws, 0.1)
+        res = lipschitz_blowup_check(1.0, 1.0, 0.1, 100_000, d=2, seed=0)
+        assert res.estimate == draws.box_vol * hits.mean()
 
 
 class TestLargeBoundary:

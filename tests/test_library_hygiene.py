@@ -36,11 +36,21 @@ def test_scan_finds_both_forms():
     assert _stripped_checks(tree) == [1, 2, 3]
 
 
+def _loaded_scipy_modules(code: str) -> str:
+    code += "; print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+    out = subprocess.run([sys.executable, "-c", "import sys; " + code], capture_output=True,
+                         text=True, check=True, env={**os.environ, "PYTHONPATH": str(SRC.parent)})
+    return out.stdout.strip()
+
+
 def test_package_import_loads_no_scipy_submodules():
-    # scipy.ndimage and scipy.spatial cost about 37 MB and 0.5 s to import;
-    # only geom.lipschitz_blowup_check needs one, and imports it itself
-    code = ("import sys, cubemax.cli, cubemax.geom; "
-            "print(sorted(m for m in sys.modules if m.startswith(('scipy.ndimage', 'scipy.spatial'))))")
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
-                         env={**os.environ, "PYTHONPATH": str(SRC.parent)})
-    assert out.stdout.strip() == "[]"
+    # scipy.ndimage and scipy.spatial cost about 37 MB and 0.5 s to import
+    assert _loaded_scipy_modules("import cubemax.cli, cubemax.geom") == "[]"
+
+
+def test_geom_run_loads_no_scipy():
+    # the runtime is numpy only: a whole geom suite, including the Lipschitz
+    # blow-up search in d = 2, imports no scipy module
+    code = ("from cubemax.experiments import ExperimentConfig, run_geom_suite; "
+            "run_geom_suite(ExperimentConfig(geom_samples=2000))")
+    assert _loaded_scipy_modules(code) == "[]"
