@@ -387,12 +387,17 @@ def _graph_hits(draws: _BlowupDraws, L: float, eps: float) -> np.ndarray:
         vert = np.maximum(live.gap - L * r_hi, 0.0)
         cand = live.take(r_lo * r_lo + vert * vert < reach * reach)
         for o in offsets:
-            s = 0.0
-            for k in range(du):
-                dx = cand.coord[k] - g[cand.index[k] + o[k]]
-                s = s + dx * dx
-            dz = cand.z - z[cand.cell + int(o @ strides)]
-            hit = np.sqrt(s + dz * dz) < eps
+            # sum_k (x_k - p_k)^2 in axis order, in place
+            s = np.subtract(cand.coord[0], g[cand.index[0] + o[0]])
+            s *= s
+            for k in range(1, du):
+                dx = np.subtract(cand.coord[k], g[cand.index[k] + o[k]])
+                dx *= dx
+                s += dx
+            dz = np.subtract(cand.z, z[cand.cell + int(o @ strides)])
+            dz *= dz
+            s += dz
+            hit = np.sqrt(s, out=s) < eps
             if hit.any():
                 hits[cand.rows[hit]] = True
                 cand = cand.take(~hit)
