@@ -14,15 +14,11 @@ from .grid import (
 from .cubes import (
     CubeFamily,
     GridCube,
-    RealBox,
-    dilate,
     dyadic_completion,
     dyadic_descendants,
     family_averages,
-    intersection_volume,
     is_dyadically_complete,
     maximal_cube_reduction,
-    scale_index,
 )
 from .sat import SummedAreaTable
 
@@ -32,20 +28,16 @@ __all__ = [
     "GridCube",
     "GridFunction",
     "PixelSet",
-    "RealBox",
     "SummedAreaTable",
-    "dilate",
     "dyadic_completion",
     "dyadic_descendants",
     "family_averages",
     "grid_from_array",
     "integrate_breakpoints",
-    "intersection_volume",
     "is_dyadically_complete",
     "lambda_breakpoints",
     "maximal_cube_reduction",
     "perimeter",
-    "scale_index",
     "superlevel",
     "variation",
 ]

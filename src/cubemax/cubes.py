@@ -44,25 +44,8 @@ class GridCube:
     def slices(self) -> tuple[slice, ...]:
         return tuple(slice(a, a + self.side) for a in self.anchor)
 
-    def contains_cube(self, other: "GridCube") -> bool:
-        return all(a <= b and b + other.side <= a + self.side
-                   for a, b in zip(self.anchor, other.anchor))
-
-    def contains_cell(self, cell: Sequence[int]) -> bool:
-        return all(a <= c < a + self.side for a, c in zip(self.anchor, cell))
-
-    def extent(self, h: float) -> "RealBox":
-        lo = tuple(a * h for a in self.anchor)
-        hi = tuple((a + self.side) * h for a in self.anchor)
-        return RealBox(lo, hi)
-
     def pixels(self, dims: Sequence[int]) -> PixelSet:
         return CubeFamily([self]).union_pixels(dims)
-
-
-def scale_index(cube: GridCube, h: float) -> int:
-    """The integer n with side*h in [2**n, 2**(n+1)); see :func:`scale_indices`."""
-    return int(scale_indices(np.array([cube.side]), h)[0])
 
 
 def scale_indices(sides: np.ndarray, h: float) -> np.ndarray:
@@ -82,32 +65,6 @@ def is_power_of_two(n):
     return (n >= 1) & ((n & (n - 1)) == 0)
 
 
-@dataclass(frozen=True)
-class RealBox:
-    """An axis-aligned box in real coordinates (used for dilated cubes)."""
-
-    lo: tuple[float, ...]
-    hi: tuple[float, ...]
-
-    @property
-    def volume(self) -> float:
-        v = 1.0
-        for a, b in zip(self.lo, self.hi):
-            v *= max(0.0, b - a)
-        return v
-
-    def contains_box(self, other: "RealBox") -> bool:
-        return all(a <= c and d <= b for a, b, c, d in
-                   zip(self.lo, self.hi, other.lo, other.hi))
-
-
-def dilate(q: GridCube | RealBox, K: float, h: float = 1.0) -> RealBox:
-    """The box with the same center and side scaled by ``K > 0``."""
-    box = q.extent(h) if isinstance(q, GridCube) else q
-    lo, hi = dilate_bounds(np.array(box.lo), np.array(box.hi), K)
-    return RealBox(tuple(lo.tolist()), tuple(hi.tolist()))
-
-
 def cube_bounds(anchors: np.ndarray, sides: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
     """Real corners (lo, hi) of cubes given as anchor rows and sides."""
     return anchors * h, (anchors + sides[..., None]) * h
@@ -120,14 +77,6 @@ def dilate_bounds(lo: np.ndarray, hi: np.ndarray, K: float) -> tuple[np.ndarray,
     c = 0.5 * (lo + hi)
     r = 0.5 * (hi - lo) * K
     return c - r, c + r
-
-
-def intersection_volume(a: GridCube, b: GridCube, h: float = 1.0) -> float:
-    """Volume of the cells shared by two grid cubes."""
-    cells = 1
-    for x, y in zip(a.anchor, b.anchor):
-        cells *= max(0, min(x + a.side, y + b.side) - max(x, y))
-    return cells * float(h) ** len(a.anchor)
 
 
 def cube_contains(outer_a: np.ndarray, outer_s, inner_a: np.ndarray, inner_s) -> np.ndarray:

@@ -32,7 +32,6 @@ from .cubes import (
     CubeFamily,
     GridCube,
     cube_bounds,
-    dilate,
     dilate_bounds,
     dyadic_descendants,
     family_averages,
@@ -55,6 +54,7 @@ from .grid import (
     integrate_breakpoints,
     lambda_breakpoints,
     perimeter,
+    superlevel,
     variation,
 )
 from .partition import DensityLevels, density_band, density_levels, kth_largest
@@ -164,17 +164,17 @@ def contract_density_check(E: PixelSet, q: GridCube, eps: float, h: float = 1.0)
     of interval overlaps (cells weighted by the fraction the real box covers).
     """
     d = len(E.dims)
-    box = dilate(q, (1.0 - eps) ** 2, h)
+    lo, hi = dilate_bounds(*cube_bounds(np.array(q.anchor), np.array(q.side), h), (1.0 - eps) ** 2)
     weights = []
     for ax, n in enumerate(E.dims):
         edges = np.arange(n + 1) * h
-        w = np.minimum(edges[1:], box.hi[ax]) - np.maximum(edges[:-1], box.lo[ax])
+        w = np.minimum(edges[1:], hi[ax]) - np.maximum(edges[:-1], lo[ax])
         weights.append(np.maximum(w, 0.0))
     w = weights[0]
     for ax in range(1, d):
         w = np.multiply.outer(w, weights[ax])
     overlap = float(np.sum(w * E.mask))
-    vol = box.volume
+    vol = math.prod(np.maximum(hi - lo, 0.0).tolist())
     lo = vol / 2 ** (d + 2)
     hi = vol * (0.5 + 1.0 / 2 ** (d + 2))
     return lo < overlap < hi
@@ -227,19 +227,6 @@ class TheoremReport:
     lam_table: dict            # per-level arrays (lam, sizes, terms, lhs, rhs)
     subterms: dict             # integral breakdown and sparse selection summary
     deep: dict | None = None   # reduction-chain diagnostics when requested
-
-    def to_json(self) -> dict:
-        out = {
-            "report_v": 1,
-            "lhs": self.lhs, "rhs": self.rhs, "ratio": self.ratio,
-            "within_cap": self.within_cap, "cap": self.cap,
-            "per_lambda": {k: list(map(float, v)) if hasattr(v, "__len__") else v
-                           for k, v in self.lam_table.items()},
-            "subterms": self.subterms,
-        }
-        if self.deep is not None:
-            out["deep"] = self.deep
-        return out
 
 
 def theorem_main_evaluate(f: GridFunction, fam: CubeFamily, *,
@@ -428,7 +415,7 @@ def _deep_chain(f: GridFunction, sparse: SparseFamily, bps: np.ndarray) -> dict:
             ssum[rows] = np.cumsum(np.where(inside, inv_side, 0.0), axis=1)[:, -1]
         massbelow_max = max(massbelow_max, float(np.max(ssum * (qs * h))))
         each_sum = float(np.cumsum((qs ** d) * float(h) ** d * ssum)[-1])
-        rhs_prefix = perimeter(PixelSet(f.dims, f.array >= lam), mask=s_union, h=h).measure
+        rhs_prefix = perimeter(superlevel(f, lam), mask=s_union, h=h).measure
         if rhs_prefix > 0:
             eachlevel_max = max(eachlevel_max, each_sum / rhs_prefix)
 

@@ -159,12 +159,12 @@ def run_ratio_suite(cfg: ExperimentConfig) -> dict:
     def one(k: int) -> tuple[float, bool]:
         rng = _instance_rng(cfg.seed, k)
         f = make_function(rng, cfg.function_class, cfg.dims, cfg.h)
-        var_mf = variation(maximal_global(f).func)
+        var_mf = variation(maximal_global(f))
         ratio = var_mf / nonzero_variation(f)
         g = make_function(rng, cfg.function_class, cfg.dims, cfg.h)
         fg = GridFunction(f.dims, f.h, f.values + g.values)
-        superadd = variation(maximal_global(fg).func) > \
-            var_mf + variation(maximal_global(g).func)
+        superadd = variation(maximal_global(fg)) > \
+            var_mf + variation(maximal_global(g))
         return ratio, superadd
 
     rows = _parallel(one, cfg.repetitions, cfg.threads)
@@ -213,7 +213,7 @@ def run_checkerboard(n_max: int = 6, seed: int = 0) -> dict:
     for n in range(0, n_max + 1):
         fam = checkerboard_family(n, n_max)
         mf = maximal_family(f, fam.with_averages(f), include_f=False)
-        variations.append(variation(mf.func))
+        variations.append(variation(mf))
         if n >= 1:
             ok, witness = is_dyadically_complete(fam)
             incomplete_each.append(not ok and witness is not None)
@@ -279,7 +279,7 @@ def run_dumbbell(seed: int = 0, resolutions=(0.25, 0.125, 0.0625)) -> dict:
         lower_cells = omega.mask & (yc < 0)[None, :]
         neck_max = float(np.max(np.abs(mf.array[neck_cells])))
         lower_min = float(np.min(mf.array[lower_cells]))
-        var_m = variation(mf.func, omega)
+        var_m = variation(mf, omega)
         ok_neck = neck_max == 0.0
         ok_lower = lower_min >= target * (1 - 1e-12)
         jump_floor = 2.0 * target * (1 - 1e-9)  # waist length 2 times the chamber level

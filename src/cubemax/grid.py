@@ -175,14 +175,11 @@ def boundary_faces_outside(E: PixelSet, closed: PixelSet,
 
     A boundary face is the interface between an inside and an outside cell;
     it lies in the closure of a pixel set iff either adjacent cell belongs
-    to the set, so surviving faces have both cells outside ``closed``.
+    to the set, so surviving faces are those of ``E`` in the domain with
+    ``closed`` removed.
     """
-    dom = mask.mask if mask is not None else np.ones(E.dims, dtype=bool)
-    inside = E.mask & dom & ~closed.mask
-    outside = dom & ~E.mask & ~closed.mask
-    faces = _directed_face_count(inside, outside)
-    d = len(E.dims)
-    return BoundaryMeasure(faces, faces * float(h) ** (d - 1))
+    dom = ~closed.mask if mask is None else mask.mask & ~closed.mask
+    return perimeter(E, PixelSet(E.dims, dom), h)
 
 
 def variation(f: GridFunction, mask: PixelSet | None = None) -> float:

@@ -18,8 +18,6 @@ O(cells * d) on arrays that shrink as the side grows.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .cubes import CubeFamily, family_averages
@@ -28,27 +26,6 @@ from .grid import GridFunction, PixelSet, variation
 from .sat import SummedAreaTable
 
 NEG_INF = -np.inf
-
-
-@dataclass(frozen=True)
-class MaxFunction:
-    """A computed maximal function with its provenance.
-
-    ``domain`` is set for masked-local results; cells outside it hold NaN
-    sentinels and must never enter variation sums.
-    """
-
-    func: GridFunction
-    source: str  # "global" | "family" | "local-masked"
-    domain: PixelSet | None = None
-
-    @property
-    def values(self) -> np.ndarray:
-        return self.func.values
-
-    @property
-    def array(self) -> np.ndarray:
-        return self.func.array
 
 
 def _widen(t: np.ndarray, ax: int) -> np.ndarray:
@@ -83,15 +60,15 @@ def _max_over_containing_cubes(avg_at, top: int) -> np.ndarray:
     return t
 
 
-def maximal_global(f: GridFunction) -> MaxFunction:
+def maximal_global(f: GridFunction) -> GridFunction:
     """max(f(x), sup of averages over every grid cube containing x)."""
     sat = SummedAreaTable(f.array)
     out = _max_over_containing_cubes(sat.box_avg_grid, min(f.dims))
     np.maximum(f.array, out, out=out)
-    return MaxFunction(GridFunction(f.dims, f.h, out.ravel()), "global")
+    return GridFunction(f.dims, f.h, out.ravel())
 
 
-def maximal_family(f: GridFunction, fam: CubeFamily, include_f: bool = True) -> MaxFunction:
+def maximal_family(f: GridFunction, fam: CubeFamily, include_f: bool = True) -> GridFunction:
     """Maximal function over an explicit cube family.
 
     With ``include_f`` (the default) the value at x is
@@ -104,10 +81,10 @@ def maximal_family(f: GridFunction, fam: CubeFamily, include_f: bool = True) -> 
         out = np.maximum(f.array, out)
     elif not np.all(np.isfinite(out)):
         raise ValueError("family does not cover the grid box; no value at some cells")
-    return MaxFunction(GridFunction(f.dims, f.h, out.ravel()), "family")
+    return GridFunction(f.dims, f.h, out.ravel())
 
 
-def maximal_local(f: GridFunction, omega: PixelSet) -> MaxFunction:
+def maximal_local(f: GridFunction, omega: PixelSet) -> GridFunction:
     """Maximal function over cubes whose cells all lie inside ``omega``.
 
     Single cells are admissible cubes, so on omega the result dominates f.
@@ -137,7 +114,7 @@ def maximal_local(f: GridFunction, omega: PixelSet) -> MaxFunction:
     # is the exact cell value, free of prefix-sum roundoff
     np.maximum(np.where(omega.mask, f.array, NEG_INF), acc, out=acc)
     out = np.where(omega.mask, acc, np.nan)
-    return MaxFunction(GridFunction(dims, f.h, out.ravel()), "local-masked", omega)
+    return GridFunction(dims, f.h, out.ravel())
 
 
 def nonzero_variation(f: GridFunction, mask: PixelSet | None = None) -> float:
@@ -147,9 +124,3 @@ def nonzero_variation(f: GridFunction, mask: PixelSet | None = None) -> float:
         raise ZeroVariationInput("input function is constant on the domain")
     return var_f
 
-
-def variation_ratio(f: GridFunction, mf: MaxFunction, mask: PixelSet | None = None) -> float:
-    """variation(M f) / variation(f) over a common domain."""
-    if mask is None:
-        mask = mf.domain
-    return variation(mf.func, mask) / nonzero_variation(f, mask)

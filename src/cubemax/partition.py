@@ -48,7 +48,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .cubes import CubeFamily
-from .grid import GridFunction, PixelSet, perimeter
+from .grid import GridFunction, PixelSet, perimeter, superlevel
 
 
 @dataclass(frozen=True)
@@ -131,7 +131,7 @@ class DensityLevels:
         q2 = (self.lam1 < lam) & (lam <= self.avg)
         dims = self.f.dims
         return LevelPartition(
-            lam=float(lam), level=PixelSet(dims, self.f.array >= lam), family=self.family,
+            lam=float(lam), level=superlevel(self.f, lam), family=self.family,
             q0_mask=q0, q1_mask=q1, q2_mask=q2,
             union_q01=PixelSet(dims, self.paint01 >= lam),
             union_q2=self.family.select(q2).union_pixels(dims),

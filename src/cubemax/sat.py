@@ -36,9 +36,9 @@ class SummedAreaTable:
     """Prefix-sum table over a d-dimensional cell array.
 
     Integer inputs keep exact integer sums; float inputs are accumulated with
-    compensated summation.  All query paths share one corner-accumulation
-    order, so a scalar query and the corresponding slice of a vectorized
-    query are bit-identical.
+    compensated summation.  Both query paths share one corner-accumulation
+    order, so a row of :meth:`box_sum_many` and the entry of
+    :meth:`box_sum_grid` for the same cube are bit-identical.
 
     A NaN cell enters the float table as 0, and an integer table of NaN
     counts, kept only when there is a NaN cell, makes exactly the boxes that
@@ -74,18 +74,6 @@ class SummedAreaTable:
             sign = 1 if (self.d - ones) % 2 == 0 else -1
             self._corners.append((sign, bits))
 
-    def box_sum(self, anchor, side: int):
-        """Sum over the cube with the given anchor (cell coords) and side."""
-        acc = None
-        for sign, bits in self._corners:
-            ix = tuple(a + side if (bits >> k) & 1 else a
-                       for k, a in enumerate(anchor))
-            term = self.table[ix]
-            acc = sign * term if acc is None else acc + sign * term
-        if self.nan_counts is not None and self.nan_counts.box_sum(anchor, side):
-            return np.float64(np.nan)
-        return acc
-
     def box_sum_grid(self, side: int) -> np.ndarray:
         """Sums for every anchor of a side-``side`` cube, shape dims - side + 1."""
         acc = None
@@ -102,8 +90,8 @@ class SummedAreaTable:
         """Sums for an (n, d) array of anchors with an (n,) array of sides.
 
         A scalar side is shared by every cube.  Each row adds the same corner
-        terms in the same order as :meth:`box_sum`, so it is bit-identical to
-        the scalar query of its cube.
+        terms in the same order as :meth:`box_sum_grid`, so it is bit-identical
+        to that cube's entry there.
         """
         anchors = np.asarray(anchors, dtype=np.int64).reshape(-1, self.d)
         sides = np.asarray(sides, dtype=np.int64)
@@ -116,9 +104,6 @@ class SummedAreaTable:
         if self.nan_counts is not None:
             acc[self.nan_counts.box_sum_many(anchors, sides) > 0] = np.nan
         return acc
-
-    def box_avg(self, anchor, side: int) -> float:
-        return self.box_sum(anchor, side) / float(side ** self.d)
 
     def box_avg_grid(self, side: int) -> np.ndarray:
         return self.box_sum_grid(side) / float(side ** self.d)

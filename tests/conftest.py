@@ -1,10 +1,11 @@
 import math
 from types import SimpleNamespace
+from typing import NamedTuple
 
 import numpy as np
 import pytest
 
-from cubemax import CubeFamily, GridCube, PixelSet, RealBox, perimeter, superlevel
+from cubemax import CubeFamily, GridCube, PixelSet, perimeter, superlevel
 from cubemax import cubes as cubes_module
 from cubemax.cubes import cube_arrays, cube_bounds
 from cubemax.errors import PremiseViolated
@@ -231,8 +232,37 @@ def union_by_slices(cubes, dims):
 
 
 # Scalar oracles for the selection audits.  They work one cube pair at a
-# time on GridCube and RealBox objects, with their own dilation and scale
-# index, so they share no array arithmetic with the library.
+# time on GridCube tuples and on real boxes held as (lo, hi) tuples, with
+# their own containment, dilation and scale index, so they share no array
+# arithmetic with the library.
+
+class Box(NamedTuple):
+    """An axis-aligned real box as corner tuples."""
+
+    lo: tuple
+    hi: tuple
+
+
+def cube_box(c, h=1.0):
+    """The real box of the grid cube ``c`` at cell width ``h``."""
+    return Box(tuple(a * h for a in c.anchor), tuple((a + c.side) * h for a in c.anchor))
+
+
+def box_holds(outer, inner):
+    """Whether the real box ``outer`` contains the real box ``inner``."""
+    return all(a <= c and d <= b for a, b, c, d in zip(outer.lo, outer.hi, inner.lo, inner.hi))
+
+
+def cube_holds(outer, inner):
+    """Whether the grid cube ``outer`` contains the grid cube ``inner``."""
+    return all(a <= b and b + inner.side <= a + outer.side
+               for a, b in zip(outer.anchor, inner.anchor))
+
+
+def cube_holds_cell(c, cell):
+    """Whether the grid cube ``c`` holds the cell with index tuple ``cell``."""
+    return all(a <= x < a + c.side for a, x in zip(c.anchor, cell))
+
 
 def scalar_scale_index(c, h):
     x = c.side * h
@@ -241,14 +271,15 @@ def scalar_scale_index(c, h):
 
 
 def scalar_dilate(q, K, h=1.0):
-    box = q.extent(h) if isinstance(q, GridCube) else q
+    """The box with the centre of the grid cube or box ``q`` and sides scaled by ``K``."""
+    box = cube_box(q, h) if isinstance(q, GridCube) else q
     lo, hi = [], []
     for a, b in zip(box.lo, box.hi):
         c = 0.5 * (a + b)
         r = 0.5 * (b - a) * K
         lo.append(c - r)
         hi.append(c + r)
-    return RealBox(tuple(lo), tuple(hi))
+    return Box(tuple(lo), tuple(hi))
 
 
 def scalar_pairwise_violations(fam, f):
@@ -315,23 +346,23 @@ def scalar_disjoint_select(S, D_per_Q0, eps, f):
     h = f.h
     for q0, ds in D_per_Q0.items():
         for q in ds:
-            if not q0.contains_cube(q):
+            if not cube_holds(q0, q):
                 raise PremiseViolated(f"{q} not contained in its base cube {q0}")
     all_d = sorted({q for ds in D_per_Q0.values() for q in ds},
                    key=lambda c: (-c.side, c.anchor))
     for s_cube in S.cubes:
         for q in all_d:
-            if q.contains_cube(s_cube) and q != s_cube:
+            if cube_holds(q, s_cube) and q != s_cube:
                 raise PremiseViolated(f"selection cube {s_cube} strictly inside {q}")
     if not all_d:
         return OverlapFamily(CubeFamily.from_arrays(np.empty((0, f.d)), np.empty(0)),
                              eps, 0, 1.0, 1.0)
 
-    boxes = [c.extent(h) for c in all_d]
+    boxes = [cube_box(c, h) for c in all_d]
     contracted = [scalar_dilate(c, 1.0 - eps, h) for c in all_d]
     keep = []
     for i, q in enumerate(all_d):
-        swallowed = any(j != i and contracted[j].contains_box(boxes[i]) for j in range(len(all_d)))
+        swallowed = any(j != i and box_holds(contracted[j], boxes[i]) for j in range(len(all_d)))
         if not swallowed:
             keep.append(i)
 
@@ -353,11 +384,11 @@ def scalar_disjoint_select(S, D_per_Q0, eps, f):
 
     c1 = 1.0
     c2 = 1.0
-    f_boxes = [c.extent(h) for c in F]
+    f_boxes = [cube_box(c, h) for c in F]
     for q0, ds in D_per_Q0.items():
-        base = q0.extent(h)
+        base = cube_box(q0, h)
         for q in ds:
-            qb = q.extent(h)
+            qb = cube_box(q, h)
             best = None
             for pb in f_boxes:
                 need1 = _needed_dilation(qb, pb)

@@ -6,20 +6,23 @@ from hypothesis import strategies as st
 from cubemax import (
     CubeFamily,
     GridCube,
-    dilate,
     dyadic_completion,
     dyadic_descendants,
     family_averages,
     grid_from_array,
-    intersection_volume,
     is_dyadically_complete,
     lambda_breakpoints,
     maximal_cube_reduction,
-    scale_index,
 )
-from cubemax.cubes import row_blocks, scale_indices
+from cubemax.cubes import cube_bounds, dilate_bounds, row_blocks, scale_indices
 from cubemax.errors import NonDyadicSide
-from conftest import scalar_scale_index, union_by_slices, unique_canonical_order
+from conftest import (
+    cube_holds,
+    cube_holds_cell,
+    scalar_scale_index,
+    union_by_slices,
+    unique_canonical_order,
+)
 
 
 def brute_force_completion(cubes):
@@ -41,10 +44,10 @@ def brute_force_completion(cubes):
             if q0.side & (q0.side - 1):
                 continue
             for p in list(members):
-                if p == q0 or not q0.contains_cube(p):
+                if p == q0 or not cube_holds(q0, p):
                     continue
                 for q in dy(q0):
-                    if q.contains_cube(p) and q not in members:
+                    if cube_holds(q, p) and q not in members:
                         missing.add(q)
         if not missing:
             return members
@@ -151,7 +154,7 @@ def test_one_row_blocks_match_oracles(rng, one_row_blocks):
         full = done.with_averages(f)
         pairs = list(zip(full.cubes, full.averages.tolist()))
         want = tuple(c for c, a in pairs
-                     if not any(o.side > c.side and o.contains_cube(c) and b >= a for o, b in pairs))
+                     if not any(o.side > c.side and cube_holds(o, c) and b >= a for o, b in pairs))
         assert maximal_cube_reduction(full, f).cubes == want
 
 
@@ -188,15 +191,22 @@ class TestMaximalCubeReduction:
                 assert full.union_pixels(dims).equals(kept.union_pixels(dims))
 
 
+def dilated_corners(q, K, h):
+    """Corners of the K-dilate of the grid cube ``q``, as one-row arrays."""
+    return dilate_bounds(*cube_bounds(np.array([q.anchor]), np.array([q.side]), h), K)
+
+
 class TestDilateAndVolumes:
     def test_identity_dilation(self):
         q = GridCube((2, 3), 2)
-        assert dilate(q, 1.0, 0.5) == q.extent(0.5)
+        lo, hi = cube_bounds(np.array([q.anchor]), np.array([q.side]), 0.5)
+        got = dilated_corners(q, 1.0, 0.5)
+        assert np.array_equal(got[0], lo) and np.array_equal(got[1], hi)
 
     def test_triple_unit_cell(self):
-        box = dilate(GridCube((0, 0), 1), 3.0, 1.0)
-        assert box.lo == (-1.0, -1.0) and box.hi == (2.0, 2.0)
-        assert box.volume == pytest.approx(9.0)
+        lo, hi = dilated_corners(GridCube((0, 0), 1), 3.0, 1.0)
+        assert lo.tolist() == [[-1.0, -1.0]] and hi.tolist() == [[2.0, 2.0]]
+        assert np.prod(hi - lo) == pytest.approx(9.0)
 
     def test_volume_scaling(self, rng):
         for _ in range(30):
@@ -205,45 +215,26 @@ class TestDilateAndVolumes:
             q = GridCube((0,) * d, side)
             K = float(rng.uniform(0.05, 4.0))
             h = float(rng.choice([0.25, 1.0, 2.0]))
-            assert dilate(q, K, h).volume == pytest.approx(
-                K ** d * q.volume(h), rel=1e-12)
-
-    def test_intersection_disjoint_and_nested(self):
-        a, b = GridCube((0, 0), 2), GridCube((4, 4), 2)
-        assert intersection_volume(a, b) == 0.0
-        inner, outer = GridCube((1, 1), 2), GridCube((0, 0), 4)
-        assert intersection_volume(inner, outer, 0.5) == inner.volume(0.5)
-
-    def test_intersection_matches_cell_scan(self, rng):
-        for _ in range(40):
-            d = int(rng.integers(1, 4))
-            qa = GridCube(tuple(int(rng.integers(0, 6)) for _ in range(d)),
-                          int(rng.integers(1, 5)))
-            qb = GridCube(tuple(int(rng.integers(0, 6)) for _ in range(d)),
-                          int(rng.integers(1, 5)))
-            count = 0
-            for cell in np.ndindex(*([10] * d)):
-                if qa.contains_cell(cell) and qb.contains_cell(cell):
-                    count += 1
-            assert intersection_volume(qa, qb) == float(count)
+            lo, hi = dilated_corners(q, K, h)
+            assert np.prod(hi - lo) == pytest.approx(K ** d * q.volume(h), rel=1e-12)
 
     def test_scale_bracketing(self, rng):
         for _ in range(50):
             side = int(rng.integers(1, 40))
             h = float(rng.choice([0.125, 0.25, 0.5, 1.0, 2.0]))
-            n = scale_index(GridCube((0,), side), h)
+            n = int(scale_indices(np.array([side]), h)[0])
             assert 2 ** n <= side * h < 2 ** (n + 1)
 
     @given(st.integers(1, 10 ** 6))
     @settings(max_examples=300, deadline=None)
     def test_scale_index_reciprocal_width(self, m):
         # m * (1/m) can round to just under 1 (first at m = 49)
-        assert scale_index(GridCube((0,), m), 1.0 / m) == 0
+        assert scale_indices(np.array([m]), 1.0 / m)[0] == 0
 
     @given(st.integers(0, 30), st.integers(0, 60))
     @settings(max_examples=200, deadline=None)
     def test_scale_index_dyadic(self, k, j):
-        assert scale_index(GridCube((0,), 2 ** k), 2.0 ** -j) == k - j
+        assert scale_indices(np.array([2 ** k]), 2.0 ** -j)[0] == k - j
 
 
 class TestFamilyBasics:
@@ -333,7 +324,7 @@ class TestFamilyBasics:
             vals = rng.integers(-5, 5, len(fam)).astype(float)
             got = fam.max_paint(vals, dims)
             for cell in np.ndindex(*dims):
-                held = [v for c, v in zip(fam.cubes, vals) if c.contains_cell(cell)]
+                held = [v for c, v in zip(fam.cubes, vals) if cube_holds_cell(c, cell)]
                 assert got[cell] == max(held, default=-np.inf)
             vals[0] = np.nan
             nan_cells = fam.max_paint(vals, dims)
@@ -347,7 +338,6 @@ class TestFamilyBasics:
 def test_scale_indices_match_scalar_formula(sides, h):
     want = [scalar_scale_index(GridCube((0,), s), h) for s in sides]
     assert scale_indices(np.array(sides), h).tolist() == want
-    assert [scale_index(GridCube((0,), s), h) for s in sides] == want
 
 
 @st.composite

@@ -232,7 +232,7 @@ class TestMaxFunctionEmission:
         mf = maximal_global(f)
         p_csv = tmp_path / "m.csv"
         p_bin = tmp_path / "m.bin"
-        write_grid_csv(mf.func, p_csv)
-        write_grid_binary(mf.func, p_bin)
+        write_grid_csv(mf, p_csv)
+        write_grid_binary(mf, p_bin)
         assert np.array_equal(read_grid_csv(p_csv).values, mf.values)
         assert np.array_equal(read_grid_binary(p_bin).values, mf.values)

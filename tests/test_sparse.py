@@ -16,7 +16,11 @@ from cubemax.sparse import (
     sparse_pairwise_violations,
 )
 from conftest import (
+    box_holds,
     broadcast_capture,
+    cube_box,
+    cube_holds,
+    scalar_dilate,
     scalar_disjoint_select,
     scalar_overlap_count,
     scalar_pairwise_violations,
@@ -243,7 +247,7 @@ class TestDisjointSelect:
                     anchor = tuple(int(rng.integers(a, a + q0.side - side + 1))
                                    for a in q0.anchor)
                     c = GridCube(anchor, side)
-                    if not any(c.contains_cube(b) and c != b for b in bases):
+                    if not any(cube_holds(c, b) and c != b for b in bases):
                         subs.append(c)
                 if subs:
                     d_map[q0] = CubeFamily(subs)
@@ -255,13 +259,13 @@ class TestDisjointSelect:
             assert got == out.overlap_constant
             assert out.overlap_constant <= 4 ** 2
             # property: capture with bounded dilations, audited geometrically
-            from cubemax.cubes import dilate
             for q0, subs in d_map.items():
                 for q in subs:
                     hit = False
                     for p in out.cubes:
-                        if dilate(p, out.c1 * (1 + 1e-12), f.h).contains_box(q.extent(f.h)) \
-                           and dilate(q0, out.c2 * (1 + 1e-12), f.h).contains_box(p.extent(f.h)):
+                        if box_holds(scalar_dilate(p, out.c1 * (1 + 1e-12), f.h), cube_box(q, f.h)) \
+                           and box_holds(scalar_dilate(q0, out.c2 * (1 + 1e-12), f.h),
+                                         cube_box(p, f.h)):
                             hit = True
                             break
                     assert hit
@@ -359,7 +363,7 @@ def nested_instance(rng, d):
                 side = int(rng.integers(1, q0.side + 1))
                 cands.append(GridCube(tuple(int(rng.integers(a, a + q0.side - side + 1))
                                             for a in q0.anchor), side))
-        pick = [c for c in cands if not any(c.contains_cube(b) and c != b for b in bases)]
+        pick = [c for c in cands if not any(cube_holds(c, b) and c != b for b in bases)]
         if pick:
             d_map[q0] = CubeFamily(pick)
     return f, d_map
