@@ -534,10 +534,9 @@ class LargeBoundaryResult(NamedTuple):
     trials: int
 
 
-def large_boundary_in_ball_check(K: float, trials: int, seed: int = 0,
-                                 d: int = 2) -> LargeBoundaryResult:
+def large_boundary_in_ball_check(K: float, trials: int, seed: int = 0) -> LargeBoundaryResult:
     """Boundary length of unions of big squares inside the unit disk, relative
-    to (K^-d + 1) times the circle length.  Exact segment clipping; d = 2 only.
+    to (K^-2 + 1) times the circle length.  Exact segment clipping in the plane.
 
     The squares are drawn one scalar at a time in the order of the original
     per-trial loop (square count, then side, angle, direction and distance of
@@ -547,11 +546,9 @@ def large_boundary_in_ball_check(K: float, trials: int, seed: int = 0,
     keeps every per-union reduction the length it has alone, so each length
     is bit-equal to ``boundary_length_in_disk`` on that union.
     """
-    if d != 2:
-        raise UnsupportedDimension("exact union boundary measure implemented for d=2")
     rng = np.random.default_rng(seed)
     circ = 2 * math.pi
-    bound = (K ** (-d) + 1.0) * circ
+    bound = (K ** -2 + 1.0) * circ
     by_count: dict[int, list[np.ndarray]] = {}
     for _ in range(trials):
         n = int(rng.integers(1, 12))

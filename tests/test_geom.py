@@ -13,7 +13,7 @@ from conftest import (
     scalar_rotation_3d,
 )
 from cubemax import geom
-from cubemax.errors import CubemaxError, SearchExhausted, UnsupportedDimension
+from cubemax.errors import CubemaxError, SearchExhausted
 from cubemax.geom import (
     _COVER_BLOCK,
     BlowupResult,
@@ -314,10 +314,6 @@ class TestLargeBoundary:
     def test_suite_max_ratio_finite(self):
         res = large_boundary_in_ball_check(1.0, 200, seed=8)
         assert math.isfinite(res.max_ratio)
-
-    def test_d3_unsupported(self):
-        with pytest.raises(UnsupportedDimension):
-            large_boundary_in_ball_check(1.0, 10, d=3)
 
     @staticmethod
     def _random_union(rng, n, turn=None):
