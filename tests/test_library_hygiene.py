@@ -1,5 +1,5 @@
-"""The library must not rely on checks that ``python -O`` strips, and
-importing it must stay light."""
+"""The library must not rely on checks that ``python -O`` strips, must hold
+no dead private helpers, and importing it must stay light."""
 
 import ast
 import os
@@ -34,6 +34,29 @@ def test_no_assert_statements_or_assertion_errors():
 def test_scan_finds_both_forms():
     tree = ast.parse("assert x\nraise AssertionError('no')\nraise AssertionError\n")
     assert _stripped_checks(tree) == [1, 2, 3]
+
+
+def _unreferenced_private_defs(trees: list[ast.Module]) -> list[str]:
+    """Module-level ``_private`` functions and classes that no other top-level
+    statement of any of the modules names (a self-reference does not count)."""
+    stmts = [node for tree in trees for node in tree.body]
+    names = [{n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(stmt)
+              if isinstance(n, (ast.Name, ast.Attribute))} for stmt in stmts]
+    return sorted(stmt.name for i, stmt in enumerate(stmts)
+                  if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                  and stmt.name.startswith("_") and not stmt.name.startswith("__")
+                  and not any(stmt.name in used for j, used in enumerate(names) if j != i))
+
+
+def test_every_private_helper_is_used():
+    trees = [ast.parse(p.read_text(encoding="utf-8")) for p in sorted(SRC.glob("*.py"))]
+    assert _unreferenced_private_defs(trees) == []
+
+
+def test_private_scan_finds_unused_helpers():
+    trees = [ast.parse("def _a():\n    return _a()\ndef _b(): pass\nclass _C: pass\n"),
+             ast.parse("def c():\n    return m._b()\ndef __d(): pass\n")]
+    assert _unreferenced_private_defs(trees) == ["_C", "_a"]
 
 
 def _loaded_scipy_modules(code: str) -> str:
