@@ -9,11 +9,12 @@ contains (a, s); so T_s = max(A_s, T_{s+1} widened by one cell per axis),
 where widening takes the max of two neighbours.  The descent starts with
 T_S = A_S at the largest side S that has a candidate cube (min(dims) for the
 global operator, the largest admissible side for the masked-local one), and
-the maximal function is max(f, T_1).
+the maximal function is T_1 with A_1 = f: a single cell is a cube whose
+average is the cell value, read from f rather than from the table.
 Max is exact and order-free, so the result is bit for bit the brute-force
-max over all cubes when every average comes from the one shared table, and a
-NaN average reaches exactly the cells its cube covers.  Each side costs
-O(cells * d) on arrays that shrink as the side grows.
+max over all cubes when every larger average comes from the one shared
+table, and a NaN average reaches exactly the cells its cube covers.  Each
+side costs O(cells * d) on arrays that shrink as the side grows.
 """
 
 from __future__ import annotations
@@ -61,10 +62,11 @@ def _max_over_containing_cubes(avg_at, top: int) -> np.ndarray:
 
 
 def maximal_global(f: GridFunction) -> GridFunction:
-    """max(f(x), sup of averages over every grid cube containing x)."""
+    """The sup of averages over every grid cube containing x, the cell x
+    itself (average f(x)) included."""
     sat = SummedAreaTable(f.array)
-    out = _max_over_containing_cubes(sat.box_avg_grid, min(f.dims))
-    np.maximum(f.array, out, out=out)
+    out = _max_over_containing_cubes(
+        lambda side: f.array.copy() if side == 1 else sat.box_avg_grid(side), min(f.dims))
     return GridFunction(f.dims, f.h, out.ravel())
 
 
@@ -108,11 +110,10 @@ def maximal_local(f: GridFunction, omega: PixelSet) -> GridFunction:
             top = mid
         else:
             hi = mid - 1
+    # the admissible single cells are the omega cells, each with average f
     acc = _max_over_containing_cubes(
-        lambda side: np.where(admissible(side), satf.box_avg_grid(side), NEG_INF), top)
-    # a single cell is an admissible cube at every omega cell and its average
-    # is the exact cell value, free of prefix-sum roundoff
-    np.maximum(np.where(omega.mask, f.array, NEG_INF), acc, out=acc)
+        lambda side: (np.where(omega.mask, f.array, NEG_INF) if side == 1 else
+                      np.where(admissible(side), satf.box_avg_grid(side), NEG_INF)), top)
     out = np.where(omega.mask, acc, np.nan)
     return GridFunction(dims, f.h, out.ravel())
 
@@ -123,4 +124,3 @@ def nonzero_variation(f: GridFunction, mask: PixelSet | None = None) -> float:
     if var_f == 0.0:
         raise ZeroVariationInput("input function is constant on the domain")
     return var_f
-

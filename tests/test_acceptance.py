@@ -88,8 +88,8 @@ def test_c02_maximal_global_oracle_equality():
             f = GridFunction(dims, 1.0, rng.random(dims).ravel())
             got = maximal_global(f).array
             sat = SummedAreaTable(f.array)
-            want = f.array.copy()
-            for side in range(1, min(dims) + 1):
+            want = f.array.copy()  # each single cell's average is its value
+            for side in range(2, min(dims) + 1):
                 avg = sat.box_avg_grid(side)
                 for anchor in np.ndindex(*avg.shape):
                     v = avg[anchor]

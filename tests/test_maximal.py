@@ -26,11 +26,12 @@ from conftest import doubling_spread, van_herk_spread
 
 
 def brute_force_global(f):
-    """Oracle: for every cube, spread its average; same table, different path."""
+    """Oracle: start from f, the average of each single cell, and spread the
+    average of every larger cube; same table, different path."""
     sat = SummedAreaTable(f.array)
     out = f.array.copy()
     dims = f.dims
-    for side in range(1, min(dims) + 1):
+    for side in range(2, min(dims) + 1):
         avg = sat.box_avg_grid(side)
         for anchor in np.ndindex(*avg.shape):
             v = avg[anchor]
@@ -40,11 +41,12 @@ def brute_force_global(f):
 
 
 def brute_force_local(vals, omega):
-    """Oracle: every admissible cube's average from the shared table, spread
-    over its cells; NaN off omega."""
+    """Oracle: start from the admissible single cells, whose averages are the
+    values on omega, and spread every larger admissible cube's average from
+    the shared table over its cells; NaN off omega."""
     sat = SummedAreaTable(vals)
     want = np.where(omega, vals, -np.inf)
-    for side in range(1, min(omega.shape) + 1):
+    for side in range(2, min(omega.shape) + 1):
         avg = sat.box_avg_grid(side)
         for anchor in np.ndindex(*avg.shape):
             sl = tuple(slice(a, a + side) for a in anchor)
@@ -118,7 +120,8 @@ class TestSummedAreaTable:
                 side = int(rng.integers(1, min(dims) + 1))
                 anchor = tuple(int(rng.integers(0, n - side + 1)) for n in dims)
                 want = float(np.sum(arr[tuple(slice(a, a + side) for a in anchor)]))
-                assert sat.box_sum_many(np.array([anchor]), side)[0] == pytest.approx(want, rel=1e-12)
+                got = sat.box_sum_many(np.array([anchor]), side)[0]
+                assert got == pytest.approx(want, rel=1e-12)
 
     def test_grid_and_scalar_queries_bit_equal(self, rng):
         arr = rng.random((9, 7))
@@ -263,15 +266,14 @@ class TestMaximalLocal:
 
     @pytest.mark.parametrize("dims", [(9,), (6, 7), (4, 5, 3)])
     def test_only_single_cells_admissible(self, rng, dims):
-        # a parity checkerboard holds no cube of side 2: on omega M f is the
-        # max of f and its side-1 table averages (equal up to roundoff)
+        # a parity checkerboard holds no cube of side 2: on omega M f is f,
+        # exactly, since a single cell's average is its value
         omega = np.indices(dims).sum(axis=0) % 2 == 0
         vals = rng.random(dims)
         f = GridFunction(dims, 1.0, vals.ravel())
         got = maximal_local(f, PixelSet(dims, omega)).array
         assert np.array_equal(got, brute_force_local(vals, omega), equal_nan=True)
-        cells = np.maximum(vals, SummedAreaTable(vals).box_avg_grid(1))
-        assert np.array_equal(got[omega], cells[omega])
+        assert np.array_equal(got[omega], vals[omega])
 
 
 class TestVariationRatio:

@@ -263,9 +263,10 @@ class TestDisjointSelect:
                 for q in subs:
                     hit = False
                     for p in out.cubes:
-                        if box_holds(scalar_dilate(p, out.c1 * (1 + 1e-12), f.h), cube_box(q, f.h)) \
-                           and box_holds(scalar_dilate(q0, out.c2 * (1 + 1e-12), f.h),
-                                         cube_box(p, f.h)):
+                        p_dilate = scalar_dilate(p, out.c1 * (1 + 1e-12), f.h)
+                        base_dilate = scalar_dilate(q0, out.c2 * (1 + 1e-12), f.h)
+                        if box_holds(p_dilate, cube_box(q, f.h)) \
+                           and box_holds(base_dilate, cube_box(p, f.h)):
                             hit = True
                             break
                     assert hit
