@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, fields
 
@@ -45,6 +46,9 @@ SCHEMA_VERSION = 1
 # accepted value types per ExperimentConfig annotation (bool is rejected separately)
 _FIELD_TYPES = {"int": numbers.Integral, "float": numbers.Real, "str": str, "dict": dict}
 
+# the most cells a configured grid may hold (128 MB per float array)
+MAX_CELLS = 2 ** 24
+
 
 @dataclass
 class ExperimentConfig:
@@ -72,6 +76,8 @@ class ExperimentConfig:
             raise ConfigError(f"dimension {self.dimension} not in {{1,2,3}}")
         if self.grid < 2:
             raise ConfigError("grid must have at least 2 cells per axis")
+        if self.grid ** self.dimension > MAX_CELLS:
+            raise ConfigError(f"grid ** dimension must be at most {MAX_CELLS} cells")
         if not self.h > 0:
             raise ConfigError("h must be positive")
         if self.function_class not in FUNCTION_CLASSES:
@@ -83,13 +89,14 @@ class ExperimentConfig:
         if not 1 <= self.family_seeds <= 24:
             # sparse-audit draws between 8 * family_seeds and 200 cubes
             raise ConfigError(f"family_seeds must be in 1..24, got {self.family_seeds}")
-        if self.checkerboard_n_max < 3:
-            raise ConfigError(f"checkerboard_n_max must be at least 3, got {self.checkerboard_n_max}")
+        if not 3 <= self.checkerboard_n_max <= 10:
+            # the checkerboard grid has (4 * 2^n_max)^2 cells, at most MAX_CELLS
+            raise ConfigError(f"checkerboard_n_max must be in 3..10, got {self.checkerboard_n_max}")
         if self.deep_instances < 0:
             raise ConfigError("deep_instances must be non-negative")
         if not all(isinstance(v, numbers.Real) and not isinstance(v, bool)
-                   for v in self.caps.values()):
-            raise ConfigError(f"caps values must be numbers, got {self.caps!r}")
+                   and 0 < v <= sys.float_info.max for v in self.caps.values()):
+            raise ConfigError(f"caps values must be finite positive numbers, got {self.caps!r}")
         try:
             self.caps = {int(k): float(v) for k, v in self.caps.items()}
         except (TypeError, ValueError):
@@ -212,7 +219,7 @@ def run_checkerboard(n_max: int = 6, seed: int = 0) -> dict:
     incomplete_each = []
     for n in range(0, n_max + 1):
         fam = checkerboard_family(n, n_max)
-        mf = maximal_family(f, fam.with_averages(f), include_f=False)
+        mf = maximal_family(f, fam)
         variations.append(variation(mf))
         if n >= 1:
             ok, witness = is_dyadically_complete(fam)

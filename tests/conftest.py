@@ -150,41 +150,42 @@ def per_level_columns(f, red, bps):
 
 def doubling_spread(avg, side, dims):
     """Oracle for one side of ``maximal._max_over_containing_cubes``: the
-    per-cell max over the side-``side`` cubes that cover it.  Along each axis
-    the trailing window grows in place by doubling: a window of ``span``
-    cells and its copy shifted by ``s <= span`` make a window of
-    ``span + s`` (numpy reads overlapping ufunc operands as they were before
-    the call)."""
-    full = np.full(dims, -np.inf)
+    per-cell max over the side-``side`` cubes that cover it, NaN anchors
+    holding no cube and NaN where no cube does.  Along each axis the trailing
+    window grows in place by doubling: a window of ``span`` cells and its
+    copy shifted by ``s <= span`` make a window of ``span + s`` (numpy reads
+    overlapping ufunc operands as they were before the call)."""
+    full = np.full(dims, np.nan)
     full[tuple(slice(0, n) for n in avg.shape)] = avg
     for ax in range(len(dims)):
         line = np.moveaxis(full, ax, 0)
         span = 1
         while span < side:
             s = min(span, side - span)
-            np.maximum(line[s:], line[:-s], out=line[s:])
+            np.fmax(line[s:], line[:-s], out=line[s:])
             span += s
     return full
 
 
 def van_herk_spread(avg, side, dims):
     """Oracle for one side of ``maximal._max_over_containing_cubes``: the van
-    Herk / Gil-Werman block pass.  Per axis it pads with -inf to whole
-    windows and takes the max of a block suffix max and a block prefix max."""
-    full = np.full(dims, -np.inf)
+    Herk / Gil-Werman block pass.  Per axis it pads with NaN (no cube) to
+    whole windows and takes the fmax of a block suffix max and a block
+    prefix max."""
+    full = np.full(dims, np.nan)
     full[tuple(slice(0, n) for n in avg.shape)] = avg
     if side == 1:
         return full
     for ax in range(len(dims)):
         a = np.moveaxis(full, ax, -1)
         n = a.shape[-1]
-        w = np.concatenate((np.full(a.shape[:-1] + (side - 1,), -np.inf), a), axis=-1)
+        w = np.concatenate((np.full(a.shape[:-1] + (side - 1,), np.nan), a), axis=-1)
         pad = (-w.shape[-1]) % side
-        w = np.concatenate((w, np.full(a.shape[:-1] + (pad,), -np.inf)), axis=-1)
+        w = np.concatenate((w, np.full(a.shape[:-1] + (pad,), np.nan)), axis=-1)
         blocks = w.reshape(a.shape[:-1] + (-1, side))
-        pre = np.maximum.accumulate(blocks, axis=-1).reshape(w.shape)
-        suf = np.maximum.accumulate(blocks[..., ::-1], axis=-1)[..., ::-1].reshape(w.shape)
-        full = np.moveaxis(np.maximum(suf[..., :n], pre[..., side - 1:side - 1 + n]), -1, ax)
+        pre = np.fmax.accumulate(blocks, axis=-1).reshape(w.shape)
+        suf = np.fmax.accumulate(blocks[..., ::-1], axis=-1)[..., ::-1].reshape(w.shape)
+        full = np.moveaxis(np.fmax(suf[..., :n], pre[..., side - 1:side - 1 + n]), -1, ax)
     return full
 
 

@@ -214,10 +214,20 @@ class TestCli:
         {"checkerboard_n_max": 0},
         {"checkerboard_n_max": 2},
         {"deep_instances": -1},
+        {"checkerboard_n_max": 11},
+        {"checkerboard_n_max": 40},
+        {"grid": 4097},
+        {"dimension": 3, "grid": 257},
+        {"caps": {"2": -1}},
+        {"caps": {"2": 0}},
+        {"caps": {"2": float("inf")}},
+        {"caps": {"2": 10 ** 400}},
     ], ids=["caps-value", "caps-missing-dimension", "grid-float", "seed-negative",
             "family-class-removed", "geom-samples-0", "geom-samples-negative",
             "family-seeds-0", "family-seeds-25", "checkerboard-n-max-0",
-            "checkerboard-n-max-2", "deep-instances-negative"])
+            "checkerboard-n-max-2", "deep-instances-negative", "checkerboard-n-max-11",
+            "checkerboard-n-max-40", "grid-cells-2d", "grid-cells-3d", "caps-negative",
+            "caps-zero", "caps-infinite", "caps-overflow"])
     def test_invalid_config_exit_2(self, tmp_path, config):
         cfgfile = tmp_path / "cfg.json"
         cfgfile.write_text(json.dumps({"repetitions": 1, **config}))

@@ -14,7 +14,7 @@ from cubemax import (
     superlevel,
     variation,
 )
-from cubemax.errors import EmptyDomain, ZeroVariationInput
+from cubemax.errors import EmptyDomain, PremiseViolated, ZeroVariationInput
 from cubemax.maximal import (
     _max_over_containing_cubes,
     maximal_family,
@@ -25,43 +25,36 @@ from cubemax.maximal import (
 from conftest import doubling_spread, van_herk_spread
 
 
-def brute_force_global(f):
-    """Oracle: start from f, the average of each single cell, and spread the
-    average of every larger cube; same table, different path."""
-    sat = SummedAreaTable(f.array)
-    out = f.array.copy()
-    dims = f.dims
-    for side in range(2, min(dims) + 1):
-        avg = sat.box_avg_grid(side)
-        for anchor in np.ndindex(*avg.shape):
-            v = avg[anchor]
-            region = out[tuple(slice(a, a + side) for a in anchor)]
-            np.maximum(region, v, out=region)
-    return out
-
-
-def brute_force_local(vals, omega):
-    """Oracle: start from the admissible single cells, whose averages are the
-    values on omega, and spread every larger admissible cube's average from
-    the shared table over its cells; NaN off omega."""
-    sat = SummedAreaTable(vals)
-    want = np.where(omega, vals, -np.inf)
-    for side in range(2, min(omega.shape) + 1):
+def brute_force(vals, omega=None):
+    """Oracle: the max over every cube in the domain (the non-NaN cells of
+    ``vals`` inside ``omega``, all of them by default) of its average from
+    the shared table of ``vals`` with NaN off the domain.  It starts from the
+    single cells of the domain, whose averages are their values, spreads
+    every larger cube that lies in the domain over its cells, and leaves NaN
+    off the domain."""
+    dom = ~np.isnan(vals) if omega is None else omega & ~np.isnan(vals)
+    sat = SummedAreaTable(np.where(dom, vals, np.nan))
+    want = np.where(dom, vals, -np.inf)
+    for side in range(2, min(dom.shape) + 1):
         avg = sat.box_avg_grid(side)
         for anchor in np.ndindex(*avg.shape):
             sl = tuple(slice(a, a + side) for a in anchor)
-            if omega[sl].all():
+            if dom[sl].all():
                 want[sl] = np.maximum(want[sl], avg[anchor])
-    want[~omega] = np.nan
+    want[~dom] = np.nan
     return want
 
 
 def random_anchor_maps(rng, dims, top, nan_frac):
-    """Integer anchor maps for sides 1..top with -inf holes (ties and
-    inadmissible anchors) and NaN anchors."""
+    """Integer anchor maps for sides 1..min(dims) with ties, -inf entries and
+    NaN anchors (no cube); every side above ``top`` is all NaN, as when no
+    cube of that side lies in the domain."""
     avgs = {}
-    for side in range(1, top + 1):
+    for side in range(1, min(dims) + 1):
         shape = tuple(n - side + 1 for n in dims)
+        if side > top:
+            avgs[side] = np.full(shape, np.nan)
+            continue
         avg = rng.integers(-8, 8, shape).astype(float)
         avg[rng.random(shape) < 0.2] = -np.inf
         avg[rng.random(shape) < nan_frac] = np.nan
@@ -72,18 +65,18 @@ def random_anchor_maps(rng, dims, top, nan_frac):
 def check_descent(avgs, dims):
     """The descent against the per-side doubling and van Herk spreads and a
     per-anchor loop, bit for bit, NaN cells included."""
-    got = _max_over_containing_cubes(lambda side: avgs[side].copy(), max(avgs))
+    got = _max_over_containing_cubes(avgs[1], lambda side: avgs[side].copy())
     assert got.shape == dims
     for spread in (doubling_spread, van_herk_spread):
-        want = np.full(dims, -np.inf)
+        want = np.full(dims, np.nan)
         for side, avg in avgs.items():
-            np.maximum(want, spread(avg, side, dims), out=want)
+            np.fmax(want, spread(avg, side, dims), out=want)
         assert np.array_equal(got, want, equal_nan=True)
-    want = np.full(dims, -np.inf)
+    want = np.full(dims, np.nan)
     for side, avg in avgs.items():
         for anchor in np.ndindex(*avg.shape):
             region = want[tuple(slice(a, a + side) for a in anchor)]
-            np.maximum(region, avg[anchor], out=region)
+            np.fmax(region, avg[anchor], out=region)
     assert np.array_equal(got, want, equal_nan=True)
 
 
@@ -91,8 +84,8 @@ def check_descent(avgs, dims):
 @given(data=st.data())
 @settings(max_examples=40, deadline=None)
 def test_spread_matches_oracles(d, data):
-    # anchor maps for every side from 1 to top; top may lie below min(dims),
-    # as it does for maximal_local
+    # cubes of every side from 1 to top; top may lie below min(dims), as it
+    # does for a domain that holds no larger cube
     dims = tuple(data.draw(st.lists(st.integers(1, {1: 40, 2: 17, 3: 9}[d]),
                                     min_size=d, max_size=d), label="dims"))
     top = data.draw(st.integers(1, min(dims)), label="top")
@@ -107,6 +100,25 @@ def test_descent_on_non_cubic_boxes(rng, dims):
     for top in range(1, min(dims) + 1):
         for nan_frac in (0.0, 0.1):
             check_descent(random_anchor_maps(rng, dims, top, nan_frac), dims)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@given(data=st.data())
+@settings(max_examples=30, deadline=None)
+def test_local_reads_no_value_off_omega(d, data):
+    # M_omega f is bit-identical when f changes off omega, to NaN or to
+    # values of any size
+    dims = tuple(data.draw(st.lists(st.integers(1, {1: 40, 2: 12, 3: 7}[d]),
+                                    min_size=d, max_size=d), label="dims"))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1), label="seed"))
+    omega = rng.random(dims) < 0.8
+    omega.flat[0] = True
+    vals = rng.random(dims)
+    scale = data.draw(st.sampled_from([0.0, 1e-6, 1e3, 1e15, np.nan]), label="scale")
+    other = np.where(omega, vals, rng.standard_normal(dims) * scale)
+    got = [maximal_local(GridFunction(dims, 1.0, v.ravel()), PixelSet(dims, omega)).values
+           for v in (vals, other)]
+    assert got[0].tobytes() == got[1].tobytes()
 
 
 class TestSummedAreaTable:
@@ -149,15 +161,15 @@ class TestMaximalGlobal:
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_oracle_equivalence_exact(self, rng, d):
-        # half the inputs hold one or two NaN cells, whose NaN must reach
-        # exactly the cells of the cubes that hold them
+        # half the inputs hold one or two NaN cells, which lie outside the
+        # domain: no cube that holds one competes
         for trial in range(12):
             dims = tuple(int(rng.integers(2, {1: 13, 2: 13, 3: 9}[d])) for _ in range(d))
             vals = rng.random(dims)
             if trial % 2:
                 vals.flat[rng.integers(vals.size, size=int(rng.integers(1, 3)))] = np.nan
             f = GridFunction(dims, 1.0, vals.ravel())
-            assert np.array_equal(maximal_global(f).array, brute_force_global(f), equal_nan=True)
+            assert np.array_equal(maximal_global(f).array, brute_force(vals), equal_nan=True)
 
     def test_monotone_in_argument(self, rng):
         a = rng.random((7, 7))
@@ -172,23 +184,29 @@ class TestMaximalGlobal:
 
 
 class TestMaximalFamily:
-    def test_empty_family_returns_f(self, rng):
+    def test_empty_family_raises(self, rng):
         f = grid_from_array(rng.random((4, 4)))
-        mf = maximal_family(f, CubeFamily([]))
-        assert np.array_equal(mf.values, f.values)
+        with pytest.raises(PremiseViolated, match="no family cube"):
+            maximal_family(f, CubeFamily([]))
 
     def test_single_cube(self):
+        # only family cubes compete: the spike's own value does not
         f = grid_from_array(np.array([[1.0, 0.0], [0.0, 0.0]]))
-        q = GridCube((0, 0), 2)
-        mf = maximal_family(f, CubeFamily([q]).with_averages(f))
-        assert mf.array[0, 0] == 1.0
-        assert mf.array[1, 1] == 0.25
+        mf = maximal_family(f, CubeFamily([GridCube((0, 0), 2)]))
+        assert mf.values.tolist() == [0.25] * 4
+        with pytest.raises(PremiseViolated, match=r"cell \(0, 1\)"):
+            maximal_family(f, CubeFamily([GridCube((0, 0), 1), GridCube((1, 0), 1)]))
+        nan_f = grid_from_array(np.array([[np.nan, 0.0], [0.0, 0.0]]))
+        with pytest.raises(PremiseViolated, match="non-finite average"):
+            maximal_family(nan_f, CubeFamily([GridCube((0, 0), 2)]))
 
     def test_superlevel_identity_bit_exact(self, rng):
+        # {M_F f >= lam} is the union of the family cubes with average >= lam;
+        # four side-4 cubes tile the box so that every cell is covered
         for _ in range(15):
             dims = (8, 8)
             f = grid_from_array(rng.integers(0, 5, dims).astype(float))
-            cubes = []
+            cubes = [GridCube((a, b), 4) for a in (0, 4) for b in (0, 4)]
             for _ in range(int(rng.integers(1, 8))):
                 side = int(rng.integers(1, 5))
                 anchor = tuple(int(rng.integers(0, 9 - side)) for _ in range(2))
@@ -196,12 +214,11 @@ class TestMaximalFamily:
             fam = CubeFamily(cubes).with_averages(f)
             mf = maximal_family(f, fam)
             for lam in lambda_breakpoints(f, fam.averages):
-                got = superlevel(mf, lam)
-                want = superlevel(f, lam)
+                want = PixelSet.empty(dims)
                 for c, a in zip(fam.cubes, fam.averages):
                     if a >= lam:
                         want = want | c.pixels(dims)
-                assert got.equals(want)
+                assert superlevel(mf, lam).equals(want)
 
 
 class TestMaximalLocal:
@@ -234,8 +251,9 @@ class TestMaximalLocal:
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_brute_force_small(self, rng, d):
-        # every admissible cube's average from the shared table, as C02 does
-        # for the global operator; half the inputs are NaN off omega
+        # every cube in omega with its average from the shared table, as C02
+        # does for the global operator; half the inputs are NaN off omega, and
+        # a third hold a NaN cell that may lie in omega, outside the domain
         for trial in range(10):
             dims = tuple(int(rng.integers(1, {1: 17, 2: 8, 3: 6}[d])) for _ in range(d))
             omega = rng.random(dims) < 0.8
@@ -244,14 +262,16 @@ class TestMaximalLocal:
             vals = rng.random(dims)
             if trial % 2:
                 vals[~omega] = np.nan
+            if trial % 3 == 0:
+                vals.flat[rng.integers(vals.size)] = np.nan
             f = GridFunction(dims, 1.0, vals.ravel())
             got = maximal_local(f, PixelSet(dims, omega)).array
-            assert np.array_equal(got, brute_force_local(vals, omega), equal_nan=True)
+            assert np.array_equal(got, brute_force(vals, omega), equal_nan=True)
 
     @pytest.mark.parametrize("dims,block", [((23,), 5), ((9, 11), 3), ((7, 6, 8), 2)])
     def test_largest_admissible_side_below_box(self, rng, dims, block):
-        # sparse omega plus one planted block: the descent starts at the
-        # block's side, below min(dims)
+        # sparse omega plus one planted block: omega holds no cube of a side
+        # above the block's, so the descent's larger sides are all NaN
         for _ in range(4):
             omega = rng.random(dims) < 0.3
             corner = [int(rng.integers(0, n - block + 1)) for n in dims]
@@ -262,7 +282,7 @@ class TestMaximalLocal:
             vals = rng.random(dims)
             f = GridFunction(dims, 1.0, vals.ravel())
             got = maximal_local(f, PixelSet(dims, omega)).array
-            assert np.array_equal(got, brute_force_local(vals, omega), equal_nan=True)
+            assert np.array_equal(got, brute_force(vals, omega), equal_nan=True)
 
     @pytest.mark.parametrize("dims", [(9,), (6, 7), (4, 5, 3)])
     def test_only_single_cells_admissible(self, rng, dims):
@@ -272,7 +292,7 @@ class TestMaximalLocal:
         vals = rng.random(dims)
         f = GridFunction(dims, 1.0, vals.ravel())
         got = maximal_local(f, PixelSet(dims, omega)).array
-        assert np.array_equal(got, brute_force_local(vals, omega), equal_nan=True)
+        assert np.array_equal(got, brute_force(vals, omega), equal_nan=True)
         assert np.array_equal(got[omega], vals[omega])
 
 
