@@ -37,6 +37,13 @@ from .io import canonical_json, write_plot_columns, write_report, write_table_cs
 COMMANDS = ("ratio", "theorem", "checkerboard", "dumbbell", "geom", "sparse-audit")
 
 
+def _write_histogram(path: Path, ratios: np.ndarray) -> Path:
+    counts, edges = np.histogram(ratios, bins=min(20, max(4, ratios.size // 4)))
+    write_plot_columns(path, [edges[:-1], edges[1:], counts],
+                       comment="bin_left bin_right count")
+    return path
+
+
 def emit_plot_data(report: dict, out_dir) -> list[Path]:
     """Gnuplot-ready whitespace data files derived from a report."""
     out = Path(out_dir)
@@ -50,12 +57,8 @@ def emit_plot_data(report: dict, out_dir) -> list[Path]:
                            comment="n variation")
         written.append(path)
     if cmd == "ratio":
-        ratios = np.asarray(report["results"]["ratios"])
-        counts, edges = np.histogram(ratios, bins=min(20, max(4, ratios.size // 4)))
-        path = out / "ratio_histogram.dat"
-        write_plot_columns(path, [edges[:-1], edges[1:], counts],
-                           comment="bin_left bin_right count")
-        written.append(path)
+        written.append(_write_histogram(out / "ratio_histogram.dat",
+                                        np.asarray(report["results"]["ratios"])))
     if cmd == "theorem":
         inst = report["results"]["instances"]
         if inst and "per_lambda" in inst[0]:
@@ -67,11 +70,7 @@ def emit_plot_data(report: dict, out_dir) -> list[Path]:
             written.append(path)
         ratios = np.asarray([r["ratio"] for r in inst if np.isfinite(r["ratio"])])
         if ratios.size:
-            counts, edges = np.histogram(ratios, bins=min(20, max(4, ratios.size // 4)))
-            path = out / "theorem_ratio_histogram.dat"
-            write_plot_columns(path, [edges[:-1], edges[1:], counts],
-                               comment="bin_left bin_right count")
-            written.append(path)
+            written.append(_write_histogram(out / "theorem_ratio_histogram.dat", ratios))
     return written
 
 

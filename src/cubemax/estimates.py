@@ -223,7 +223,6 @@ class TheoremReport:
     rhs: float
     ratio: float
     within_cap: bool
-    cap: float
     lam_table: dict            # per-level arrays (lam, sizes, terms, lhs, rhs)
     subterms: dict             # integral breakdown and sparse selection summary
     deep: dict | None = None   # reduction-chain diagnostics when requested
@@ -292,7 +291,7 @@ def theorem_main_evaluate(f: GridFunction, fam: CubeFamily, *,
 
     ratio = lhs / rhs if rhs > 0 else (0.0 if lhs == 0 else math.inf)
     report = TheoremReport(
-        lhs=lhs, rhs=rhs, ratio=ratio, within_cap=ratio <= cap, cap=cap,
+        lhs=lhs, rhs=rhs, ratio=ratio, within_cap=ratio <= cap,
         lam_table={
             "lam": bps, "n_q0": q_sizes[:, 0], "n_q1": q_sizes[:, 1],
             "n_q2": q_sizes[:, 2], "term1": term1s, "term2": term2s,
@@ -425,11 +424,6 @@ def _deep_chain(f: GridFunction, sparse: SparseFamily, bps: np.ndarray) -> dict:
     pos = rhs_b > 0
     return {
         "eps": eps,
-        "bases": [
-            {"anchor": a, "side": s, "avg": v, "lamq": l, "vol_integral": w}
-            for a, s, v, l, w in zip(bases.anchors.tolist(), bases.sides.tolist(),
-                                     bases.averages.tolist(), lamq.tolist(), vol_integral.tolist())
-        ],
         "overlap_C_max": overlap_max,
         "C1_max": c1_max,
         "C2_max": c2_max,

@@ -156,28 +156,16 @@ def report_passed(report: dict) -> bool:
 # ---------------------------------------------------------------- ratio suite
 
 def run_ratio_suite(cfg: ExperimentConfig) -> dict:
-    """Variation ratios of the global maximal operator on generated functions.
-
-    Also records (never asserts) instances where the maximal operator is
-    superadditive on the gradient level: var M(f+g) > var M f + var M g.
-    """
+    """Variation ratios var(M f) / var(f) of the global maximal operator on
+    generated functions."""
     report = _report_skeleton("ratio", cfg)
 
-    def one(k: int) -> tuple[float, bool]:
-        rng = _instance_rng(cfg.seed, k)
-        f = make_function(rng, cfg.function_class, cfg.dims, cfg.h)
-        var_mf = variation(maximal_global(f))
-        ratio = var_mf / nonzero_variation(f)
-        g = make_function(rng, cfg.function_class, cfg.dims, cfg.h)
-        fg = GridFunction(f.dims, f.h, f.values + g.values)
-        superadd = variation(maximal_global(fg)) > \
-            var_mf + variation(maximal_global(g))
-        return ratio, superadd
+    def one(k: int) -> float:
+        f = make_function(_instance_rng(cfg.seed, k), cfg.function_class, cfg.dims, cfg.h)
+        return float(variation(maximal_global(f)) / nonzero_variation(f))
 
-    rows = _parallel(one, cfg.repetitions, cfg.threads)
-    ratios = [float(r) for r, _ in rows]
+    ratios = _parallel(one, cfg.repetitions, cfg.threads)
     report["results"]["ratios"] = ratios
-    report["results"]["superadditive_instances"] = [k for k, (_, s) in enumerate(rows) if s]
     report["constants"]["ratio_max"] = max(ratios)
     report["constants"]["ratio_median"] = float(np.median(ratios))
     if cfg.dimension == 1:
@@ -319,7 +307,7 @@ def _theorem_instance(cfg: ExperimentConfig, k: int) -> dict:
         "subterms": rep.subterms,
     }
     if rep.deep is not None:
-        row["deep"] = {key: rep.deep[key] for key in rep.deep if key != "bases"}
+        row["deep"] = rep.deep
     if k == 0:
         row["per_lambda"] = {key: np.asarray(v).tolist()
                              for key, v in rep.lam_table.items()}

@@ -194,13 +194,13 @@ _COVER_BLOCK = 4096  # trials drawn and evaluated together; fixes the RNG draw o
 class _CoverDraws(NamedTuple):
     """Random parameters of a block of cube-cover trials.
 
-    ``frac`` holds the size, shift and angle perturbations as fractions of
-    delta; stress trials have all three at 1.  ``axis_q`` and ``axis_p`` are
-    None for d = 2.
+    The unperturbed cube is centered at the origin: the margin is invariant
+    under translation, so no center is drawn.  ``frac`` holds the size,
+    shift and angle perturbations as fractions of delta; stress trials have
+    all three at 1.  ``axis_q`` and ``axis_p`` are None for d = 2.
     """
 
     s_q: np.ndarray       # (n,) side of the unperturbed cube
-    c_q: np.ndarray       # (n, d) its center; the margin does not depend on it
     axis_q: np.ndarray | None   # (n, 3) its rotation axis
     angle_q: np.ndarray   # (n,) its rotation angle
     frac: np.ndarray      # (n, 3)
@@ -208,20 +208,17 @@ class _CoverDraws(NamedTuple):
     axis_p: np.ndarray | None   # (n, 3) axis of the perturbing rotation
 
 
-def _draw_cover_block(rng: np.random.Generator, start: int, n: int, d: int,
-                      stress: bool) -> _CoverDraws:
+def _draw_cover_block(rng: np.random.Generator, start: int, n: int, d: int) -> _CoverDraws:
     """Draws for trials start .. start+n-1; every trial index t with
-    t % 4 == 0 is a stress trial when ``stress`` is set."""
+    t % 4 == 0 is a stress trial."""
     s_q = rng.uniform(0.5, 2.0, n)
-    c_q = rng.uniform(-1.0, 1.0, (n, d))
     axis_q = rng.normal(size=(n, 3)) if d == 3 else None
     angle_q = rng.uniform(0, 2 * math.pi, n)
     frac = rng.random((n, 3))
-    if stress:
-        frac[(start + np.arange(n)) % 4 == 0] = 1.0
+    frac[(start + np.arange(n)) % 4 == 0] = 1.0
     shift = rng.normal(size=(n, d))
     axis_p = rng.normal(size=(n, 3)) if d == 3 else None
-    return _CoverDraws(s_q, c_q, axis_q, angle_q, frac, shift, axis_p)
+    return _CoverDraws(s_q, axis_q, angle_q, frac, shift, axis_p)
 
 
 def _cover_margins(draws: _CoverDraws, eps: float, delta: float) -> np.ndarray:
@@ -235,7 +232,7 @@ def _cover_margins(draws: _CoverDraws, eps: float, delta: float) -> np.ndarray:
     |a_j| + (s_p/2) sum_k |M_kj|: O(d^2) per trial instead of 2^d d^2.
     """
     s_q, frac = draws.s_q, draws.frac
-    d = draws.c_q.shape[1]
+    d = draws.shift.shape[1]
     s_p = s_q * (1 + delta * frac[:, 0])
     shift = draws.shift * (delta * s_q * frac[:, 1]
                            / np.linalg.norm(draws.shift, axis=1))[:, None]
@@ -254,12 +251,12 @@ def _cover_margins(draws: _CoverDraws, eps: float, delta: float) -> np.ndarray:
     return (1 + eps) * s_q / 2.0 - functools.reduce(np.maximum, reach.T)
 
 
-def cube_cover_check(eps: float, trials: int, d: int = 2, seed: int = 0,
-                     stress: bool = True) -> CubeCoverResult:
+def cube_cover_check(eps: float, trials: int, d: int = 2, seed: int = 0) -> CubeCoverResult:
     """Perturbing a cube within delta = eps/(2 + 2 sqrt d) in size, center and
     orientation keeps it inside the (1+eps)-dilate.  Vertex containment test
     (through the support function, see ``_cover_margins``), run on blocks of
-    trials.
+    trials; every fourth trial is a stress trial with all three
+    perturbations at their limit.
     """
     if d not in (2, 3):
         raise UnsupportedDimension("cube cover sampling needs d in {2,3}")
@@ -268,7 +265,7 @@ def cube_cover_check(eps: float, trials: int, d: int = 2, seed: int = 0,
     failures = 0
     min_margin = math.inf
     for start in range(0, trials, _COVER_BLOCK):
-        draws = _draw_cover_block(rng, start, min(_COVER_BLOCK, trials - start), d, stress)
+        draws = _draw_cover_block(rng, start, min(_COVER_BLOCK, trials - start), d)
         margin = _cover_margins(draws, eps, delta)
         failures += int(np.count_nonzero(margin < 0))
         min_margin = min(min_margin, float(margin.min()))
@@ -538,34 +535,28 @@ def large_boundary_in_ball_check(K: float, trials: int, seed: int = 0) -> LargeB
     """Boundary length of unions of big squares inside the unit disk, relative
     to (K^-2 + 1) times the circle length.  Exact segment clipping in the plane.
 
-    The squares are drawn one scalar at a time in the order of the original
-    per-trial loop (square count, then side, angle, direction and distance of
-    each square), so a seed gives the same unions as before.  The unions are
-    then grouped by square count and each group is measured by one
-    ``_boundary_lengths`` call; grouping rather than padding to 11 squares
-    keeps every per-union reduction the length it has alone, so each length
-    is bit-equal to ``boundary_length_in_disk`` on that union.
+    Each trial is a union of 1 to 11 squares.  All draws are whole arrays:
+    the square counts of the trials, then over all their squares the sides,
+    angles, center directions and center distances (about half a side, so
+    that an edge lies near the disk).  The unions are grouped by square
+    count and each group is measured by one ``_boundary_lengths`` call;
+    grouping rather than padding to 11 squares keeps every per-union
+    reduction the length it has alone, so each length is bit-equal to
+    ``boundary_length_in_disk`` on that union.
     """
     rng = np.random.default_rng(seed)
-    circ = 2 * math.pi
-    bound = (K ** -2 + 1.0) * circ
-    by_count: dict[int, list[np.ndarray]] = {}
-    for _ in range(trials):
-        n = int(rng.integers(1, 12))
-        union = np.empty((n, 4))  # rows (center x, center y, side, theta)
-        for i in range(n):
-            side = 2 * K * (1.0 + float(rng.exponential(0.7)))
-            theta = rng.uniform(0, 2 * math.pi)
-            # put an edge near the disk: center at roughly half a side away
-            direction = rng.normal(size=2)
-            direction /= np.linalg.norm(direction)
-            dist = side / 2.0 * rng.uniform(0.0, 1.2)
-            union[i, :2] = direction * dist
-            union[i, 2:] = side, theta
-        by_count.setdefault(n, []).append(union)
+    bound = (K ** -2 + 1.0) * 2 * math.pi
+    counts = rng.integers(1, 12, size=trials)
+    total = int(counts.sum())
+    sides = 2 * K * (1.0 + rng.exponential(0.7, total))
+    rots = rotation_2d(rng.uniform(0, 2 * math.pi, total))
+    direction = rng.normal(size=(total, 2))
+    direction /= np.linalg.norm(direction, axis=1, keepdims=True)
+    centers = direction * (sides / 2.0 * rng.uniform(0.0, 1.2, total))[:, None]
+    start = np.cumsum(counts) - counts
     worst = 0.0
-    for unions in by_count.values():
-        rows = np.stack(unions)  # (T, n, 4)
-        lengths = _boundary_lengths(rows[..., :2], rows[..., 2], rotation_2d(rows[..., 3]), 1.0)
+    for n in np.unique(counts).tolist():
+        rows = start[counts == n, None] + np.arange(n)  # (T, n) square indices
+        lengths = _boundary_lengths(centers[rows], sides[rows], rots[rows], 1.0)
         worst = max(worst, float(np.max(lengths / bound)))
     return LargeBoundaryResult(worst, trials)

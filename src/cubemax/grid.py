@@ -120,10 +120,6 @@ class PixelSet:
         self._check(other)
         return bool(np.array_equal(self.mask, other.mask))
 
-    def subset_of(self, other: "PixelSet") -> bool:
-        self._check(other)
-        return not np.any(self.mask & ~other.mask)
-
     def _check(self, other: "PixelSet") -> None:
         if self.dims != other.dims:
             raise DimensionMismatch(f"{self.dims} vs {other.dims}")

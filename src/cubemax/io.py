@@ -192,15 +192,3 @@ def write_plot_columns(path, columns, comment: str = "") -> None:
             fh.write(f"# {comment}\n")
         for row in zip(*cols):
             fh.write(" ".join(_fmt_float(float(v)) for v in row) + "\n")
-
-
-def read_plot_columns(path) -> list[np.ndarray]:
-    rows = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            rows.append([float(x) for x in line.split()])
-    arr = np.array(rows, dtype=np.float64)
-    return [arr[:, k] for k in range(arr.shape[1])] if arr.size else []

@@ -452,9 +452,9 @@ def scalar_rotation_3d(axis, theta):
 
 def scalar_cover_margin(draws, t, eps, delta):
     """Oracle for ``geom._cover_margins``: trial ``t`` of a block of draws,
-    evaluated alone."""
-    d = draws.c_q.shape[1]
-    s_q, c_q = float(draws.s_q[t]), draws.c_q[t]
+    evaluated alone, with the unperturbed cube centered at the origin."""
+    d = draws.shift.shape[1]
+    s_q = float(draws.s_q[t])
     f_size, f_shift, f_angle = (float(x) for x in draws.frac[t])
     angle_q = float(draws.angle_q[t])
     rot_q = scalar_rotation_2d(angle_q) if d == 2 else scalar_rotation_3d(draws.axis_q[t], angle_q)
@@ -464,8 +464,8 @@ def scalar_cover_margin(draws, t, eps, delta):
     turn = scalar_rotation_2d(theta) if d == 2 else scalar_rotation_3d(draws.axis_p[t], theta)
     rot_p = turn @ rot_q
     corners = np.array(list(np.ndindex(*([2] * d)))) * 2.0 - 1.0
-    verts = c_q + shift + (corners * s_p / 2.0) @ rot_p.T
-    local = (verts - c_q) @ rot_q
+    verts = shift + (corners * s_p / 2.0) @ rot_p.T
+    local = verts @ rot_q
     return float((1 + eps) * s_q / 2.0 - np.abs(local).max())
 
 
@@ -558,23 +558,27 @@ def scalar_boundary_length_in_disk(squares, radius=1.0):
 
 def scalar_large_boundary(K, trials, seed):
     """Oracle for ``geom.large_boundary_in_ball_check`` (its ``max_ratio``):
-    the same scalar draws, one ``OrientedCube`` union per trial, each
-    measured alone by ``scalar_boundary_length_in_disk``."""
+    the same whole-array draws, one ``OrientedCube`` union per trial taken
+    in trial order, each measured alone by ``scalar_boundary_length_in_disk``."""
     from cubemax.geom import OrientedCube
 
     rng = np.random.default_rng(seed)
     bound = (K ** -2 + 1.0) * 2 * math.pi
-    worst = 0.0
-    for _ in range(trials):
+    counts = rng.integers(1, 12, size=trials)
+    total = int(counts.sum())
+    sides = 2 * K * (1.0 + rng.exponential(0.7, total))
+    thetas = rng.uniform(0, 2 * math.pi, total)
+    directions = rng.normal(size=(total, 2))
+    dists = sides / 2.0 * rng.uniform(0.0, 1.2, total)
+    worst, i = 0.0, 0
+    for n in counts.tolist():
         squares = []
-        for _ in range(int(rng.integers(1, 12))):
-            side = 2 * K * (1.0 + float(rng.exponential(0.7)))
-            theta = rng.uniform(0, 2 * math.pi)
-            direction = rng.normal(size=2)
-            direction /= np.linalg.norm(direction)
-            center = direction * (side / 2.0 * rng.uniform(0.0, 1.2))
-            squares.append(OrientedCube(tuple(center), side, scalar_rotation_2d(theta)))
+        for side, theta, direction, dist in zip(sides[i:i + n], thetas[i:i + n],
+                                                directions[i:i + n], dists[i:i + n]):
+            center = direction / math.hypot(*direction) * dist
+            squares.append(OrientedCube(tuple(center), float(side), scalar_rotation_2d(theta)))
         worst = max(worst, scalar_boundary_length_in_disk(squares) / bound)
+        i += n
     return worst
 
 

@@ -17,7 +17,7 @@ from cubemax.experiments import (
     run_sparse_audit,
     run_theorem_suite,
 )
-from cubemax.io import canonical_json, read_plot_columns
+from cubemax.io import canonical_json
 from cubemax import is_dyadically_complete
 
 
@@ -59,6 +59,29 @@ class TestRatioSuite:
                                function_class="block-decreasing")
         rep = run_ratio_suite(cfg)
         assert len(rep["results"]["ratios"]) == 15
+
+    def test_one_operator_pass_per_instance(self, monkeypatch):
+        import cubemax.experiments as experiments
+
+        calls = {"make_function": 0, "maximal_global": 0}
+
+        def counted(name):
+            real = getattr(experiments, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(experiments, name, counted(name))
+        cfg = ExperimentConfig(seed=13, dimension=2, grid=16, repetitions=10,
+                               function_class="indicator")
+        rep = run_ratio_suite(cfg)
+        assert calls == {"make_function": 10, "maximal_global": 10}
+        assert list(rep["results"]) == ["ratios"]
+        assert len(rep["results"]["ratios"]) == 10
+        assert report_passed(rep)
 
 
 class TestCheckerboard:
@@ -182,7 +205,7 @@ class TestCli:
         assert code == 0
         report = json.loads((tmp_path / "report.json").read_text())
         assert report["command"] == "checkerboard"
-        cols = read_plot_columns(tmp_path / "checkerboard_growth.dat")
+        cols = np.loadtxt(tmp_path / "checkerboard_growth.dat", ndmin=2).T
         assert np.array_equal(cols[1], report["results"]["variation"])
 
     def test_ratio_command_with_config(self, tmp_path):
@@ -242,7 +265,7 @@ class TestCli:
         rep = run_checkerboard(3)
         files = emit_plot_data(rep, tmp_path)
         assert files
-        cols = read_plot_columns(files[0])
+        cols = np.loadtxt(files[0], ndmin=2).T
         assert cols[0].tolist() == rep["results"]["n"]
 
 
@@ -276,12 +299,3 @@ class TestCliFailurePath:
         assert lines[1] == "replay configuration:"
         assert '"seed": 4' in err and "Traceback" not in err
         assert not (tmp_path / "o" / "report.json").exists()
-
-
-class TestRatioSuperadditivity:
-    def test_superadditive_instances_recorded_not_asserted(self):
-        cfg = ExperimentConfig(seed=13, dimension=2, grid=16, repetitions=10,
-                               function_class="indicator")
-        rep = run_ratio_suite(cfg)
-        assert "superadditive_instances" in rep["results"]
-        assert report_passed(rep)

@@ -126,17 +126,19 @@ class TestCubeCover:
         assert res.min_margin > 0
 
     def test_stress_trials_at_limits_pass(self):
-        res = cube_cover_check(0.05, 8000, d=2, seed=1, stress=True)
+        res = cube_cover_check(0.05, 8000, d=2, seed=1)
         assert res.failures == 0
+        # the default draws stress every fourth trial
+        draws = geom._draw_cover_block(np.random.default_rng(1), 0, 8000, 2)
+        assert np.array_equal(np.all(draws.frac == 1.0, axis=1), np.arange(8000) % 4 == 0)
 
 
 class TestCubeCoverBlocks:
     """The block evaluation against the per-trial oracle on the same draws."""
 
-    @pytest.mark.parametrize("stress", [True, False])
     @pytest.mark.parametrize("d", [2, 3])
-    def test_margins_match_per_trial_oracle(self, d, stress):
-        draws = geom._draw_cover_block(np.random.default_rng(7), 4097, 500, d, stress)
+    def test_margins_match_per_trial_oracle(self, d):
+        draws = geom._draw_cover_block(np.random.default_rng(7), 4097, 500, d)
         # a dilate of 1.04 is too tight for delta(0.1), so margins of both signs occur
         for eps in (0.1, 0.04):
             delta = 0.1 / (2 + 2 * math.sqrt(d))
@@ -153,10 +155,10 @@ class TestCubeCoverBlocks:
         rng = np.random.default_rng(seed)
         margins, stressed = [], []
         for start in range(0, trials, _COVER_BLOCK):
-            draws = geom._draw_cover_block(rng, start, min(_COVER_BLOCK, trials - start), d, True)
+            draws = geom._draw_cover_block(rng, start, min(_COVER_BLOCK, trials - start), d)
             margins += [scalar_cover_margin(draws, t, eps, delta) for t in range(len(draws.s_q))]
             stressed.append(np.all(draws.frac == 1.0, axis=1))
-        res = cube_cover_check(eps, trials, d=d, seed=seed, stress=True)
+        res = cube_cover_check(eps, trials, d=d, seed=seed)
         assert res.failures == sum(m < 0 for m in margins) == 0
         assert res.min_margin == pytest.approx(min(margins), rel=0, abs=1e-12)
         assert np.array_equal(np.concatenate(stressed), np.arange(trials) % 4 == 0)
@@ -165,9 +167,9 @@ class TestCubeCoverBlocks:
     def _draws(d, s_q, frac, shift, angle_q=0.0, axis=(0.0, 0.0, 1.0)):
         n = len(s_q)
         axes = np.tile(axis, (n, 1)) if d == 3 else None
-        return geom._CoverDraws(np.asarray(s_q, dtype=float), np.zeros((n, d)), axes,
-                                np.full(n, angle_q), np.asarray(frac, dtype=float),
-                                np.asarray(shift, dtype=float), axes)
+        return geom._CoverDraws(np.asarray(s_q, dtype=float), axes, np.full(n, angle_q),
+                                np.asarray(frac, dtype=float), np.asarray(shift, dtype=float),
+                                axes)
 
     @pytest.mark.parametrize("d", [2, 3])
     def test_shift_only_margin(self, d):
@@ -204,12 +206,11 @@ class TestCubeCoverBlocks:
         assert want[-1] == pytest.approx(eps * s_q[-1] / 2 - (math.sqrt(2) - 1) * s_q[-1] / 2)
 
     def test_stress_follows_the_global_trial_index(self):
-        on = geom._draw_cover_block(np.random.default_rng(3), 4097, 4096, 3, True)
-        off = geom._draw_cover_block(np.random.default_rng(3), 4097, 4096, 3, False)
+        draws = geom._draw_cover_block(np.random.default_rng(3), 4097, 4096, 3)
         limit = (4097 + np.arange(4096)) % 4 == 0
-        assert np.array_equal(np.all(on.frac == 1.0, axis=1), limit)
-        assert np.array_equal(on.frac[~limit], off.frac[~limit])
-        assert not np.any(off.frac == 1.0)
+        assert np.array_equal(np.all(draws.frac == 1.0, axis=1), limit)
+        # random() never returns 1, so no other trial has a fraction at its limit
+        assert not np.any(draws.frac[~limit] == 1.0)
 
 
 class TestLipschitzBlowup:
