@@ -166,6 +166,10 @@ def min_angle_search(eps: float, trials: int, d: int = 2, seed: int = 0,
     The samples are drawn once; every candidate N is tested on them, which
     is what re-seeding ``min_angle_check`` per candidate would do.
     """
+    if not 0 < eps < math.inf:
+        raise ValueError(f"eps must be positive and finite, got {eps!r}")
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials!r}")
     draws = _draw_min_angle(eps, trials, d, seed)
     n = 1
     while n <= n_max and not _min_angle_holds(draws, eps, n):
@@ -192,17 +196,15 @@ _COVER_BLOCK = 4096  # trials drawn and evaluated together; fixes the RNG draw o
 
 
 class _CoverDraws(NamedTuple):
-    """Random parameters of a block of cube-cover trials.
-
-    The unperturbed cube is centered at the origin: the margin is invariant
-    under translation, so no center is drawn.  ``frac`` holds the size,
-    shift and angle perturbations as fractions of delta; stress trials have
-    all three at 1.  ``axis_q`` and ``axis_p`` are None for d = 2.
+    """Random parameters of a block of cube-cover trials, in the frame of the
+    unperturbed cube Q: Q is centered at the origin with its edges along the
+    axes.  No center and no orientation of Q are drawn, since the margin
+    does not depend on them (see ``_cover_margins``).  ``frac`` holds the
+    size, shift and angle perturbations as fractions of delta; stress trials
+    have all three at 1.  ``axis_p`` is None for d = 2.
     """
 
     s_q: np.ndarray       # (n,) side of the unperturbed cube
-    axis_q: np.ndarray | None   # (n, 3) its rotation axis
-    angle_q: np.ndarray   # (n,) its rotation angle
     frac: np.ndarray      # (n, 3)
     shift: np.ndarray     # (n, d) direction of the center shift, not normalized
     axis_p: np.ndarray | None   # (n, 3) axis of the perturbing rotation
@@ -212,24 +214,31 @@ def _draw_cover_block(rng: np.random.Generator, start: int, n: int, d: int) -> _
     """Draws for trials start .. start+n-1; every trial index t with
     t % 4 == 0 is a stress trial."""
     s_q = rng.uniform(0.5, 2.0, n)
-    axis_q = rng.normal(size=(n, 3)) if d == 3 else None
-    angle_q = rng.uniform(0, 2 * math.pi, n)
     frac = rng.random((n, 3))
     frac[(start + np.arange(n)) % 4 == 0] = 1.0
     shift = rng.normal(size=(n, d))
     axis_p = rng.normal(size=(n, 3)) if d == 3 else None
-    return _CoverDraws(s_q, axis_q, angle_q, frac, shift, axis_p)
+    return _CoverDraws(s_q, frac, shift, axis_p)
 
 
 def _cover_margins(draws: _CoverDraws, eps: float, delta: float) -> np.ndarray:
     """Per trial, the smallest slack of a perturbed cube's vertices against
-    the (1+eps)-dilate of the unperturbed cube, in that cube's frame.
+    the (1+eps)-dilate of the unperturbed cube Q, in Q's frame.
 
-    In Q's frame the perturbed cube's vertex with sign vector sigma sits at
-    a + (s_p/2) sigma M, with a = shift rot_q and M = rot_p^T rot_q.  Every
+    The perturbed cube P has side s_p, center a (the scaled shift) and
+    rotation R, a turn by theta about axis_p (d = 3) or by theta (d = 2).
+    Its vertex with sign vector sigma sits at a + (s_p/2) R sigma.  Every
     sign vector is a vertex and the signs can be picked per term, so the
     largest |coordinate j| over the vertices is the support function
-    |a_j| + (s_p/2) sum_k |M_kj|: O(d^2) per trial instead of 2^d d^2.
+    |a_j| + (s_p/2) sum_k |R_jk|: O(d^2) per trial instead of 2^d d^2.
+
+    Working in Q's frame loses nothing.  Were Q turned by a rotation U drawn
+    independently of the rest, P would appear in Q's frame with center a U
+    and a turn about axis_p U (and by the same theta in the plane).  The
+    shift direction and axis_p are independent isotropic normals, and U is
+    independent of them, so (shift U, axis_p U) has the same joint law as
+    (shift, axis_p): the margins have the same distribution as with a
+    randomly oriented Q, just as they do with a randomly placed one.
     """
     s_q, frac = draws.s_q, draws.frac
     d = draws.shift.shape[1]
@@ -237,29 +246,28 @@ def _cover_margins(draws: _CoverDraws, eps: float, delta: float) -> np.ndarray:
     shift = draws.shift * (delta * s_q * frac[:, 1]
                            / np.linalg.norm(draws.shift, axis=1))[:, None]
     theta = delta * frac[:, 2]
-    if d == 2:
-        rot_q = rotation_2d(draws.angle_q)
-        rot_p = rotation_2d(theta) @ rot_q
-    else:
-        rot_q = rotation_3d(draws.axis_q, draws.angle_q)
-        rot_p = rotation_3d(draws.axis_p, theta) @ rot_q
-    a = (shift[:, None, :] @ rot_q)[:, 0]             # (n, d)
-    m = np.abs(rot_p.transpose(0, 2, 1) @ rot_q)       # (n, d, d)
-    # sums and maxima over the d rows and columns are spelled out: a numpy
-    # reduction over an axis of length 2 or 3 costs more than its arithmetic
-    reach = np.abs(a) + (s_p / 2.0)[:, None] * sum(m[:, k] for k in range(d))
+    rot = np.abs(rotation_2d(theta) if d == 2 else rotation_3d(draws.axis_p, theta))
+    # the row sums and the maximum over the d coordinates are spelled out: a
+    # numpy reduction over an axis of length 2 or 3 costs more than its arithmetic
+    reach = np.abs(shift) + (s_p / 2.0)[:, None] * sum(rot[:, :, k] for k in range(d))
     return (1 + eps) * s_q / 2.0 - functools.reduce(np.maximum, reach.T)
 
 
 def cube_cover_check(eps: float, trials: int, d: int = 2, seed: int = 0) -> CubeCoverResult:
     """Perturbing a cube within delta = eps/(2 + 2 sqrt d) in size, center and
     orientation keeps it inside the (1+eps)-dilate.  Vertex containment test
-    (through the support function, see ``_cover_margins``), run on blocks of
-    trials; every fourth trial is a stress trial with all three
-    perturbations at their limit.
+    (through the support function, in the unperturbed cube's own frame, see
+    ``_cover_margins``), run on blocks of trials; every fourth trial is a
+    stress trial with all three perturbations at their limit.  A trial
+    fails unless its margin is at least 0, so a NaN margin is a failure and
+    makes ``min_margin`` NaN.
     """
     if d not in (2, 3):
         raise UnsupportedDimension("cube cover sampling needs d in {2,3}")
+    if not 0 < eps < math.inf:
+        raise ValueError(f"eps must be positive and finite, got {eps!r}")
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials!r}")
     rng = np.random.default_rng(seed)
     delta = eps / (2.0 + 2.0 * math.sqrt(d))
     failures = 0
@@ -267,8 +275,8 @@ def cube_cover_check(eps: float, trials: int, d: int = 2, seed: int = 0) -> Cube
     for start in range(0, trials, _COVER_BLOCK):
         draws = _draw_cover_block(rng, start, min(_COVER_BLOCK, trials - start), d)
         margin = _cover_margins(draws, eps, delta)
-        failures += int(np.count_nonzero(margin < 0))
-        min_margin = min(min_margin, float(margin.min()))
+        failures += int(np.count_nonzero(~(margin >= 0)))
+        min_margin = float(np.minimum(min_margin, margin.min()))
     return CubeCoverResult(failures, delta, min_margin)
 
 
@@ -278,18 +286,22 @@ class BlowupResult(NamedTuple):
     stderr: float
 
 
-_HEIGHT_BLOCK = 8192  # rows per height evaluation; bounds its (rows, 8, d-1) temporaries
 _PRUNE_SLACK = 1e-9   # relative slack of the neighbour search's prunes, on the safe side
 
 
 def _cone_heights(u: np.ndarray, anchors: np.ndarray, offsets: np.ndarray,
                   L: float) -> np.ndarray:
     """min_j offsets_j + L |u - anchors_j| at the rows of u (n, d-1): an
-    L-Lipschitz height field, evaluated in blocks of rows."""
-    out = np.empty(len(u))
-    for start in range(0, len(u), _HEIGHT_BLOCK):
-        dist = np.linalg.norm(u[start:start + _HEIGHT_BLOCK, None, :] - anchors, axis=2)
-        out[start:start + _HEIGHT_BLOCK] = np.min(offsets + L * dist, axis=1)
+    L-Lipschitz height field, built one anchor (cone) at a time.  Each
+    distance sums the squared differences in axis order, as
+    ``np.linalg.norm`` does, so the heights are those of the norm, bit for
+    bit."""
+    out = np.full(len(u), np.inf)
+    for anchor, offset in zip(anchors, offsets):
+        s = np.square(u[:, 0] - anchor[0])
+        for k in range(1, len(anchor)):
+            s += np.square(u[:, k] - anchor[k])
+        np.minimum(out, offset + L * np.sqrt(s, out=s), out=out)
     return out
 
 
@@ -489,16 +501,25 @@ def _boundary_lengths(centers: np.ndarray, sides: np.ndarray, rots: np.ndarray,
     hi = np.minimum(length, -b + root)
     in_disk = (disc > 0) & (lo < hi)
 
-    # part of each edge inside each open square, in the square's frame
-    q0 = np.einsum("tejk,tjkl->tejl", p0[:, :, None, :] - centers[:, None], rots)  # (T, E, n, 2)
-    dv = np.einsum("tek,tjkl->tejl", v, rots)                                      # (T, E, n, 2)
-    half = (sides / 2.0)[:, None, :, None]
-    par = np.abs(dv) < 1e-15
-    step = np.where(par, 1.0, dv)
-    a, c = (-half - q0) / step, (half - q0) / step
-    t0 = np.maximum(0.0, np.where(par, -np.inf, np.minimum(a, c)).max(axis=-1))
-    t1 = np.minimum(length[..., None], np.where(par, np.inf, np.maximum(a, c)).min(axis=-1))
-    hit = np.all(~par | (np.abs(q0) < half), axis=-1) & (t0 < t1)
+    # part of each edge inside each open square, in the square's frame, one
+    # slab (frame axis) at a time: the 2x2 products and the reductions over
+    # the two slabs are written out, which costs less than an einsum and a
+    # reduction along an axis of length 2
+    rel = p0[:, :, None, :] - centers[:, None]                           # (T, E, n, 2)
+    r = rots[:, None]                                                    # (T, 1, n, 2, 2)
+    half = (sides / 2.0)[:, None, :]
+    t0, t1 = 0.0, length[..., None]
+    hit = True
+    for col in range(2):
+        q0 = rel[..., 0] * r[..., 0, col] + rel[..., 1] * r[..., 1, col]        # (T, E, n)
+        dv = v[..., None, 0] * r[..., 0, col] + v[..., None, 1] * r[..., 1, col]
+        par = np.abs(dv) < 1e-15
+        step = np.where(par, 1.0, dv)
+        a, c = (-half - q0) / step, (half - q0) / step
+        t0 = np.maximum(t0, np.where(par, -np.inf, np.minimum(a, c)))
+        t1 = np.minimum(t1, np.where(par, np.inf, np.maximum(a, c)))
+        hit = hit & (~par | (np.abs(q0) < half))
+    hit &= t0 < t1
     hit &= np.repeat(np.arange(n), 4)[:, None] != np.arange(n)[None, :]  # not its own square
 
     # clip the holes to the disk part; a missed square becomes an empty hole at lo
@@ -542,8 +563,13 @@ def large_boundary_in_ball_check(K: float, trials: int, seed: int = 0) -> LargeB
     count and each group is measured by one ``_boundary_lengths`` call;
     grouping rather than padding to 11 squares keeps every per-union
     reduction the length it has alone, so each length is bit-equal to
-    ``boundary_length_in_disk`` on that union.
+    ``boundary_length_in_disk`` on that union.  A NaN length makes
+    ``max_ratio`` NaN.
     """
+    if not 0 < K < math.inf:
+        raise ValueError(f"K must be positive and finite, got {K!r}")
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials!r}")
     rng = np.random.default_rng(seed)
     bound = (K ** -2 + 1.0) * 2 * math.pi
     counts = rng.integers(1, 12, size=trials)
@@ -558,5 +584,5 @@ def large_boundary_in_ball_check(K: float, trials: int, seed: int = 0) -> LargeB
     for n in np.unique(counts).tolist():
         rows = start[counts == n, None] + np.arange(n)  # (T, n) square indices
         lengths = _boundary_lengths(centers[rows], sides[rows], rots[rows], 1.0)
-        worst = max(worst, float(np.max(lengths / bound)))
+        worst = float(np.maximum(worst, np.max(lengths / bound)))
     return LargeBoundaryResult(worst, trials)

@@ -450,14 +450,15 @@ def scalar_rotation_3d(axis, theta):
     return np.eye(3) + math.sin(theta) * K + (1 - math.cos(theta)) * (K @ K)
 
 
-def scalar_cover_margin(draws, t, eps, delta):
+def scalar_cover_margin(draws, t, eps, delta, rot_q=None):
     """Oracle for ``geom._cover_margins``: trial ``t`` of a block of draws,
-    evaluated alone, with the unperturbed cube centered at the origin."""
+    evaluated alone by enumerating the perturbed cube's vertices, with the
+    unperturbed cube centered at the origin and turned by ``rot_q`` (the
+    identity by default, the frame the library works in)."""
     d = draws.shift.shape[1]
+    rot_q = np.eye(d) if rot_q is None else np.asarray(rot_q, dtype=np.float64)
     s_q = float(draws.s_q[t])
     f_size, f_shift, f_angle = (float(x) for x in draws.frac[t])
-    angle_q = float(draws.angle_q[t])
-    rot_q = scalar_rotation_2d(angle_q) if d == 2 else scalar_rotation_3d(draws.axis_q[t], angle_q)
     s_p = s_q * (1 + delta * f_size)
     shift = draws.shift[t] * (delta * s_q * f_shift) / np.linalg.norm(draws.shift[t])
     theta = delta * f_angle
@@ -467,6 +468,21 @@ def scalar_cover_margin(draws, t, eps, delta):
     verts = shift + (corners * s_p / 2.0) @ rot_p.T
     local = verts @ rot_q
     return float((1 + eps) * s_q / 2.0 - np.abs(local).max())
+
+
+def scalar_cone_heights(u, anchors, offsets, L):
+    """Oracle for ``geom._cone_heights``: one row and one anchor at a time,
+    the distance summed over the axes in order with Python floats."""
+    out = np.empty(len(u))
+    for i, row in enumerate(u.tolist()):
+        best = math.inf
+        for anchor, offset in zip(anchors.tolist(), offsets.tolist()):
+            sq = 0.0
+            for x, a in zip(row, anchor):
+                sq += (x - a) * (x - a)
+            best = min(best, offset + L * math.sqrt(sq))
+        out[i] = best
+    return out
 
 
 def kdtree_blowup_hits(draws, eps):

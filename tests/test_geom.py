@@ -6,6 +6,7 @@ import pytest
 from conftest import (
     kdtree_blowup_hits,
     scalar_boundary_length_in_disk,
+    scalar_cone_heights,
     scalar_cover_margin,
     scalar_large_boundary,
     scalar_min_angle_check,
@@ -104,6 +105,15 @@ class TestMinAngle:
         assert n == passing[0] and passing == list(range(n, 48))
         assert n != min_angle_search(eps, trials, d=d, seed=seed + 1)
 
+    @pytest.mark.parametrize("kwargs", [
+        {"eps": 0.0}, {"eps": -0.1}, {"eps": math.nan}, {"eps": math.inf},
+        {"trials": 0}, {"trials": -5},
+    ])
+    def test_invalid_search_input_rejected(self, kwargs):
+        args = {"eps": 0.05, "trials": 100, **kwargs}
+        with pytest.raises(ValueError):
+            min_angle_search(**args)
+
     def test_exhausted_search_is_typed(self):
         # N = 1 fails at eps = 0.01, and n_max = 1 allows no doubling
         assert not min_angle_check(0.01, 1, 500, seed=2)
@@ -132,18 +142,65 @@ class TestCubeCover:
         draws = geom._draw_cover_block(np.random.default_rng(1), 0, 8000, 2)
         assert np.array_equal(np.all(draws.frac == 1.0, axis=1), np.arange(8000) % 4 == 0)
 
+    def test_nan_margin_is_a_failure(self, monkeypatch):
+        # one NaN margin per block: each counts as a failure and min_margin is NaN
+        real = geom._cover_margins
+
+        def with_nan(draws, eps, delta):
+            margin = real(draws, eps, delta)
+            margin[3] = np.nan
+            return margin
+
+        monkeypatch.setattr(geom, "_cover_margins", with_nan)
+        res = cube_cover_check(0.1, 5000, d=2, seed=0)
+        assert res.failures == 2
+        assert math.isnan(res.min_margin)
+
+    @pytest.mark.parametrize("kwargs", [
+        {"eps": 0.0}, {"eps": -0.1}, {"eps": math.nan}, {"eps": math.inf},
+        {"trials": 0}, {"trials": -5},
+    ])
+    def test_invalid_input_rejected(self, kwargs):
+        args = {"eps": 0.1, "trials": 100, **kwargs}
+        with pytest.raises(ValueError):
+            cube_cover_check(**args)
+
 
 class TestCubeCoverBlocks:
     """The block evaluation against the per-trial oracle on the same draws."""
 
     @pytest.mark.parametrize("d", [2, 3])
     def test_margins_match_per_trial_oracle(self, d):
+        # the oracle enumerates the vertices, with the unperturbed cube axis-aligned
         draws = geom._draw_cover_block(np.random.default_rng(7), 4097, 500, d)
         # a dilate of 1.04 is too tight for delta(0.1), so margins of both signs occur
         for eps in (0.1, 0.04):
             delta = 0.1 / (2 + 2 * math.sqrt(d))
             got = geom._cover_margins(draws, eps, delta)
             want = np.array([scalar_cover_margin(draws, t, eps, delta) for t in range(500)])
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+        assert (want < 0).any() and (want > 0).any()
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_margin_is_rotation_invariant(self, d):
+        # a randomly turned unperturbed cube sees the shift and the turn axis
+        # turned with it: the oracle with rot_q equals the library's margin on
+        # the draws (shift rot_q, axis_p rot_q)
+        draws = geom._draw_cover_block(np.random.default_rng(12), 4097, 400, d)
+        rng = np.random.default_rng(13)
+        if d == 2:
+            rot_q = np.array([scalar_rotation_2d(a) for a in rng.uniform(0, 2 * math.pi, 400)])
+        else:
+            rot_q = np.array([scalar_rotation_3d(ax, a) for ax, a in
+                              zip(rng.normal(size=(400, 3)), rng.uniform(0, 2 * math.pi, 400))])
+        turned = draws._replace(
+            shift=np.einsum("tj,tjk->tk", draws.shift, rot_q),
+            axis_p=None if d == 2 else np.einsum("tj,tjk->tk", draws.axis_p, rot_q))
+        delta = 0.1 / (2 + 2 * math.sqrt(d))
+        for eps in (0.1, 0.04):
+            got = geom._cover_margins(turned, eps, delta)
+            want = np.array([scalar_cover_margin(draws, t, eps, delta, rot_q=rot_q[t])
+                             for t in range(400)])
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
         assert (want < 0).any() and (want > 0).any()
 
@@ -164,12 +221,10 @@ class TestCubeCoverBlocks:
         assert np.array_equal(np.concatenate(stressed), np.arange(trials) % 4 == 0)
 
     @staticmethod
-    def _draws(d, s_q, frac, shift, angle_q=0.0, axis=(0.0, 0.0, 1.0)):
-        n = len(s_q)
-        axes = np.tile(axis, (n, 1)) if d == 3 else None
-        return geom._CoverDraws(np.asarray(s_q, dtype=float), axes, np.full(n, angle_q),
-                                np.asarray(frac, dtype=float), np.asarray(shift, dtype=float),
-                                axes)
+    def _draws(d, s_q, frac, shift, axis=(0.0, 0.0, 1.0)):
+        axes = np.tile(axis, (len(s_q), 1)) if d == 3 else None
+        return geom._CoverDraws(np.asarray(s_q, dtype=float), np.asarray(frac, dtype=float),
+                                np.asarray(shift, dtype=float), axes)
 
     @pytest.mark.parametrize("d", [2, 3])
     def test_shift_only_margin(self, d):
@@ -193,17 +248,38 @@ class TestCubeCoverBlocks:
         f_angle = np.array([0.0, 0.1, 0.4, 1.0, 2.0, math.pi / 2])  # theta = delta * f_angle
         s_q = np.linspace(0.5, 2.0, 6)
         frac = np.column_stack([np.zeros(6), np.zeros(6), f_angle])
+        draws = self._draws(2, s_q, frac, np.ones((6, 2)))
+        theta = delta * f_angle
+        want = (1 + eps) * s_q / 2 - s_q / 2 * (np.cos(theta) + np.sin(theta))
+        got = geom._cover_margins(draws, eps, delta)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-15)
+        # turns in the plane commute, so a turned unperturbed cube gives the same margins
         for angle_q in (0.0, 0.9):
-            draws = self._draws(2, s_q, frac, np.ones((6, 2)), angle_q=angle_q)
-            theta = delta * f_angle
-            want = (1 + eps) * s_q / 2 - s_q / 2 * (np.cos(theta) + np.sin(theta))
-            got = geom._cover_margins(draws, eps, delta)
-            np.testing.assert_allclose(got, want, rtol=0, atol=1e-15)
+            rot_q = scalar_rotation_2d(angle_q)
             for t in range(6):
-                assert got[t] == pytest.approx(scalar_cover_margin(draws, t, eps, delta),
+                assert got[t] == pytest.approx(scalar_cover_margin(draws, t, eps, delta, rot_q),
                                                rel=0, abs=1e-15)
         # theta = pi/4 puts a vertex on the diagonal
         assert want[-1] == pytest.approx(eps * s_q[-1] / 2 - (math.sqrt(2) - 1) * s_q[-1] / 2)
+
+    def test_turn_only_margin_d3(self):
+        # a turn by theta in [0, pi/2] about e_z: rows of |R| sum to cos + sin,
+        # cos + sin and 1, so margin = (1+eps) s/2 - (s/2)(cos theta + sin theta)
+        eps, delta = 0.1, 0.5
+        f_angle = np.array([0.0, 0.1, 0.4, 1.0, 2.0, math.pi / 2])  # theta = delta * f_angle
+        s_q = np.linspace(0.5, 2.0, 6)
+        frac = np.column_stack([np.zeros(6), np.zeros(6), f_angle])
+        draws = self._draws(3, s_q, frac, np.ones((6, 3)), axis=(0.0, 0.0, 2.0))
+        theta = delta * f_angle
+        want = (1 + eps) * s_q / 2 - s_q / 2 * (np.cos(theta) + np.sin(theta))
+        got = geom._cover_margins(draws, eps, delta)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-15)
+        # an unperturbed cube turned about e_z as well gives the same margins
+        for angle_q in (0.0, 0.9):
+            rot_q = scalar_rotation_3d((0.0, 0.0, 1.0), angle_q)
+            for t in range(6):
+                assert got[t] == pytest.approx(scalar_cover_margin(draws, t, eps, delta, rot_q),
+                                               rel=0, abs=1e-15)
 
     def test_stress_follows_the_global_trial_index(self):
         draws = geom._draw_cover_block(np.random.default_rng(3), 4097, 4096, 3)
@@ -288,6 +364,22 @@ class TestBlowupNeighbourSearch:
         np.testing.assert_array_equal(hits, kdtree_blowup_hits(draws, eps))
         assert 0 < hits.sum() < n
 
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("L", [0.0, 1.0, 3.0])
+    def test_heights_equal_scalar_oracle(self, d, L):
+        # the k-d tree oracle reads mesh_z from the library's own heights, so
+        # the heights are checked on their own, bit for bit
+        draws = geom._draw_blowup(L, 1.0, 0.1, 2000, d, 5)
+        cone = draws.heights.keywords
+        du = d - 1
+        mesh = np.stack([g.ravel() for g in np.meshgrid(*[draws.grid] * du, indexing="ij")],
+                        axis=1)
+        want = scalar_cone_heights(mesh, cone["anchors"], cone["offsets"], L)
+        np.testing.assert_array_equal(draws.mesh_z.ravel(), want)
+        np.testing.assert_array_equal(
+            draws.heights(draws.x[:, :du]),
+            scalar_cone_heights(draws.x[:, :du], cone["anchors"], cone["offsets"], L))
+
     def test_unchanged_estimate_at_suite_config(self):
         # the geom suite's call at seed 0: every sample decided as the tree does
         draws = geom._draw_blowup(1.0, 1.0, 0.1, 100_000, 2, 0)
@@ -315,6 +407,32 @@ class TestLargeBoundary:
     def test_suite_max_ratio_finite(self):
         res = large_boundary_in_ball_check(1.0, 200, seed=8)
         assert math.isfinite(res.max_ratio)
+
+    def test_nan_length_reaches_max_ratio(self, monkeypatch):
+        # a NaN length in the first group measured is not masked by later groups
+        real = geom._boundary_lengths
+        calls = []
+
+        def with_nan(centers, sides, rots, radius):
+            lengths = real(centers, sides, rots, radius)
+            if not calls:
+                lengths[0] = np.nan
+            calls.append(len(lengths))
+            return lengths
+
+        monkeypatch.setattr(geom, "_boundary_lengths", with_nan)
+        res = large_boundary_in_ball_check(1.0, 200, seed=8)
+        assert len(calls) > 1
+        assert math.isnan(res.max_ratio)
+
+    @pytest.mark.parametrize("kwargs", [
+        {"K": 0.0}, {"K": -1.0}, {"K": math.nan}, {"K": math.inf},
+        {"trials": 0}, {"trials": -5},
+    ])
+    def test_invalid_input_rejected(self, kwargs):
+        args = {"K": 1.0, "trials": 50, **kwargs}
+        with pytest.raises(ValueError):
+            large_boundary_in_ball_check(**args)
 
     @staticmethod
     def _random_union(rng, n, turn=None):
