@@ -292,10 +292,8 @@ _PRUNE_SLACK = 1e-9   # relative slack of the neighbour search's prunes, on the 
 def _cone_heights(u: np.ndarray, anchors: np.ndarray, offsets: np.ndarray,
                   L: float) -> np.ndarray:
     """min_j offsets_j + L |u - anchors_j| at the rows of u (n, d-1): an
-    L-Lipschitz height field, built one anchor (cone) at a time.  Each
-    distance sums the squared differences in axis order, as
-    ``np.linalg.norm`` does, so the heights are those of the norm, bit for
-    bit."""
+    L-Lipschitz height field, built one anchor (cone) at a time, each
+    distance summing the squared differences in axis order."""
     out = np.full(len(u), np.inf)
     for anchor, offset in zip(anchors, offsets):
         s = np.square(u[:, 0] - anchor[0])
