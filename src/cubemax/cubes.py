@@ -200,8 +200,9 @@ class CubeFamily:
     def __getitem__(self, i: int) -> GridCube:
         return GridCube(self.anchors[i].tolist(), int(self.sides[i]))
 
-    def with_averages(self, f: GridFunction) -> "CubeFamily":
-        return CubeFamily.from_arrays(self.anchors, self.sides, family_averages(f, self))
+    def with_averages(self, f: GridFunction, sat: SummedAreaTable | None = None) -> "CubeFamily":
+        """This family with its averages of ``f``, read from ``sat`` when given."""
+        return CubeFamily.from_arrays(self.anchors, self.sides, family_averages(f, self, sat))
 
     def select(self, mask: np.ndarray) -> "CubeFamily":
         """The members where the boolean ``mask`` is set, with their averages.

@@ -33,6 +33,7 @@ from .generators import (
 )
 from .grid import GridFunction, PixelSet, variation
 from .maximal import maximal_family, maximal_global, maximal_local, nonzero_variation
+from .sat import SummedAreaTable
 from .sparse import (
     accumulate_q2_cubes,
     default_contraction,
@@ -203,10 +204,11 @@ def run_checkerboard(n_max: int = 6, seed: int = 0) -> dict:
     vals[unit:2 * unit, unit:2 * unit] = 1.0
     f = GridFunction(dims, 2.0 ** (-n_max), vals.ravel())
 
+    sat = SummedAreaTable(f.array)  # f is the same at every depth
     variations = []
     incomplete_each = []
     for n in range(0, n_max + 1):
-        fam = checkerboard_family(n, n_max)
+        fam = checkerboard_family(n, n_max).with_averages(f, sat)
         mf = maximal_family(f, fam)
         variations.append(variation(mf))
         if n >= 1:
@@ -246,7 +248,11 @@ def dumbbell_domain(h: float) -> tuple[GridFunction, PixelSet]:
     omega[np.ix_(neckx, necky)] = True
 
     def antideriv(t):
-        return np.where(t > 0, t ** 3 / 6.0, 0.0)
+        # t ** 3 / 6 on the ramp's support t > 0 only, a small corner of the grid
+        out = np.zeros_like(t)
+        pos = t > 0
+        out[pos] = t[pos] ** 3 / 6.0
+        return out
 
     # cell average of max(0, 1 - u - v), u = x + 5, v = y + 10
     u0 = (xc - 0.5 * h) + 5.0

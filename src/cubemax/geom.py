@@ -104,6 +104,8 @@ def cube_angle_check(d: int, samples: int, seed: int = 0) -> float:
     """
     if d not in (2, 3):
         raise UnsupportedDimension("cube angle sampling needs d in {2,3}")
+    if samples < 1:
+        raise ValueError(f"samples must be at least 1, got {samples!r}")
     rng = np.random.default_rng(seed)
     pts = rng.uniform(-1.0, 1.0, size=(samples, d))
     pts = np.vstack([pts, _corners(d)])
@@ -129,6 +131,10 @@ class _AngleDraws(NamedTuple):
 
 
 def _draw_min_angle(eps: float, trials: int, d: int, seed: int) -> _AngleDraws:
+    if not 0 < eps < math.inf:
+        raise ValueError(f"eps must be positive and finite, got {eps!r}")
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials!r}")
     rng = np.random.default_rng(seed)
     y = rng.normal(size=(2, trials, d))
     y *= rng.uniform(0, 1.0, size=(2, trials, 1)) ** (1.0 / d) / np.linalg.norm(y, axis=-1, keepdims=True)
@@ -166,10 +172,6 @@ def min_angle_search(eps: float, trials: int, d: int = 2, seed: int = 0,
     The samples are drawn once; every candidate N is tested on them, which
     is what re-seeding ``min_angle_check`` per candidate would do.
     """
-    if not 0 < eps < math.inf:
-        raise ValueError(f"eps must be positive and finite, got {eps!r}")
-    if trials < 1:
-        raise ValueError(f"trials must be at least 1, got {trials!r}")
     draws = _draw_min_angle(eps, trials, d, seed)
     n = 1
     while n <= n_max and not _min_angle_holds(draws, eps, n):

@@ -36,10 +36,10 @@ def _widen(t: np.ndarray, ax: int) -> np.ndarray:
     shape = list(t.shape)
     shape[ax] += 1
     w = np.empty(shape)
-    src, dst = np.moveaxis(t, ax, 0), np.moveaxis(w, ax, 0)
-    np.fmax(src[:-1], src[1:], out=dst[1:-1])
-    dst[0] = src[0]
-    dst[-1] = src[-1]
+    pre = (slice(None),) * ax
+    np.fmax(t[pre + (slice(None, -1),)], t[pre + (slice(1, None),)], out=w[pre + (slice(1, -1),)])
+    w[pre + (0,)] = t[pre + (0,)]
+    w[pre + (-1,)] = t[pre + (-1,)]
     return w
 
 

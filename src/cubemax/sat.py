@@ -36,9 +36,16 @@ class SummedAreaTable:
     """Prefix-sum table over a d-dimensional cell array.
 
     Integer inputs keep exact integer sums; float inputs are accumulated with
-    compensated summation.  Both query paths share one corner-accumulation
-    order, so a row of :meth:`box_sum_many` and the entry of
-    :meth:`box_sum_grid` for the same cube are bit-identical.
+    compensated summation.  Both query paths add the 2^d signed corner terms
+    through one helper, in ascending bitmask order over the axes and in one
+    buffer: the first two corners, of opposite signs, enter as one
+    subtraction, and each further corner is added or subtracted in place.
+    (IEEE-754 makes ``(-x) + y`` and ``x + (-y)`` bit for bit ``y - x`` and
+    ``x - y``, signed zeros included, so this equals the sum of the signed
+    terms.)  A row of :meth:`box_sum_many` and the entry of
+    :meth:`box_sum_grid` for the same cube are therefore bit-identical.
+    Integer tables, the NaN counts below included, sum in int64; averages of
+    a float table are divided in place.
 
     A NaN cell enters the float table as 0, and an integer table of NaN
     counts, kept only when there is a NaN cell, makes exactly the boxes that
@@ -74,14 +81,20 @@ class SummedAreaTable:
             sign = 1 if (self.d - ones) % 2 == 0 else -1
             self._corners.append((sign, bits))
 
+    def _corner_sum(self, term) -> np.ndarray:
+        """The signed sum of ``term(bits)`` over the corners, in one fresh buffer."""
+        (s0, b0), (_, b1), *rest = self._corners
+        acc = np.subtract(term(b1), term(b0)) if s0 < 0 else np.subtract(term(b0), term(b1))
+        for sign, bits in rest:
+            (np.add if sign > 0 else np.subtract)(acc, term(bits), out=acc)
+        return acc
+
     def box_sum_grid(self, side: int) -> np.ndarray:
         """Sums for every anchor of a side-``side`` cube, shape dims - side + 1."""
-        acc = None
-        for sign, bits in self._corners:
-            sl = tuple(slice(side, None) if (bits >> k) & 1 else slice(0, n + 1 - side)
-                       for k, n in enumerate(self.dims))
-            term = self.table[sl]
-            acc = sign * term if acc is None else acc + sign * term
+        lo = tuple(slice(0, n + 1 - side) for n in self.dims)
+        hi = slice(side, None)
+        acc = self._corner_sum(lambda bits: self.table[tuple(
+            hi if (bits >> k) & 1 else s for k, s in enumerate(lo))])
         if self.nan_counts is not None:
             acc[self.nan_counts.box_sum_grid(side) > 0] = np.nan
         return acc
@@ -95,18 +108,18 @@ class SummedAreaTable:
         """
         anchors = np.asarray(anchors, dtype=np.int64).reshape(-1, self.d)
         sides = np.asarray(sides, dtype=np.int64)
-        acc = None
-        for sign, bits in self._corners:
-            ix = tuple(anchors[:, k] + (sides if (bits >> k) & 1 else 0)
-                       for k in range(self.d))
-            term = self.table[ix]
-            acc = sign * term if acc is None else acc + sign * term
+        acc = self._corner_sum(lambda bits: self.table[tuple(
+            anchors[:, k] + (sides if (bits >> k) & 1 else 0) for k in range(self.d))])
         if self.nan_counts is not None:
             acc[self.nan_counts.box_sum_many(anchors, sides) > 0] = np.nan
         return acc
 
     def box_avg_grid(self, side: int) -> np.ndarray:
-        return self.box_sum_grid(side) / float(side ** self.d)
+        acc = self.box_sum_grid(side)
+        if acc.dtype != np.float64:
+            return acc / float(side ** self.d)
+        acc /= float(side ** self.d)
+        return acc
 
     def box_avg_many(self, anchors: np.ndarray, sides) -> np.ndarray:
         sides = np.asarray(sides, dtype=np.int64)

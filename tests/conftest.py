@@ -207,6 +207,21 @@ def loop_compensated_cumsum(a, axis):
     return np.moveaxis(out, 0, axis)
 
 
+def signed_term_box_sum_grid(sat, side):
+    """Oracle for ``SummedAreaTable.box_sum_grid``: each corner term times its
+    sign, out of place, added in ascending bitmask order over the axes; a box
+    holding a NaN cell (by the table's NaN counts) is NaN."""
+    acc = None
+    for bits in range(2 ** sat.d):
+        sign = 1 if (sat.d - bin(bits).count("1")) % 2 == 0 else -1
+        term = sat.table[tuple(slice(side, None) if (bits >> k) & 1 else slice(0, n + 1 - side)
+                               for k, n in enumerate(sat.dims))]
+        acc = sign * term if acc is None else acc + sign * term
+    if sat.nan_counts is not None:
+        acc[signed_term_box_sum_grid(sat.nan_counts, side) > 0] = np.nan
+    return acc
+
+
 def unique_canonical_order(anchors, sides, averages=None):
     """Oracle for ``CubeFamily`` canonicalisation: ``np.unique`` over the
     reversed rows (-side, anchor...), whose first-occurrence index is the

@@ -17,7 +17,9 @@ from cubemax.experiments import (
     run_sparse_audit,
     run_theorem_suite,
 )
+from cubemax.grid import GridFunction, variation
 from cubemax.io import canonical_json
+from cubemax.maximal import maximal_family
 from cubemax import is_dyadically_complete
 
 
@@ -97,6 +99,31 @@ class TestCheckerboard:
         # function at depth 0 stays within a small factor
         assert 0.5 <= rep["results"]["variation"][0] / 4.0 <= 2.0
 
+    def test_one_table_per_run(self, monkeypatch):
+        import cubemax.sat as sat
+
+        builds = []
+        real = sat.SummedAreaTable.__init__
+
+        def counted(self, array):
+            builds.append(np.shape(array))
+            real(self, array)
+
+        monkeypatch.setattr(sat.SummedAreaTable, "__init__", counted)
+        run_checkerboard(4)
+        assert builds == [(64, 64)]
+
+    def test_variations_match_unshared_tables(self):
+        # per depth, maximal_family averages the family with its own table
+        n_max = 4
+        unit = 2 ** n_max
+        vals = np.zeros((4 * unit, 4 * unit))
+        vals[unit:2 * unit, unit:2 * unit] = 1.0
+        f = GridFunction(vals.shape, 2.0 ** (-n_max), vals.ravel())
+        want = [variation(maximal_family(f, checkerboard_family(n, n_max)))
+                for n in range(n_max + 1)]
+        assert run_checkerboard(n_max)["results"]["variation"] == want
+
     def test_families_never_complete(self):
         for n in (1, 3):
             fam = checkerboard_family(n, 5)
@@ -121,6 +148,21 @@ class TestDumbbell:
         # neck columns: |x| < 1 -> 8 columns at h = 1/4
         neck = omega.mask[:, 40:]
         assert int(neck.any(axis=1).sum()) == 8
+
+    @pytest.mark.parametrize("h", [0.25, 0.125, 0.0625])
+    def test_values_bit_equal_to_whole_grid_formula(self, h):
+        # the ramp's antiderivative evaluated on every cell, then masked
+        f, omega = dumbbell_domain(h)
+        xc = -5.0 + (np.arange(f.dims[0]) + 0.5) * h
+        yc = -10.0 + (np.arange(f.dims[1]) + 0.5) * h
+        w = 1.0 - np.add.outer((xc - 0.5 * h) + 5.0, (yc - 0.5 * h) + 10.0)
+
+        def antideriv(t):
+            return np.where(t > 0, t ** 3 / 6.0, 0.0)
+
+        want = (antideriv(w) - 2.0 * antideriv(w - h) + antideriv(w - 2.0 * h)) / (h * h)
+        want[~omega.mask] = 0.0
+        assert f.values.tobytes() == want.ravel().tobytes()
 
     def test_integral_matches_quadrature_oracle(self):
         # triangle with affine integrand: exact value 1/6 by vertex rule;

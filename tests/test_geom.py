@@ -61,6 +61,12 @@ class TestCubeAngle:
         cos = np.sum(pts * e, axis=-1) / (np.linalg.norm(pts, axis=-1) * np.linalg.norm(e, axis=-1))
         assert cube_angle_check(d, 3000, seed=seed) == float(np.arccos(np.clip(cos, -1.0, 1.0)).max())
 
+    @pytest.mark.parametrize("samples", [0, -3])
+    def test_no_samples_rejected(self, samples):
+        # the corners alone would attain the bound exactly
+        with pytest.raises(ValueError):
+            cube_angle_check(2, samples)
+
 
 class TestMinAngle:
     def test_center_points_trivial(self):
@@ -113,6 +119,16 @@ class TestMinAngle:
         args = {"eps": 0.05, "trials": 100, **kwargs}
         with pytest.raises(ValueError):
             min_angle_search(**args)
+
+    @pytest.mark.parametrize("kwargs", [
+        {"eps": 0.0}, {"eps": -0.1}, {"eps": math.nan}, {"eps": math.inf},
+        {"trials": 0}, {"trials": -5},
+    ])
+    def test_invalid_check_input_rejected(self, kwargs):
+        # zero trials would pass vacuously
+        args = {"eps": 0.05, "N": 5, "trials": 100, **kwargs}
+        with pytest.raises(ValueError):
+            min_angle_check(**args)
 
     def test_exhausted_search_is_typed(self):
         # N = 1 fails at eps = 0.01, and n_max = 1 allows no doubling

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from cubemax import CubeFamily, GridCube, SummedAreaTable, family_averages, grid_from_array
 from cubemax.sat import _compensated_cumsum
-from conftest import loop_compensated_cumsum
+from conftest import loop_compensated_cumsum, signed_term_box_sum_grid
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
@@ -32,6 +32,34 @@ def test_compensated_cumsum_short_axes(rng, dims):
     a = rng.choice([-1.0, 1.0], dims) * 10.0 ** rng.uniform(-8, 8, dims)
     for axis in range(len(dims)):
         assert _compensated_cumsum(a, axis).tobytes() == loop_compensated_cumsum(a, axis).tobytes()
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("kind", ["int", "float"])
+@given(data=st.data())
+@settings(max_examples=30, deadline=None)
+def test_grid_queries_bit_equal_to_signed_term_oracle(d, kind, data):
+    # float cells span 1e-8 to 1e8 with both signs, signed zeros and NaN
+    # cells; int cells are signed; every side, bit for bit
+    dims = tuple(data.draw(st.lists(st.integers(1, {1: 40, 2: 10, 3: 6}[d]),
+                                    min_size=d, max_size=d), label="dims"))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1), label="seed"))
+    if kind == "int":
+        arr = rng.integers(-1000, 1000, dims)
+    else:
+        arr = rng.choice([-1.0, 1.0], dims) * 10.0 ** rng.uniform(-8, 8, dims)
+        arr[rng.random(dims) < 0.1] = 0.0
+        arr[rng.random(dims) < 0.1] = -0.0
+        arr[rng.random(dims) < data.draw(st.sampled_from([0.0, 0.05]), label="nan_rate")] = np.nan
+    sat = SummedAreaTable(arr)
+    for side in range(1, min(dims) + 1):
+        want = signed_term_box_sum_grid(sat, side)
+        got = sat.box_sum_grid(side)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+        avg = sat.box_avg_grid(side)
+        assert avg.dtype == np.float64
+        assert avg.tobytes() == (want / float(side ** d)).tobytes()
 
 
 def grid_entries(query, anchors, sides):
