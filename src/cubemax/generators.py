@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from .cubes import CubeFamily, GridCube, dyadic_completion
+from .errors import ConfigError
 from .grid import GridFunction
 
 FUNCTION_CLASSES = ("indicator", "simple", "block-decreasing", "radial",
@@ -23,7 +24,16 @@ def _random_box_mask(rng: np.random.Generator, dims, k: int) -> np.ndarray:
     return m
 
 
+def _require_two_cells(dims, cls: str) -> None:
+    """The indicator and simple classes redraw until f is not constant,
+    which a single cell never is."""
+    if int(np.prod(dims)) < 2:
+        raise ConfigError(f"a non-constant {cls} function needs at least 2 cells, "
+                          f"got dims {tuple(dims)}")
+
+
 def indicator_function(rng: np.random.Generator, dims, h: float, boxes: int = 3) -> GridFunction:
+    _require_two_cells(dims, "indicator")
     while True:
         m = _random_box_mask(rng, dims, boxes)
         if 0 < m.sum() < m.size:
@@ -31,6 +41,7 @@ def indicator_function(rng: np.random.Generator, dims, h: float, boxes: int = 3)
 
 
 def simple_function(rng: np.random.Generator, dims, h: float, terms: int = 4) -> GridFunction:
+    _require_two_cells(dims, "simple")
     levels = np.array([0.5, 1.0, 1.5, 2.0, 3.0])
     while True:
         vals = np.zeros(tuple(dims))

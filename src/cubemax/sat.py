@@ -96,7 +96,7 @@ class SummedAreaTable:
         acc = self._corner_sum(lambda bits: self.table[tuple(
             hi if (bits >> k) & 1 else s for k, s in enumerate(lo))])
         if self.nan_counts is not None:
-            acc[self.nan_counts.box_sum_grid(side) > 0] = np.nan
+            np.copyto(acc, np.nan, where=self.nan_counts.box_sum_grid(side) > 0)
         return acc
 
     def box_sum_many(self, anchors: np.ndarray, sides) -> np.ndarray:
@@ -111,7 +111,7 @@ class SummedAreaTable:
         acc = self._corner_sum(lambda bits: self.table[tuple(
             anchors[:, k] + (sides if (bits >> k) & 1 else 0) for k in range(self.d))])
         if self.nan_counts is not None:
-            acc[self.nan_counts.box_sum_many(anchors, sides) > 0] = np.nan
+            np.copyto(acc, np.nan, where=self.nan_counts.box_sum_many(anchors, sides) > 0)
         return acc
 
     def box_avg_grid(self, side: int) -> np.ndarray:

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 from types import SimpleNamespace
 from typing import NamedTuple
 
@@ -187,6 +188,30 @@ def van_herk_spread(avg, side, dims):
         suf = np.fmax.accumulate(blocks[..., ::-1], axis=-1)[..., ::-1].reshape(w.shape)
         full = np.moveaxis(np.fmax(suf[..., :n], pre[..., side - 1:side - 1 + n]), -1, ax)
     return full
+
+
+def exact_maximal_1d(vals):
+    """Exact oracle for the 1-d maximal function of finite ``vals``: per
+    cell, the max over every interval [a, b) holding it of the average
+    ``sum(vals[a:b]) / (b - a)``, in ``Fraction`` arithmetic."""
+    prefix = [Fraction(0)]
+    for v in vals:
+        prefix.append(prefix[-1] + Fraction(float(v)))
+    n = len(vals)
+    best = [None] * n
+    for a in range(n):
+        for b in range(a + 1, n + 1):
+            avg = (prefix[b] - prefix[a]) / (b - a)
+            for x in range(a, b):
+                if best[x] is None or avg > best[x]:
+                    best[x] = avg
+    return best
+
+
+def exact_variation_1d(vals):
+    """sum |v[i + 1] - v[i]| over a 1-d sequence, in ``Fraction`` arithmetic."""
+    v = [Fraction(x) if isinstance(x, Fraction) else Fraction(float(x)) for x in vals]
+    return sum((abs(q - p) for p, q in zip(v, v[1:])), Fraction(0))
 
 
 def loop_compensated_cumsum(a, axis):

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from scipy.ndimage import gaussian_filter
 
-from cubemax.generators import _gaussian_nearest, random_smooth_function
+from cubemax.errors import ConfigError
+from cubemax.generators import _gaussian_nearest, make_function, random_smooth_function
 
 
 @pytest.mark.parametrize("shape", [
@@ -23,3 +24,18 @@ def test_random_smooth_matches_scipy_pipeline(dims):
     f = random_smooth_function(np.random.default_rng(7), dims, 0.5)
     vals = gaussian_filter(np.random.default_rng(7).standard_normal(dims), sigma=2.0, mode="nearest")
     assert np.array_equal(f.array, vals - vals.min())
+
+
+@pytest.mark.parametrize("cls", ["indicator", "simple"])
+@pytest.mark.parametrize("dims", [(1,), (1, 1), (1, 1, 1)])
+def test_one_cell_nonconstant_classes_raise(cls, dims):
+    # both classes redraw until f is not constant, which one cell never is
+    with pytest.raises(ConfigError, match="at least 2 cells"):
+        make_function(np.random.default_rng(0), cls, dims, 1.0)
+
+
+@pytest.mark.parametrize("cls", ["indicator", "simple"])
+@pytest.mark.parametrize("dims", [(2,), (1, 2), (2, 1, 1)])
+def test_two_cells_nonconstant_classes_draw(cls, dims):
+    f = make_function(np.random.default_rng(0), cls, dims, 1.0)
+    assert np.unique(f.array).size == 2

@@ -14,6 +14,7 @@ from cubemax import (
     superlevel,
     variation,
 )
+from cubemax import maximal as maximal_module
 from cubemax.errors import EmptyDomain, PremiseViolated, ZeroVariationInput
 from cubemax.maximal import (
     _max_over_containing_cubes,
@@ -22,7 +23,7 @@ from cubemax.maximal import (
     maximal_local,
     nonzero_variation,
 )
-from conftest import doubling_spread, van_herk_spread
+from conftest import doubling_spread, exact_maximal_1d, exact_variation_1d, van_herk_spread
 
 
 def brute_force(vals, omega=None):
@@ -296,6 +297,118 @@ class TestMaximalLocal:
         assert np.array_equal(got[omega], vals[omega])
 
 
+def check_scan(vals):
+    """``maximal_global`` on a 1-d array, which runs the tiled scan, against
+    the descent bit for bit, zero signs included, and against brute force in
+    value (brute force takes ``np.maximum``, which may return either zero
+    of a +0.0/-0.0 tie)."""
+    vals = np.asarray(vals, dtype=np.float64)
+    got = maximal_global(GridFunction(vals.shape, 1.0, vals)).array
+    want = _max_over_containing_cubes(vals, SummedAreaTable(vals).box_avg_grid)
+    assert np.array_equal(got, want, equal_nan=True)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+    assert np.array_equal(got, brute_force(vals), equal_nan=True)
+
+
+def scan_rows(monkeypatch, rows, n):
+    """Shrink the tile budget so that the scan over n cells takes ``rows``
+    anchors per tile."""
+    monkeypatch.setattr(maximal_module, "SCAN_TILE_ENTRIES", rows * max(n - 1, 1))
+
+
+def scan_values(rng, n, kind):
+    if kind == "random":
+        return rng.random(n)
+    if kind == "ties":
+        return rng.integers(0, 3, n).astype(float)
+    if kind == "signed":
+        return rng.integers(-4, 5, n) * 0.5
+    raise ValueError(kind)
+
+
+class TestIntervalScan:
+    # the scan has r anchor rows per tile over the n - 1 side-2 anchors, so
+    # n - 1 just below, at and above a multiple of r ends on a part tile, a
+    # whole one, and a one-row tile (n = 1 has no side-2 anchor at all)
+    @pytest.mark.parametrize("rows", [1, 2, 3, 4, 7])
+    @pytest.mark.parametrize("tiles", [1, 2, 3])
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    @pytest.mark.parametrize("kind", ["random", "ties", "signed"])
+    def test_tile_edges(self, monkeypatch, rng, rows, tiles, offset, kind):
+        n = rows * tiles + offset + 1
+        scan_rows(monkeypatch, rows, n)
+        check_scan(scan_values(rng, n, kind))
+
+    @pytest.mark.parametrize("rows", [2, 3, 5])
+    def test_nan_cells_at_tile_edges(self, monkeypatch, rng, rows):
+        n = 4 * rows + 2
+        scan_rows(monkeypatch, rows, n)
+        edges = [e for j in range(5) for e in (j * rows - 1, j * rows, j * rows + 1)
+                 if 0 <= e < n]
+        for cell in edges:
+            for width in (1, 2):
+                vals = rng.random(n)
+                vals[cell:cell + width] = np.nan
+                check_scan(vals)
+        vals = rng.random(n)
+        vals[[e for e in edges if e % rows == 0]] = np.nan
+        check_scan(vals)
+        vals[[0, n - 1]] = np.nan
+        check_scan(vals)
+
+    @pytest.mark.parametrize("rows", [1, 2, 3])
+    def test_one_finite_cell_among_nan(self, monkeypatch, rows):
+        n = 3 * rows + 1
+        scan_rows(monkeypatch, rows, n)
+        for cell in range(n):
+            vals = np.full(n, np.nan)
+            vals[cell] = 0.75
+            check_scan(vals)
+            got = maximal_global(GridFunction((n,), 1.0, vals)).array
+            assert got[cell] == 0.75 and np.isnan(np.delete(got, cell)).all()
+
+    @pytest.mark.parametrize("rows", [1, 2, 4])
+    def test_negative_zero_cells(self, monkeypatch, rng, rows):
+        # a -0.0 cell whose longer intervals average +0.0 is a tie that the
+        # scan must break as the descent's last step does
+        n = 4 * rows + 3
+        scan_rows(monkeypatch, rows, n)
+        for trial in range(12):
+            vals = np.where(rng.random(n) < 0.5, -0.0, 0.0)
+            if trial % 3 == 1:
+                vals[rng.random(n) < 0.3] = -1.0
+            if trial % 3 == 2:
+                vals[rng.random(n) < 0.2] = np.nan
+            check_scan(vals)
+        check_scan(np.full(n, -0.0))
+        check_scan(np.array([-0.0] + [0.0] * (n - 1)))
+
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_any_length_and_budget(self, data):
+        n = data.draw(st.integers(1, 70), label="n")
+        budget = data.draw(st.integers(1, 3 * n), label="budget")
+        kind = data.draw(st.sampled_from(["random", "ties", "signed"]), label="kind")
+        nan_frac = data.draw(st.sampled_from([0.0, 0.1, 0.5]), label="nan_frac")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1), label="seed"))
+        vals = scan_values(rng, n, kind)
+        vals[rng.random(n) < nan_frac] = np.nan
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(maximal_module, "SCAN_TILE_ENTRIES", budget)
+            check_scan(vals)
+
+    @pytest.mark.parametrize("scale", [1.0, 0.5])
+    def test_exact_oracle(self, rng, scale):
+        # integer and half-integer cells: the table sums are exact, and each
+        # average is one correctly rounded quotient, so every cell is the
+        # exact maximum rounded once
+        for _ in range(15):
+            n = int(rng.integers(1, 30))
+            vals = rng.integers(-6, 7, n) * scale
+            got = maximal_global(GridFunction((n,), 1.0, vals)).array
+            assert got.tolist() == [float(q) for q in exact_maximal_1d(vals)]
+
+
 class TestVariationRatio:
     def test_centered_square_finite(self):
         vals = np.zeros((8, 8))
@@ -313,6 +426,18 @@ class TestVariationRatio:
             except ZeroVariationInput:
                 continue
             assert r <= 1.0 + 1e-9
+
+    @pytest.mark.parametrize("scale", [1.0, 0.5])
+    def test_one_dimensional_non_increase_exact(self, rng, scale):
+        # var(M f) <= var(f) in one dimension (Aldaz and Perez Lazaro), with
+        # no tolerance: both sides in exact arithmetic, for the exact M f and
+        # for the float one
+        for _ in range(40):
+            n = int(rng.integers(2, 30))
+            vals = rng.integers(0, 7, n) * scale
+            var_f = exact_variation_1d(vals)
+            assert exact_variation_1d(exact_maximal_1d(vals)) <= var_f
+            assert exact_variation_1d(maximal_global(GridFunction((n,), 1.0, vals)).array) <= var_f
 
     def test_constant_raises(self):
         f = grid_from_array(np.full(5, 3.0))
