@@ -29,8 +29,8 @@ visits the n^2/2 averages of sides 2 and up a tile of about
 per tile, then takes side 1 by the descent's own last step.  Its output is
 the descent's bit for bit, zero signs included, and the tests use the
 descent as its oracle.  The gain is in dispatch, not in order of growth:
-both do O(n^2) work.  On a 2-core x86 VM the scan took 8-10 ms against
-the descent's 20 ms at n = 2048, and was 1.3x faster at n = 16384.
+both do O(n^2) work.  On a 2-core x86 VM the scan took 9-10 ms against
+the descent's 19-29 ms at n = 2048, and was 1.2-1.6x faster at n = 16384.
 """
 
 from __future__ import annotations
