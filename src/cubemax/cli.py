@@ -1,13 +1,17 @@
 """Command-line front door.
 
     cubemax ratio|theorem|checkerboard|dumbbell|geom|sparse-audit
-            [--config file.json] [--seed N] [--out DIR] [--threads N]
+            [--config file.json] [--seed N] [--out DIR]
+
+One serial path: read the config, create the output directory, run the
+command's runner, which returns the whole report, then write ``report.json``,
+the command's tables and ``timings.json``.
 
 Exit codes: 0 all assertions passed, 1 an assertion failed (the failing
-configuration is printed for replay), 2 invalid configuration, 3 a library
-error (a ``CubemaxError`` such as ``InvariantViolated``) stopped the run
-(one ``error: <ErrorType>: <message>`` line and the replay configuration go
-to stderr).
+configuration is printed for replay), 2 invalid configuration or output
+directory, 3 a library error (a ``CubemaxError`` such as
+``InvariantViolated``) stopped the run (one ``error: <ErrorType>: <message>``
+line and the replay configuration go to stderr).
 """
 
 from __future__ import annotations
@@ -28,75 +32,53 @@ from .experiments import (
     run_dumbbell,
     run_geom_suite,
     run_ratio_suite,
-    run_refinement_stability,
     run_sparse_audit,
     run_theorem_suite,
 )
-from .io import canonical_json, write_plot_columns, write_report, write_table_csv
+from .io import canonical_json, write_columns, write_report
 
 COMMANDS = ("ratio", "theorem", "checkerboard", "dumbbell", "geom", "sparse-audit")
 
 
-def _write_histogram(path: Path, ratios: np.ndarray) -> Path:
-    counts, edges = np.histogram(ratios, bins=min(20, max(4, ratios.size // 4)))
-    write_plot_columns(path, [edges[:-1], edges[1:], counts],
-                       comment="bin_left bin_right count")
-    return path
-
-
-def emit_plot_data(report: dict, out_dir) -> list[Path]:
-    """Gnuplot-ready whitespace data files derived from a report."""
+def emit_tables(report: dict, out_dir) -> list[Path]:
+    """Write a report's CSV tables and gnuplot-ready ``.dat`` columns into
+    ``out_dir``; return their paths."""
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    res = report["results"]
     written = []
-    cmd = report.get("command")
-    if cmd == "checkerboard":
-        path = out / "checkerboard_growth.dat"
-        write_plot_columns(path, [report["results"]["n"],
-                                  report["results"]["variation"]],
-                           comment="n variation")
+
+    def table(name: str, header: list[str], columns) -> None:
+        path = out / name
+        if name.endswith(".csv"):
+            write_columns(path, columns, ",", ",".join(header))
+        else:
+            write_columns(path, columns, " ", "# " + " ".join(header))
         written.append(path)
-    if cmd == "ratio":
-        written.append(_write_histogram(out / "ratio_histogram.dat",
-                                        np.asarray(report["results"]["ratios"])))
-    if cmd == "theorem":
-        inst = report["results"]["instances"]
-        if inst and "per_lambda" in inst[0]:
-            tab = inst[0]["per_lambda"]
-            path = out / "per_lambda_trace.dat"
-            write_plot_columns(path, [tab["lam"], tab["lhs"], tab["f_boundary"],
-                                      tab["term1"], tab["term2"]],
-                               comment="lam lhs f_boundary term1 term2")
-            written.append(path)
+
+    def histogram(name: str, ratios: np.ndarray) -> None:
+        counts, edges = np.histogram(ratios, bins=min(20, max(4, ratios.size // 4)))
+        table(name, ["bin_left", "bin_right", "count"], [edges[:-1], edges[1:], counts])
+
+    cmd = report["command"]
+    if cmd == "checkerboard":
+        table("checkerboard_growth.dat", ["n", "variation"], [res["n"], res["variation"]])
+    elif cmd == "ratio":
+        ratios = res["ratios"]
+        table("ratios.csv", ["instance", "ratio"], [range(len(ratios)), ratios])
+        histogram("ratio_histogram.dat", np.asarray(ratios))
+    elif cmd == "theorem":
+        inst = res["instances"]
+        tab = inst[0]["per_lambda"]
+        names = ["lam", "n_q0", "n_q1", "n_q2", "term1", "term2", "lhs", "f_boundary"]
+        table("per_lambda.csv", names, [tab[k] for k in names])
+        names = ["lam", "lhs", "f_boundary", "term1", "term2"]
+        table("per_lambda_trace.dat", names, [tab[k] for k in names])
+        names = ["instance", "lhs", "rhs", "ratio"]
+        table("theorem_ratios.csv", names, [[r[k] for r in inst] for k in names])
         ratios = np.asarray([r["ratio"] for r in inst if np.isfinite(r["ratio"])])
         if ratios.size:
-            written.append(_write_histogram(out / "theorem_ratio_histogram.dat", ratios))
+            histogram("theorem_ratio_histogram.dat", ratios)
     return written
-
-
-def _emit_tables(report: dict, out_dir) -> None:
-    out = Path(out_dir)
-    cmd = report.get("command")
-    if cmd == "theorem":
-        inst = report["results"]["instances"]
-        if inst and "per_lambda" in inst[0]:
-            tab = inst[0]["per_lambda"]
-            write_table_csv(out / "per_lambda.csv",
-                            ["lam", "n_q0", "n_q1", "n_q2", "term1", "term2",
-                             "lhs", "f_boundary"],
-                            [tab["lam"], tab["n_q0"], tab["n_q1"], tab["n_q2"],
-                             tab["term1"], tab["term2"], tab["lhs"],
-                             tab["f_boundary"]])
-        write_table_csv(out / "theorem_ratios.csv",
-                        ["instance", "lhs", "rhs", "ratio"],
-                        [[r["instance"] for r in inst],
-                         [r["lhs"] for r in inst],
-                         [r["rhs"] for r in inst],
-                         [r["ratio"] for r in inst]])
-    if cmd == "ratio":
-        ratios = report["results"]["ratios"]
-        write_table_csv(out / "ratios.csv", ["instance", "ratio"],
-                        [list(range(len(ratios))), ratios])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -106,7 +88,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", type=str, default=None, help="JSON config file")
     p.add_argument("--seed", type=int, default=None, help="override the seed")
     p.add_argument("--out", type=str, default="out", help="output directory")
-    p.add_argument("--threads", type=int, default=None, help="worker threads")
     return p
 
 
@@ -116,30 +97,27 @@ def load_config(args) -> ExperimentConfig:
         data = json.loads(Path(args.config).read_text(encoding="utf-8"))
     if args.seed is not None:
         data["seed"] = args.seed
-    if args.threads is not None:
-        data["threads"] = args.threads
     return ExperimentConfig.from_dict(data)
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    out = Path(args.out)
     try:
         cfg = load_config(args)
-    except (ConfigError, json.JSONDecodeError, OSError, TypeError) as exc:
+        out.mkdir(parents=True, exist_ok=True)
+    except (ConfigError, json.JSONDecodeError, UnicodeDecodeError, OSError,
+            TypeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 
+    # module-level names, so that a tracer that rebinds them sees every call
     t0 = time.perf_counter()
     try:
         if args.command == "ratio":
             report = run_ratio_suite(cfg)
         elif args.command == "theorem":
             report = run_theorem_suite(cfg)
-            stability = run_refinement_stability(cfg, pairs=min(cfg.repetitions, 12))
-            report["results"]["refinement"] = stability["results"]
-            report["constants"].update(
-                {f"refinement_{k}": v for k, v in stability["constants"].items()})
-            report["assertions"].extend(stability["assertions"])
         elif args.command == "checkerboard":
             report = run_checkerboard(cfg.checkerboard_n_max, seed=cfg.seed)
         elif args.command == "dumbbell":
@@ -158,10 +136,8 @@ def main(argv=None) -> int:
         return 3
     elapsed = time.perf_counter() - t0
 
-    out = Path(args.out)
     path = write_report(report, out)
-    _emit_tables(report, out)
-    emit_plot_data(report, out)
+    emit_tables(report, out)
     (out / "timings.json").write_text(
         json.dumps({"command": args.command, "seconds": elapsed}) + "\n",
         encoding="utf-8")

@@ -1,9 +1,10 @@
 """Named experiments and suite runners behind the command-line interface.
 
-Every runner is deterministic given the configured seed: instance k draws
-from ``default_rng([seed, k])`` and results merge in instance order, so the
-report body is byte-identical for any thread count.  Wall-clock timings are
-kept out of the report body and written separately.
+Every runner is deterministic given the configured seed: instances run one
+after another in order, and instance k draws from ``default_rng([seed, k])``,
+so a seed fixes the report body byte for byte.  Each runner returns its
+command's whole report.  Wall-clock timings are kept out of the report body
+and written separately.
 """
 
 from __future__ import annotations
@@ -11,7 +12,6 @@ from __future__ import annotations
 import math
 import numbers
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
@@ -60,7 +60,6 @@ class ExperimentConfig:
     function_class: str = "simple"
     repetitions: int = 20
     family_seeds: int = 6
-    threads: int = 1
     deep_instances: int = 2
     checkerboard_n_max: int = 6
     geom_samples: int = 100_000
@@ -83,8 +82,8 @@ class ExperimentConfig:
             raise ConfigError("h must be positive")
         if self.function_class not in FUNCTION_CLASSES:
             raise ConfigError(f"unknown function class {self.function_class!r}")
-        if self.repetitions < 1 or self.threads < 1:
-            raise ConfigError("repetitions and threads must be positive")
+        if self.repetitions < 1:
+            raise ConfigError("repetitions must be positive")
         if self.geom_samples < 1:
             raise ConfigError("geom_samples must be positive")
         if not 1 <= self.family_seeds <= 24:
@@ -107,6 +106,14 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "ExperimentConfig":
+        # The benchmark's job configs still carry "threads": 1 from when runs
+        # could use a thread pool; accept exactly that and drop it until they
+        # stop writing the key.
+        if "threads" in obj:
+            if type(obj["threads"]) is not int or obj["threads"] != 1:
+                raise ConfigError(f"the threads option is gone (runs are serial), "
+                                  f"got threads={obj['threads']!r}")
+            obj = {k: v for k, v in obj.items() if k != "threads"}
         known = {f.name for f in fields(cls)}
         unknown = set(obj) - known
         if unknown:
@@ -116,7 +123,6 @@ class ExperimentConfig:
     def to_json(self) -> dict:
         out = asdict(self)
         out["caps"] = {str(k): v for k, v in self.caps.items()}
-        del out["threads"]  # execution parameter, not part of the report body
         return out
 
     @property
@@ -126,13 +132,6 @@ class ExperimentConfig:
 
 def _instance_rng(seed: int, k: int) -> np.random.Generator:
     return np.random.default_rng([seed, k])
-
-
-def _parallel(fn, count: int, threads: int) -> list:
-    if threads <= 1:
-        return [fn(k) for k in range(count)]
-    with ThreadPoolExecutor(max_workers=threads) as ex:
-        return list(ex.map(fn, range(count)))
 
 
 def _report_skeleton(command: str, cfg: ExperimentConfig) -> dict:
@@ -160,12 +159,10 @@ def run_ratio_suite(cfg: ExperimentConfig) -> dict:
     """Variation ratios var(M f) / var(f) of the global maximal operator on
     generated functions."""
     report = _report_skeleton("ratio", cfg)
-
-    def one(k: int) -> float:
+    ratios = []
+    for k in range(cfg.repetitions):
         f = make_function(_instance_rng(cfg.seed, k), cfg.function_class, cfg.dims, cfg.h)
-        return float(variation(maximal_global(f)) / nonzero_variation(f))
-
-    ratios = _parallel(one, cfg.repetitions, cfg.threads)
+        ratios.append(float(variation(maximal_global(f)) / nonzero_variation(f)))
     report["results"]["ratios"] = ratios
     report["constants"]["ratio_max"] = max(ratios)
     report["constants"]["ratio_median"] = float(np.median(ratios))
@@ -321,14 +318,21 @@ def _theorem_instance(cfg: ExperimentConfig, k: int) -> dict:
 
 
 def run_theorem_suite(cfg: ExperimentConfig) -> dict:
+    """Main-inequality ratios per instance, then the refinement check of
+    :func:`run_refinement_stability` on up to 12 pairs."""
     report = _report_skeleton("theorem", cfg)
-    rows = _parallel(lambda k: _theorem_instance(cfg, k), cfg.repetitions, cfg.threads)
+    rows = [_theorem_instance(cfg, k) for k in range(cfg.repetitions)]
     report["results"]["instances"] = rows
     finite = [r["ratio"] for r in rows if math.isfinite(r["ratio"]) and r["rhs"] > 0]
     report["constants"]["ratio_max"] = max(finite) if finite else 0.0
     report["constants"]["ratio_median"] = float(np.median(finite)) if finite else 0.0
     _assert(report, "all_within_cap", all(r["within_cap"] for r in rows),
             f"cap {cfg.caps[cfg.dimension]}")
+    stability = run_refinement_stability(cfg, pairs=min(cfg.repetitions, 12))
+    report["results"]["refinement"] = stability["results"]
+    report["constants"].update(
+        {f"refinement_{k}": v for k, v in stability["constants"].items()})
+    report["assertions"].extend(stability["assertions"])
     return report
 
 
@@ -380,8 +384,8 @@ def run_sparse_audit(cfg: ExperimentConfig) -> dict:
     """Postcondition audits of the greedy selection and of the
     bounded-overlap thinning, on pipeline-grown and raw random inputs."""
     report = _report_skeleton("sparse-audit", cfg)
-
-    def one(k: int) -> dict:
+    rows = []
+    for k in range(cfg.repetitions):
         rng = _instance_rng(cfg.seed, k)
         if k % 2 == 0:
             # genuine pipeline: spiky function, completion family with the box
@@ -413,10 +417,8 @@ def run_sparse_audit(cfg: ExperimentConfig) -> dict:
         if d_map:
             fl = disjoint_select(CubeFamily(list(d_map)), d_map, eps, f)
             overlap_c = fl.overlap_constant
-        return {"instance": k, "input_cubes": len(q2), "selected": len(sp),
-                "violations": len(violations), "overlap_C": overlap_c}
-
-    rows = _parallel(one, cfg.repetitions, cfg.threads)
+        rows.append({"instance": k, "input_cubes": len(q2), "selected": len(sp),
+                     "violations": len(violations), "overlap_C": overlap_c})
     report["results"]["instances"] = rows
     worst_c = max((r["overlap_C"] for r in rows), default=0)
     report["constants"]["overlap_C_max"] = worst_c

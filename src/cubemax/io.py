@@ -1,5 +1,5 @@
 """File formats: grid CSV and binary, family JSON, canonical report JSON,
-and gnuplot-ready plot data."""
+and numeric column tables (CSV and gnuplot-ready data)."""
 
 from __future__ import annotations
 
@@ -167,28 +167,19 @@ def canonical_json(obj: Any, indent: int = 0) -> str:
     raise TypeError(f"cannot serialize {type(obj)}")
 
 
-def write_report(report: dict, out_dir, name: str = "report.json") -> Path:
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    path = out / name
+def write_report(report: dict, out_dir) -> Path:
+    """``report.json`` in the existing directory ``out_dir``, as canonical JSON."""
+    path = Path(out_dir) / "report.json"
     path.write_text(canonical_json(report) + "\n", encoding="utf-8")
     return path
 
 
-def write_table_csv(path, header: list[str], columns) -> None:
+def write_columns(path, columns, sep: str, first_line: str) -> None:
+    """``first_line``, then one line per row of the numeric columns joined by
+    ``sep``: integers as ``str`` prints them, floats at 17 significant digits."""
     cols = [np.asarray(c) for c in columns]
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(header) + "\n")
+        fh.write(first_line + "\n")
         for row in zip(*cols):
-            fh.write(",".join(_fmt_float(float(v)) if isinstance(v, (float, np.floating))
+            fh.write(sep.join(_fmt_float(float(v)) if isinstance(v, np.floating)
                               else str(v) for v in row) + "\n")
-
-
-def write_plot_columns(path, columns, comment: str = "") -> None:
-    """Whitespace-separated numeric columns for gnuplot."""
-    cols = [np.asarray(c, dtype=np.float64) for c in columns]
-    with open(path, "w", encoding="utf-8") as fh:
-        if comment:
-            fh.write(f"# {comment}\n")
-        for row in zip(*cols):
-            fh.write(" ".join(_fmt_float(float(v)) for v in row) + "\n")

@@ -1,9 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from cubemax.cli import emit_plot_data, main
+from cubemax.cli import emit_tables, main
 from cubemax.errors import ConfigError, InvariantViolated
 from cubemax.experiments import (
     ExperimentConfig,
@@ -20,6 +24,7 @@ from cubemax.experiments import (
 from cubemax.grid import GridFunction, variation
 from cubemax.io import canonical_json
 from cubemax.maximal import maximal_family
+import cubemax
 from cubemax import is_dyadically_complete
 
 
@@ -196,13 +201,28 @@ class TestTheoremSuite:
 
 
 class TestDeterminism:
-    def test_identical_bodies_across_thread_counts(self):
+    def test_identical_bodies_across_repeated_runs(self):
         bodies = []
-        for threads in (1, 2, 8):
+        for _ in range(3):
             cfg = ExperimentConfig(seed=42, dimension=2, grid=16, repetitions=8,
-                                   function_class="simple", threads=threads)
+                                   function_class="simple")
             bodies.append(canonical_json(run_theorem_suite(cfg)).encode())
         assert bodies[0] == bodies[1] == bodies[2]
+
+    def test_theorem_body_unchanged_by_earlier_runs(self, tmp_path):
+        # a fresh interpreter runs theorem, then ratio, geom and sparse-audit,
+        # then theorem again: no state may carry from one run to the next
+        script = (
+            "import sys; from cubemax.cli import main; out = sys.argv[1]\n"
+            "for cmd, name in [('theorem', 'fresh'), ('ratio', 'r'), ('geom', 'g'),\n"
+            "                  ('sparse-audit', 's'), ('theorem', 'again')]:\n"
+            "    assert main([cmd, '--seed', '5', '--out', f'{out}/{name}']) == 0\n")
+        src = str(Path(cubemax.__file__).parents[1])
+        subprocess.run([sys.executable, "-c", script, str(tmp_path)], check=True,
+                       capture_output=True, env={**os.environ, "PYTHONPATH": src})
+        fresh = (tmp_path / "fresh" / "report.json").read_bytes()
+        assert fresh == (tmp_path / "again" / "report.json").read_bytes()
+        assert b'"command": "theorem"' in fresh
 
     def test_seed_replay_identical(self):
         cfg = ExperimentConfig(seed=9, dimension=1, grid=32, repetitions=10,
@@ -226,10 +246,9 @@ class TestGeomCommand:
         cfgfile = tmp_path / "cfg.json"
         cfgfile.write_text(json.dumps({"geom_samples": 2000}))
         bodies = []
-        for run, threads in enumerate(("1", "1", "2")):
+        for run in range(3):
             out = tmp_path / f"o{run}"
-            assert main(["geom", "--config", str(cfgfile), "--threads", threads,
-                         "--out", str(out)]) == 0
+            assert main(["geom", "--config", str(cfgfile), "--out", str(out)]) == 0
             bodies.append((out / "report.json").read_bytes())
         assert bodies[0] == bodies[1] == bodies[2]
         rep = json.loads(bodies[0])
@@ -287,12 +306,17 @@ class TestCli:
         {"caps": {"2": 0}},
         {"caps": {"2": float("inf")}},
         {"caps": {"2": 10 ** 400}},
+        {"threads": 2},
+        {"threads": 0},
+        {"threads": True},
+        {"threads": "1"},
     ], ids=["caps-value", "caps-missing-dimension", "grid-float", "seed-negative",
             "family-class-removed", "geom-samples-0", "geom-samples-negative",
             "family-seeds-0", "family-seeds-25", "checkerboard-n-max-0",
             "checkerboard-n-max-2", "deep-instances-negative", "checkerboard-n-max-11",
             "checkerboard-n-max-40", "grid-cells-2d", "grid-cells-3d", "caps-negative",
-            "caps-zero", "caps-infinite", "caps-overflow"])
+            "caps-zero", "caps-infinite", "caps-overflow", "threads-2", "threads-0",
+            "threads-true", "threads-string"])
     def test_invalid_config_exit_2(self, tmp_path, config):
         cfgfile = tmp_path / "cfg.json"
         cfgfile.write_text(json.dumps({"repetitions": 1, **config}))
@@ -303,9 +327,48 @@ class TestCli:
         body = (tmp_path / "report.json").read_text()
         assert "seconds" not in body
 
+    def test_threads_flag_removed(self, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main(["ratio", "--threads", "2", "--out", str(tmp_path)])
+        assert exc.value.code == 2
+
+    def test_threads_config_key_other_than_1_names_the_removed_option(self, tmp_path, capsys):
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps({"threads": 2}))
+        assert main(["ratio", "--config", str(cfgfile), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == (
+            "config error: the threads option is gone (runs are serial), got threads=2\n")
+
+    def test_threads_1_config_key_dropped(self, tmp_path):
+        bodies = []
+        for extra in ({}, {"threads": 1}):
+            cfgfile = tmp_path / "cfg.json"
+            cfgfile.write_text(json.dumps({"grid": 16, "repetitions": 4, **extra}))
+            out = tmp_path / f"o{len(bodies)}"
+            assert main(["theorem", "--config", str(cfgfile), "--out", str(out)]) == 0
+            bodies.append({p.name: p.read_bytes() for p in out.iterdir()
+                           if p.name != "timings.json"})
+        assert bodies[0] == bodies[1] and "report.json" in bodies[0]
+
+    def test_config_not_utf8_exit_2(self, tmp_path, capsys):
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_bytes(b'{"grid": 16, "function_class": "\xff"}')
+        assert main(["ratio", "--config", str(cfgfile), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1
+
+    def test_out_is_a_file_exit_2_before_the_run(self, tmp_path, capsys):
+        target = tmp_path / "taken"
+        target.write_text("not a directory")
+        assert main(["ratio", "--out", str(target)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("config error: ") and captured.err.count("\n") == 1
+        assert captured.out == ""
+        assert target.read_text() == "not a directory"
+
     def test_plot_emission_round_trip(self, tmp_path):
         rep = run_checkerboard(3)
-        files = emit_plot_data(rep, tmp_path)
+        files = emit_tables(rep, tmp_path)
         assert files
         cols = np.loadtxt(files[0], ndmin=2).T
         assert cols[0].tolist() == rep["results"]["n"]

@@ -15,7 +15,7 @@ from cubemax.io import (
     read_grid_csv,
     write_grid_binary,
     write_grid_csv,
-    write_plot_columns,
+    write_columns,
 )
 
 
@@ -219,9 +219,16 @@ class TestPlotData:
         p = tmp_path / "d.dat"
         xs = [0.0, 1.0, 2.0]
         ys = [3.75, 6.75, 12.75]
-        write_plot_columns(p, [xs, ys], comment="n variation")
+        write_columns(p, [xs, ys], " ", "# n variation")
         back = np.loadtxt(p, ndmin=2).T
         assert np.array_equal(back[0], xs) and np.array_equal(back[1], ys)
+
+    def test_integers_and_floats_print_alike(self, tmp_path):
+        # an integer column and the same values as floats give the same bytes
+        p, q = tmp_path / "i.csv", tmp_path / "f.csv"
+        write_columns(p, [[0, 3, -7], [0.5, 1e-17, float("nan")]], ",", "n,x")
+        write_columns(q, [[0.0, 3.0, -7.0], [0.5, 1e-17, float("nan")]], ",", "n,x")
+        assert p.read_text() == q.read_text() == "n,x\n0,0.5\n3,1.0000000000000001e-17\n-7,NaN\n"
 
 
 class TestMaxFunctionEmission:

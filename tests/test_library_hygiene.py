@@ -59,8 +59,9 @@ def test_private_scan_finds_unused_helpers():
     assert _unreferenced_private_defs(trees) == ["_C", "_a"]
 
 
-def _loaded_scipy_modules(code: str) -> str:
-    code += "; print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+def _loaded_modules(code: str, package: str = "scipy") -> str:
+    code += (f"; print(sorted(m for m in sys.modules "
+             f"if m == {package!r} or m.startswith({package + '.'!r})))")
     out = subprocess.run([sys.executable, "-c", "import sys; " + code], capture_output=True,
                          text=True, check=True, env={**os.environ, "PYTHONPATH": str(SRC.parent)})
     return out.stdout.strip()
@@ -68,7 +69,12 @@ def _loaded_scipy_modules(code: str) -> str:
 
 def test_package_import_loads_no_scipy_submodules():
     # scipy.ndimage and scipy.spatial cost about 37 MB and 0.5 s to import
-    assert _loaded_scipy_modules("import cubemax.cli, cubemax.geom") == "[]"
+    assert _loaded_modules("import cubemax.cli, cubemax.geom") == "[]"
+
+
+def test_cli_import_loads_no_thread_pool():
+    # runs are serial; concurrent.futures and its queue are not needed
+    assert _loaded_modules("import cubemax.cli", "concurrent") == "[]"
 
 
 def test_geom_run_loads_no_scipy():
@@ -76,4 +82,4 @@ def test_geom_run_loads_no_scipy():
     # blow-up search in d = 2, imports no scipy module
     code = ("from cubemax.experiments import ExperimentConfig, run_geom_suite; "
             "run_geom_suite(ExperimentConfig(geom_samples=2000))")
-    assert _loaded_scipy_modules(code) == "[]"
+    assert _loaded_modules(code) == "[]"
