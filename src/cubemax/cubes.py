@@ -206,7 +206,7 @@ class CubeFamily:
 
     def select(self, mask: np.ndarray) -> "CubeFamily":
         """The members where the boolean ``mask`` is set, with their averages.
-        An index array instead picks the members in its own order."""
+        An index array of distinct members picks them in its own order."""
         fam = CubeFamily.__new__(CubeFamily)
         fam._set(self.anchors[mask], self.sides[mask],
                  None if self.averages is None else self.averages[mask])
@@ -219,21 +219,41 @@ class CubeFamily:
 
     def max_paint(self, values: np.ndarray, dims: Sequence[int]) -> np.ndarray:
         """Per cell, the largest of the per-member ``values`` over the members
-        holding the cell; -inf where none does.  A NaN value propagates."""
-        out = np.full(tuple(dims), -np.inf)
-        for a, s, v in zip(self.anchors.tolist(), self.sides.tolist(),
-                           np.asarray(values, dtype=np.float64).tolist()):
+        holding the cell; -inf where none does.  A NaN value propagates, and a
+        member outside the box raises :class:`PremiseViolated`.  Larger members
+        paint their slices in turn, then the cells (distinct in a family) take
+        one indexed ``np.maximum``.  Order only decides which zero a +0.0/-0.0
+        tie keeps (the last painted), so in canonical order, cells last, this
+        is bit for bit one slice per member in member order."""
+        dims = tuple(dims)
+        require_inside(self, dims)
+        values = np.asarray(values, dtype=np.float64)
+        out, cell = np.full(dims, -np.inf), self.sides == 1
+        for a, s, v in zip(self.anchors[~cell].tolist(), self.sides[~cell].tolist(), values[~cell].tolist()):
             region = out[tuple(slice(x, x + s) for x in a)]
             np.maximum(region, v, out=region)
+        if cell.any():
+            flat, idx = out.reshape(-1), np.ravel_multi_index(self.anchors[cell].T, dims)
+            flat[idx] = np.maximum(flat[idx], values[cell])
         return out
 
 
 def family_averages(f: GridFunction, fam: CubeFamily,
                     sat: SummedAreaTable | None = None) -> np.ndarray:
     """Per-cube averages of ``f``, computed from one shared prefix-sum table."""
+    require_inside(fam, f.dims)
     if sat is None:
         sat = SummedAreaTable(f.array)
     return sat.box_avg_many(fam.anchors, fam.sides)
+
+
+def require_inside(fam: CubeFamily, dims: Sequence[int]) -> None:
+    """Raise :class:`PremiseViolated` at the first member outside the box
+    ``dims``, whose slices or table reads would wrap or overrun."""
+    if len(fam):
+        out = (fam.anchors < 0) | (fam.anchors + fam.sides[:, None] > np.asarray(dims))
+        if out.any():
+            raise PremiseViolated(f"cube {fam[int(np.argmax(out.any(axis=1)))]} lies outside {tuple(dims)}")
 
 
 def require_finite_averages(fam: CubeFamily) -> None:
@@ -290,13 +310,17 @@ def is_dyadically_complete(fam: CubeFamily) -> tuple[bool, GridCube | None]:
 
     For every pair P, Q0 in the family with P inside Q0 and Q0 of
     power-of-two side, every dyadic cube of Q0 containing P must be present.
-    Pairs whose outer cube has a non-power-of-two side are skipped.
+    Pairs whose outer cube has a non-power-of-two side are skipped.  The
+    witness is the first row at which :func:`_with_dyadic_parents`, a
+    canonical superset, differs from the family's canonical rows.
     """
-    members = set(zip(map(tuple, fam.anchors.tolist()), fam.sides.tolist()))
     grown = _with_dyadic_parents(fam)
-    witness = next((GridCube(a, s) for a, s in zip(grown.anchors.tolist(), grown.sides.tolist())
-                    if (tuple(a), s) not in members), None)
-    return witness is None, witness
+    own = CubeFamily.from_arrays(fam.anchors, fam.sides)  # fam may be in selection order
+    n = len(own)
+    if len(grown) == n:
+        return True, None
+    differ = (grown.sides[:n] != own.sides) | (grown.anchors[:n] != own.anchors).any(axis=1)
+    return False, grown[int(np.argmax(np.append(differ, True)))]
 
 
 def dyadic_completion(fam: CubeFamily) -> CubeFamily:

@@ -184,19 +184,24 @@ def variation(f: GridFunction, mask: PixelSet | None = None) -> float:
     Sums ``|f(x) - f(y)| * h**(d-1)`` over adjacent cells ``x, y`` that both
     lie in the mask (the whole box without one).  By the coarea identity this
     equals the sum over consecutive distinct values of the gap times the
-    perimeter of the upper superlevel set.
+    perimeter of the upper superlevel set.  Per axis the differences are summed
+    in C order of the array with that axis first (a copy for the later axes);
+    a mask only drops entries from that sequence, and none is built without one.
     """
     if mask is not None and mask.dims != f.dims:
         raise DimensionMismatch(f"{f.dims} vs {mask.dims}")
-    arr = f.array
-    dom = mask.mask if mask is not None else np.ones(f.dims, dtype=bool)
-    if not np.all(np.isfinite(arr[dom])):
+    arr, dom = f.array, None if mask is None else mask.mask
+    if not np.all(np.isfinite(arr if dom is None else arr[dom])):
         raise ValueError("variation requires finite values on the domain")
     total = 0.0
     for ax in range(f.d):
         v = np.moveaxis(arr, ax, 0)
-        m = np.moveaxis(dom, ax, 0)
-        total += float(np.sum(np.abs(v[1:] - v[:-1])[m[1:] & m[:-1]]))
+        step = v[1:] - v[:-1]
+        np.abs(step, out=step)
+        if dom is not None:
+            m = np.moveaxis(dom, ax, 0)
+            step = step[m[1:] & m[:-1]]
+        total += float(np.sum(step.ravel()))
     return total * f.h ** (f.d - 1)
 
 

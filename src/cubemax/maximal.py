@@ -31,6 +31,12 @@ the descent's bit for bit, zero signs included, and the tests use the
 descent as its oracle.  The gain is in dispatch, not in order of growth:
 both do O(n^2) work.  On a 2-core x86 VM the scan took 9-10 ms against
 the descent's 19-29 ms at n = 2048, and was 1.2-1.6x faster at n = 16384.
+
+Certified regime: on integer or half-integer cells with box sums below 2^52
+in magnitude, table sums are exact and each average is rounded once, so every
+cell of ``maximal_global`` and ``maximal_family`` is the exact maximum
+correctly rounded, and ``variation`` is exact (tested cell by cell against a
+``Fraction`` brute force in d = 1, 2 and 3).
 """
 
 from __future__ import annotations

@@ -74,27 +74,27 @@ class SummedAreaTable:
             table = np.zeros(tuple(n + 1 for n in arr.shape), dtype=np.float64)
             table[(slice(1, None),) * self.d] = core
         self.table = table
-        # corner order is fixed: ascending bitmask over axes
-        self._corners = []
-        for bits in range(2 ** self.d):
-            ones = bin(bits).count("1")
-            sign = 1 if (self.d - ones) % 2 == 0 else -1
-            self._corners.append((sign, bits))
+        # corner order is fixed: ascending bitmask over axes; bit k of a corner
+        # picks the high end on axis k, and its key lists those bits
+        self._corners = [((-1) ** (self.d - bin(b).count("1")), tuple(b >> k & 1 for k in range(self.d)))
+                         for b in range(2 ** self.d)]
 
-    def _corner_sum(self, term) -> np.ndarray:
-        """The signed sum of ``term(bits)`` over the corners, in one fresh buffer."""
-        (s0, b0), (_, b1), *rest = self._corners
-        acc = np.subtract(term(b1), term(b0)) if s0 < 0 else np.subtract(term(b0), term(b1))
-        for sign, bits in rest:
-            (np.add if sign > 0 else np.subtract)(acc, term(bits), out=acc)
+    def _corner_sum(self, terms: np.ndarray) -> np.ndarray:
+        """The signed sum of ``terms[key]`` over the corners, in one fresh buffer."""
+        (s0, k0), (_, k1), *rest = self._corners
+        acc = np.subtract(terms[k1], terms[k0]) if s0 < 0 else np.subtract(terms[k0], terms[k1])
+        for sign, key in rest:
+            (np.add if sign > 0 else np.subtract)(acc, terms[key], out=acc)
         return acc
 
     def box_sum_grid(self, side: int) -> np.ndarray:
-        """Sums for every anchor of a side-``side`` cube, shape dims - side + 1."""
-        lo = tuple(slice(0, n + 1 - side) for n in self.dims)
-        hi = slice(side, None)
-        acc = self._corner_sum(lambda bits: self.table[tuple(
-            hi if (bits >> k) & 1 else s for k, s in enumerate(lo))])
+        """Sums for every anchor of a side-``side`` cube, shape dims - side + 1.
+        The corner terms are one strided view of the table whose entry at key
+        (b_0, ..., b_{d-1}) is the table shifted by ``b_k * side`` on axis k."""
+        t = self.table
+        corners = np.ndarray((2,) * self.d + tuple(n + 1 - side for n in self.dims), t.dtype, t,
+                             0, tuple(side * st for st in t.strides) + t.strides)
+        acc = self._corner_sum(corners)
         if self.nan_counts is not None:
             np.copyto(acc, np.nan, where=self.nan_counts.box_sum_grid(side) > 0)
         return acc
@@ -108,8 +108,11 @@ class SummedAreaTable:
         """
         anchors = np.asarray(anchors, dtype=np.int64).reshape(-1, self.d)
         sides = np.asarray(sides, dtype=np.int64)
-        acc = self._corner_sum(lambda bits: self.table[tuple(
-            anchors[:, k] + (sides if (bits >> k) & 1 else 0) for k in range(self.d))])
+        # one gather of shape (2,) * d + (n,): the index on axis k holds the
+        # low and the high end of each cube along its own axis k
+        ends = np.stack((anchors, anchors + sides[..., None]))
+        acc = self._corner_sum(self.table[tuple(
+            ends[:, :, k].reshape((1,) * k + (2,) + (1,) * (self.d - 1 - k) + (-1,)) for k in range(self.d))])
         if self.nan_counts is not None:
             np.copyto(acc, np.nan, where=self.nan_counts.box_sum_many(anchors, sides) > 0)
         return acc

@@ -214,6 +214,75 @@ def exact_variation_1d(vals):
     return sum((abs(q - p) for p, q in zip(v, v[1:])), Fraction(0))
 
 
+def _exact(vals):
+    """An object array of the exact ``Fraction`` values of a float array."""
+    return np.frompyfunc(lambda v: Fraction(float(v)), 1, 1)(np.asarray(vals, dtype=np.float64))
+
+
+def exact_maximal(vals, cubes=None):
+    """Exact oracle for the maximal function of finite ``vals`` in any
+    dimension: per cell, the max of the ``Fraction`` averages over every grid
+    cube in the box that holds it, or over the given ``GridCube``s.  An
+    object array; None where no cube holds the cell."""
+    exact = _exact(vals)
+    if cubes is None:
+        cubes = [GridCube(a, s) for s in range(1, min(exact.shape) + 1)
+                 for a in np.ndindex(*(n - s + 1 for n in exact.shape))]
+    best = np.full(exact.shape, None, dtype=object)
+    for c in cubes:
+        avg = exact[c.slices()].sum() / c.cell_count
+        region = best[c.slices()]
+        for cell in np.ndindex(*region.shape):
+            if region[cell] is None or avg > region[cell]:
+                region[cell] = avg
+    return best
+
+
+def exact_variation(vals):
+    """The gradient sum of |differences| over adjacent cells of a grid array
+    in any dimension, in ``Fraction`` arithmetic."""
+    exact = _exact(vals)
+    return sum((abs(q) for ax in range(exact.ndim) for q in np.diff(exact, axis=ax).ravel()),
+               Fraction(0))
+
+
+def dense_mask_variation(f, mask=None):
+    """Oracle for ``variation``: the gradient sum with a dense domain mask,
+    all true without ``mask``, that compresses each axis's differences."""
+    dom = mask.mask if mask is not None else np.ones(f.dims, dtype=bool)
+    arr = f.array
+    if not np.all(np.isfinite(arr[dom])):
+        raise ValueError("variation requires finite values on the domain")
+    total = 0.0
+    for ax in range(f.d):
+        v = np.moveaxis(arr, ax, 0)
+        m = np.moveaxis(dom, ax, 0)
+        total += float(np.sum(np.abs(v[1:] - v[:-1])[m[1:] & m[:-1]]))
+    return total * f.h ** (f.d - 1)
+
+
+def slice_loop_max_paint(fam, values, dims):
+    """Oracle for ``CubeFamily.max_paint``: one in-place ``np.maximum`` over
+    each member's slices, in member order."""
+    out = np.full(tuple(dims), -np.inf)
+    for a, s, v in zip(fam.anchors.tolist(), fam.sides.tolist(),
+                       np.asarray(values, dtype=np.float64).tolist()):
+        region = out[tuple(slice(x, x + s) for x in a)]
+        np.maximum(region, v, out=region)
+    return out
+
+
+def set_witness(fam):
+    """Oracle for ``is_dyadically_complete``: the first cube, in canonical
+    order, of ``_with_dyadic_parents(fam)`` that a Python set of the members
+    lacks, with the completeness flag."""
+    members = set(zip(map(tuple, fam.anchors.tolist()), fam.sides.tolist()))
+    grown = cubes_module._with_dyadic_parents(fam)
+    witness = next((GridCube(a, s) for a, s in zip(grown.anchors.tolist(), grown.sides.tolist())
+                    if (tuple(a), s) not in members), None)
+    return witness is None, witness
+
+
 def loop_compensated_cumsum(a, axis):
     """Oracle for ``sat._compensated_cumsum``: Neumaier's running sum, one
     numpy step per row of the axis."""

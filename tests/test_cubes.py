@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,11 +17,13 @@ from cubemax import (
     maximal_cube_reduction,
 )
 from cubemax.cubes import cube_bounds, dilate_bounds, row_blocks, scale_indices
-from cubemax.errors import NonDyadicSide
+from cubemax.errors import NonDyadicSide, PremiseViolated
 from conftest import (
     cube_holds,
     cube_holds_cell,
     scalar_scale_index,
+    set_witness,
+    slice_loop_max_paint,
     union_by_slices,
     unique_canonical_order,
 )
@@ -369,3 +373,65 @@ def test_canonical_order_matches_unique_oracle(rows):
     kept = [last[(tuple(a), s)] for a, s in zip(fam.anchors.tolist(), fam.sides.tolist())]
     assert np.array(kept, dtype=np.float64).tobytes() == fam.averages.tobytes()
     assert CubeFamily.from_arrays(anchors, sides).averages is None
+
+
+PAINT_VALUES = [0.0, -0.0, 1.0, -1.0, 2.5, np.nan, np.inf, -np.inf]
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_max_paint_matches_slice_loop(d, data):
+    # cells interleaved with larger members, signed zeros, NaN and infinite
+    # values.  In canonical order bit for bit; in selection order (an index
+    # permutation) cells are painted after the larger members, so a tie of
+    # +0.0 and -0.0 may keep the other zero, and there zeros compare by value
+    dims = tuple(data.draw(st.lists(st.integers(1, {1: 12, 2: 6, 3: 4}[d]),
+                                    min_size=d, max_size=d), label="dims"))
+    cubes = data.draw(st.lists(st.integers(1, min(dims)).flatmap(
+        lambda s: st.tuples(st.tuples(*[st.integers(0, n - s) for n in dims]), st.just(s))),
+        max_size=24), label="cubes")
+    fam = CubeFamily([GridCube(a, s) for a, s in cubes])
+    vals = np.array(data.draw(st.lists(st.sampled_from(PAINT_VALUES), min_size=len(fam),
+                                       max_size=len(fam)), label="values"))
+    assert fam.max_paint(vals, dims).tobytes() == slice_loop_max_paint(fam, vals, dims).tobytes()
+    order = np.array(data.draw(st.permutations(range(len(fam))), label="order"), dtype=np.int64)
+    picked = fam.select(order)
+    got = picked.max_paint(vals[order], dims)
+    want = slice_loop_max_paint(picked, vals[order], dims)
+    assert np.where(got == 0, 0.0, got).tobytes() == np.where(want == 0, 0.0, want).tobytes()
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_witness_matches_set_search(d, data):
+    # dyadic descendants of two power-of-two cubes with members dropped, plus
+    # loose cubes, in canonical and in selection order
+    top = {1: 8, 2: 4, 3: 4}[d]
+    fam = CubeFamily([])
+    for _ in range(2):
+        q0 = GridCube(data.draw(st.tuples(*[st.integers(0, 6)] * d), label="anchor"), top)
+        desc = dyadic_descendants(q0)
+        keep = np.array(data.draw(st.lists(st.booleans(), min_size=len(desc), max_size=len(desc)),
+                                  label="keep"))
+        fam = CubeFamily(fam.cubes + desc.select(keep).cubes)
+    loose = data.draw(st.lists(st.tuples(st.tuples(*[st.integers(0, 8)] * d),
+                                         st.sampled_from([1, 2, 3, 4])), max_size=4), label="loose")
+    fam = CubeFamily(fam.cubes + tuple(GridCube(a, s) for a, s in loose))
+    assert is_dyadically_complete(fam) == set_witness(fam)
+    order = np.array(data.draw(st.permutations(range(len(fam))), label="order"), dtype=np.int64)
+    assert is_dyadically_complete(fam.select(order)) == set_witness(fam.select(order))
+
+
+@pytest.mark.parametrize("cube", [GridCube((-1, 0), 2), GridCube((3, 3), 2), GridCube((0, 4), 1)])
+def test_member_outside_the_box_raises(cube):
+    # (-1, 0) used to wrap to the last row (average -12.75), and (3, 3)
+    # overran the table with a bare IndexError
+    f = grid_from_array(np.arange(16.0).reshape(4, 4))
+    fam = CubeFamily([GridCube((0, 0), 4), GridCube((1, 1), 1), cube])
+    name = re.escape(repr(cube))
+    with pytest.raises(PremiseViolated, match=name):
+        family_averages(f, fam)
+    with pytest.raises(PremiseViolated, match=name):
+        fam.max_paint(np.zeros(len(fam)), f.dims)

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,7 +16,7 @@ from cubemax import (
     variation,
 )
 from cubemax.errors import DimensionMismatch
-from conftest import threshold_sum_variation
+from conftest import dense_mask_variation, exact_variation, threshold_sum_variation
 
 
 def brute_force_perimeter(mask, domain, h):
@@ -152,6 +154,44 @@ class TestVariation:
         f = grid_from_array(vals)
         want = threshold_sum_variation(f)
         assert variation(f) == pytest.approx(want, rel=1e-9, abs=1e-12)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_variation_bit_equal_to_dense_mask_oracle(d, data):
+    # without a mask: the all-true-mask path, bit for bit; with a random mask:
+    # the old compressing path; signed zeros, magnitudes 1e-8 to 1e8 and NaN
+    # cells, which raise on the domain and are skipped off it (a GridFunction
+    # holds no infinite value)
+    dims = tuple(data.draw(st.lists(st.integers(1, {1: 300, 2: 24, 3: 8}[d]),
+                                    min_size=d, max_size=d), label="dims"))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1), label="seed"))
+    arr = rng.choice([-1.0, 1.0], dims) * 10.0 ** rng.uniform(-8, 8, dims)
+    arr[rng.random(dims) < 0.1] = 0.0
+    arr[rng.random(dims) < 0.1] = -0.0
+    nan = rng.random(dims) < data.draw(st.sampled_from([0.0, 0.02]), label="nan_rate")
+    arr[nan] = np.nan
+    f = GridFunction(dims, data.draw(st.sampled_from([1.0, 0.5, 1 / 3]), label="h"), arr.ravel())
+    masks = [None, PixelSet.full(dims), PixelSet(dims, (rng.random(dims) < 0.7) & ~nan)]
+    for mask in masks:
+        try:
+            want = dense_mask_variation(f, mask)
+        except ValueError:
+            with pytest.raises(ValueError, match="finite values"):
+                variation(f, mask)
+            continue
+        assert np.float64(variation(f, mask)).tobytes() == np.float64(want).tobytes()
+
+
+@pytest.mark.parametrize("dims", [(30,), (7, 6), (4, 3, 5)])
+@pytest.mark.parametrize("scale", [1.0, 0.5])
+def test_variation_exact_on_exact_input(rng, dims, scale):
+    # integer and half-integer cells: every difference and partial sum is a
+    # small multiple of 1/2, so the float gradient sum is the exact one
+    for _ in range(10):
+        f = GridFunction(dims, 1.0, (rng.integers(-6, 7, dims) * scale).ravel())
+        assert Fraction(variation(f)) == exact_variation(f.array)
 
 
 class TestBreakpoints:

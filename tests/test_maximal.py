@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -23,7 +25,14 @@ from cubemax.maximal import (
     maximal_local,
     nonzero_variation,
 )
-from conftest import doubling_spread, exact_maximal_1d, exact_variation_1d, van_herk_spread
+from conftest import (
+    doubling_spread,
+    exact_maximal,
+    exact_maximal_1d,
+    exact_variation,
+    exact_variation_1d,
+    van_herk_spread,
+)
 
 
 def brute_force(vals, omega=None):
@@ -200,6 +209,17 @@ class TestMaximalFamily:
         nan_f = grid_from_array(np.array([[np.nan, 0.0], [0.0, 0.0]]))
         with pytest.raises(PremiseViolated, match="non-finite average"):
             maximal_family(nan_f, CubeFamily([GridCube((0, 0), 2)]))
+
+    def test_member_outside_the_box_raises(self):
+        # given averages are not read from a table, and still no cell is
+        # painted: (-1, 0) would wrap to the last row
+        f = grid_from_array(np.arange(16.0).reshape(4, 4))
+        fam = CubeFamily.from_arrays(np.array([[0, 0], [-1, 0]]), np.array([4, 2]),
+                                     np.array([7.5, 99.0]))
+        with pytest.raises(PremiseViolated, match=r"GridCube\(anchor=\(-1, 0\), side=2\)"):
+            maximal_family(f, fam)
+        with pytest.raises(PremiseViolated, match=r"GridCube\(anchor=\(3, 3\), side=2\)"):
+            maximal_family(f, CubeFamily([GridCube((0, 0), 4), GridCube((3, 3), 2)]))
 
     def test_superlevel_identity_bit_exact(self, rng):
         # {M_F f >= lam} is the union of the family cubes with average >= lam;
@@ -407,6 +427,41 @@ class TestIntervalScan:
             vals = rng.integers(-6, 7, n) * scale
             got = maximal_global(GridFunction((n,), 1.0, vals)).array
             assert got.tolist() == [float(q) for q in exact_maximal_1d(vals)]
+
+
+@pytest.mark.parametrize("dims", [(6, 5), (4, 3, 4)])
+@pytest.mark.parametrize("scale", [1.0, 0.5])
+class TestExactInput:
+    """The certified regime of the ``maximal`` docstring, in d = 2 and 3:
+    on integer and half-integer cells every cell of M f is the exact
+    maximum rounded once."""
+
+    def test_global_every_cell(self, rng, dims, scale):
+        for _ in range(4):
+            vals = rng.integers(-6, 7, dims) * scale
+            f = GridFunction(dims, 1.0, vals.ravel())
+            mf = maximal_global(f)
+            want = exact_maximal(vals)
+            assert mf.array.tolist() == np.vectorize(float)(want).tolist()
+            # the float gradient sum of M f against the exact sum of its
+            # cells: each of the m terms is rounded once and any order of
+            # summing m non-negative terms errs by at most (m - 1) u times
+            # their sum, so the relative error is below m u, u = 2**-53
+            m = sum(np.diff(vals, axis=ax).size for ax in range(len(dims)))
+            exact = exact_variation(mf.array)
+            assert abs(Fraction(variation(mf)) - exact) <= m * Fraction(1, 2 ** 53) * exact
+
+    def test_family_every_cell(self, rng, dims, scale):
+        for _ in range(4):
+            vals = rng.integers(-6, 7, dims) * scale
+            f = GridFunction(dims, 1.0, vals.ravel())
+            cubes = [GridCube(a, 1) for a in np.ndindex(*dims)]
+            for _ in range(int(rng.integers(1, 8))):
+                side = int(rng.integers(2, min(dims) + 1))
+                cubes.append(GridCube(tuple(int(rng.integers(0, n - side + 1)) for n in dims), side))
+            fam = CubeFamily(cubes)
+            want = exact_maximal(vals, fam.cubes)
+            assert maximal_family(f, fam).array.tolist() == np.vectorize(float)(want).tolist()
 
 
 class TestVariationRatio:
