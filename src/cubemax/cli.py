@@ -4,8 +4,8 @@
             [--config file.json] [--seed N] [--out DIR]
 
 One serial path: read the config, create the output directory, run the
-command's runner, which returns the whole report, then write ``report.json``,
-the command's tables and ``timings.json``.
+command's runner, which returns the whole report and the command's tables,
+then write ``report.json``, the tables and ``timings.json``.
 
 Exit codes: 0 all assertions passed, 1 an assertion failed (the failing
 configuration is printed for replay), 2 invalid configuration or output
@@ -21,8 +21,6 @@ import json
 import sys
 import time
 from pathlib import Path
-
-import numpy as np
 
 from .errors import ConfigError, CubemaxError
 from .experiments import (
@@ -40,44 +38,18 @@ from .io import canonical_json, write_columns, write_report
 COMMANDS = ("ratio", "theorem", "checkerboard", "dumbbell", "geom", "sparse-audit")
 
 
-def emit_tables(report: dict, out_dir) -> list[Path]:
-    """Write a report's CSV tables and gnuplot-ready ``.dat`` columns into
-    ``out_dir``; return their paths."""
-    out = Path(out_dir)
-    res = report["results"]
+def emit_tables(tables: dict, out_dir) -> list[Path]:
+    """Write each ``name: (header, columns)`` table into ``out_dir``: a
+    ``.csv`` name as comma-separated values, any other as gnuplot-ready
+    space-separated columns under a ``#`` header; return their paths."""
     written = []
-
-    def table(name: str, header: list[str], columns) -> None:
-        path = out / name
+    for name, (header, columns) in tables.items():
+        path = Path(out_dir) / name
         if name.endswith(".csv"):
             write_columns(path, columns, ",", ",".join(header))
         else:
             write_columns(path, columns, " ", "# " + " ".join(header))
         written.append(path)
-
-    def histogram(name: str, ratios: np.ndarray) -> None:
-        counts, edges = np.histogram(ratios, bins=min(20, max(4, ratios.size // 4)))
-        table(name, ["bin_left", "bin_right", "count"], [edges[:-1], edges[1:], counts])
-
-    cmd = report["command"]
-    if cmd == "checkerboard":
-        table("checkerboard_growth.dat", ["n", "variation"], [res["n"], res["variation"]])
-    elif cmd == "ratio":
-        ratios = res["ratios"]
-        table("ratios.csv", ["instance", "ratio"], [range(len(ratios)), ratios])
-        histogram("ratio_histogram.dat", np.asarray(ratios))
-    elif cmd == "theorem":
-        inst = res["instances"]
-        tab = inst[0]["per_lambda"]
-        names = ["lam", "n_q0", "n_q1", "n_q2", "term1", "term2", "lhs", "f_boundary"]
-        table("per_lambda.csv", names, [tab[k] for k in names])
-        names = ["lam", "lhs", "f_boundary", "term1", "term2"]
-        table("per_lambda_trace.dat", names, [tab[k] for k in names])
-        names = ["instance", "lhs", "rhs", "ratio"]
-        table("theorem_ratios.csv", names, [[r[k] for r in inst] for k in names])
-        ratios = np.asarray([r["ratio"] for r in inst if np.isfinite(r["ratio"])])
-        if ratios.size:
-            histogram("theorem_ratio_histogram.dat", ratios)
     return written
 
 
@@ -115,17 +87,17 @@ def main(argv=None) -> int:
     t0 = time.perf_counter()
     try:
         if args.command == "ratio":
-            report = run_ratio_suite(cfg)
+            report, tables = run_ratio_suite(cfg)
         elif args.command == "theorem":
-            report = run_theorem_suite(cfg)
+            report, tables = run_theorem_suite(cfg)
         elif args.command == "checkerboard":
-            report = run_checkerboard(cfg.checkerboard_n_max, seed=cfg.seed)
+            report, tables = run_checkerboard(cfg.checkerboard_n_max, seed=cfg.seed)
         elif args.command == "dumbbell":
-            report = run_dumbbell(seed=cfg.seed)
+            report, tables = run_dumbbell(seed=cfg.seed)
         elif args.command == "geom":
-            report = run_geom_suite(cfg)
+            report, tables = run_geom_suite(cfg)
         else:
-            report = run_sparse_audit(cfg)
+            report, tables = run_sparse_audit(cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
@@ -137,7 +109,7 @@ def main(argv=None) -> int:
     elapsed = time.perf_counter() - t0
 
     path = write_report(report, out)
-    emit_tables(report, out)
+    emit_tables(tables, out)
     (out / "timings.json").write_text(
         json.dumps({"command": args.command, "seconds": elapsed}) + "\n",
         encoding="utf-8")

@@ -3,8 +3,9 @@
 Every runner is deterministic given the configured seed: instances run one
 after another in order, and instance k draws from ``default_rng([seed, k])``,
 so a seed fixes the report body byte for byte.  Each runner returns its
-command's whole report.  Wall-clock timings are kept out of the report body
-and written separately.
+command's whole report and its tables: a dict from output file name to the
+table's header and columns, built next to the data they show.  Wall-clock
+timings are kept out of the report body and written separately.
 """
 
 from __future__ import annotations
@@ -78,8 +79,12 @@ class ExperimentConfig:
             raise ConfigError("grid must have at least 2 cells per axis")
         if self.grid ** self.dimension > MAX_CELLS:
             raise ConfigError(f"grid ** dimension must be at most {MAX_CELLS} cells")
-        if not self.h > 0:
-            raise ConfigError("h must be positive")
+        try:
+            cell_volume = float(self.h) ** self.dimension
+        except OverflowError:
+            cell_volume = math.inf
+        if not (self.h > 0 and math.isfinite(cell_volume)):
+            raise ConfigError(f"h must be positive with a finite h ** dimension, got h={self.h!r}")
         if self.function_class not in FUNCTION_CLASSES:
             raise ConfigError(f"unknown function class {self.function_class!r}")
         if self.repetitions < 1:
@@ -153,9 +158,16 @@ def report_passed(report: dict) -> bool:
     return all(a["passed"] for a in report["assertions"])
 
 
+def _histogram(ratios) -> tuple[list[str], list]:
+    """Histogram table of a nonempty ratio list: 4 to 20 equal bins."""
+    ratios = np.asarray(ratios)
+    counts, edges = np.histogram(ratios, bins=min(20, max(4, ratios.size // 4)))
+    return ["bin_left", "bin_right", "count"], [edges[:-1], edges[1:], counts]
+
+
 # ---------------------------------------------------------------- ratio suite
 
-def run_ratio_suite(cfg: ExperimentConfig) -> dict:
+def run_ratio_suite(cfg: ExperimentConfig) -> tuple[dict, dict]:
     """Variation ratios var(M f) / var(f) of the global maximal operator on
     generated functions."""
     report = _report_skeleton("ratio", cfg)
@@ -171,7 +183,9 @@ def run_ratio_suite(cfg: ExperimentConfig) -> dict:
         _assert(report, "one_dimensional_non_increase", not bad,
                 f"{len(bad)} ratios above 1+1e-9" if bad else "all ratios <= 1+1e-9")
     _assert(report, "ratios_finite", all(math.isfinite(r) for r in ratios))
-    return report
+    tables = {"ratios.csv": (["instance", "ratio"], [range(len(ratios)), ratios]),
+              "ratio_histogram.dat": _histogram(ratios)}
+    return report, tables
 
 
 # -------------------------------------------------------------- checkerboard
@@ -189,7 +203,7 @@ def checkerboard_family(n: int, n_max: int) -> CubeFamily:
     return CubeFamily.from_arrays(anchors, sides)
 
 
-def run_checkerboard(n_max: int = 6, seed: int = 0) -> dict:
+def run_checkerboard(n_max: int = 6, seed: int = 0) -> tuple[dict, dict]:
     """Family-average maximal function of a unit-square indicator whose
     variation grows geometrically with the parity-cell depth."""
     cfg = ExperimentConfig(seed=seed, dimension=2, grid=4 * 2 ** n_max,
@@ -221,7 +235,8 @@ def run_checkerboard(n_max: int = 6, seed: int = 0) -> dict:
             f"ratios for n=2..{n_max - 1}: {[round(r, 3) for r in window]}")
     _assert(report, "families_not_dyadically_complete", all(incomplete_each),
             "witness found for every n >= 1")
-    return report
+    res = report["results"]
+    return report, {"checkerboard_growth.dat": (["n", "variation"], [res["n"], res["variation"]])}
 
 
 # ------------------------------------------------------------------ dumbbell
@@ -261,7 +276,7 @@ def dumbbell_domain(h: float) -> tuple[GridFunction, PixelSet]:
     return GridFunction(dims, h, vals.ravel()), PixelSet(dims, omega)
 
 
-def run_dumbbell(seed: int = 0, resolutions=(0.25, 0.125, 0.0625)) -> dict:
+def run_dumbbell(seed: int = 0, resolutions=(0.25, 0.125, 0.0625)) -> tuple[dict, dict]:
     cfg = ExperimentConfig(seed=seed, dimension=2, grid=4, h=resolutions[0])
     report = _report_skeleton("dumbbell", cfg)
     target = DUMBBELL_INTEGRAL / 100.0
@@ -292,12 +307,13 @@ def run_dumbbell(seed: int = 0, resolutions=(0.25, 0.125, 0.0625)) -> dict:
     _assert(report, "lower_chamber_floor", all_ok_lower,
             f"floor {target!r}")
     _assert(report, "jump_persists_under_refinement", all_ok_jump)
-    return report
+    return report, {}
 
 
 # ------------------------------------------------------------- theorem suite
 
-def _theorem_instance(cfg: ExperimentConfig, k: int) -> dict:
+def _theorem_instance(cfg: ExperimentConfig, k: int) -> tuple[dict, dict]:
+    """Instance k's report row and its per-level table."""
     rng = _instance_rng(cfg.seed, k)
     f = make_function(rng, cfg.function_class, cfg.dims, cfg.h)
     fam = random_complete_family(rng, cfg.dims, cfg.family_seeds).with_averages(f)
@@ -311,17 +327,16 @@ def _theorem_instance(cfg: ExperimentConfig, k: int) -> dict:
     }
     if rep.deep is not None:
         row["deep"] = rep.deep
-    if k == 0:
-        row["per_lambda"] = {key: np.asarray(v).tolist()
-                             for key, v in rep.lam_table.items()}
-    return row
+    return row, rep.lam_table
 
 
-def run_theorem_suite(cfg: ExperimentConfig) -> dict:
+def run_theorem_suite(cfg: ExperimentConfig) -> tuple[dict, dict]:
     """Main-inequality ratios per instance, then the refinement check of
-    :func:`run_refinement_stability` on up to 12 pairs."""
+    :func:`run_refinement_stability` on up to 12 pairs.  Instance 0's
+    per-level table goes to the tables only."""
     report = _report_skeleton("theorem", cfg)
-    rows = [_theorem_instance(cfg, k) for k in range(cfg.repetitions)]
+    row, lam = _theorem_instance(cfg, 0)
+    rows = [row] + [_theorem_instance(cfg, k)[0] for k in range(1, cfg.repetitions)]
     report["results"]["instances"] = rows
     finite = [r["ratio"] for r in rows if math.isfinite(r["ratio"]) and r["rhs"] > 0]
     report["constants"]["ratio_max"] = max(finite) if finite else 0.0
@@ -333,7 +348,16 @@ def run_theorem_suite(cfg: ExperimentConfig) -> dict:
     report["constants"].update(
         {f"refinement_{k}": v for k, v in stability["constants"].items()})
     report["assertions"].extend(stability["assertions"])
-    return report
+    level = ["lam", "n_q0", "n_q1", "n_q2", "term1", "term2", "lhs", "f_boundary"]
+    trace = ["lam", "lhs", "f_boundary", "term1", "term2"]
+    names = ["instance", "lhs", "rhs", "ratio"]
+    tables = {"per_lambda.csv": (level, [lam[k] for k in level]),
+              "per_lambda_trace.dat": (trace, [lam[k] for k in trace]),
+              "theorem_ratios.csv": (names, [[r[k] for r in rows] for k in names])}
+    ratios = [r["ratio"] for r in rows if math.isfinite(r["ratio"])]
+    if ratios:
+        tables["theorem_ratio_histogram.dat"] = _histogram(ratios)
+    return report, tables
 
 
 def refine_instance(f: GridFunction, fam: CubeFamily) -> tuple[GridFunction, CubeFamily]:
@@ -352,8 +376,9 @@ def refine_instance(f: GridFunction, fam: CubeFamily) -> tuple[GridFunction, Cub
 
 def run_refinement_stability(cfg: ExperimentConfig, pairs: int = 12) -> dict:
     """Max main-inequality ratio at the base resolution and at double
-    resolution for identical shapes; reports the relative change."""
-    report = _report_skeleton("theorem-refinement", cfg)
+    resolution for identical shapes; returns the ``results``, ``constants``
+    and ``assertions`` that :func:`run_theorem_suite` merges, with maxima and
+    relative change 0 when no pair has a positive right-hand side."""
     coarse = []
     fine = []
     for k in range(pairs):
@@ -366,13 +391,13 @@ def run_refinement_stability(cfg: ExperimentConfig, pairs: int = 12) -> dict:
         if rep1.rhs > 0 and rep2.rhs > 0:
             coarse.append(rep1.ratio)
             fine.append(rep2.ratio)
-    mx1, mx2 = max(coarse), max(fine)
+    mx1, mx2 = max(coarse, default=0.0), max(fine, default=0.0)
     change = abs(mx2 - mx1) / mx1 if mx1 > 0 else 0.0
-    report["results"]["coarse_ratios"] = [float(r) for r in coarse]
-    report["results"]["fine_ratios"] = [float(r) for r in fine]
-    report["constants"]["max_ratio_coarse"] = mx1
-    report["constants"]["max_ratio_fine"] = mx2
-    report["constants"]["relative_change"] = change
+    report = {"results": {"coarse_ratios": [float(r) for r in coarse],
+                          "fine_ratios": [float(r) for r in fine]},
+              "constants": {"max_ratio_coarse": mx1, "max_ratio_fine": mx2,
+                            "relative_change": change},
+              "assertions": []}
     _assert(report, "max_ratio_stable_under_refinement", change < 0.2,
             f"relative change {change:.4f}")
     return report
@@ -380,7 +405,7 @@ def run_refinement_stability(cfg: ExperimentConfig, pairs: int = 12) -> dict:
 
 # -------------------------------------------------------------- sparse audit
 
-def run_sparse_audit(cfg: ExperimentConfig) -> dict:
+def run_sparse_audit(cfg: ExperimentConfig) -> tuple[dict, dict]:
     """Postcondition audits of the greedy selection and of the
     bounded-overlap thinning, on pipeline-grown and raw random inputs."""
     report = _report_skeleton("sparse-audit", cfg)
@@ -427,12 +452,12 @@ def run_sparse_audit(cfg: ExperimentConfig) -> dict:
             all(r["violations"] == 0 for r in rows))
     _assert(report, "overlap_constant_cap", worst_c <= 4 ** cfg.dimension,
             f"observed {worst_c} <= 4^d")
-    return report
+    return report, {}
 
 
 # ---------------------------------------------------------------- geom suite
 
-def run_geom_suite(cfg: ExperimentConfig) -> dict:
+def run_geom_suite(cfg: ExperimentConfig) -> tuple[dict, dict]:
     from . import geom
 
     report = _report_skeleton("geom", cfg)
@@ -463,4 +488,4 @@ def run_geom_suite(cfg: ExperimentConfig) -> dict:
                                             "trials": lb.trials}
         _assert(report, f"large_boundary_finite_K{K:g}", math.isfinite(lb.max_ratio))
     report["results"]["geom_checks"] = checks
-    return report
+    return report, {}

@@ -228,7 +228,7 @@ def test_c08_theorem_empirical_boundedness_and_stability():
     cfg = ExperimentConfig(seed=108, dimension=2, grid=32, repetitions=100,
                            function_class="simple", family_seeds=8,
                            deep_instances=3)
-    rep = run_theorem_suite(cfg)
+    rep, _ = run_theorem_suite(cfg)
     assert report_passed(rep), [a for a in rep["assertions"] if not a["passed"]]
     assert rep["constants"]["ratio_max"] <= DEFAULT_RATIO_CAPS[2]
     stab_cfg = ExperimentConfig(seed=108, dimension=2, grid=16, repetitions=12,
@@ -245,7 +245,7 @@ def test_c08_theorem_empirical_boundedness_and_stability():
 
 def test_c09_checkerboard_growth():
     t0 = time.perf_counter()
-    rep = run_checkerboard(6)
+    rep, _ = run_checkerboard(6)
     assert report_passed(rep), rep["assertions"]
     ratios = rep["results"]["growth_ratios"]
     for n in range(2, 6):
@@ -258,7 +258,7 @@ def test_c09_checkerboard_growth():
 
 def test_c10_dumbbell_jump():
     t0 = time.perf_counter()
-    rep = run_dumbbell(resolutions=(0.25, 0.125, 0.0625))
+    rep, _ = run_dumbbell(resolutions=(0.25, 0.125, 0.0625))
     assert report_passed(rep), rep["assertions"]
     for row in rep["results"]["rows"]:
         assert row["neck_max"] == 0.0
@@ -286,7 +286,7 @@ def test_c12_repeated_run_determinism():
     for _ in range(3):
         cfg = ExperimentConfig(seed=112, dimension=2, grid=16, repetitions=10,
                                function_class="simple")
-        bodies.append(canonical_json(run_theorem_suite(cfg)).encode())
+        bodies.append(canonical_json(run_theorem_suite(cfg)[0]).encode())
     assert bodies[0] == bodies[1] == bodies[2]
     elapsed = time.perf_counter() - t0
     assert elapsed < 120.0

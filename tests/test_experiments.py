@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cubemax.cli import emit_tables, main
+from cubemax.cli import COMMANDS, emit_tables, main
 from cubemax.errors import ConfigError, InvariantViolated
 from cubemax.experiments import (
     ExperimentConfig,
@@ -50,21 +50,21 @@ class TestRatioSuite:
     def test_one_dimensional_never_increases(self):
         cfg = ExperimentConfig(seed=5, dimension=1, grid=48, repetitions=40,
                                function_class="simple")
-        rep = run_ratio_suite(cfg)
+        rep, _ = run_ratio_suite(cfg)
         assert report_passed(rep)
         assert rep["constants"]["ratio_max"] <= 1.0 + 1e-9
 
     def test_indicator_suite_finite(self):
         cfg = ExperimentConfig(seed=6, dimension=2, grid=32, repetitions=8,
                                function_class="indicator")
-        rep = run_ratio_suite(cfg)
+        rep, _ = run_ratio_suite(cfg)
         assert np.isfinite(rep["constants"]["ratio_max"])
 
     def test_generators_never_constant(self):
         # constant functions would raise; the suite must complete
         cfg = ExperimentConfig(seed=7, dimension=2, grid=16, repetitions=15,
                                function_class="block-decreasing")
-        rep = run_ratio_suite(cfg)
+        rep, _ = run_ratio_suite(cfg)
         assert len(rep["results"]["ratios"]) == 15
 
     def test_one_operator_pass_per_instance(self, monkeypatch):
@@ -84,7 +84,7 @@ class TestRatioSuite:
             monkeypatch.setattr(experiments, name, counted(name))
         cfg = ExperimentConfig(seed=13, dimension=2, grid=16, repetitions=10,
                                function_class="indicator")
-        rep = run_ratio_suite(cfg)
+        rep, _ = run_ratio_suite(cfg)
         assert calls == {"make_function": 10, "maximal_global": 10}
         assert list(rep["results"]) == ["ratios"]
         assert len(rep["results"]["ratios"]) == 10
@@ -93,13 +93,13 @@ class TestRatioSuite:
 
 class TestCheckerboard:
     def test_growth_in_window(self):
-        rep = run_checkerboard(5)
+        rep, _ = run_checkerboard(5)
         assert report_passed(rep)
         ratios = rep["results"]["growth_ratios"]
         assert all(1.5 <= r <= 2.5 for r in ratios[2:])
 
     def test_baseline_family_comparable_to_var_f(self):
-        rep = run_checkerboard(4)
+        rep, _ = run_checkerboard(4)
         # var f of the unit square indicator is 4; the family-only maximal
         # function at depth 0 stays within a small factor
         assert 0.5 <= rep["results"]["variation"][0] / 4.0 <= 2.0
@@ -127,7 +127,7 @@ class TestCheckerboard:
         f = GridFunction(vals.shape, 2.0 ** (-n_max), vals.ravel())
         want = [variation(maximal_family(f, checkerboard_family(n, n_max)))
                 for n in range(n_max + 1)]
-        assert run_checkerboard(n_max)["results"]["variation"] == want
+        assert run_checkerboard(n_max)[0]["results"]["variation"] == want
 
     def test_families_never_complete(self):
         for n in (1, 3):
@@ -138,11 +138,11 @@ class TestCheckerboard:
 
 class TestDumbbell:
     def test_all_assertions_pass(self):
-        rep = run_dumbbell()
+        rep, _ = run_dumbbell()
         assert report_passed(rep)
 
     def test_neck_zero_and_floor(self):
-        rep = run_dumbbell()
+        rep, _ = run_dumbbell()
         for row in rep["results"]["rows"]:
             assert row["neck_max"] == 0.0
             assert row["lower_min"] >= row["target"] * (1 - 1e-12)
@@ -188,7 +188,7 @@ class TestTheoremSuite:
     def test_smoke_config(self):
         cfg = ExperimentConfig(seed=7, dimension=2, grid=8, repetitions=5,
                                function_class="simple")
-        rep = run_theorem_suite(cfg)
+        rep, _ = run_theorem_suite(cfg)
         assert report_passed(rep)
         assert len(rep["results"]["instances"]) == 5
 
@@ -206,7 +206,7 @@ class TestDeterminism:
         for _ in range(3):
             cfg = ExperimentConfig(seed=42, dimension=2, grid=16, repetitions=8,
                                    function_class="simple")
-            bodies.append(canonical_json(run_theorem_suite(cfg)).encode())
+            bodies.append(canonical_json(run_theorem_suite(cfg)[0]).encode())
         assert bodies[0] == bodies[1] == bodies[2]
 
     def test_theorem_body_unchanged_by_earlier_runs(self, tmp_path):
@@ -227,8 +227,8 @@ class TestDeterminism:
     def test_seed_replay_identical(self):
         cfg = ExperimentConfig(seed=9, dimension=1, grid=32, repetitions=10,
                                function_class="simple")
-        a = canonical_json(run_ratio_suite(cfg))
-        b = canonical_json(run_ratio_suite(cfg))
+        a = canonical_json(run_ratio_suite(cfg)[0])
+        b = canonical_json(run_ratio_suite(cfg)[0])
         assert a == b
 
 
@@ -236,7 +236,7 @@ class TestSparseAudit:
     def test_audit_passes_and_exercises_selection(self):
         cfg = ExperimentConfig(seed=2, dimension=2, grid=16, repetitions=10,
                                function_class="simple", family_seeds=5)
-        rep = run_sparse_audit(cfg)
+        rep, _ = run_sparse_audit(cfg)
         assert report_passed(rep)
         assert rep["constants"]["selected_max"] >= 1
 
@@ -310,17 +310,50 @@ class TestCli:
         {"threads": 0},
         {"threads": True},
         {"threads": "1"},
+        {"h": float("inf")},
+        {"h": float("nan")},
+        {"h": 0},
+        {"h": 1e200},
+        {"h": 10 ** 400},
+        {"h": 1.4e154, "dimension": 2},
+        {"h": 6e102, "dimension": 3},
     ], ids=["caps-value", "caps-missing-dimension", "grid-float", "seed-negative",
             "family-class-removed", "geom-samples-0", "geom-samples-negative",
             "family-seeds-0", "family-seeds-25", "checkerboard-n-max-0",
             "checkerboard-n-max-2", "deep-instances-negative", "checkerboard-n-max-11",
             "checkerboard-n-max-40", "grid-cells-2d", "grid-cells-3d", "caps-negative",
             "caps-zero", "caps-infinite", "caps-overflow", "threads-2", "threads-0",
-            "threads-true", "threads-string"])
+            "threads-true", "threads-string", "h-infinite", "h-nan", "h-zero",
+            "h-squared-overflows", "h-int-overflows-float", "h-squared-overflows-d2",
+            "h-cubed-overflows-d3"])
     def test_invalid_config_exit_2(self, tmp_path, config):
         cfgfile = tmp_path / "cfg.json"
         cfgfile.write_text(json.dumps({"repetitions": 1, **config}))
         assert main(["theorem", "--config", str(cfgfile), "--out", str(tmp_path)]) == 2
+
+    def test_h_that_reads_as_infinity_names_h(self, tmp_path, capsys):
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text('{"h": 1e309}')
+        assert main(["ratio", "--config", str(cfgfile), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == (
+            "config error: h must be positive with a finite h ** dimension, got h=inf\n")
+
+    @pytest.mark.parametrize("h, d", [(1.3e154, 2), (5e102, 3), (1e-300, 3)])
+    def test_extreme_h_with_finite_cell_volume_accepted(self, h, d):
+        assert ExperimentConfig(h=h, dimension=d).h == h
+
+    def test_theorem_without_positive_rhs_pair_reports_zero_change(self, tmp_path):
+        # a 2-cell indicator whose one refinement pair has rhs = 0
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps({"dimension": 1, "grid": 2, "function_class": "indicator",
+                                       "family_seeds": 1, "repetitions": 1}))
+        assert main(["theorem", "--config", str(cfgfile), "--seed", "3",
+                     "--out", str(tmp_path / "o")]) == 0
+        rep = json.loads((tmp_path / "o" / "report.json").read_text())
+        assert rep["results"]["refinement"] == {"coarse_ratios": [], "fine_ratios": []}
+        assert {k: v for k, v in rep["constants"].items() if k.startswith("refinement_")} == {
+            "refinement_max_ratio_coarse": 0.0, "refinement_max_ratio_fine": 0.0,
+            "refinement_relative_change": 0.0}
 
     def test_report_body_excludes_timings(self, tmp_path):
         main(["dumbbell", "--out", str(tmp_path)])
@@ -367,11 +400,69 @@ class TestCli:
         assert target.read_text() == "not a directory"
 
     def test_plot_emission_round_trip(self, tmp_path):
-        rep = run_checkerboard(3)
-        files = emit_tables(rep, tmp_path)
-        assert files
+        rep, tables = run_checkerboard(3)
+        files = emit_tables(tables, tmp_path)
+        assert [p.name for p in files] == ["checkerboard_growth.dat"]
         cols = np.loadtxt(files[0], ndmin=2).T
         assert cols[0].tolist() == rep["results"]["n"]
+        assert cols[1].tolist() == rep["results"]["variation"]
+
+
+class TestTables:
+    def test_per_lambda_tables_hold_instance_0_levels_bit_for_bit(self, tmp_path):
+        from cubemax.estimates import theorem_main_evaluate
+        from cubemax.generators import make_function, random_complete_family
+
+        cfg = ExperimentConfig(seed=5, grid=16, repetitions=3, function_class="random-smooth")
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps(cfg.to_json()))
+        assert main(["theorem", "--config", str(cfgfile), "--out", str(tmp_path / "o")]) == 0
+        rng = np.random.default_rng([cfg.seed, 0])
+        f = make_function(rng, cfg.function_class, cfg.dims, cfg.h)
+        fam = random_complete_family(rng, cfg.dims, cfg.family_seeds).with_averages(f)
+        want = theorem_main_evaluate(f, fam, cap=cfg.caps[2], deep=True).lam_table
+        assert want["lam"].size > 10
+        for name, sep in (("per_lambda.csv", ","), ("per_lambda_trace.dat", " ")):
+            header, *rows = (tmp_path / "o" / name).read_text().splitlines()
+            keys = header.lstrip("# ").split(sep)
+            cols = zip(*([float(x) for x in row.split(sep)] for row in rows))
+            for key, col in zip(keys, cols, strict=True):
+                assert np.array(col).tobytes() == np.asarray(want[key], float).tobytes(), key
+        body = (tmp_path / "o" / "report.json").read_text()
+        assert "per_lambda" not in body and '"lhs"' in body
+
+
+# every config that once ended in a traceback or a run on non-finite values
+CONTRACT_CONFIGS = [
+    None,
+    {"dimension": 1, "grid": 2, "function_class": "indicator", "family_seeds": 1,
+     "repetitions": 1},
+    {"h": 1e-300, "dimension": 3},
+    {"h": 1e309},
+    {"h": 1e200},
+    {"h": 1.3e154, "dimension": 2},
+    {"h": 5e102, "dimension": 3},
+]
+
+
+@pytest.mark.parametrize("config", CONTRACT_CONFIGS,
+                         ids=["default", "indicator-2-cells", "h-tiny-d3", "h-infinite",
+                              "h-squared-overflows", "h-largest-d2", "h-largest-d3"])
+@pytest.mark.parametrize("command", COMMANDS)
+def test_exit_code_contract(command, config, tmp_path, capsys):
+    # 0 pass, 2 bad config, 3 library error; 1 only with a report that fails
+    # an assertion; never a traceback
+    argv = [command, "--seed", "3", "--out", str(tmp_path / "o")]
+    if config is not None:
+        (tmp_path / "cfg.json").write_text(json.dumps(config))
+        argv += ["--config", str(tmp_path / "cfg.json")]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.out + captured.err
+    assert code in (0, 1, 2, 3)
+    if code == 1:
+        rep = json.loads((tmp_path / "o" / "report.json").read_text())
+        assert not report_passed(rep)
 
 
 class TestCliFailurePath:
