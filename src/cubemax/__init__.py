@@ -1,7 +1,6 @@
 """Discrete laboratory for maximal-operator variation bounds over cube families."""
 
 from .grid import (
-    BoundaryMeasure,
     GridFunction,
     PixelSet,
     grid_from_array,
@@ -23,7 +22,6 @@ from .cubes import (
 from .sat import SummedAreaTable
 
 __all__ = [
-    "BoundaryMeasure",
     "CubeFamily",
     "GridCube",
     "GridFunction",

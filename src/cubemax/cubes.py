@@ -38,9 +38,6 @@ class GridCube:
     def cell_count(self) -> int:
         return self.side ** self.d
 
-    def volume(self, h: float) -> float:
-        return self.cell_count * float(h) ** self.d
-
     def slices(self) -> tuple[slice, ...]:
         return tuple(slice(a, a + self.side) for a in self.anchor)
 
@@ -48,16 +45,11 @@ class GridCube:
         return CubeFamily([self]).union_pixels(dims)
 
 
-def scale_indices(sides: np.ndarray, h: float) -> np.ndarray:
-    """Per side, the integer n with side*h in [2**n, 2**(n+1)).
-
-    A product within a few ulps below a power of two counts as that power:
-    with h = 1/m the float side*h of a side-m cube can round to just under
-    1 (m = 49 gives 0.9999999999999999), and its scale is still 0.
-    """
-    x = np.asarray(sides, dtype=np.int64) * h
-    exp = np.frexp(x)[1].astype(np.int64)  # x = mantissa * 2**exp, mantissa in [0.5, 1)
-    return np.where(np.ldexp(1.0, exp) - x <= 4 * np.spacing(x), exp, exp - 1)
+def scale_indices(sides: np.ndarray) -> np.ndarray:
+    """Per side s >= 1, the scale index n with s in [2**n, 2**(n+1)), which
+    is floor(log2 s): exact, since frexp of an integer below 2**53 is."""
+    # s = mantissa * 2**exp with mantissa in [0.5, 1)
+    return np.frexp(np.asarray(sides, dtype=np.int64))[1].astype(np.int64) - 1
 
 
 def is_power_of_two(n):
@@ -65,9 +57,9 @@ def is_power_of_two(n):
     return (n >= 1) & ((n & (n - 1)) == 0)
 
 
-def cube_bounds(anchors: np.ndarray, sides: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
-    """Real corners (lo, hi) of cubes given as anchor rows and sides."""
-    return anchors * h, (anchors + sides[..., None]) * h
+def cube_bounds(anchors: np.ndarray, sides: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Integer corners (lo, hi) of cubes given as anchor rows and sides."""
+    return anchors, anchors + sides[..., None]
 
 
 def dilate_bounds(lo: np.ndarray, hi: np.ndarray, K: float) -> tuple[np.ndarray, np.ndarray]:

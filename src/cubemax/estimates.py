@@ -100,7 +100,7 @@ def sparse_mass_estimate(f: GridFunction, q0: GridCube,
     fq0 = float(np.mean(f.array[q0.slices()].ravel()))
     if not np.isfinite(fq0):
         raise PremiseViolated(f"cube {q0} has the non-finite average {fq0!r}")
-    lhs = q0.volume(f.h) * (fq0 - lam0)
+    lhs = q0.cell_count * (fq0 - lam0)
 
     dy = dyadic_descendants(q0)
     dy_avgs = family_averages(f, dy)
@@ -109,7 +109,6 @@ def sparse_mass_estimate(f: GridFunction, q0: GridCube,
 
     bps = lambda_breakpoints(f, np.concatenate((dy_avgs, [fq0])))
     vols = np.zeros(bps.size)
-    hpow = float(f.h) ** d
     for k in range(1, bps.size):
         if bps[k - 1] < fq0:
             continue  # interval below the average contributes nothing
@@ -118,7 +117,7 @@ def sparse_mass_estimate(f: GridFunction, q0: GridCube,
         if not select.any():
             continue
         u = dy.select(select).union_pixels(f.dims).mask
-        vols[k] = np.count_nonzero(u & (f.array >= lam)) * hpow
+        vols[k] = np.count_nonzero(u & (f.array >= lam))
     rhs = 2 ** (d + 1) * integrate_breakpoints(bps, vols, lower=fq0)
     return lhs, rhs
 
@@ -157,18 +156,17 @@ def covering_middensity(E: PixelSet, q0: GridCube) -> CoveringResult:
     )
 
 
-def contract_density_check(E: PixelSet, q: GridCube, eps: float, h: float = 1.0) -> bool:
+def contract_density_check(E: PixelSet, q: GridCube, eps: float) -> bool:
     """Density of E inside the doubly contracted cube stays in the widened band.
 
     Volumes of the contracted cube and its overlap with E are exact products
     of interval overlaps (cells weighted by the fraction the real box covers).
     """
     d = len(E.dims)
-    lo, hi = dilate_bounds(*cube_bounds(np.array(q.anchor), np.array(q.side), h), (1.0 - eps) ** 2)
+    lo, hi = dilate_bounds(*cube_bounds(np.array(q.anchor), np.array(q.side)), (1.0 - eps) ** 2)
     weights = []
     for ax, n in enumerate(E.dims):
-        edges = np.arange(n + 1) * h
-        w = np.minimum(edges[1:], hi[ax]) - np.maximum(edges[:-1], lo[ax])
+        w = np.minimum(np.arange(1, n + 1), hi[ax]) - np.maximum(np.arange(n), lo[ax])
         weights.append(np.maximum(w, 0.0))
     w = weights[0]
     for ax in range(1, d):
@@ -183,8 +181,9 @@ def contract_density_check(E: PixelSet, q: GridCube, eps: float, h: float = 1.0)
 def poincare_ratio(f: GridFunction, q: GridCube) -> float:
     """Mean-oscillation norm over the cube relative to the variation inside it.
 
-    Uses the d/(d-1) norm with cell weight h^d; in one dimension the
-    exponent degenerates to the max norm.
+    Uses the d/(d-1) norm with cell weight 1; in one dimension the
+    exponent degenerates to the max norm.  Both sides scale alike with the
+    cell width, so the ratio does not depend on it.
     """
     d = f.d
     vals = f.array[q.slices()]
@@ -193,26 +192,24 @@ def poincare_ratio(f: GridFunction, q: GridCube) -> float:
         norm = float(dev.max())
     else:
         p = d / (d - 1)
-        norm = float(np.sum(dev ** p) * f.h ** d) ** (1.0 / p)
+        norm = float(np.sum(dev ** p)) ** (1.0 / p)
     var_q = variation(f, q.pixels(f.dims))
     if var_q == 0.0:
         raise ZeroVariationInput("function is constant inside the cube")
     return norm / var_q
 
 
-def isoperimetric_significant(E: PixelSet, q: GridCube, delta: float,
-                              h: float = 1.0) -> tuple[float, float]:
-    """(boundary measure inside the cube to the d-th power, overlap volume to
-    the (d-1)-th power) for a set occupying at most a (1-delta) fraction.
+def isoperimetric_significant(E: PixelSet, q: GridCube, delta: float) -> tuple[float, float]:
+    """(boundary face count inside the cube to the d-th power, overlap cell
+    count to the (d-1)-th power) for a set occupying at most a (1-delta)
+    fraction.
     """
     d = len(E.dims)
     mask = q.pixels(E.dims)
     cnt = int(np.count_nonzero(E.mask & mask.mask))
     if cnt > (1.0 - delta) * q.cell_count:
         raise PreconditionDensity(f"set fills more than 1-delta of the cube")
-    per = perimeter(E, mask=mask, h=h).measure
-    vol = cnt * float(h) ** d
-    return per ** d, vol ** (d - 1)
+    return float(perimeter(E, mask=mask)) ** d, float(cnt) ** (d - 1)
 
 
 @dataclass
@@ -267,9 +264,8 @@ def theorem_main_evaluate(f: GridFunction, fam: CubeFamily, *,
             f"at level {float(bps[k])!r}: {int(lhs_c[k])} level-union boundary faces exceed "
             f"{int(term1_c[k])} + {int(term2_c[k])} in the density split")
 
-    unit = float(f.h) ** (d - 1)
     lhs_terms, term1s, term2s, rhs_terms, rhs_lam = (
-        c * unit for c in (lhs_c, term1_c, term2_c, rhs_c, hd_c))
+        c.astype(np.float64) for c in (lhs_c, term1_c, term2_c, rhs_c, hd_c))
     hd_ratios = np.where(term1s == 0, 0.0, math.inf)
     np.divide(term1s, rhs_lam, out=hd_ratios, where=rhs_lam > 0)
 
@@ -358,7 +354,6 @@ def _level_face_columns(f: GridFunction, split: DensityLevels, full_union: np.nd
 def _deep_chain(f: GridFunction, sparse: SparseFamily, bps: np.ndarray) -> dict:
     """Per-level reduction-chain measurements for the selected sparse cubes."""
     d = f.d
-    h = f.h
     eps = default_contraction(d)
 
     # the bases are the power-of-two selected cubes, in selection order.  Per
@@ -392,7 +387,7 @@ def _deep_chain(f: GridFunction, sparse: SparseFamily, bps: np.ndarray) -> dict:
                 d_map[bases.cubes[i]] = sel
                 if bps[k - 1] >= bases.averages[i]:
                     vol_integral[i] += (bps[k] - bps[k - 1]) * \
-                        float(sel.union_pixels(f.dims).count) * h ** d
+                        float(sel.union_pixels(f.dims).count)
         if not d_map:
             continue
         S = bases.select(active)
@@ -405,22 +400,21 @@ def _deep_chain(f: GridFunction, sparse: SparseFamily, bps: np.ndarray) -> dict:
         # lengths of bases whose c2-dilate contains it (log base 2 bracketing);
         # running sums keep the selection order of the active bases
         qs = fl.cubes.sides
-        qlo, qhi = cube_bounds(fl.cubes.anchors, qs, h)
-        blo, bhi = dilate_bounds(*cube_bounds(S.anchors, S.sides, h), max(fl.c2, 1.0))
-        inv_side = 1.0 / (S.sides * h)
+        qlo, qhi = cube_bounds(fl.cubes.anchors, qs)
+        blo, bhi = dilate_bounds(*cube_bounds(S.anchors, S.sides), max(fl.c2, 1.0))
+        inv_side = 1.0 / S.sides
         ssum = np.empty(len(qs))
         for rows in row_blocks(len(qs), len(S)):
             inside = np.all((blo <= qlo[rows, None]) & (qhi[rows, None] <= bhi), axis=-1)
             ssum[rows] = np.cumsum(np.where(inside, inv_side, 0.0), axis=1)[:, -1]
-        massbelow_max = max(massbelow_max, float(np.max(ssum * (qs * h))))
-        each_sum = float(np.cumsum((qs ** d) * float(h) ** d * ssum)[-1])
-        rhs_prefix = perimeter(superlevel(f, lam), mask=s_union, h=h).measure
+        massbelow_max = max(massbelow_max, float(np.max(ssum * qs)))
+        each_sum = float(np.cumsum((qs ** d) * ssum)[-1])
+        rhs_prefix = perimeter(superlevel(f, lam), mask=s_union)
         if rhs_prefix > 0:
             eachlevel_max = max(eachlevel_max, each_sum / rhs_prefix)
 
-    side_h = bases.sides * h
-    lhs_b = (bases.averages - lamq) * 2 * d * side_h ** (d - 1)
-    rhs_b = vol_integral / side_h
+    lhs_b = (bases.averages - lamq) * 2 * d * bases.sides ** (d - 1)
+    rhs_b = vol_integral / bases.sides
     pos = rhs_b > 0
     return {
         "eps": eps,

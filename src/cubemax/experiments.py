@@ -158,6 +158,15 @@ def report_passed(report: dict) -> bool:
     return all(a["passed"] for a in report["assertions"])
 
 
+def _scale_measures(obj: dict, keys, h: float, d: int) -> None:
+    """Multiply each cell-unit measure ``obj[key]`` (a variation, face count
+    or level integral: a float, a list or an array) once by h ** (d - 1).
+    Ratios are taken before, so an extreme ``h`` never moves one."""
+    unit = float(h) ** (d - 1)
+    for key in keys:
+        obj[key] = [v * unit for v in obj[key]] if isinstance(obj[key], list) else obj[key] * unit
+
+
 def _histogram(ratios) -> tuple[list[str], list]:
     """Histogram table of a nonempty ratio list: 4 to 20 equal bins."""
     ratios = np.asarray(ratios)
@@ -173,7 +182,7 @@ def run_ratio_suite(cfg: ExperimentConfig) -> tuple[dict, dict]:
     report = _report_skeleton("ratio", cfg)
     ratios = []
     for k in range(cfg.repetitions):
-        f = make_function(_instance_rng(cfg.seed, k), cfg.function_class, cfg.dims, cfg.h)
+        f = make_function(_instance_rng(cfg.seed, k), cfg.function_class, cfg.dims)
         ratios.append(float(variation(maximal_global(f)) / nonzero_variation(f)))
     report["results"]["ratios"] = ratios
     report["constants"]["ratio_max"] = max(ratios)
@@ -213,7 +222,7 @@ def run_checkerboard(n_max: int = 6, seed: int = 0) -> tuple[dict, dict]:
     dims = (4 * unit, 4 * unit)
     vals = np.zeros(dims)
     vals[unit:2 * unit, unit:2 * unit] = 1.0
-    f = GridFunction(dims, 2.0 ** (-n_max), vals.ravel())
+    f = GridFunction(dims, vals.ravel())
 
     sat = SummedAreaTable(f.array)  # f is the same at every depth
     variations = []
@@ -228,6 +237,7 @@ def run_checkerboard(n_max: int = 6, seed: int = 0) -> tuple[dict, dict]:
     ratios = [variations[i + 1] / variations[i] for i in range(len(variations) - 1)]
     report["results"]["n"] = list(range(0, n_max + 1))
     report["results"]["variation"] = [float(v) for v in variations]
+    _scale_measures(report["results"], ("variation",), cfg.h, 2)
     report["results"]["growth_ratios"] = [float(r) for r in ratios]
     window = [float(ratios[n]) for n in range(2, n_max)]
     _assert(report, "geometric_growth",
@@ -273,7 +283,7 @@ def dumbbell_domain(h: float) -> tuple[GridFunction, PixelSet]:
     integral = antideriv(w) - 2.0 * antideriv(w - h) + antideriv(w - 2.0 * h)
     vals = integral / (h * h)
     vals[~omega] = 0.0
-    return GridFunction(dims, h, vals.ravel()), PixelSet(dims, omega)
+    return GridFunction(dims, vals.ravel()), PixelSet(dims, omega)
 
 
 def run_dumbbell(seed: int = 0, resolutions=(0.25, 0.125, 0.0625)) -> tuple[dict, dict]:
@@ -281,41 +291,32 @@ def run_dumbbell(seed: int = 0, resolutions=(0.25, 0.125, 0.0625)) -> tuple[dict
     report = _report_skeleton("dumbbell", cfg)
     target = DUMBBELL_INTEGRAL / 100.0
     rows = []
-    all_ok_neck = True
-    all_ok_lower = True
-    all_ok_jump = True
     for h in resolutions:
         f, omega = dumbbell_domain(h)
         mf = maximal_local(f, omega)
         yc = -10.0 + (np.arange(f.dims[1]) + 0.5) * h
         neck_cells = omega.mask & (yc >= 0)[None, :]
         lower_cells = omega.mask & (yc < 0)[None, :]
-        neck_max = float(np.max(np.abs(mf.array[neck_cells])))
-        lower_min = float(np.min(mf.array[lower_cells]))
-        var_m = variation(mf, omega)
-        ok_neck = neck_max == 0.0
-        ok_lower = lower_min >= target * (1 - 1e-12)
-        jump_floor = 2.0 * target * (1 - 1e-9)  # waist length 2 times the chamber level
-        ok_jump = var_m >= jump_floor
-        all_ok_neck &= ok_neck
-        all_ok_lower &= ok_lower
-        all_ok_jump &= ok_jump
-        rows.append({"h": h, "neck_max": neck_max, "lower_min": lower_min,
-                     "target": target, "variation": float(var_m)})
+        rows.append({"h": h, "neck_max": float(np.max(np.abs(mf.array[neck_cells]))),
+                     "lower_min": float(np.min(mf.array[lower_cells])),
+                     "target": target, "variation": float(variation(mf, omega))})
+        _scale_measures(rows[-1], ("variation",), h, 2)
     report["results"]["rows"] = rows
-    _assert(report, "neck_values_zero", all_ok_neck)
-    _assert(report, "lower_chamber_floor", all_ok_lower,
-            f"floor {target!r}")
-    _assert(report, "jump_persists_under_refinement", all_ok_jump)
+    jump_floor = 2.0 * target * (1 - 1e-9)  # waist length 2 times the chamber level
+    _assert(report, "neck_values_zero", all(r["neck_max"] == 0.0 for r in rows))
+    _assert(report, "lower_chamber_floor",
+            all(r["lower_min"] >= target * (1 - 1e-12) for r in rows), f"floor {target!r}")
+    _assert(report, "jump_persists_under_refinement",
+            all(r["variation"] >= jump_floor for r in rows))
     return report, {}
 
 
 # ------------------------------------------------------------- theorem suite
 
 def _theorem_instance(cfg: ExperimentConfig, k: int) -> tuple[dict, dict]:
-    """Instance k's report row and its per-level table."""
+    """Instance k's report row and its per-level table, in cell units."""
     rng = _instance_rng(cfg.seed, k)
-    f = make_function(rng, cfg.function_class, cfg.dims, cfg.h)
+    f = make_function(rng, cfg.function_class, cfg.dims)
     fam = random_complete_family(rng, cfg.dims, cfg.family_seeds).with_averages(f)
     rep = theorem_main_evaluate(
         f, fam, cap=cfg.caps[cfg.dimension], deep=(k < cfg.deep_instances))
@@ -333,7 +334,8 @@ def _theorem_instance(cfg: ExperimentConfig, k: int) -> tuple[dict, dict]:
 def run_theorem_suite(cfg: ExperimentConfig) -> tuple[dict, dict]:
     """Main-inequality ratios per instance, then the refinement check of
     :func:`run_refinement_stability` on up to 12 pairs.  Instance 0's
-    per-level table goes to the tables only."""
+    per-level table goes to the tables only.  The measures go to the cell
+    width after every ratio and constant is taken."""
     report = _report_skeleton("theorem", cfg)
     row, lam = _theorem_instance(cfg, 0)
     rows = [row] + [_theorem_instance(cfg, k)[0] for k in range(1, cfg.repetitions)]
@@ -348,6 +350,12 @@ def run_theorem_suite(cfg: ExperimentConfig) -> tuple[dict, dict]:
     report["constants"].update(
         {f"refinement_{k}": v for k, v in stability["constants"].items()})
     report["assertions"].extend(stability["assertions"])
+    d = cfg.dimension
+    for r in rows:
+        _scale_measures(r, ("lhs", "rhs"), cfg.h, d)
+        _scale_measures(r["subterms"], ("high_density_integral", "q2_boundary_integral",
+                                        "sparse_rhs_sum"), cfg.h, d)
+    _scale_measures(lam, ("term1", "term2", "lhs", "f_boundary"), cfg.h, d)
     level = ["lam", "n_q0", "n_q1", "n_q2", "term1", "term2", "lhs", "f_boundary"]
     trace = ["lam", "lhs", "f_boundary", "term1", "term2"]
     names = ["instance", "lhs", "rhs", "ratio"]
@@ -370,7 +378,7 @@ def refine_instance(f: GridFunction, fam: CubeFamily) -> tuple[GridFunction, Cub
     arr = f.array
     for ax in range(f.d):
         arr = np.repeat(arr, 2, axis=ax)
-    f2 = GridFunction(arr.shape, f.h / 2.0, arr.ravel())
+    f2 = GridFunction(arr.shape, arr.ravel())
     return f2, CubeFamily.from_arrays(2 * fam.anchors, 2 * fam.sides).with_averages(f2)
 
 
@@ -383,7 +391,7 @@ def run_refinement_stability(cfg: ExperimentConfig, pairs: int = 12) -> dict:
     fine = []
     for k in range(pairs):
         rng = _instance_rng(cfg.seed, 10_000 + k)
-        f = make_function(rng, cfg.function_class, cfg.dims, cfg.h)
+        f = make_function(rng, cfg.function_class, cfg.dims)
         fam = random_complete_family(rng, cfg.dims, cfg.family_seeds).with_averages(f)
         rep1 = theorem_main_evaluate(f, fam, cap=cfg.caps[cfg.dimension], deep=False)
         f2, fam2 = refine_instance(f, fam)
@@ -414,12 +422,12 @@ def run_sparse_audit(cfg: ExperimentConfig) -> tuple[dict, dict]:
         rng = _instance_rng(cfg.seed, k)
         if k % 2 == 0:
             # genuine pipeline: spiky function, completion family with the box
-            f = make_function(rng, "spikes", cfg.dims, cfg.h)
+            f = make_function(rng, "spikes", cfg.dims)
             fam = random_complete_family(rng, cfg.dims, cfg.family_seeds).with_averages(f)
             q2 = accumulate_q2_cubes(f, fam)
         else:
             # raw input: the greedy postconditions hold for any cube set
-            f = make_function(rng, cfg.function_class, cfg.dims, cfg.h)
+            f = make_function(rng, cfg.function_class, cfg.dims)
             count = int(rng.integers(cfg.family_seeds * 8, 200))
             q2 = random_family(rng, cfg.dims, count, pow2=False).with_averages(f)
         sp = greedy_sparse(f, q2)

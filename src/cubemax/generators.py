@@ -8,9 +8,6 @@ from .cubes import CubeFamily, GridCube, dyadic_completion
 from .errors import ConfigError
 from .grid import GridFunction
 
-FUNCTION_CLASSES = ("indicator", "simple", "block-decreasing", "radial",
-                    "random-smooth", "spikes")
-
 
 def _random_box_mask(rng: np.random.Generator, dims, k: int) -> np.ndarray:
     m = np.zeros(tuple(dims), dtype=bool)
@@ -32,15 +29,15 @@ def _require_two_cells(dims, cls: str) -> None:
                           f"got dims {tuple(dims)}")
 
 
-def indicator_function(rng: np.random.Generator, dims, h: float, boxes: int = 3) -> GridFunction:
+def indicator_function(rng: np.random.Generator, dims, boxes: int = 3) -> GridFunction:
     _require_two_cells(dims, "indicator")
     while True:
         m = _random_box_mask(rng, dims, boxes)
         if 0 < m.sum() < m.size:
-            return GridFunction(dims, h, m.astype(np.float64).ravel())
+            return GridFunction(dims, m.astype(np.float64).ravel())
 
 
-def simple_function(rng: np.random.Generator, dims, h: float, terms: int = 4) -> GridFunction:
+def simple_function(rng: np.random.Generator, dims, terms: int = 4) -> GridFunction:
     _require_two_cells(dims, "simple")
     levels = np.array([0.5, 1.0, 1.5, 2.0, 3.0])
     while True:
@@ -49,10 +46,10 @@ def simple_function(rng: np.random.Generator, dims, h: float, terms: int = 4) ->
             m = _random_box_mask(rng, dims, 1)
             vals[m] += float(rng.choice(levels))
         if np.unique(vals).size > 1:
-            return GridFunction(dims, h, vals.ravel())
+            return GridFunction(dims, vals.ravel())
 
 
-def block_decreasing_function(rng: np.random.Generator, dims, h: float) -> GridFunction:
+def block_decreasing_function(rng: np.random.Generator, dims) -> GridFunction:
     """Nonincreasing in the distance from a center cell along every axis."""
     centers = [int(rng.integers(0, n)) for n in dims]
     profiles = []
@@ -64,17 +61,17 @@ def block_decreasing_function(rng: np.random.Generator, dims, h: float) -> GridF
     vals = profiles[0]
     for p in profiles[1:]:
         vals = np.multiply.outer(vals, p)
-    return GridFunction(dims, h, vals.ravel())
+    return GridFunction(dims, vals.ravel())
 
 
-def radial_function(rng: np.random.Generator, dims, h: float, steps: int = 6) -> GridFunction:
+def radial_function(rng: np.random.Generator, dims, steps: int = 6) -> GridFunction:
     center = np.array([rng.uniform(0, n) for n in dims])
     grids = np.meshgrid(*[np.arange(n) + 0.5 for n in dims], indexing="ij")
-    r = np.sqrt(sum((g - c) ** 2 for g, c in zip(grids, center))) * h
+    r = np.sqrt(sum((g - c) ** 2 for g, c in zip(grids, center)))  # in cells
     edges = np.sort(rng.uniform(0, float(r.max()) + 1e-9, steps))
     heights = np.sort(rng.random(steps + 1))[::-1]
     vals = heights[np.searchsorted(edges, r)]
-    return GridFunction(dims, h, vals.ravel())
+    return GridFunction(dims, vals.ravel())
 
 
 def _gaussian_nearest(x: np.ndarray, sigma: float) -> np.ndarray:
@@ -102,15 +99,15 @@ def _gaussian_nearest(x: np.ndarray, sigma: float) -> np.ndarray:
     return out
 
 
-def random_smooth_function(rng: np.random.Generator, dims, h: float,
+def random_smooth_function(rng: np.random.Generator, dims,
                            sigma: float = 2.0) -> GridFunction:
     noise = rng.standard_normal(tuple(dims))
     vals = _gaussian_nearest(noise, sigma)
     vals = vals - vals.min()
-    return GridFunction(dims, h, vals.ravel())
+    return GridFunction(dims, vals.ravel())
 
 
-def spikes_function(rng: np.random.Generator, dims, h: float,
+def spikes_function(rng: np.random.Generator, dims,
                     count: int = 4) -> GridFunction:
     """A few isolated hot cells: big cubes around them have tiny superlevel
     density, which is what feeds the low-density machinery."""
@@ -118,23 +115,19 @@ def spikes_function(rng: np.random.Generator, dims, h: float,
     n = int(np.prod(dims))
     hot = rng.choice(n, size=min(count, n), replace=False)
     vals.ravel()[hot] = rng.integers(1, 9, size=hot.size).astype(np.float64)
-    return GridFunction(dims, h, vals.ravel())
+    return GridFunction(dims, vals.ravel())
 
 
-def make_function(rng: np.random.Generator, cls: str, dims, h: float) -> GridFunction:
-    if cls == "indicator":
-        return indicator_function(rng, dims, h)
-    if cls == "simple":
-        return simple_function(rng, dims, h)
-    if cls == "block-decreasing":
-        return block_decreasing_function(rng, dims, h)
-    if cls == "radial":
-        return radial_function(rng, dims, h)
-    if cls == "random-smooth":
-        return random_smooth_function(rng, dims, h)
-    if cls == "spikes":
-        return spikes_function(rng, dims, h)
-    raise ValueError(f"unknown function class {cls!r}")
+_MAKERS = {"indicator": indicator_function, "simple": simple_function,
+           "block-decreasing": block_decreasing_function, "radial": radial_function,
+           "random-smooth": random_smooth_function, "spikes": spikes_function}
+FUNCTION_CLASSES = tuple(_MAKERS)
+
+
+def make_function(rng: np.random.Generator, cls: str, dims) -> GridFunction:
+    if cls not in _MAKERS:
+        raise ValueError(f"unknown function class {cls!r}")
+    return _MAKERS[cls](rng, dims)
 
 
 def random_family(rng: np.random.Generator, dims, count: int,

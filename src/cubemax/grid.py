@@ -3,14 +3,18 @@
 Conventions used throughout the package:
 
 * A grid function samples one real value per cell of a d-dimensional box,
-  d in {1, 2, 3}, with cell width ``h``.  Values are stored flat, row-major.
+  d in {1, 2, 3}.  Values are stored flat, row-major.
+* Lengths are in cells, so cube corners are integers and every measure
+  below is a count or a plain sum.  Averages and ratios do not depend on
+  the cell width; :mod:`cubemax.experiments` takes each (d-1)-measure of a
+  report to it by one factor, after every ratio is taken.
 * The domain is the *open* interior of the box (or of an explicit mask), so
   boundary faces against the outside of the domain are never counted.
 * The discrete perimeter of a pixel set is the anisotropic face count: the
   number of unit faces separating an inside cell from an outside cell, both
-  lying in the domain, times ``h**(d-1)``.
-* The variation is the gradient sum ``sum |f(x) - f(y)| * h**(d-1)`` over
-  adjacent in-domain cell pairs.  With the face-count perimeter the coarea
+  lying in the domain.
+* The variation is the gradient sum ``sum |f(x) - f(y)|`` over adjacent
+  in-domain cell pairs.  With the face-count perimeter the coarea
   identity ``var f = sum over level gaps of gap * perimeter(superlevel)``
   holds up to float summation order; the tests check it against per-level
   perimeters within rel 1e-9.
@@ -19,7 +23,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -40,16 +44,12 @@ class GridFunction:
     """A real-valued function sampled on a d-dimensional cell grid."""
 
     dims: tuple[int, ...]
-    h: float
     values: np.ndarray = field(repr=False)
 
     def __post_init__(self):
         dims = _as_dims(self.dims)
         object.__setattr__(self, "dims", dims)
-        object.__setattr__(self, "h", float(self.h))
         vals = np.ascontiguousarray(self.values, dtype=np.float64).ravel()
-        if self.h <= 0:
-            raise ValueError("cell width h must be positive")
         if vals.size != int(np.prod(dims)):
             raise ValueError(f"{vals.size} values for dims {dims}")
         if np.any(np.isinf(vals)):
@@ -71,9 +71,9 @@ class GridFunction:
         return self.values.size
 
 
-def grid_from_array(arr: np.ndarray, h: float = 1.0) -> GridFunction:
+def grid_from_array(arr: np.ndarray) -> GridFunction:
     arr = np.asarray(arr, dtype=np.float64)
-    return GridFunction(arr.shape, h, arr.ravel())
+    return GridFunction(arr.shape, arr.ravel())
 
 
 @dataclass(frozen=True)
@@ -125,13 +125,6 @@ class PixelSet:
             raise DimensionMismatch(f"{self.dims} vs {other.dims}")
 
 
-class BoundaryMeasure(NamedTuple):
-    """Exact face count of a discrete boundary and its (d-1)-measure."""
-
-    face_count: int
-    measure: float
-
-
 def superlevel(f: GridFunction, lam: float) -> PixelSet:
     """Cells where ``f >= lam``.  Sentinel (NaN) cells always compare False."""
     return PixelSet(f.dims, f.array >= lam)
@@ -148,8 +141,8 @@ def _directed_face_count(src: np.ndarray, dst: np.ndarray) -> int:
     return total
 
 
-def perimeter(E: PixelSet, mask: PixelSet | None = None, h: float = 1.0) -> BoundaryMeasure:
-    """Discrete boundary measure of ``E`` inside the open domain.
+def perimeter(E: PixelSet, mask: PixelSet | None = None) -> int:
+    """Face count of the boundary of ``E`` inside the open domain.
 
     Counts faces between a cell in ``E & mask`` and an adjacent cell in
     ``mask - E``.  Without a mask the domain is the open grid box, so faces
@@ -158,16 +151,12 @@ def perimeter(E: PixelSet, mask: PixelSet | None = None, h: float = 1.0) -> Boun
     if mask is not None and mask.dims != E.dims:
         raise DimensionMismatch(f"{E.dims} vs {mask.dims}")
     dom = mask.mask if mask is not None else np.ones(E.dims, dtype=bool)
-    inside = E.mask & dom
-    outside = dom & ~E.mask
-    faces = _directed_face_count(inside, outside)
-    d = len(E.dims)
-    return BoundaryMeasure(faces, faces * float(h) ** (d - 1))
+    return _directed_face_count(E.mask & dom, dom & ~E.mask)
 
 
 def boundary_faces_outside(E: PixelSet, closed: PixelSet,
-                           mask: PixelSet | None = None, h: float = 1.0) -> BoundaryMeasure:
-    """Measure of ``boundary(E)`` minus the closure of ``closed``.
+                           mask: PixelSet | None = None) -> int:
+    """Face count of ``boundary(E)`` minus the closure of ``closed``.
 
     A boundary face is the interface between an inside and an outside cell;
     it lies in the closure of a pixel set iff either adjacent cell belongs
@@ -175,13 +164,13 @@ def boundary_faces_outside(E: PixelSet, closed: PixelSet,
     ``closed`` removed.
     """
     dom = ~closed.mask if mask is None else mask.mask & ~closed.mask
-    return perimeter(E, PixelSet(E.dims, dom), h)
+    return perimeter(E, PixelSet(E.dims, dom))
 
 
 def variation(f: GridFunction, mask: PixelSet | None = None) -> float:
     """Total variation as the gradient sum over the domain.
 
-    Sums ``|f(x) - f(y)| * h**(d-1)`` over adjacent cells ``x, y`` that both
+    Sums ``|f(x) - f(y)|`` over adjacent cells ``x, y`` that both
     lie in the mask (the whole box without one).  By the coarea identity this
     equals the sum over consecutive distinct values of the gap times the
     perimeter of the upper superlevel set.  Per axis the differences are summed
@@ -202,7 +191,7 @@ def variation(f: GridFunction, mask: PixelSet | None = None) -> float:
             m = np.moveaxis(dom, ax, 0)
             step = step[m[1:] & m[:-1]]
         total += float(np.sum(step.ravel()))
-    return total * f.h ** (f.d - 1)
+    return total
 
 
 def lambda_breakpoints(f: GridFunction, extra: Iterable[float] = ()) -> np.ndarray:

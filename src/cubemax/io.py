@@ -18,23 +18,33 @@ from .grid import GridFunction
 MAGIC = b"CUBEMAX1"
 
 
-def write_grid_csv(f: GridFunction, path) -> None:
-    """One row per grid line (d = 1 or 2); the cell width and the dimension
-    ride in comments."""
+def _require_width(h: float, what: str) -> float:
+    """``h`` as a float, or :class:`GridFormatError` unless it is finite and positive."""
+    h = float(h)
+    if not (math.isfinite(h) and h > 0):
+        raise GridFormatError(f"{what} needs a finite positive h, got h={h!r}")
+    return h
+
+
+def write_grid_csv(f: GridFunction, h: float, path) -> None:
+    """One row per grid line (d = 1 or 2); the cell width ``h`` and the
+    dimension ride in comments."""
     if f.d > 2:
         raise ValueError("CSV grids support d <= 2; use the binary format")
+    h = _require_width(h, "grid CSV")
     arr = f.array if f.d == 2 else f.array.reshape(1, -1)
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"# h={f.h!r}\n# d={f.d}\n")
+        fh.write(f"# h={h!r}\n# d={f.d}\n")
         for row in arr:
             fh.write(",".join(repr(float(v)) for v in row) + "\n")
 
 
-def read_grid_csv(path) -> GridFunction:
-    """The grid of a CSV file; without a ``# d=`` comment one row reads as 1-d.
+def read_grid_csv(path) -> tuple[GridFunction, float]:
+    """(grid, cell width h) of a CSV file; without a ``# d=`` comment one row
+    reads as 1-d, and without a ``# h=`` comment h is 1.
 
-    Ragged rows, a non-numeric cell or a malformed ``h``/``d`` comment raise
-    :class:`GridFormatError`.
+    Ragged rows, a non-numeric cell, a malformed ``h``/``d`` comment or an
+    ``h`` that is not finite and positive raise :class:`GridFormatError`.
     """
     meta = {}
     rows = []
@@ -58,20 +68,24 @@ def read_grid_csv(path) -> GridFunction:
     if d not in (1, 2) or d == 1 and len(rows) != 1:
         raise GridFormatError(f"grid CSV of {len(rows)} rows cannot hold a grid of d={d}")
     arr = np.array(rows, dtype=np.float64)
-    return GridFunction(arr.shape if d == 2 else arr.shape[1:], h, arr.ravel())
+    return GridFunction(arr.shape if d == 2 else arr.shape[1:], arr.ravel()), \
+        _require_width(h, "grid CSV")
 
 
-def write_grid_binary(f: GridFunction, path) -> None:
+def write_grid_binary(f: GridFunction, h: float, path) -> None:
     """Little-endian: magic, u32 d, u32 dims[d], f64 h, f64 values."""
+    h = _require_width(h, "grid file")
     with open(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<I", f.d))
         fh.write(struct.pack(f"<{f.d}I", *f.dims))
-        fh.write(struct.pack("<d", f.h))
+        fh.write(struct.pack("<d", h))
         fh.write(f.values.astype("<f8").tobytes())
 
 
-def read_grid_binary(path) -> GridFunction:
+def read_grid_binary(path) -> tuple[GridFunction, float]:
+    """(grid, cell width h) of a binary grid file; a bad magic, a cut or long
+    body or an ``h`` that is not finite and positive raise :class:`GridFormatError`."""
     raw = Path(path).read_bytes()
     if raw[:8] != MAGIC:
         raise GridFormatError("bad magic; not a cubemax grid file")
@@ -87,7 +101,7 @@ def read_grid_binary(path) -> GridFunction:
         raise GridFormatError(
             f"grid file holds {len(raw) - off} value bytes, dims {dims} need {8 * n}")
     values = np.frombuffer(raw, dtype="<f8", count=n, offset=off)
-    return GridFunction(dims, h, values.copy())
+    return GridFunction(dims, values.copy()), _require_width(h, "grid file")
 
 
 def family_to_json(fam: CubeFamily, dims, h: float) -> dict:
@@ -111,15 +125,15 @@ def family_from_json(obj: dict) -> tuple[CubeFamily, tuple[int, ...], float]:
     :class:`GridFormatError`.
     """
     try:
-        dims, h, rows = obj["dims"], float(obj["h"]), obj["cubes"]
+        dims, h, rows = obj["dims"], _require_width(obj["h"], "family JSON"), obj["cubes"]
         anchors, sides = [c["anchor"] for c in rows], [c["side"] for c in rows]
     except (KeyError, TypeError, ValueError) as exc:
-        raise GridFormatError(f"family JSON needs dims, h and cubes with anchor and side: {exc!r}") from None
+        raise GridFormatError(f"family JSON needs dims, a finite positive h and cubes with "
+                              f"anchor and side: {exc!r}") from None
     if not (_ints(dims) and _ints(sides) and all(_ints(a) and len(a) == len(dims) for a in anchors)):
         raise GridFormatError("family JSON needs integer dims, sides and anchors of length len(dims)")
-    if not (math.isfinite(h) and h > 0) or any(n < 1 for n in dims):
-        raise GridFormatError(f"family JSON needs a finite positive h and dims of at least 1, "
-                              f"got h={h!r}, dims={dims}")
+    if any(n < 1 for n in dims):
+        raise GridFormatError(f"family JSON needs dims of at least 1, got dims={dims}")
     a = np.array(anchors, dtype=np.int64).reshape(len(sides), len(dims))
     s = np.array(sides, dtype=np.int64)
     if np.any(s < 1) or np.any(a < 0) or np.any(a + s[:, None] > dims):

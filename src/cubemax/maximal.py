@@ -168,7 +168,7 @@ def maximal_global(f: GridFunction) -> GridFunction:
         out = _max_over_intervals(f.array, sat)
     else:
         out = _max_over_containing_cubes(f.array, sat.box_avg_grid)
-    return GridFunction(f.dims, f.h, out.ravel())
+    return GridFunction(f.dims, out.ravel())
 
 
 def maximal_family(f: GridFunction, fam: CubeFamily) -> GridFunction:
@@ -186,7 +186,7 @@ def maximal_family(f: GridFunction, fam: CubeFamily) -> GridFunction:
     if uncovered.size:
         cell = np.unravel_index(uncovered[0], f.dims)
         raise PremiseViolated(f"no family cube covers cell {tuple(map(int, cell))}")
-    return GridFunction(f.dims, f.h, out.ravel())
+    return GridFunction(f.dims, out.ravel())
 
 
 def maximal_local(f: GridFunction, omega: PixelSet) -> GridFunction:
@@ -199,7 +199,7 @@ def maximal_local(f: GridFunction, omega: PixelSet) -> GridFunction:
     """
     if omega.count == 0:
         raise EmptyDomain("omega has no cells")
-    return maximal_global(GridFunction(f.dims, f.h, np.where(omega.mask, f.array, np.nan).ravel()))
+    return maximal_global(GridFunction(f.dims, np.where(omega.mask, f.array, np.nan).ravel()))
 
 
 def nonzero_variation(f: GridFunction, mask: PixelSet | None = None) -> float:

@@ -121,7 +121,7 @@ class DensityLevels:
         for k, nxt in zip(points, points[1:] + [bps.size]):
             q2 = (enter <= k) & (k < leave)
             if q2.any():
-                out[k:nxt] = perimeter(self.family.select(q2).union_pixels(self.f.dims)).face_count
+                out[k:nxt] = perimeter(self.family.select(q2).union_pixels(self.f.dims))
         return out
 
     def at(self, lam: float) -> LevelPartition:

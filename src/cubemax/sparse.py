@@ -71,7 +71,7 @@ def greedy_sparse(f: GridFunction, q2_union: CubeFamily) -> SparseFamily:
         return SparseFamily(CubeFamily.from_arrays(np.empty((0, f.d)), empty, empty), empty, 0.0)
     fam = q2_union if q2_union.averages is not None else q2_union.with_averages(f)
     avgs, anchors, sides = fam.averages, fam.anchors, fam.sides
-    scales = scale_indices(sides, f.h)
+    scales = scale_indices(sides)
     cellcounts = sides ** f.d
 
     alive = np.ones(n, dtype=bool)
@@ -89,8 +89,8 @@ def greedy_sparse(f: GridFunction, q2_union: CubeFamily) -> SparseFamily:
 
     picked = fam.select(np.array(order, dtype=np.int64))
     lambdas = _lambda_levels(f, picked)
-    # surface measure of each cube's boundary, 2d * (side*h)^(d-1)
-    surf = 2 * f.d * (picked.sides * f.h) ** (f.d - 1)
+    # face count of each cube's boundary, 2d * side^(d-1)
+    surf = 2 * f.d * picked.sides ** (f.d - 1)
     rhs = float(np.sum((picked.averages - lambdas) * surf))
     return SparseFamily(picked, lambdas, rhs)
 
@@ -106,7 +106,7 @@ def sparse_pairwise_violations(fam: SparseFamily, f: GridFunction) -> list[tuple
     non-strict form.)
     """
     anchors, sides, avgs = fam.cubes.anchors, fam.cubes.sides, fam.cubes.averages
-    scales = scale_indices(sides, f.h)
+    scales = scale_indices(sides)
     lo, hi = anchors.T, (anchors + sides[:, None]).T
     bad = []
     for rows in row_blocks(len(sides), len(sides)):
@@ -136,8 +136,7 @@ def significant_mass_bound(f: GridFunction, fam: CubeFamily) -> tuple[float, flo
     split = density_levels(f, fam)
     require_finite_averages(split.family)
     bps = lambda_breakpoints(f, split.family.averages)
-    q2_terms = split.q2_boundary_faces(bps) * float(f.h) ** (f.d - 1)
-    lhs = integrate_breakpoints(bps, q2_terms)
+    lhs = integrate_breakpoints(bps, split.q2_boundary_faces(bps))
     return lhs, greedy_sparse(f, split.family.select(split.ever_q2)).rhs_sum
 
 
@@ -152,17 +151,22 @@ class OverlapFamily:
     c2: float                   # dilation of the base cube containing the selected one
 
 
-def _cover_dilation(ilo, ihi, olo, ohi) -> np.ndarray:
-    """Smallest K with the inner box inside the K-dilate of the outer box,
-    over the broadcast trailing axes of per-axis corner arrays (d, ...).
-    Each axis is one pass over whole planes; the max over axes, then with 0,
-    is exact in any order."""
-    need = 0.0
-    for k in range(len(olo)):
-        c = 0.5 * (olo[k] + ohi[k])
-        r = 0.5 * (ohi[k] - olo[k])
-        need = np.maximum(need, np.maximum(ihi[k] - c, c - ilo[k]) / r)
-    return need
+def _centres(anchors: np.ndarray, sides: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-axis centres (d, n) and half sides (n,) of cubes, exact halves."""
+    return (anchors + 0.5 * sides[:, None]).T, 0.5 * sides
+
+
+def _cover_dilation(ic, ir, oc, orad) -> np.ndarray:
+    """Smallest K with the inner cube inside the K-dilate of the outer cube,
+    over the broadcast trailing axes of centres (d, ...) and half sides:
+    (max over axes of |ic - oc| + ir) / orad.  On half-integers all but the
+    division is exact, and it is monotone, so this is bit for bit the max
+    over axes of the per-axis dilation max(ihi - oc, oc - ilo) / orad."""
+    gap = np.abs(ic[0] - oc[0])
+    for k in range(1, len(oc)):
+        np.maximum(gap, np.abs(ic[k] - oc[k]), out=gap)
+    np.add(gap, ir, out=gap)
+    return np.divide(gap, orad, out=gap)
 
 
 def _first_fit(lo, hi) -> np.ndarray:
@@ -184,11 +188,11 @@ def _first_fit(lo, hi) -> np.ndarray:
     return taken
 
 
-def dilate_overlap_count(fam: CubeFamily, K: float, dims, h: float) -> int:
+def dilate_overlap_count(fam: CubeFamily, K: float, dims) -> int:
     """Max over grid cell centers of how many K-dilates of the members contain the center."""
-    lo, hi = dilate_bounds(*cube_bounds(fam.anchors, fam.sides, h), K)
-    # cell center (i + 0.5) h lies in [lo, hi) iff ceil(lo/h - 0.5) <= i < ceil(hi/h - 0.5)
-    return int(box_cover_counts(np.ceil(lo / h - 0.5), np.ceil(hi / h - 0.5), dims).max())
+    lo, hi = dilate_bounds(*cube_bounds(fam.anchors, fam.sides), K)
+    # cell center i + 0.5 lies in [lo, hi) iff ceil(lo - 0.5) <= i < ceil(hi - 0.5)
+    return int(box_cover_counts(np.ceil(lo - 0.5), np.ceil(hi - 0.5), dims).max())
 
 
 def disjoint_select(S: CubeFamily, D_per_Q0: Mapping[GridCube, CubeFamily],
@@ -207,7 +211,6 @@ def disjoint_select(S: CubeFamily, D_per_Q0: Mapping[GridCube, CubeFamily],
     """
     if not 0.0 <= eps < 1.0:
         raise ValueError(f"contraction eps must lie in [0, 1), got {eps!r}")
-    h = f.h
     d = f.d
     base_a, base_s = cube_arrays(D_per_Q0, d)
     groups = list(D_per_Q0.values())
@@ -234,7 +237,7 @@ def disjoint_select(S: CubeFamily, D_per_Q0: Mapping[GridCube, CubeFamily],
         return OverlapFamily(all_d, eps, 0, 1.0, 1.0)
 
     # per-axis corner planes (d, m)
-    lo, hi = (x.T.copy() for x in cube_bounds(A, side, h))
+    lo, hi = (x.T.copy() for x in cube_bounds(A, side))
     clo, chi = dilate_bounds(lo, hi, 1.0 - eps)
     # a contraction (eps >= 0) holds no cube of its own side or smaller, and
     # canonical order puts the larger sides first: each run of one side is
@@ -254,27 +257,33 @@ def disjoint_select(S: CubeFamily, D_per_Q0: Mapping[GridCube, CubeFamily],
     # per-scale greedy maximal sets with disjoint (1-eps)^2 contractions
     factor = (1.0 - eps) ** 2
     flo, fhi = dilate_bounds(lo, hi, factor)
-    scales = scale_indices(side, h)
+    scales = scale_indices(side)
     chosen = []
     for n in np.unique(scales[keep])[::-1]:
         grp = keep[scales[keep] == n]
         chosen.append(grp[_first_fit(flo[:, grp], fhi[:, grp])])
     chosen = np.concatenate(chosen)
     F = all_d.select(chosen)
-    overlap_c = dilate_overlap_count(F, factor, f.dims, h)
+    overlap_c = dilate_overlap_count(F, factor, f.dims)
 
     # capture: for each input cube the selected cube minimizing the larger of
     # the two dilations; c1 and c2 are the largest dilations so chosen.  The
-    # second depends only on the base, so it is computed once per base of a block.
-    plo, phi = lo[:, None, chosen], hi[:, None, chosen]
-    qlo, qhi = (x.T[..., None] for x in cube_bounds(qa, qs, h))
-    blo, bhi = (x.T[..., None] for x in cube_bounds(base_a, base_s, h))
+    # second depends only on the base, so it is computed once per base of a
+    # block.  A selected cube captures itself with need1 = 1 and need2 <= 1,
+    # exactly on integer corners, and c1 and c2 start at 1: its rows are
+    # skipped.  np.unique sorts the rows in canonical order, as ``all_d``.
+    _, inverse = np.unique(np.column_stack((-qs, qa)), axis=0, return_inverse=True)
+    rest = np.flatnonzero(~np.isin(inverse.reshape(-1), chosen))
+    pc, pr = _centres(A[chosen], side[chosen])
+    qc, qr = _centres(qa, qs)
+    bc, br = _centres(base_a, base_s)
     c1 = 1.0
     c2 = 1.0
-    for rows in row_blocks(len(qs), len(chosen)):
+    for block in row_blocks(len(rest), len(chosen)):
+        rows = rest[block]
         bases, of_row = np.unique(owner[rows], return_inverse=True)
-        need1 = _cover_dilation(qlo[:, rows], qhi[:, rows], plo, phi)
-        need2 = _cover_dilation(plo, phi, blo[:, bases], bhi[:, bases])[of_row]
+        need1 = _cover_dilation(qc[:, rows, None], qr[rows, None], pc[:, None], pr)
+        need2 = _cover_dilation(pc[:, None], pr, bc[:, bases, None], br[bases, None])[of_row]
         best = np.argmin(np.maximum(need1, need2), axis=1)
         pick = np.arange(len(best))
         c1 = max(c1, float(need1[pick, best].max()))

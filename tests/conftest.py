@@ -8,7 +8,7 @@ import pytest
 
 from cubemax import CubeFamily, GridCube, PixelSet, perimeter, superlevel
 from cubemax import cubes as cubes_module
-from cubemax.cubes import cube_arrays, cube_bounds
+from cubemax.cubes import cube_arrays
 from cubemax.errors import PremiseViolated
 from cubemax.grid import boundary_faces_outside
 from cubemax.partition import LevelPartition, density_levels
@@ -25,7 +25,7 @@ def threshold_sum_variation(f, mask=None):
     in-domain values v_{i-1} < v_i of (v_i - v_{i-1}) * perimeter({f >= v_i})."""
     dom = mask.mask if mask is not None else np.ones(f.dims, dtype=bool)
     u = np.unique(f.array[dom])
-    return float(sum((u[i] - u[i - 1]) * perimeter(superlevel(f, u[i]), mask, h=f.h).measure
+    return float(sum((u[i] - u[i - 1]) * perimeter(superlevel(f, u[i]), mask)
                      for i in range(1, u.size)))
 
 
@@ -120,12 +120,10 @@ def per_level_columns(f, red, bps):
     """Oracle for the evaluator's per-level columns: the split read at every
     breakpoint ``bps[k]``, k >= 1, with the boundary faces counted from the
     level's unions.  Returns the face counts (``lhs``, ``term1``, ``term2``,
-    ``f_boundary``, ``hd_den``, the ``n_q*`` sizes) and the measures and
-    ratios computed from them as the report does (``*_measure``,
-    ``hd_ratios``); entry 0 of every column is 0."""
+    ``f_boundary``, ``hd_den``, the ``n_q*`` sizes) and the ratios computed
+    from them as the report does (``hd_ratios``); entry 0 of every column
+    is 0."""
     m = bps.size
-    h = f.h
-    unit = float(h) ** (f.d - 1)
     full_union = red.union_pixels(f.dims)
     split = density_levels(f, red)
     keys = ("lhs", "term1", "term2", "f_boundary", "hd_den", "n_q0", "n_q1", "n_q2")
@@ -133,18 +131,16 @@ def per_level_columns(f, red, bps):
     hd_ratios = np.zeros(m)
     for k in range(1, m):
         p = split.at(bps[k])
-        row = (boundary_faces_outside(p.union_all, p.level, h=h).face_count,
-               boundary_faces_outside(p.union_q01, p.level, h=h).face_count,
-               perimeter(p.union_q2, h=h).face_count,
-               perimeter(p.level, mask=full_union, h=h).face_count,
-               perimeter(p.level, mask=p.union_all, h=h).face_count,
+        row = (boundary_faces_outside(p.union_all, p.level),
+               boundary_faces_outside(p.union_q01, p.level),
+               perimeter(p.union_q2),
+               perimeter(p.level, mask=full_union),
+               perimeter(p.level, mask=p.union_all),
                *p.sizes)
         for key, value in zip(keys, row):
             out[key][k] = value
-        term1, den = out["term1"][k] * unit, out["hd_den"][k] * unit
+        term1, den = float(out["term1"][k]), float(out["hd_den"][k])
         hd_ratios[k] = term1 / den if den > 0 else (0.0 if term1 == 0 else math.inf)
-    for key in ("lhs", "term1", "term2", "f_boundary"):
-        out[f"{key}_measure"] = out[key] * unit
     out["hd_ratios"] = hd_ratios
     return SimpleNamespace(**out)
 
@@ -258,7 +254,7 @@ def dense_mask_variation(f, mask=None):
         v = np.moveaxis(arr, ax, 0)
         m = np.moveaxis(dom, ax, 0)
         total += float(np.sum(np.abs(v[1:] - v[:-1])[m[1:] & m[:-1]]))
-    return total * f.h ** (f.d - 1)
+    return total
 
 
 def slice_loop_max_paint(fam, values, dims):
@@ -342,9 +338,9 @@ def union_by_slices(cubes, dims):
 
 
 # Scalar oracles for the selection audits.  They work one cube pair at a
-# time on GridCube tuples and on real boxes held as (lo, hi) tuples, with
-# their own containment, dilation and scale index, so they share no array
-# arithmetic with the library.
+# time on GridCube tuples and on boxes held as (lo, hi) tuples in cell
+# units, with their own containment, dilation and scale index, so they share
+# no array arithmetic with the library.
 
 class Box(NamedTuple):
     """An axis-aligned real box as corner tuples."""
@@ -353,9 +349,9 @@ class Box(NamedTuple):
     hi: tuple
 
 
-def cube_box(c, h=1.0):
-    """The real box of the grid cube ``c`` at cell width ``h``."""
-    return Box(tuple(a * h for a in c.anchor), tuple((a + c.side) * h for a in c.anchor))
+def cube_box(c):
+    """The box of the grid cube ``c``, with integer corners."""
+    return Box(tuple(c.anchor), tuple(a + c.side for a in c.anchor))
 
 
 def box_holds(outer, inner):
@@ -374,15 +370,14 @@ def cube_holds_cell(c, cell):
     return all(a <= x < a + c.side for a, x in zip(c.anchor, cell))
 
 
-def scalar_scale_index(c, h):
-    x = c.side * h
-    exp = math.frexp(x)[1]
-    return exp if math.ldexp(1.0, exp) - x <= 4 * math.ulp(x) else exp - 1
+def scalar_scale_index(c):
+    """The n with 2**n <= c.side < 2**(n + 1), from the bit length."""
+    return c.side.bit_length() - 1
 
 
-def scalar_dilate(q, K, h=1.0):
+def scalar_dilate(q, K):
     """The box with the centre of the grid cube or box ``q`` and sides scaled by ``K``."""
-    box = cube_box(q, h) if isinstance(q, GridCube) else q
+    box = cube_box(q) if isinstance(q, GridCube) else q
     lo, hi = [], []
     for a, b in zip(box.lo, box.hi):
         c = 0.5 * (a + b)
@@ -410,7 +405,7 @@ def scalar_pairwise_violations(fam, f):
                 ov *= max(0, b - a)
             if 2 * ov <= R.cell_count:
                 continue
-            if scalar_scale_index(R, f.h) < scalar_scale_index(Q, f.h) \
+            if scalar_scale_index(R) < scalar_scale_index(Q) \
                     and fam.cubes.averages[i] > fam.cubes.averages[j]:
                 continue
             bad.append((i, j))
@@ -434,18 +429,18 @@ def _needed_dilation(inner, outer):
     return k
 
 
-def scalar_overlap_count(cubes, K, dims, h):
+def scalar_overlap_count(cubes, K, dims):
     """Oracle for ``dilate_overlap_count``."""
     if not cubes:
         return 0
     counter = np.zeros(tuple(dims), dtype=np.int64)
     for c in cubes:
-        box = scalar_dilate(c, K, h)
+        box = scalar_dilate(c, K)
         sl = []
         for n, lo, hi in zip(dims, box.lo, box.hi):
-            # cell center (i + 0.5) h lies in [lo, hi)
-            i0 = max(0, math.ceil(lo / h - 0.5))
-            i1 = min(n, math.ceil(hi / h - 0.5))
+            # cell center i + 0.5 lies in [lo, hi)
+            i0 = max(0, math.ceil(lo - 0.5))
+            i1 = min(n, math.ceil(hi - 0.5))
             sl.append(slice(i0, max(i0, i1)))
         counter[tuple(sl)] += 1
     return int(counter.max())
@@ -453,7 +448,6 @@ def scalar_overlap_count(cubes, K, dims, h):
 
 def scalar_disjoint_select(S, D_per_Q0, eps, f):
     """Oracle for ``disjoint_select``."""
-    h = f.h
     for q0, ds in D_per_Q0.items():
         for q in ds:
             if not cube_holds(q0, q):
@@ -468,8 +462,8 @@ def scalar_disjoint_select(S, D_per_Q0, eps, f):
         return OverlapFamily(CubeFamily.from_arrays(np.empty((0, f.d)), np.empty(0)),
                              eps, 0, 1.0, 1.0)
 
-    boxes = [cube_box(c, h) for c in all_d]
-    contracted = [scalar_dilate(c, 1.0 - eps, h) for c in all_d]
+    boxes = [cube_box(c) for c in all_d]
+    contracted = [scalar_dilate(c, 1.0 - eps) for c in all_d]
     keep = []
     for i, q in enumerate(all_d):
         swallowed = any(j != i and box_holds(contracted[j], boxes[i]) for j in range(len(all_d)))
@@ -480,25 +474,25 @@ def scalar_disjoint_select(S, D_per_Q0, eps, f):
     chosen = []
     by_scale = {}
     for i in keep:
-        by_scale.setdefault(scalar_scale_index(all_d[i], h), []).append(i)
+        by_scale.setdefault(scalar_scale_index(all_d[i]), []).append(i)
     for n in sorted(by_scale, reverse=True):
         taken = []
         for i in by_scale[n]:
-            bi = scalar_dilate(all_d[i], factor, h)
-            if all(_box_overlap(bi, scalar_dilate(all_d[j], factor, h)) == 0.0 for j in taken):
+            bi = scalar_dilate(all_d[i], factor)
+            if all(_box_overlap(bi, scalar_dilate(all_d[j], factor)) == 0.0 for j in taken):
                 taken.append(i)
         chosen.extend(taken)
     F = [all_d[i] for i in chosen]
 
-    overlap_c = scalar_overlap_count(F, factor, f.dims, h)
+    overlap_c = scalar_overlap_count(F, factor, f.dims)
 
     c1 = 1.0
     c2 = 1.0
-    f_boxes = [cube_box(c, h) for c in F]
+    f_boxes = [cube_box(c) for c in F]
     for q0, ds in D_per_Q0.items():
-        base = cube_box(q0, h)
+        base = cube_box(q0)
         for q in ds:
-            qb = cube_box(q, h)
+            qb = cube_box(q)
             best = None
             for pb in f_boxes:
                 need1 = _needed_dilation(qb, pb)
@@ -517,19 +511,19 @@ def _broadcast_cover_dilation(ilo, ihi, olo, ohi):
     return np.maximum(0.0, np.max(np.maximum(ihi - c, c - ilo) / r, axis=-1))
 
 
-def broadcast_capture(D_per_Q0, F, h):
+def broadcast_capture(D_per_Q0, F):
     """Oracle for the capture constants (c1, c2) of ``disjoint_select`` given
-    its selection ``F``: every (input cube, selected cube) pair scored on
-    (rows, m, d) corner arrays, 32 input rows at a time, with both dilations
-    computed per pair."""
+    its selection ``F``: every (input cube, selected cube) pair, the selected
+    cubes' own rows included, scored on (rows, m, d) corner arrays, 32 input
+    rows at a time, with both dilations computed per pair."""
     base_a, base_s = cube_arrays(D_per_Q0)
     groups = list(D_per_Q0.values())
     qa = np.concatenate([ds.anchors for ds in groups])
     qs = np.concatenate([ds.sides for ds in groups])
     owner = np.repeat(np.arange(len(groups)), [len(ds) for ds in groups])
-    plo, phi = cube_bounds(F.anchors, F.sides, h)
-    qlo, qhi = cube_bounds(qa, qs, h)
-    blo, bhi = cube_bounds(base_a, base_s, h)
+    plo, phi = F.anchors, F.anchors + F.sides[:, None]
+    qlo, qhi = qa, qa + qs[:, None]
+    blo, bhi = base_a, base_a + base_s[:, None]
     c1 = 1.0
     c2 = 1.0
     for start in range(0, len(qs), 32):

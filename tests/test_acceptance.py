@@ -58,7 +58,7 @@ def _random_grid(rng, d, max_side):
         vals = rng.integers(0, 5, dims).astype(float)
     else:
         vals = np.round(rng.random(dims) * 8) / 4
-    return GridFunction(dims, float(rng.choice([0.5, 1.0])), vals.ravel())
+    return GridFunction(dims, vals.ravel())
 
 
 def test_c01_coarea_identity():
@@ -85,7 +85,7 @@ def test_c02_maximal_global_oracle_equality():
     for d in (1, 2, 3):
         for _ in range(200):
             dims = tuple(int(rng.integers(2, 13)) for _ in range(d))
-            f = GridFunction(dims, 1.0, rng.random(dims).ravel())
+            f = GridFunction(dims, rng.random(dims).ravel())
             got = maximal_global(f).array
             sat = SummedAreaTable(f.array)
             want = f.array.copy()  # each single cell's average is its value
@@ -120,7 +120,7 @@ def test_c03_sparse_mass_estimate_explicit_constant():
                 vals.ravel()[hot] = rng.integers(1, 32, k)
             else:
                 vals = np.round(rng.random(dims) * 6) / 2
-            f = GridFunction(dims, 1.0, vals.ravel())
+            f = GridFunction(dims, vals.ravel())
             anchor = tuple(int(rng.integers(0, n - side + 1)) for n in dims)
             lhs, rhs = sparse_mass_estimate(f, GridCube(anchor, side))
             if lhs > rhs + 1e-9 * max(1.0, abs(rhs)):
@@ -138,8 +138,7 @@ def test_c04_greedy_selection_postconditions():
     for k in range(100):
         d = 2
         dims = (16, 16)
-        f = GridFunction(dims, float(rng.choice([0.5, 1.0])),
-                         rng.integers(0, 7, dims).ravel().astype(float))
+        f = GridFunction(dims, rng.integers(0, 7, dims).ravel().astype(float))
         count = int(rng.integers(20, 201))
         fam = random_family(rng, dims, count, pow2=bool(rng.integers(0, 2)))
         sp = greedy_sparse(f, fam.with_averages(f))

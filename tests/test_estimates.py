@@ -64,7 +64,7 @@ def sparse_mass_rhs_oracle(f, q0):
         for (a, s) in cubes:
             if avgs[(a, s)] >= lam and 2 * int(level[a:a + s].sum()) <= s:
                 union[a:a + s] = True
-        total += (bps[i] - bps[i - 1]) * float(np.sum(level & union)) * f.h
+        total += (bps[i] - bps[i - 1]) * float(np.sum(level & union))
     return 2 ** (d + 1) * total
 
 
@@ -90,7 +90,7 @@ class TestSparseMassEstimate:
             side = int(rng.choice([4, 8, 16]))
             n = side + int(rng.integers(0, 5))
             vals = rng.integers(0, 6, n).astype(float)
-            f = GridFunction((n,), float(rng.choice([0.5, 1.0])), vals)
+            f = GridFunction((n,), vals)
             q0 = GridCube((int(rng.integers(0, n - side + 1)),), side)
             lhs, rhs = sparse_mass_estimate(f, q0)
             assert rhs == pytest.approx(sparse_mass_rhs_oracle(f, q0), rel=1e-12)
@@ -110,7 +110,7 @@ class TestSparseMassEstimate:
                 vals.ravel()[hot] = rng.integers(1, 20, hot.size)
             else:
                 vals = np.round(rng.random(dims) * 8) / 2
-            f = GridFunction(dims, 1.0, vals.ravel())
+            f = GridFunction(dims, vals.ravel())
             anchor = tuple(int(rng.integers(0, n - side + 1)) for n in dims)
             lhs, rhs = sparse_mass_estimate(f, GridCube(anchor, side))
             assert lhs <= rhs + 1e-9 * max(1.0, abs(rhs))
@@ -122,8 +122,7 @@ class TestSparseMassEstimate:
         for _ in range(15):
             side = 4
             dims = (side + int(rng.integers(0, 3)),) * d
-            f = GridFunction(dims, float(rng.choice([0.5, 1.0])),
-                             rng.integers(0, 4, dims).ravel().astype(float))
+            f = GridFunction(dims, rng.integers(0, 4, dims).ravel().astype(float))
             q0 = GridCube(tuple(int(rng.integers(0, n - side + 1)) for n in dims), side)
             dy = dyadic_descendants(q0)
             avgs = family_averages(f, dy)
@@ -133,7 +132,7 @@ class TestSparseMassEstimate:
             for k in range(1, bps.size):
                 sel = (avgs >= bps[k]) & counted_density_tests(f.array, dy, bps[k]).at_most_half
                 u = dy.select(sel).union_pixels(dims).mask
-                vols[k] = np.count_nonzero(u & (f.array >= bps[k])) * f.h ** d
+                vols[k] = np.count_nonzero(u & (f.array >= bps[k]))
             want = 2 ** (d + 1) * integrate_breakpoints(bps, vols, lower=fq0)
             assert sparse_mass_estimate(f, q0)[1] == want
 
@@ -350,7 +349,7 @@ class TestTheoremEvaluate:
                 faces += int(np.sum(um[:-1] & ~um[1:] & ~lm[:-1] & ~lm[1:]))
                 faces += int(np.sum(um[1:] & ~um[:-1] & ~lm[1:] & ~lm[:-1]))
             want_lhs += (bps[i] - bps[i - 1]) * faces
-            want_rhs += (bps[i] - bps[i - 1]) * perimeter(level, mask=union_all).measure
+            want_rhs += (bps[i] - bps[i - 1]) * perimeter(level, mask=union_all)
         assert rep.lhs == pytest.approx(want_lhs, rel=1e-12)
         assert rep.rhs == pytest.approx(want_rhs, rel=1e-12)
 
@@ -387,7 +386,7 @@ class TestTheoremEvaluate:
         from cubemax.generators import random_complete_family, simple_function
         grid = {1: 32, 2: 16, 3: 8}[d]
         for k in range(6):
-            f = simple_function(rng, (grid,) * d, 1.0)
+            f = simple_function(rng, (grid,) * d)
             fam = random_complete_family(rng, (grid,) * d, 5).with_averages(f)
             rep = theorem_main_evaluate(f, fam, deep=(k == 0))
             assert rep.lhs >= 0 and rep.rhs >= 0
@@ -396,7 +395,7 @@ class TestTheoremEvaluate:
 
     def test_per_lambda_table_consistent(self, rng):
         from cubemax.generators import random_complete_family, simple_function
-        f = simple_function(rng, (16, 16), 1.0)
+        f = simple_function(rng, (16, 16))
         fam = random_complete_family(rng, (16, 16), 6).with_averages(f)
         rep = theorem_main_evaluate(f, fam, deep=False)
         gaps = np.diff(rep.lam_table["lam"])
@@ -406,8 +405,8 @@ class TestTheoremEvaluate:
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_sweep_matches_direct_partition_path(self, rng, d):
         # the evaluator counts each face on its interval of levels; the
-        # oracle rebuilds every level from scratch.  At h = 1 each per-level
-        # table entry is an integer face count and must equal the oracle's
+        # oracle rebuilds every level from scratch.  Each per-level table
+        # entry is an integer face count and must equal the oracle's
         # exactly, and so must the high-density ratio built from them.
         # NaN-masked cells take averages over the unmasked cells (0 for a
         # cube with none).
@@ -418,7 +417,7 @@ class TestTheoremEvaluate:
         grid = {1: 48, 2: 12, 3: 6}[d]
         dims = (grid,) * d
         for masked in (0.0, 0.0, 0.0, 0.3, 0.6, 0.9):
-            vals = simple_function(rng, dims, 1.0).array.copy()
+            vals = simple_function(rng, dims).array.copy()
             vals[rng.random(dims) < masked] = np.nan
             f = grid_from_array(vals)
             fam = random_complete_family(rng, dims, 5)
@@ -434,13 +433,13 @@ class TestTheoremEvaluate:
                 p = partition_from_scratch(f, red, lams[k])
                 assert (len(p.q0), len(p.q1), len(p.q2)) == (
                     rep.lam_table["n_q0"][k], rep.lam_table["n_q1"][k], rep.lam_table["n_q2"][k])
-                faces = (boundary_faces_outside(p.union_all, p.level).face_count,
-                         boundary_faces_outside(p.union_q01, p.level).face_count,
-                         perimeter(p.union_q2).face_count,
-                         perimeter(p.level, mask=full_union).face_count)
+                faces = (boundary_faces_outside(p.union_all, p.level),
+                         boundary_faces_outside(p.union_q01, p.level),
+                         perimeter(p.union_q2),
+                         perimeter(p.level, mask=full_union))
                 assert faces == (rep.lam_table["lhs"][k], rep.lam_table["term1"][k],
                                  rep.lam_table["term2"][k], rep.lam_table["f_boundary"][k])
-                den = perimeter(p.level, mask=p.union_all).face_count
+                den = perimeter(p.level, mask=p.union_all)
                 hd_ratios.append(faces[1] / den if den else (0.0 if faces[1] == 0 else np.inf))
             finite = [r for r in hd_ratios if np.isfinite(r)]
             assert rep.subterms["high_density_ratio_max"] == (max(finite) if finite else 0.0)
@@ -465,19 +464,19 @@ class TestTheoremEvaluate:
         assert list(rep.lam_table["lhs"]) == [0, 0, 1, 0, 0]
         want = per_level_columns(f, fam, rep.lam_table["lam"])
         for key in ("lhs", "term1", "term2", "f_boundary"):
-            assert np.array_equal(rep.lam_table[key], getattr(want, f"{key}_measure"))
+            assert np.array_equal(rep.lam_table[key], getattr(want, key))
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_columns_match_per_level_loop(self, rng, d):
         # the interval columns against the per-breakpoint loop they replace,
-        # float for float at a cell width other than 1
+        # float for float, with the float columns the per-level table writes
         from cubemax import maximal_cube_reduction
         from cubemax.generators import make_function, random_complete_family
         from conftest import per_level_columns
 
         dims = ({1: 64, 2: 16, 3: 8}[d],) * d
         for cls in ("simple", "spikes", "random-smooth", "indicator"):
-            f = make_function(rng, cls, dims, 0.37)
+            f = make_function(rng, cls, dims)
             fam = random_complete_family(rng, dims, 5).with_averages(f)
             rep = theorem_main_evaluate(f, fam, deep=False)
             bps = rep.lam_table["lam"]
@@ -485,7 +484,8 @@ class TestTheoremEvaluate:
             for key in ("n_q0", "n_q1", "n_q2"):
                 assert np.array_equal(rep.lam_table[key], getattr(want, key))
             for key in ("lhs", "term1", "term2", "f_boundary"):
-                assert np.array_equal(rep.lam_table[key], getattr(want, f"{key}_measure"))
+                assert rep.lam_table[key].dtype == np.float64
+                assert np.array_equal(rep.lam_table[key], getattr(want, key))
             finite = want.hd_ratios[np.isfinite(want.hd_ratios)]
             assert rep.subterms["high_density_ratio_max"] == float(np.max(finite))
 

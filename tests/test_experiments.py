@@ -124,8 +124,9 @@ class TestCheckerboard:
         unit = 2 ** n_max
         vals = np.zeros((4 * unit, 4 * unit))
         vals[unit:2 * unit, unit:2 * unit] = 1.0
-        f = GridFunction(vals.shape, 2.0 ** (-n_max), vals.ravel())
-        want = [variation(maximal_family(f, checkerboard_family(n, n_max)))
+        f = GridFunction(vals.shape, vals.ravel())
+        # in cell units; the report takes them to the cell width 2^-n_max
+        want = [variation(maximal_family(f, checkerboard_family(n, n_max))) * 2.0 ** -n_max
                 for n in range(n_max + 1)]
         assert run_checkerboard(n_max)[0]["results"]["variation"] == want
 
@@ -418,7 +419,7 @@ class TestTables:
         cfgfile.write_text(json.dumps(cfg.to_json()))
         assert main(["theorem", "--config", str(cfgfile), "--out", str(tmp_path / "o")]) == 0
         rng = np.random.default_rng([cfg.seed, 0])
-        f = make_function(rng, cfg.function_class, cfg.dims, cfg.h)
+        f = make_function(rng, cfg.function_class, cfg.dims)
         fam = random_complete_family(rng, cfg.dims, cfg.family_seeds).with_averages(f)
         want = theorem_main_evaluate(f, fam, cap=cfg.caps[2], deep=True).lam_table
         assert want["lam"].size > 10
@@ -445,6 +446,15 @@ CONTRACT_CONFIGS = [
 ]
 
 
+def _ratios(out: Path) -> dict:
+    """The ratios of a ``ratio`` or ``theorem`` report in ``out``."""
+    rep = json.loads((out / "report.json").read_text())
+    res = rep["results"]
+    per_instance = res["ratios"] if "ratios" in res else [r["ratio"] for r in res["instances"]]
+    return {"instances": per_instance, "max": rep["constants"]["ratio_max"],
+            "median": rep["constants"]["ratio_median"]}
+
+
 @pytest.mark.parametrize("config", CONTRACT_CONFIGS,
                          ids=["default", "indicator-2-cells", "h-tiny-d3", "h-infinite",
                               "h-squared-overflows", "h-largest-d2", "h-largest-d3"])
@@ -452,17 +462,25 @@ CONTRACT_CONFIGS = [
 def test_exit_code_contract(command, config, tmp_path, capsys):
     # 0 pass, 2 bad config, 3 library error; 1 only with a report that fails
     # an assertion; never a traceback
-    argv = [command, "--seed", "3", "--out", str(tmp_path / "o")]
-    if config is not None:
-        (tmp_path / "cfg.json").write_text(json.dumps(config))
-        argv += ["--config", str(tmp_path / "cfg.json")]
-    code = main(argv)
+    def run(cfg, out):
+        argv = [command, "--seed", "3", "--out", str(out)]
+        if cfg is not None:
+            (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+            argv += ["--config", str(tmp_path / "cfg.json")]
+        return main(argv)
+
+    code = run(config, tmp_path / "o")
     captured = capsys.readouterr()
     assert "Traceback" not in captured.out + captured.err
     assert code in (0, 1, 2, 3)
     if code == 1:
         rep = json.loads((tmp_path / "o" / "report.json").read_text())
         assert not report_passed(rep)
+    if command in ("ratio", "theorem") and code != 2 and "h" in (config or {}):
+        # a valid h sets units only: the run passes as at h = 1, with its ratios
+        at_1 = {k: v for k, v in config.items() if k != "h"}
+        assert code == run(at_1, tmp_path / "h1") == 0
+        assert _ratios(tmp_path / "o") == _ratios(tmp_path / "h1")
 
 
 class TestCliFailurePath:

@@ -21,7 +21,7 @@ def test_gaussian_bit_equal_to_scipy(shape, sigma):
 @pytest.mark.parametrize("dims", [(64,), (16, 16), (8, 8, 8)])
 def test_random_smooth_matches_scipy_pipeline(dims):
     # same draws, same values as the scipy-filtered generator
-    f = random_smooth_function(np.random.default_rng(7), dims, 0.5)
+    f = random_smooth_function(np.random.default_rng(7), dims)
     vals = gaussian_filter(np.random.default_rng(7).standard_normal(dims), sigma=2.0, mode="nearest")
     assert np.array_equal(f.array, vals - vals.min())
 
@@ -31,11 +31,11 @@ def test_random_smooth_matches_scipy_pipeline(dims):
 def test_one_cell_nonconstant_classes_raise(cls, dims):
     # both classes redraw until f is not constant, which one cell never is
     with pytest.raises(ConfigError, match="at least 2 cells"):
-        make_function(np.random.default_rng(0), cls, dims, 1.0)
+        make_function(np.random.default_rng(0), cls, dims)
 
 
 @pytest.mark.parametrize("cls", ["indicator", "simple"])
 @pytest.mark.parametrize("dims", [(2,), (1, 2), (2, 1, 1)])
 def test_two_cells_nonconstant_classes_draw(cls, dims):
-    f = make_function(np.random.default_rng(0), cls, dims, 1.0)
+    f = make_function(np.random.default_rng(0), cls, dims)
     assert np.unique(f.array).size == 2

@@ -19,7 +19,7 @@ from cubemax.errors import DimensionMismatch
 from conftest import dense_mask_variation, exact_variation, threshold_sum_variation
 
 
-def brute_force_perimeter(mask, domain, h):
+def brute_force_perimeter(mask, domain):
     """Independent oracle: scan every cell and its 2d neighbors."""
     dims = mask.shape
     d = mask.ndim
@@ -37,7 +37,7 @@ def brute_force_perimeter(mask, domain, h):
                 if domain[nb] and not mask[nb]:
                     count += 1
         # faces against out-of-domain or out-of-box neighbors are not counted
-    return count, count * h ** (d - 1)
+    return count
 
 
 class TestSuperlevel:
@@ -67,36 +67,23 @@ class TestPerimeter:
     def test_single_cell(self):
         m = np.zeros((5, 5), dtype=bool)
         m[2, 2] = True
-        bm = perimeter(PixelSet((5, 5), m), h=1.0)
-        assert bm.face_count == 4 and bm.measure == 4.0
+        assert perimeter(PixelSet((5, 5), m)) == 4
 
     def test_full_grid_no_mask(self):
-        bm = perimeter(PixelSet.full((6, 6)), h=0.5)
-        assert bm.face_count == 0
+        assert perimeter(PixelSet.full((6, 6))) == 0
 
     def test_random_vs_face_scan(self, rng):
         for _ in range(25):
             m = rng.random((8, 8)) < 0.5
-            h = float(rng.choice([0.25, 0.5, 1.0, 2.0]))
             dom = np.ones((8, 8), dtype=bool)
-            want = brute_force_perimeter(m, dom, h)
-            got = perimeter(PixelSet((8, 8), m), h=h)
-            assert got.face_count == want[0]
-            assert got.measure == pytest.approx(want[1], rel=1e-12)
+            assert perimeter(PixelSet((8, 8), m)) == brute_force_perimeter(m, dom)
 
     def test_random_masked_vs_face_scan(self, rng):
         for _ in range(25):
             m = rng.random((7, 6)) < 0.5
             dom = rng.random((7, 6)) < 0.7
-            want = brute_force_perimeter(m, dom, 1.0)
-            got = perimeter(PixelSet((7, 6), m), PixelSet((7, 6), dom), h=1.0)
-            assert got.face_count == want[0]
-
-    def test_measure_scales_with_h(self, rng):
-        m = rng.random((6, 6, 6)) < 0.4
-        E = PixelSet((6, 6, 6), m)
-        assert perimeter(E, h=2.0).measure == pytest.approx(
-            4.0 * perimeter(E, h=1.0).measure)
+            got = perimeter(PixelSet((7, 6), m), PixelSet((7, 6), dom))
+            assert got == brute_force_perimeter(m, dom)
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
@@ -114,9 +101,7 @@ class TestVariation:
     def test_coarea_identity_random(self, rng, d):
         for _ in range(20):
             dims = tuple(int(rng.integers(2, 9)) for _ in range(d))
-            vals = rng.random(dims)
-            h = float(rng.choice([0.5, 1.0]))
-            f = GridFunction(dims, h, vals.ravel())
+            f = GridFunction(dims, rng.random(dims).ravel())
             want = threshold_sum_variation(f)
             assert variation(f) == pytest.approx(want, rel=1e-9)
 
@@ -125,7 +110,7 @@ class TestVariation:
             dims = (7, 7)
             vals = rng.integers(0, 4, dims).astype(float)
             dom = rng.random(dims) < 0.75
-            f = GridFunction(dims, 1.0, vals.ravel())
+            f = GridFunction(dims, vals.ravel())
             mask = PixelSet(dims, dom)
             assert variation(f, mask) == pytest.approx(threshold_sum_variation(f, mask), rel=1e-9)
 
@@ -135,14 +120,14 @@ class TestVariation:
         vals = rng.integers(0, 5, (6, 6)).astype(float)
         f = grid_from_array(vals)
         u = np.unique(vals)
-        want = sum((u[i] - u[i - 1]) * perimeter(superlevel(f, u[i])).measure
+        want = sum((u[i] - u[i - 1]) * perimeter(superlevel(f, u[i]))
                    for i in range(1, u.size))
         assert variation(f) == pytest.approx(want, rel=1e-12)
 
     def test_nan_outside_mask_ignored(self):
         vals = np.array([[np.nan, 1.0], [0.0, np.nan]])
         dom = ~np.isnan(vals)
-        f = GridFunction((2, 2), 1.0, np.nan_to_num(vals, nan=np.nan).ravel())
+        f = GridFunction((2, 2), np.nan_to_num(vals, nan=np.nan).ravel())
         got = variation(f, PixelSet((2, 2), dom))
         # the two in-domain cells are not adjacent: no faces, zero variation
         assert got == 0.0
@@ -172,7 +157,7 @@ def test_variation_bit_equal_to_dense_mask_oracle(d, data):
     arr[rng.random(dims) < 0.1] = -0.0
     nan = rng.random(dims) < data.draw(st.sampled_from([0.0, 0.02]), label="nan_rate")
     arr[nan] = np.nan
-    f = GridFunction(dims, data.draw(st.sampled_from([1.0, 0.5, 1 / 3]), label="h"), arr.ravel())
+    f = GridFunction(dims, arr.ravel())
     masks = [None, PixelSet.full(dims), PixelSet(dims, (rng.random(dims) < 0.7) & ~nan)]
     for mask in masks:
         try:
@@ -190,7 +175,7 @@ def test_variation_exact_on_exact_input(rng, dims, scale):
     # integer and half-integer cells: every difference and partial sum is a
     # small multiple of 1/2, so the float gradient sum is the exact one
     for _ in range(10):
-        f = GridFunction(dims, 1.0, (rng.integers(-6, 7, dims) * scale).ravel())
+        f = GridFunction(dims, (rng.integers(-6, 7, dims) * scale).ravel())
         assert Fraction(variation(f)) == exact_variation(f.array)
 
 

@@ -21,27 +21,52 @@ from cubemax.io import (
 
 class TestGridFormats:
     def test_csv_round_trip_2d(self, rng, tmp_path):
-        f = GridFunction((5, 7), 0.25, rng.random(35))
+        f = GridFunction((5, 7), rng.random(35))
         p = tmp_path / "g.csv"
-        write_grid_csv(f, p)
-        g = read_grid_csv(p)
-        assert g.dims == f.dims and g.h == f.h
+        write_grid_csv(f, 0.25, p)
+        g, h = read_grid_csv(p)
+        assert g.dims == f.dims and h == 0.25
         assert np.array_equal(g.values, f.values)
 
     def test_csv_round_trip_1d(self, rng, tmp_path):
-        f = GridFunction((9,), 2.0, rng.random(9))
+        f = GridFunction((9,), rng.random(9))
         p = tmp_path / "g.csv"
-        write_grid_csv(f, p)
-        g = read_grid_csv(p)
-        assert g.dims == f.dims and np.array_equal(g.values, f.values)
+        write_grid_csv(f, 2.0, p)
+        g, h = read_grid_csv(p)
+        assert g.dims == f.dims and h == 2.0 and np.array_equal(g.values, f.values)
 
     def test_binary_round_trip_3d(self, rng, tmp_path):
-        f = GridFunction((3, 4, 5), 0.125, rng.standard_normal(60))
+        f = GridFunction((3, 4, 5), rng.standard_normal(60))
         p = tmp_path / "g.bin"
-        write_grid_binary(f, p)
-        g = read_grid_binary(p)
-        assert g.dims == f.dims and g.h == f.h
+        write_grid_binary(f, 0.125, p)
+        g, h = read_grid_binary(p)
+        assert g.dims == f.dims and h == 0.125
         assert np.array_equal(g.values, f.values)
+
+    def test_bytes_unchanged(self, tmp_path):
+        # the cell width rides in the file as before: a 17-digit comment and
+        # a little-endian f64 after the dims
+        f = GridFunction((2,), np.array([0.5, -1.0]))
+        write_grid_csv(f, 1, tmp_path / "g.csv")
+        assert (tmp_path / "g.csv").read_text() == "# h=1.0\n# d=1\n0.5,-1.0\n"
+        write_grid_binary(f, 0.25, tmp_path / "g.bin")
+        assert (tmp_path / "g.bin").read_bytes() == b"CUBEMAX1" + bytes([1, 0, 0, 0, 2, 0, 0, 0]) \
+            + np.array([0.25, 0.5, -1.0], dtype="<f8").tobytes()
+
+    @pytest.mark.parametrize("h", [0.0, -1.0, float("inf"), float("nan")])
+    def test_bad_width_is_typed(self, tmp_path, h):
+        f = GridFunction((2,), np.zeros(2))
+        for write in (write_grid_csv, write_grid_binary):
+            with pytest.raises(GridFormatError, match="finite positive h"):
+                write(f, h, tmp_path / "g")
+        (tmp_path / "g.csv").write_text(f"# h={h!r}\n1.0,2.0\n", encoding="utf-8")
+        with pytest.raises(GridFormatError, match="finite positive h"):
+            read_grid_csv(tmp_path / "g.csv")
+        raw = bytearray(b"CUBEMAX1" + bytes([1, 0, 0, 0, 2, 0, 0, 0])
+                        + np.array([h, 1.0, 2.0], dtype="<f8").tobytes())
+        (tmp_path / "g.bin").write_bytes(bytes(raw))
+        with pytest.raises(GridFormatError, match="finite positive h"):
+            read_grid_binary(tmp_path / "g.bin")
 
     def test_binary_magic_guard(self, tmp_path):
         p = tmp_path / "junk.bin"
@@ -51,13 +76,13 @@ class TestGridFormats:
 
 
 def grids(dims):
-    """Grid functions on the given dims: any positive finite h, and finite
-    or NaN (masked) cell values."""
+    """(grid function on the given dims with finite or NaN (masked) cell
+    values, any positive finite cell width h)."""
     n = int(np.prod(dims))
-    return st.builds(
-        GridFunction, st.just(dims),
-        st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
-        st.lists(st.floats(allow_infinity=False), min_size=n, max_size=n))
+    return st.tuples(
+        st.builds(GridFunction, st.just(dims),
+                  st.lists(st.floats(allow_infinity=False), min_size=n, max_size=n)),
+        st.floats(min_value=0.0, exclude_min=True, allow_infinity=False))
 
 
 def small_dims(d_max):
@@ -75,28 +100,30 @@ file_settings = settings(max_examples=60, deadline=None,
 class TestGridFormatProperties:
     @given(csv_dims.flatmap(grids))
     @file_settings
-    def test_csv_round_trip(self, tmp_path, f):
+    def test_csv_round_trip(self, tmp_path, case):
+        f, h = case
         p = tmp_path / "g.csv"
-        write_grid_csv(f, p)
-        g = read_grid_csv(p)
-        assert g.dims == f.dims and g.h == f.h
+        write_grid_csv(f, h, p)
+        g, h2 = read_grid_csv(p)
+        assert g.dims == f.dims and h2 == h
         assert np.array_equal(g.values, f.values, equal_nan=True)
 
     @given(small_dims(3).flatmap(grids))
     @file_settings
-    def test_binary_round_trip(self, tmp_path, f):
+    def test_binary_round_trip(self, tmp_path, case):
+        f, h = case
         p = tmp_path / "g.bin"
-        write_grid_binary(f, p)
-        g = read_grid_binary(p)
-        assert g.dims == f.dims and g.h == f.h
+        write_grid_binary(f, h, p)
+        g, h2 = read_grid_binary(p)
+        assert g.dims == f.dims and h2 == h
         assert g.values.tobytes() == f.values.tobytes()
 
     @given(small_dims(3).flatmap(grids))
     @settings(max_examples=15, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
-    def test_binary_every_truncation_is_typed(self, tmp_path, f):
+    def test_binary_every_truncation_is_typed(self, tmp_path, case):
         p = tmp_path / "g.bin"
-        write_grid_binary(f, p)
+        write_grid_binary(*case, p)
         raw = p.read_bytes()
         for cut in range(len(raw)):
             p.write_bytes(raw[:cut])
@@ -105,7 +132,7 @@ class TestGridFormatProperties:
 
     def test_binary_trailing_bytes_rejected(self, rng, tmp_path):
         p = tmp_path / "g.bin"
-        write_grid_binary(GridFunction((2, 3), 1.0, rng.random(6)), p)
+        write_grid_binary(GridFunction((2, 3), rng.random(6)), 1.0, p)
         p.write_bytes(p.read_bytes() + b"\x00")
         with pytest.raises(GridFormatError):
             read_grid_binary(p)
@@ -129,9 +156,9 @@ class TestGridFormatProperties:
     def test_csv_without_dimension_comment_keeps_row_rule(self, tmp_path):
         p = tmp_path / "g.csv"
         p.write_text("# h=0.5\n1.0,2.0,3.0\n", encoding="utf-8")
-        assert read_grid_csv(p).dims == (3,)
+        assert read_grid_csv(p)[0].dims == (3,)
         p.write_text("1.0,2.0\n3.0,4.0\n", encoding="utf-8")
-        assert read_grid_csv(p).dims == (2, 2)
+        assert read_grid_csv(p)[0].dims == (2, 2)
 
 
 def families(d_max):
@@ -234,11 +261,10 @@ class TestPlotData:
 class TestMaxFunctionEmission:
     def test_maximal_function_round_trips_formats(self, rng, tmp_path):
         from cubemax.maximal import maximal_global
-        f = grid_from_array(rng.random((6, 6)), h=0.5)
-        mf = maximal_global(f)
+        mf = maximal_global(grid_from_array(rng.random((6, 6))))
         p_csv = tmp_path / "m.csv"
         p_bin = tmp_path / "m.bin"
-        write_grid_csv(mf, p_csv)
-        write_grid_binary(mf, p_bin)
-        assert np.array_equal(read_grid_csv(p_csv).values, mf.values)
-        assert np.array_equal(read_grid_binary(p_bin).values, mf.values)
+        write_grid_csv(mf, 0.5, p_csv)
+        write_grid_binary(mf, 0.5, p_bin)
+        assert np.array_equal(read_grid_csv(p_csv)[0].values, mf.values)
+        assert np.array_equal(read_grid_binary(p_bin)[0].values, mf.values)

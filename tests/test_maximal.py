@@ -126,7 +126,7 @@ def test_local_reads_no_value_off_omega(d, data):
     vals = rng.random(dims)
     scale = data.draw(st.sampled_from([0.0, 1e-6, 1e3, 1e15, np.nan]), label="scale")
     other = np.where(omega, vals, rng.standard_normal(dims) * scale)
-    got = [maximal_local(GridFunction(dims, 1.0, v.ravel()), PixelSet(dims, omega)).values
+    got = [maximal_local(GridFunction(dims, v.ravel()), PixelSet(dims, omega)).values
            for v in (vals, other)]
     assert got[0].tobytes() == got[1].tobytes()
 
@@ -178,7 +178,7 @@ class TestMaximalGlobal:
             vals = rng.random(dims)
             if trial % 2:
                 vals.flat[rng.integers(vals.size, size=int(rng.integers(1, 3)))] = np.nan
-            f = GridFunction(dims, 1.0, vals.ravel())
+            f = GridFunction(dims, vals.ravel())
             assert np.array_equal(maximal_global(f).array, brute_force(vals), equal_nan=True)
 
     def test_monotone_in_argument(self, rng):
@@ -285,7 +285,7 @@ class TestMaximalLocal:
                 vals[~omega] = np.nan
             if trial % 3 == 0:
                 vals.flat[rng.integers(vals.size)] = np.nan
-            f = GridFunction(dims, 1.0, vals.ravel())
+            f = GridFunction(dims, vals.ravel())
             got = maximal_local(f, PixelSet(dims, omega)).array
             assert np.array_equal(got, brute_force(vals, omega), equal_nan=True)
 
@@ -301,7 +301,7 @@ class TestMaximalLocal:
                       if SummedAreaTable(omega.astype(np.int64)).box_sum_grid(s).max() == s ** len(dims))
             assert block <= top < min(dims)
             vals = rng.random(dims)
-            f = GridFunction(dims, 1.0, vals.ravel())
+            f = GridFunction(dims, vals.ravel())
             got = maximal_local(f, PixelSet(dims, omega)).array
             assert np.array_equal(got, brute_force(vals, omega), equal_nan=True)
 
@@ -311,7 +311,7 @@ class TestMaximalLocal:
         # exactly, since a single cell's average is its value
         omega = np.indices(dims).sum(axis=0) % 2 == 0
         vals = rng.random(dims)
-        f = GridFunction(dims, 1.0, vals.ravel())
+        f = GridFunction(dims, vals.ravel())
         got = maximal_local(f, PixelSet(dims, omega)).array
         assert np.array_equal(got, brute_force(vals, omega), equal_nan=True)
         assert np.array_equal(got[omega], vals[omega])
@@ -323,7 +323,7 @@ def check_scan(vals):
     value (brute force takes ``np.maximum``, which may return either zero
     of a +0.0/-0.0 tie)."""
     vals = np.asarray(vals, dtype=np.float64)
-    got = maximal_global(GridFunction(vals.shape, 1.0, vals)).array
+    got = maximal_global(GridFunction(vals.shape, vals)).array
     want = _max_over_containing_cubes(vals, SummedAreaTable(vals).box_avg_grid)
     assert np.array_equal(got, want, equal_nan=True)
     assert np.array_equal(np.signbit(got), np.signbit(want))
@@ -384,7 +384,7 @@ class TestIntervalScan:
             vals = np.full(n, np.nan)
             vals[cell] = 0.75
             check_scan(vals)
-            got = maximal_global(GridFunction((n,), 1.0, vals)).array
+            got = maximal_global(GridFunction((n,), vals)).array
             assert got[cell] == 0.75 and np.isnan(np.delete(got, cell)).all()
 
     @pytest.mark.parametrize("rows", [1, 2, 4])
@@ -425,7 +425,7 @@ class TestIntervalScan:
         for _ in range(15):
             n = int(rng.integers(1, 30))
             vals = rng.integers(-6, 7, n) * scale
-            got = maximal_global(GridFunction((n,), 1.0, vals)).array
+            got = maximal_global(GridFunction((n,), vals)).array
             assert got.tolist() == [float(q) for q in exact_maximal_1d(vals)]
 
 
@@ -439,7 +439,7 @@ class TestExactInput:
     def test_global_every_cell(self, rng, dims, scale):
         for _ in range(4):
             vals = rng.integers(-6, 7, dims) * scale
-            f = GridFunction(dims, 1.0, vals.ravel())
+            f = GridFunction(dims, vals.ravel())
             mf = maximal_global(f)
             want = exact_maximal(vals)
             assert mf.array.tolist() == np.vectorize(float)(want).tolist()
@@ -454,7 +454,7 @@ class TestExactInput:
     def test_family_every_cell(self, rng, dims, scale):
         for _ in range(4):
             vals = rng.integers(-6, 7, dims) * scale
-            f = GridFunction(dims, 1.0, vals.ravel())
+            f = GridFunction(dims, vals.ravel())
             cubes = [GridCube(a, 1) for a in np.ndindex(*dims)]
             for _ in range(int(rng.integers(1, 8))):
                 side = int(rng.integers(2, min(dims) + 1))
@@ -492,7 +492,7 @@ class TestVariationRatio:
             vals = rng.integers(0, 7, n) * scale
             var_f = exact_variation_1d(vals)
             assert exact_variation_1d(exact_maximal_1d(vals)) <= var_f
-            assert exact_variation_1d(maximal_global(GridFunction((n,), 1.0, vals)).array) <= var_f
+            assert exact_variation_1d(maximal_global(GridFunction((n,), vals)).array) <= var_f
 
     def test_constant_raises(self):
         f = grid_from_array(np.full(5, 3.0))

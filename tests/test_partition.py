@@ -108,7 +108,7 @@ class TestLevelSweep:
         grid = {1: 32, 2: 16, 3: 8}[d]
         dims = (grid,) * d
         for cls in ("spikes", "simple", "indicator", "random-smooth"):
-            f = make_function(rng, cls, dims, 1.0)
+            f = make_function(rng, cls, dims)
             fam = (random_complete_family(rng, dims, 4) if complete
                    else random_family(rng, dims, 8, pow2=False)).with_averages(f)
             assert_matches_both_oracles(f, fam)
@@ -147,7 +147,7 @@ class TestLevelSweep:
     def test_levels_are_ordered(self, rng, d):
         dims = ({1: 32, 2: 16, 3: 8}[d],) * d
         for cls in ("spikes", "simple", "indicator", "random-smooth"):
-            f = make_function(rng, cls, dims, 1.0)
+            f = make_function(rng, cls, dims)
             for fam in (random_complete_family(rng, dims, 4), random_family(rng, dims, 8, pow2=False)):
                 split = density_levels(f, fam)
                 assert np.all(split.lam0 <= split.lam1) and np.all(split.lam1 <= split.avg)
@@ -158,7 +158,7 @@ class TestLevelSweep:
         dims = ({1: 32, 2: 16, 3: 8}[d],) * d
         found = 0
         for cls in ("spikes", "simple", "random-smooth"):
-            f = make_function(rng, cls, dims, 1.0)
+            f = make_function(rng, cls, dims)
             for fam in (random_complete_family(rng, dims, 4), random_family(rng, dims, 8, pow2=False)):
                 split = density_levels(f, fam)
                 union = set()
@@ -175,11 +175,11 @@ class TestLevelSweep:
         dims = ({1: 32, 2: 12, 3: 6}[d],) * d
         found = 0
         for cls in ("spikes", "simple", "random-smooth"):
-            f = make_function(rng, cls, dims, 1.0)
+            f = make_function(rng, cls, dims)
             for fam in (random_complete_family(rng, dims, 4), random_family(rng, dims, 8, pow2=False)):
                 split = density_levels(f, fam)
                 bps = lambda_breakpoints(f, split.family.averages)
-                want = [perimeter(partition_from_scratch(f, split.family, lam).union_q2).face_count
+                want = [perimeter(partition_from_scratch(f, split.family, lam).union_q2)
                         for lam in bps]
                 got = split.q2_boundary_faces(bps)
                 assert got.tolist() == want
@@ -220,7 +220,7 @@ class TestBoundaryDecomposition:
         f = grid_from_array(vals)
         fam = CubeFamily([GridCube((2, 2), 2)]).with_averages(f)
         p = partition_at(f, fam, 1.0)
-        assert perimeter(p.union_q2).face_count == 0
+        assert perimeter(p.union_q2) == 0
 
     def test_empty_q01_first_term_zero(self):
         vals = np.zeros((8, 8))
@@ -228,16 +228,16 @@ class TestBoundaryDecomposition:
         f = grid_from_array(vals)
         fam = CubeFamily([GridCube((0, 0), 8)]).with_averages(f)
         p = partition_at(f, fam, 0.5)
-        assert boundary_faces_outside(p.union_q01, p.level).face_count == 0
+        assert boundary_faces_outside(p.union_q01, p.level) == 0
 
     def test_split_dominates_exactly(self, rng):
         for _ in range(20):
             f, fam = random_instance(rng, dims=(9, 9))
             for lam in lambda_breakpoints(f, fam.averages):
                 p = partition_at(f, fam, float(lam))
-                lhs = boundary_faces_outside(p.union_all, p.level).face_count
-                t1 = boundary_faces_outside(p.union_q01, p.level).face_count
-                t2 = perimeter(p.union_q2).face_count
+                lhs = boundary_faces_outside(p.union_all, p.level)
+                t1 = boundary_faces_outside(p.union_q01, p.level)
+                t2 = perimeter(p.union_q2)
                 assert lhs <= t1 + t2
 
 
@@ -274,14 +274,14 @@ class TestHighDensityRatio:
         fam = CubeFamily([GridCube((2, 2), 4)]).with_averages(f)
         p = partition_at(f, fam, 1.0)
         assert p.q0.cubes == (GridCube((2, 2), 4),)
-        assert boundary_faces_outside(p.union_q01, p.level).face_count == 0
+        assert boundary_faces_outside(p.union_q01, p.level) == 0
 
     def test_empty_level_set_flagged(self):
         f = grid_from_array(np.zeros((4, 4)))
         fam = CubeFamily([GridCube((0, 0), 2)]).with_averages(f)
         p = partition_at(f, fam, 5.0)
-        assert perimeter(p.level, mask=p.union_all).face_count == 0
-        assert boundary_faces_outside(p.union_q01, p.level).face_count == 0
+        assert perimeter(p.level, mask=p.union_all) == 0
+        assert boundary_faces_outside(p.union_q01, p.level) == 0
 
     def test_random_suite_finite_max(self, rng):
         worst = 0.0
@@ -289,9 +289,9 @@ class TestHighDensityRatio:
             f, fam = random_instance(rng, dims=(12, 12))
             for lam in lambda_breakpoints(f, fam.averages):
                 p = partition_at(f, fam, float(lam))
-                rhs = perimeter(p.level, mask=p.union_all).face_count
+                rhs = perimeter(p.level, mask=p.union_all)
                 if rhs > 0:
-                    worst = max(worst, boundary_faces_outside(p.union_q01, p.level).face_count / rhs)
+                    worst = max(worst, boundary_faces_outside(p.union_q01, p.level) / rhs)
         assert np.isfinite(worst)
 
 

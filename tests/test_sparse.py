@@ -73,7 +73,7 @@ class TestLambdaQ:
             d = int(rng.integers(1, 3))
             side = int(rng.choice([2, 4, 8]))
             dims = (12,) * d
-            f = GridFunction(dims, 1.0, rng.integers(0, 5, dims).ravel().astype(float))
+            f = GridFunction(dims, rng.integers(0, 5, dims).ravel().astype(float))
             anchor = tuple(int(rng.integers(0, 12 - side)) for _ in range(d))
             q = GridCube(anchor, side)
             assert lambda_q(f, q) == lambda_q_scan_oracle(f, q)
@@ -110,8 +110,7 @@ class TestGreedySparse:
     def test_pairwise_postcondition_random(self, rng):
         for _ in range(25):
             dims = (16,) * 2
-            f = GridFunction(dims, float(rng.choice([0.5, 1.0])),
-                             rng.integers(0, 6, dims).ravel().astype(float))
+            f = GridFunction(dims, rng.integers(0, 6, dims).ravel().astype(float))
             cubes = []
             for _ in range(int(rng.integers(5, 60))):
                 side = int(rng.integers(1, 10))
@@ -125,8 +124,7 @@ class TestGreedySparse:
         rng = np.random.default_rng(104)
         for _ in range(20):
             dims = (16, 16)
-            f = GridFunction(dims, float(rng.choice([0.5, 1.0])),
-                             rng.integers(0, 7, dims).ravel().astype(float))
+            f = GridFunction(dims, rng.integers(0, 7, dims).ravel().astype(float))
             count = int(rng.integers(20, 201))
             fam = random_family(rng, dims, count, pow2=bool(rng.integers(0, 2)))
             sp = greedy_sparse(f, fam.with_averages(f))
@@ -136,7 +134,7 @@ class TestGreedySparse:
         f = grid_from_array(rng.integers(0, 4, (8, 8)).astype(float))
         fam = CubeFamily([GridCube((0, 0), 4), GridCube((3, 3), 2)]).with_averages(f)
         sp = greedy_sparse(f, fam)
-        want = sum((a - l) * 2 * c.d * (c.side * f.h) ** (c.d - 1)
+        want = sum((a - l) * 2 * c.d * c.side ** (c.d - 1)
                    for c, a, l in zip(sp.cubes, sp.cubes.averages, sp.lambdas))
         assert sp.rhs_sum == pytest.approx(want, rel=1e-12)
 
@@ -255,7 +253,7 @@ class TestDisjointSelect:
                 continue
             out = disjoint_select(CubeFamily(list(d_map)), d_map, eps, f)
             # property: bounded pointwise overlap of contracted dilates
-            got = dilate_overlap_count(out.cubes, (1 - eps) ** 2, f.dims, f.h)
+            got = dilate_overlap_count(out.cubes, (1 - eps) ** 2, f.dims)
             assert got == out.overlap_constant
             assert out.overlap_constant <= 4 ** 2
             # property: capture with bounded dilations, audited geometrically
@@ -263,10 +261,10 @@ class TestDisjointSelect:
                 for q in subs:
                     hit = False
                     for p in out.cubes:
-                        p_dilate = scalar_dilate(p, out.c1 * (1 + 1e-12), f.h)
-                        base_dilate = scalar_dilate(q0, out.c2 * (1 + 1e-12), f.h)
-                        if box_holds(p_dilate, cube_box(q, f.h)) \
-                           and box_holds(base_dilate, cube_box(p, f.h)):
+                        p_dilate = scalar_dilate(p, out.c1 * (1 + 1e-12))
+                        base_dilate = scalar_dilate(q0, out.c2 * (1 + 1e-12))
+                        if box_holds(p_dilate, cube_box(q)) \
+                           and box_holds(base_dilate, cube_box(p)):
                             hit = True
                             break
                     assert hit
@@ -294,7 +292,7 @@ class TestDisjointSelect:
                 if ok:
                     chosen.append(c)
             for K in (1.0, 2.0, 3.0):
-                cnt = dilate_overlap_count(CubeFamily(chosen), K, f.dims, f.h)
+                cnt = dilate_overlap_count(CubeFamily(chosen), K, f.dims)
                 assert cnt <= 16 * K * K + 8
 
 
@@ -320,7 +318,7 @@ class TestAccumulateQ2:
         dims = (16, 16)
         found_q2 = 0
         for _ in range(4):
-            f = spikes_function(rng, dims, 1.0)
+            f = spikes_function(rng, dims)
             fam = (random_complete_family(rng, dims, 5) if pipeline
                    else random_family(rng, dims, 10, pow2=False))
             full = fam.with_averages(f)
@@ -332,7 +330,7 @@ class TestAccumulateQ2:
                     seen.setdefault(c, a)
             want_q2 = CubeFamily(list(seen), np.array(list(seen.values())))
             want_lhs = integrate_breakpoints(
-                bps, np.array([perimeter(p.union_q2, h=f.h).measure for p in parts]))
+                bps, np.array([perimeter(p.union_q2) for p in parts]))
 
             got = accumulate_q2_cubes(f, fam)
             assert got.cubes == want_q2.cubes
@@ -348,7 +346,7 @@ def nested_instance(rng, d):
     base."""
     n = {1: 64, 2: 16, 3: 8}[d]
     dims = (n,) * d
-    f = GridFunction(dims, float(rng.choice([0.25, 1 / 3, 1.0])), rng.random(n ** d))
+    f = GridFunction(dims, rng.random(n ** d))
     bases = []
     for _ in range(int(rng.integers(1, 5))):
         side = int(2 ** rng.integers(1, int(np.log2(n))))
@@ -376,7 +374,7 @@ def random_selection(rng, d):
     A cube drawn twice is kept once, with its last average, as in greedy
     output."""
     n = {1: 32, 2: 12, 3: 6}[d]
-    f = GridFunction((n,) * d, float(rng.choice([0.25, 1 / 3, 1.0])), rng.random(n ** d))
+    f = GridFunction((n,) * d, rng.random(n ** d))
     m = int(rng.integers(2, 40))
     sides = rng.integers(1, n // 2 + 1, m)
     anchors = rng.integers(0, n - sides[:, None] + 1, (m, d))
@@ -430,9 +428,9 @@ class TestArrayFormAgainstScalarOracles:
         for _ in range(40):
             sp, f = random_selection(rng, d)
             for K in (0.4, (1 - default_contraction(d)) ** 2, 1.0, 2.5):
-                assert dilate_overlap_count(sp.cubes, K, f.dims, f.h) == \
-                    scalar_overlap_count(sp.cubes, K, f.dims, f.h)
-        assert dilate_overlap_count(CubeFamily([]), 1.0, f.dims, f.h) == 0
+                assert dilate_overlap_count(sp.cubes, K, f.dims) == \
+                    scalar_overlap_count(sp.cubes, K, f.dims)
+        assert dilate_overlap_count(CubeFamily([]), 1.0, f.dims) == 0
 
 
 def test_selection_path_builds_no_grid_cubes(rng, monkeypatch):
@@ -466,7 +464,7 @@ class TestPairBudget:
                 S = CubeFamily(list(d_map))
                 got = disjoint_select(S, d_map, eps, f)
                 assert got == scalar_disjoint_select(S, d_map, eps, f)
-                assert (got.c1, got.c2) == broadcast_capture(d_map, got.cubes, f.h)
+                assert (got.c1, got.c2) == broadcast_capture(d_map, got.cubes)
             sp, g = random_selection(rng, d)
             assert sparse_pairwise_violations(sp, g) == scalar_pairwise_violations(sp, g)
 
@@ -486,7 +484,7 @@ class TestPairBudget:
             got = disjoint_select(CubeFamily(list(d_map)), d_map, eps, f)
             assert sum(map(len, d_map.values())) * len(got.cubes) > cubes.PAIR_BUDGET
             assert got == scalar_disjoint_select(CubeFamily(list(d_map)), d_map, eps, f)
-            assert (got.c1, got.c2) == broadcast_capture(d_map, got.cubes, f.h)
+            assert (got.c1, got.c2) == broadcast_capture(d_map, got.cubes)
 
     def test_deep_chain_independent_of_blocks(self, rng, monkeypatch):
         from cubemax import cubes
@@ -495,7 +493,7 @@ class TestPairBudget:
 
         selected = 0
         for _ in range(3):
-            f = spikes_function(rng, (16, 16), 1.0)
+            f = spikes_function(rng, (16, 16))
             fam = random_complete_family(rng, (16, 16), 8).with_averages(f)
             want = theorem_main_evaluate(f, fam, deep=True).deep
             with monkeypatch.context() as m:
