@@ -41,14 +41,13 @@ COMMANDS = ("ratio", "theorem", "checkerboard", "dumbbell", "geom", "sparse-audi
 def emit_tables(tables: dict, out_dir) -> list[Path]:
     """Write each ``name: (header, columns)`` table into ``out_dir``: a
     ``.csv`` name as comma-separated values, any other as gnuplot-ready
-    space-separated columns under a ``#`` header; return their paths."""
-    written = []
+    space-separated columns under a ``#`` header; return their paths.  A
+    column array that several tables share is formatted once."""
+    written, memo = [], {}
     for name, (header, columns) in tables.items():
         path = Path(out_dir) / name
-        if name.endswith(".csv"):
-            write_columns(path, columns, ",", ",".join(header))
-        else:
-            write_columns(path, columns, " ", "# " + " ".join(header))
+        sep, mark = (",", "") if name.endswith(".csv") else (" ", "# ")
+        write_columns(path, columns, sep, mark + sep.join(header), memo)
         written.append(path)
     return written
 
@@ -106,13 +105,15 @@ def main(argv=None) -> int:
         print(f"error: {type(exc).__name__}: {message}", file=sys.stderr)
         _print_replay(cfg.to_json())
         return 3
-    elapsed = time.perf_counter() - t0
+    t1 = time.perf_counter()
+    elapsed = t1 - t0
 
     path = write_report(report, out)
     emit_tables(tables, out)
+    write_seconds = time.perf_counter() - t1
     (out / "timings.json").write_text(
-        json.dumps({"command": args.command, "seconds": elapsed}) + "\n",
-        encoding="utf-8")
+        json.dumps({"command": args.command, "seconds": elapsed,
+                    "write_seconds": write_seconds}) + "\n", encoding="utf-8")
 
     ok = report_passed(report)
     status = "PASS" if ok else "FAIL"

@@ -188,12 +188,29 @@ def write_report(report: dict, out_dir) -> Path:
     return path
 
 
-def write_columns(path, columns, sep: str, first_line: str) -> None:
+def format_column(column) -> list[str]:
+    """A numeric column as text: floats at 17 significant digits (``NaN``,
+    ``Infinity``, ``-Infinity`` if not finite), other dtypes as ``str`` prints them."""
+    arr = np.asarray(column)
+    values = arr.tolist()
+    if arr.dtype.kind != "f":
+        return list(map(str, values))
+    texts = list(map("%.17g".__mod__, values))  # the digits of format(x, ".17g")
+    for i in np.flatnonzero(~np.isfinite(arr)).tolist():
+        texts[i] = _fmt_float(values[i])
+    return texts
+
+
+def write_columns(path, columns, sep: str, first_line: str, memo: dict | None = None) -> None:
     """``first_line``, then one line per row of the numeric columns joined by
-    ``sep``: integers as ``str`` prints them, floats at 17 significant digits."""
-    cols = [np.asarray(c) for c in columns]
+    ``sep``, each column formatted whole by :func:`format_column`.  Columns of
+    unequal lengths raise ``ValueError``.  A column object already formatted
+    under the same ``memo`` dict is not formatted again."""
+    memo = {} if memo is None else memo
+    for c in columns:  # an entry holds its column, so no other object takes its id
+        memo[id(c)] = memo.get(id(c)) or (c, format_column(c))
+    texts = [memo[id(c)][1] for c in columns]
+    if len({len(t) for t in texts}) > 1:
+        raise ValueError(f"columns need one common length, got lengths {[len(t) for t in texts]}")
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(first_line + "\n")
-        for row in zip(*cols):
-            fh.write(sep.join(_fmt_float(float(v)) if isinstance(v, np.floating)
-                              else str(v) for v in row) + "\n")
+        fh.write("\n".join([first_line, *map(sep.join, zip(*texts))]) + "\n")

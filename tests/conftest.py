@@ -257,6 +257,25 @@ def dense_mask_variation(f, mask=None):
     return total
 
 
+def _per_value_text(x):
+    if x != x:
+        return "NaN"
+    if math.isinf(x):
+        return "Infinity" if x > 0 else "-Infinity"
+    return format(x, ".17g")
+
+
+def per_value_write_columns(path, columns, sep, first_line):
+    """Oracle for ``io.write_columns``: the rows of ``zip`` over the columns,
+    each value given one ``isinstance`` test and one ``format`` call."""
+    cols = [np.asarray(c) for c in columns]
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(first_line + "\n")
+        for row in zip(*cols):
+            fh.write(sep.join(_per_value_text(float(v)) if isinstance(v, np.floating)
+                              else str(v) for v in row) + "\n")
+
+
 def slice_loop_max_paint(fam, values, dims):
     """Oracle for ``CubeFamily.max_paint``: one in-place ``np.maximum`` over
     each member's slices, in member order."""

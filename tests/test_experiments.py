@@ -26,6 +26,7 @@ from cubemax.io import canonical_json
 from cubemax.maximal import maximal_family
 import cubemax
 from cubemax import is_dyadically_complete
+from conftest import per_value_write_columns
 
 
 class TestConfig:
@@ -279,7 +280,9 @@ class TestCli:
                      "--out", str(tmp_path / "o")])
         assert code == 0
         assert (tmp_path / "o" / "ratios.csv").exists()
-        assert (tmp_path / "o" / "timings.json").exists()
+        timings = json.loads((tmp_path / "o" / "timings.json").read_text())
+        assert timings["command"] == "ratio" and timings["seconds"] > 0
+        assert isinstance(timings["write_seconds"], float) and timings["write_seconds"] >= 0
 
     def test_bad_config_exit_2(self, tmp_path):
         cfgfile = tmp_path / "cfg.json"
@@ -431,6 +434,22 @@ class TestTables:
                 assert np.array(col).tobytes() == np.asarray(want[key], float).tobytes(), key
         body = (tmp_path / "o" / "report.json").read_text()
         assert "per_lambda" not in body and '"lhs"' in body
+
+    def test_shared_columns_keep_each_file_order_and_separator(self, tmp_path):
+        # at h = 0.1 the scaled columns are not integer-valued, so a column
+        # written in the wrong place or with the wrong digits shows
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps({"h": 0.1}))
+        assert main(["theorem", "--config", str(cfgfile), "--out", str(tmp_path / "o")]) == 0
+        _, tables = run_theorem_suite(ExperimentConfig.from_dict({"h": 0.1}))
+        header, columns = tables["per_lambda.csv"]
+        for key in ("term1", "term2", "lhs", "f_boundary"):
+            col = columns[header.index(key)]
+            assert np.any(col != np.round(col)), key
+        for name, sep, mark in (("per_lambda.csv", ",", ""), ("per_lambda_trace.dat", " ", "# ")):
+            header, columns = tables[name]
+            per_value_write_columns(tmp_path / name, columns, sep, mark + sep.join(header))
+            assert (tmp_path / "o" / name).read_bytes() == (tmp_path / name).read_bytes(), name
 
 
 # every config that once ended in a traceback or a run on non-finite values

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from cubemax import CubeFamily, GridCube, GridFunction, grid_from_array
 from cubemax.errors import CubemaxError, GridFormatError
@@ -17,6 +18,8 @@ from cubemax.io import (
     write_grid_csv,
     write_columns,
 )
+
+from conftest import per_value_write_columns
 
 
 class TestGridFormats:
@@ -256,6 +259,60 @@ class TestPlotData:
         write_columns(p, [[0, 3, -7], [0.5, 1e-17, float("nan")]], ",", "n,x")
         write_columns(q, [[0.0, 3.0, -7.0], [0.5, 1e-17, float("nan")]], ",", "n,x")
         assert p.read_text() == q.read_text() == "n,x\n0,0.5\n3,1.0000000000000001e-17\n-7,NaN\n"
+
+
+# float64 entries that stress 17-digit printing: signed zeros, subnormals,
+# extremes, non-finite values and values whose shortest repr needs 17 digits
+EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e300, -1e300,
+               1e-300, -1e-300, 1.7976931348623157e308, float("nan"), float("inf"),
+               float("-inf"), 0.1 + 0.2, 1 / 3, 2.0 ** 53 + 2, 1e16, 123456789.12345678]
+float64s = st.one_of(st.floats(), st.sampled_from(EDGE_FLOATS))
+
+
+def columns_of(n):
+    """Strategy for one column of ``n`` entries, of any type a table carries."""
+    return st.one_of(
+        hnp.arrays(np.int64, n),
+        hnp.arrays(np.bool_, n),
+        hnp.arrays(np.float32, n, elements=st.floats(width=32)),
+        hnp.arrays(np.float64, n, elements=float64s),
+        st.lists(st.integers(-2 ** 63, 2 ** 63 - 1), min_size=n, max_size=n),
+        st.lists(float64s, min_size=n, max_size=n),
+    )
+
+
+tables = st.integers(0, 12).flatmap(
+    lambda n: st.lists(columns_of(n), min_size=1, max_size=4))
+
+
+class TestColumnWriter:
+    @given(tables)
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_bytes_match_per_value_oracle(self, tmp_path, columns):
+        for sep, first_line in ((",", "a,b"), (" ", "# a b")):
+            got, want = tmp_path / "got", tmp_path / "want"
+            write_columns(got, columns, sep, first_line)
+            per_value_write_columns(want, columns, sep, first_line)
+            assert got.read_bytes() == want.read_bytes()
+
+    def test_memo_formats_a_shared_column_once(self, tmp_path, monkeypatch):
+        import cubemax.io as io_module
+        calls = []
+        real = io_module.format_column
+        monkeypatch.setattr(io_module, "format_column", lambda c: calls.append(c) or real(c))
+        shared, memo = np.array([0.1, -0.0, np.inf]), {}
+        write_columns(tmp_path / "a.csv", [shared, [1, 2, 3]], ",", "x,n", memo)
+        write_columns(tmp_path / "b.dat", [[4, 5, 6], shared], " ", "# n x", memo)
+        assert len(calls) == 3 and sum(c is shared for c in calls) == 1
+        assert (tmp_path / "b.dat").read_text() == (
+            "# n x\n4 0.10000000000000001\n5 -0\n6 Infinity\n")
+
+    def test_ragged_columns_raise(self, tmp_path):
+        p = tmp_path / "r.csv"
+        with pytest.raises(ValueError, match=r"lengths \[3, 1\]"):
+            write_columns(p, [[1, 2, 3], [1.0]], ",", "a,b")
+        assert not p.exists()
 
 
 class TestMaxFunctionEmission:
