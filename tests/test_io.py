@@ -281,12 +281,12 @@ def columns_of(n):
     )
 
 
-tables = st.integers(0, 12).flatmap(
+column_tables = st.integers(0, 12).flatmap(
     lambda n: st.lists(columns_of(n), min_size=1, max_size=4))
 
 
 class TestColumnWriter:
-    @given(tables)
+    @given(column_tables)
     @settings(max_examples=150, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     def test_bytes_match_per_value_oracle(self, tmp_path, columns):
