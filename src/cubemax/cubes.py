@@ -279,8 +279,9 @@ def _with_dyadic_parents(fam: CubeFamily) -> CubeFamily:
     every dyadic cube of Q0 containing P once nothing is added.
     """
     a, s = fam.anchors, fam.sides
-    # members of the smallest side, last in canonical order, hold only themselves
-    pow2 = np.flatnonzero(is_power_of_two(s) & (s > s[-1:]))
+    # members of the smallest side hold only themselves; fam may be in
+    # selection order, so the smallest side is not always the last
+    pow2 = np.flatnonzero(is_power_of_two(s) & (s > s.min(initial=np.iinfo(np.int64).max)))
     pairs = [np.empty((0, 2), dtype=np.int64)]
     for rows in row_blocks(len(pow2), len(s)):
         hit = cube_contains(a[pow2[rows], None], s[pow2[rows], None], a, s)

@@ -212,19 +212,27 @@ def checkerboard_family(n: int, n_max: int) -> CubeFamily:
     return CubeFamily.from_arrays(anchors, sides)
 
 
+def checkerboard_indicator(n_max: int) -> np.ndarray:
+    """The int64 indicator of the unit square [1, 2)^2 in the 4x4 box, on
+    the grid with cell 2^-n_max."""
+    unit = 2 ** n_max
+    out = np.zeros((4 * unit, 4 * unit), dtype=np.int64)
+    out[unit:2 * unit, unit:2 * unit] = 1
+    return out
+
+
 def run_checkerboard(n_max: int = 6, seed: int = 0) -> tuple[dict, dict]:
     """Family-average maximal function of a unit-square indicator whose
     variation grows geometrically with the parity-cell depth."""
     cfg = ExperimentConfig(seed=seed, dimension=2, grid=4 * 2 ** n_max,
                            h=2.0 ** (-n_max), checkerboard_n_max=n_max)
     report = _report_skeleton("checkerboard", cfg)
-    unit = 2 ** n_max
-    dims = (4 * unit, 4 * unit)
-    vals = np.zeros(dims)
-    vals[unit:2 * unit, unit:2 * unit] = 1.0
-    f = GridFunction(dims, vals.ravel())
-
-    sat = SummedAreaTable(f.array)  # f is the same at every depth
+    indicator = checkerboard_indicator(n_max)
+    f = GridFunction(indicator.shape, indicator.ravel().astype(np.float64))
+    # f is the same at every depth; its 0/1 cells sum exactly in int64, and
+    # so does every float partial sum of them, so the averages are the float
+    # table's bit for bit
+    sat = SummedAreaTable(indicator)
     variations = []
     incomplete_each = []
     for n in range(0, n_max + 1):

@@ -32,6 +32,30 @@ def _compensated_cumsum(a: np.ndarray, axis: int) -> np.ndarray:
     return np.moveaxis(s, 0, axis)
 
 
+def _and_over_shifts(t: np.ndarray, r: int, shape: tuple[int, ...]) -> np.ndarray:
+    """Per entry of an array of ``shape``, the AND of ``t`` at that entry
+    shifted by every offset in {0, r}^d, taken one axis at a time."""
+    t = t[tuple(slice(0, m + r) for m in shape)]
+    if r:
+        for ax, m in enumerate(shape):
+            pre = (slice(None),) * ax
+            t = t[pre + (slice(0, m),)] & t[pre + (slice(r, r + m),)]
+    return t
+
+
+def _free_windows(free: np.ndarray) -> np.ndarray:
+    """The levels ``free[k]`` for 2^k <= min(dims), stacked: level k at an
+    anchor is whether the side-2^k window there holds only ``free`` cells."""
+    dims = free.shape
+    levels = np.zeros((min(dims).bit_length(),) + dims, dtype=bool)
+    levels[0] = free
+    for k in range(len(levels) - 1):
+        w = 2 ** k
+        shape = tuple(n - 2 * w + 1 for n in dims)
+        levels[(k + 1,) + tuple(slice(0, m) for m in shape)] = _and_over_shifts(levels[k], w, shape)
+    return levels
+
+
 class SummedAreaTable:
     """Prefix-sum table over a d-dimensional cell array.
 
@@ -44,15 +68,24 @@ class SummedAreaTable:
     ``x - y``, signed zeros included, so this equals the sum of the signed
     terms.)  A row of :meth:`box_sum_many` and the entry of
     :meth:`box_sum_grid` for the same cube are therefore bit-identical.
-    Integer tables, the NaN counts below included, sum in int64; averages of
-    a float table are divided in place.
+    Integer tables sum in int64; averages of a float table are divided in
+    place.
 
-    A NaN cell enters the float table as 0, and an integer table of NaN
-    counts, kept only when there is a NaN cell, makes exactly the boxes that
-    hold one sum to NaN; no other box sum depends on the NaN cells.
+    A NaN cell enters the float table as 0, and exactly the boxes that hold
+    one sum to NaN; no other box sum depends on the NaN cells.  When there is
+    a NaN cell, ``free[k]`` tells for every anchor whether the side-2^k
+    window there holds no NaN cell: ``free[0]`` is the cells that are not
+    NaN, and ``free[k + 1]`` is ``free[k]`` and-ed over the shifts
+    {0, 2^k}^d, one axis at a time.  A box of side s, with 2^k <= s < 2^(k+1),
+    is the union of the 2^d side-2^k windows at its anchor shifted by
+    {0, s - 2^k}^d, so it holds no NaN cell exactly when ``free[k]`` holds at
+    all of them (the sparse-table range query of Bender and Farach-Colton,
+    "The LCA problem revisited", 2000).  Levels are stacked in one boolean
+    array of shape (k_max + 1,) + dims; the entries of level k past
+    dims - 2^k are never read.
     """
 
-    nan_counts: SummedAreaTable | None = None
+    free: np.ndarray | None = None
 
     def __init__(self, array: np.ndarray):
         arr = np.asarray(array)
@@ -67,7 +100,7 @@ class SummedAreaTable:
             core = arr.astype(np.float64, copy=True)
             nan = np.isnan(core)
             if nan.any():
-                self.nan_counts = SummedAreaTable(nan)
+                self.free = _free_windows(~nan)
                 core[nan] = 0.0
             for ax in range(self.d):
                 core = _compensated_cumsum(core, ax)
@@ -95,8 +128,9 @@ class SummedAreaTable:
         corners = np.ndarray((2,) * self.d + tuple(n + 1 - side for n in self.dims), t.dtype, t,
                              0, tuple(side * st for st in t.strides) + t.strides)
         acc = self._corner_sum(corners)
-        if self.nan_counts is not None:
-            np.copyto(acc, np.nan, where=self.nan_counts.box_sum_grid(side) > 0)
+        if self.free is not None:
+            k = int(side).bit_length() - 1
+            np.copyto(acc, np.nan, where=~_and_over_shifts(self.free[k], side - 2 ** k, acc.shape))
         return acc
 
     def box_sum_many(self, anchors: np.ndarray, sides) -> np.ndarray:
@@ -111,11 +145,21 @@ class SummedAreaTable:
         # one gather of shape (2,) * d + (n,): the index on axis k holds the
         # low and the high end of each cube along its own axis k
         ends = np.stack((anchors, anchors + sides[..., None]))
-        acc = self._corner_sum(self.table[tuple(
-            ends[:, :, k].reshape((1,) * k + (2,) + (1,) * (self.d - 1 - k) + (-1,)) for k in range(self.d))])
-        if self.nan_counts is not None:
-            np.copyto(acc, np.nan, where=self.nan_counts.box_sum_many(anchors, sides) > 0)
+        acc = self._corner_sum(self.table[self._corner_index(ends)])
+        if self.free is not None:
+            # the same gather on the level of each side, at the anchor
+            # shifted by 0 and by s - 2^k on each axis
+            k = np.frexp(sides)[1] - 1
+            ends = np.stack((anchors, anchors + (sides - 2 ** k)[..., None]))
+            np.copyto(acc, np.nan, where=~self.free[(k,) + self._corner_index(ends)].all(
+                axis=tuple(range(self.d))))
         return acc
+
+    def _corner_index(self, ends: np.ndarray) -> tuple[np.ndarray, ...]:
+        """Index arrays of shape (2,) * d + (n,) from the (2, n, d) ``ends``:
+        the index on axis k takes the low and the high end along axis k."""
+        return tuple(ends[:, :, k].reshape((1,) * k + (2,) + (1,) * (self.d - 1 - k) + (-1,))
+                     for k in range(self.d))
 
     def box_avg_grid(self, side: int) -> np.ndarray:
         acc = self.box_sum_grid(side)

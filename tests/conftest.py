@@ -5,6 +5,7 @@ from typing import NamedTuple
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from cubemax import CubeFamily, GridCube, PixelSet, perimeter, superlevel
 from cubemax import cubes as cubes_module
@@ -287,15 +288,56 @@ def slice_loop_max_paint(fam, values, dims):
     return out
 
 
+def dyadic_cubes_of(q0):
+    """Every dyadic cube of the power-of-two cube ``q0``, by enumeration."""
+    out = []
+    s = q0.side
+    while s >= 1:
+        for off in np.ndindex(*([q0.side // s] * len(q0.anchor))):
+            out.append(GridCube(tuple(a + o * s for a, o in zip(q0.anchor, off)), s))
+        s //= 2
+    return out
+
+
+def brute_force_completion(cubes):
+    """Fixed-point oracle for ``dyadic_completion``: repeatedly insert the
+    missing dyadic cubes of each power-of-two member Q0 that hold a member P
+    inside Q0, found by exhaustive enumeration of dy(Q0)."""
+    members = set(cubes)
+    while True:
+        missing = set()
+        for q0 in list(members):
+            if q0.side & (q0.side - 1):
+                continue
+            for p in list(members):
+                if p == q0 or not cube_holds(q0, p):
+                    continue
+                for q in dyadic_cubes_of(q0):
+                    if cube_holds(q, p) and q not in members:
+                        missing.add(q)
+        if not missing:
+            return members
+        members |= missing
+
+
 def set_witness(fam):
-    """Oracle for ``is_dyadically_complete``: the first cube, in canonical
-    order, of ``_with_dyadic_parents(fam)`` that a Python set of the members
-    lacks, with the completeness flag."""
-    members = set(zip(map(tuple, fam.anchors.tolist()), fam.sides.tolist()))
-    grown = cubes_module._with_dyadic_parents(fam)
-    witness = next((GridCube(a, s) for a, s in zip(grown.anchors.tolist(), grown.sides.tolist())
-                    if (tuple(a), s) not in members), None)
-    return witness is None, witness
+    """Oracle for ``is_dyadically_complete``, in any member order.  The flag
+    says whether :func:`brute_force_completion` adds nothing.  The witness
+    is the first, in canonical order, of the cubes a Python set of the
+    members lacks among these: for each member P inside a power-of-two
+    member Q0, the smallest enumerated dyadic cube of Q0 that holds P and is
+    not P."""
+    members = set(fam.cubes)
+    wanted = set()
+    for q0 in members:
+        if q0.side & (q0.side - 1):
+            continue
+        for p in members:
+            if p != q0 and cube_holds(q0, p):
+                wanted.add(min((q for q in dyadic_cubes_of(q0) if q != p and cube_holds(q, p)),
+                               key=lambda q: q.side))
+    missing = CubeFamily(wanted - members)
+    return brute_force_completion(members) == members, missing[0] if len(missing) else None
 
 
 def loop_compensated_cumsum(a, axis):
@@ -317,18 +359,56 @@ def loop_compensated_cumsum(a, axis):
 
 
 def signed_term_box_sum_grid(sat, side):
-    """Oracle for ``SummedAreaTable.box_sum_grid``: each corner term times its
-    sign, out of place, added in ascending bitmask order over the axes; a box
-    holding a NaN cell (by the table's NaN counts) is NaN."""
+    """Oracle for ``SummedAreaTable.box_sum_grid`` on a table without NaN
+    cells: each corner term times its sign, out of place, added in ascending
+    bitmask order over the axes."""
     acc = None
     for bits in range(2 ** sat.d):
         sign = 1 if (sat.d - bin(bits).count("1")) % 2 == 0 else -1
         term = sat.table[tuple(slice(side, None) if (bits >> k) & 1 else slice(0, n + 1 - side)
                                for k, n in enumerate(sat.dims))]
         acc = sign * term if acc is None else acc + sign * term
-    if sat.nan_counts is not None:
-        acc[signed_term_box_sum_grid(sat.nan_counts, side) > 0] = np.nan
     return acc
+
+
+def nan_count_rule(arr, query):
+    """Oracle for the NaN rule of ``SummedAreaTable``: ``query``, a function
+    of a table, on the table of ``arr`` with its NaN cells as 0, set to NaN
+    wherever the same query on the int64 table of NaN counts is above 0."""
+    nan = np.isnan(arr)
+    if not nan.any():
+        return query(SummedAreaTable(arr))
+    acc = query(SummedAreaTable(np.where(nan, 0.0, arr)))
+    acc[query(SummedAreaTable(nan)) > 0] = np.nan
+    return acc
+
+
+NAN_MASKS = ("none", "one", "border", "all", "random")
+
+
+def draw_nan_cells(data, d, largest):
+    """A float array of drawn dims (1..``largest[d]`` per axis) whose cells
+    span 1e-8 to 1e8 with both signs and signed zeros, with NaN at a mask of
+    a drawn kind: none, one cell, a border row, all cells or a random set."""
+    dims = tuple(data.draw(st.lists(st.integers(1, largest[d]), min_size=d, max_size=d),
+                           label="dims"))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1), label="seed"))
+    arr = rng.choice([-1.0, 1.0], dims) * 10.0 ** rng.uniform(-8, 8, dims)
+    arr[rng.random(dims) < 0.1] = 0.0
+    arr[rng.random(dims) < 0.1] = -0.0
+    kind = data.draw(st.sampled_from(NAN_MASKS), label="mask")
+    nan = np.zeros(dims, dtype=bool)
+    if kind == "one":
+        nan.flat[rng.integers(nan.size)] = True
+    elif kind == "border":
+        ax = int(rng.integers(d))
+        nan[(slice(None),) * ax + (int(rng.choice([0, -1])),)] = True
+    elif kind == "all":
+        nan[...] = True
+    elif kind == "random":
+        nan = rng.random(dims) < rng.uniform(0.02, 0.5)
+    arr[nan] = np.nan
+    return arr, rng
 
 
 def unique_canonical_order(anchors, sides, averages=None):

@@ -19,6 +19,7 @@ from cubemax import (
 from cubemax.cubes import cube_bounds, dilate_bounds, row_blocks, scale_indices
 from cubemax.errors import NonDyadicSide, PremiseViolated
 from conftest import (
+    brute_force_completion,
     cube_holds,
     cube_holds_cell,
     scalar_scale_index,
@@ -27,35 +28,6 @@ from conftest import (
     union_by_slices,
     unique_canonical_order,
 )
-
-
-def brute_force_completion(cubes):
-    """Fixed-point oracle: repeatedly insert missing dyadic ancestors found
-    by exhaustive enumeration of dy(Q0)."""
-    def dy(q0):
-        out = []
-        s = q0.side
-        while s >= 1:
-            for off in np.ndindex(*([q0.side // s] * len(q0.anchor))):
-                out.append(GridCube(tuple(a + o * s for a, o in zip(q0.anchor, off)), s))
-            s //= 2
-        return out
-
-    members = set(cubes)
-    while True:
-        missing = set()
-        for q0 in list(members):
-            if q0.side & (q0.side - 1):
-                continue
-            for p in list(members):
-                if p == q0 or not cube_holds(q0, p):
-                    continue
-                for q in dy(q0):
-                    if cube_holds(q, p) and q not in members:
-                        missing.add(q)
-        if not missing:
-            return members
-        members |= missing
 
 
 class TestDyadicDescendants:
@@ -412,9 +384,19 @@ def test_witness_matches_set_search(d, data):
     loose = data.draw(st.lists(st.tuples(st.tuples(*[st.integers(0, 8)] * d),
                                          st.sampled_from([1, 2, 3, 4])), max_size=4), label="loose")
     fam = CubeFamily(fam.cubes + tuple(GridCube(a, s) for a, s in loose))
-    assert is_dyadically_complete(fam) == set_witness(fam)
+    want = set_witness(fam)
+    assert is_dyadically_complete(fam) == want
     order = np.array(data.draw(st.permutations(range(len(fam))), label="order"), dtype=np.int64)
-    assert is_dyadically_complete(fam.select(order)) == set_witness(fam.select(order))
+    assert is_dyadically_complete(fam.select(order)) == want
+
+
+def test_selection_order_keeps_the_smallest_side_in_the_check():
+    # the smallest side comes first in this selection, not last as in
+    # canonical order; it was taken from the last row, so the pair was lost
+    fam = CubeFamily([GridCube((0,), 4), GridCube((0,), 1)])
+    picked = fam.select(np.array([1, 0]))
+    assert is_dyadically_complete(picked) == is_dyadically_complete(fam) == (False, GridCube((0,), 2))
+    assert set(dyadic_completion(picked).cubes) == {GridCube((0,), 4), GridCube((0,), 2), GridCube((0,), 1)}
 
 
 @pytest.mark.parametrize("cube", [GridCube((-1, 0), 2), GridCube((3, 3), 2), GridCube((0, 4), 1)])

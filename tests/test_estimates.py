@@ -303,6 +303,13 @@ class TestTheoremEvaluate:
         with pytest.raises(NotDyadicallyComplete):
             theorem_main_evaluate(f, fam)
 
+    def test_incomplete_family_in_selection_order_rejected(self, rng):
+        # smallest side first: the check must not read it from the last row
+        f = grid_from_array(rng.random(4))
+        fam = CubeFamily([GridCube((0,), 4), GridCube((0,), 1)]).with_averages(f)
+        with pytest.raises(NotDyadicallyComplete):
+            theorem_main_evaluate(f, fam.select(np.array([1, 0])))
+
     def test_split_domination_violation_raises(self, rng, monkeypatch):
         # a q2-boundary column that loses one face breaks the exact
         # face-count bound lhs <= term1 + term2 at a level where it is tight

@@ -13,6 +13,7 @@ from cubemax.experiments import (
     ExperimentConfig,
     dumbbell_domain,
     checkerboard_family,
+    checkerboard_indicator,
     report_passed,
     run_checkerboard,
     run_dumbbell,
@@ -21,7 +22,9 @@ from cubemax.experiments import (
     run_sparse_audit,
     run_theorem_suite,
 )
+from cubemax.cubes import family_averages
 from cubemax.grid import GridFunction, variation
+from cubemax.sat import SummedAreaTable
 from cubemax.io import canonical_json
 from cubemax.maximal import maximal_family
 import cubemax
@@ -112,12 +115,25 @@ class TestCheckerboard:
         real = sat.SummedAreaTable.__init__
 
         def counted(self, array):
-            builds.append(np.shape(array))
+            builds.append((np.shape(array), np.asarray(array).dtype))
             real(self, array)
 
         monkeypatch.setattr(sat.SummedAreaTable, "__init__", counted)
         run_checkerboard(4)
-        assert builds == [(64, 64)]
+        assert builds == [((64, 64), np.int64)]
+
+    @pytest.mark.parametrize("n_max", [3, 4, 5, 6, 7])
+    def test_integer_table_averages_equal_float_table(self, n_max):
+        # at every depth, the int64 table of the 0/1 indicator gives the
+        # family averages of the compensated float table, bit for bit
+        indicator = checkerboard_indicator(n_max)
+        f = GridFunction(indicator.shape, indicator.ravel().astype(np.float64))
+        exact, compensated = SummedAreaTable(indicator), SummedAreaTable(f.array)
+        assert exact.table.dtype == np.int64
+        for n in range(n_max + 1):
+            fam = checkerboard_family(n, n_max)
+            got = family_averages(f, fam, exact)
+            assert got.tobytes() == family_averages(f, fam, compensated).tobytes()
 
     def test_variations_match_unshared_tables(self):
         # per depth, maximal_family averages the family with its own table

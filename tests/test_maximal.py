@@ -27,6 +27,7 @@ from cubemax.maximal import (
 )
 from conftest import (
     doubling_spread,
+    draw_nan_cells,
     exact_maximal,
     exact_maximal_1d,
     exact_variation,
@@ -315,6 +316,18 @@ class TestMaximalLocal:
         got = maximal_local(f, PixelSet(dims, omega)).array
         assert np.array_equal(got, brute_force(vals, omega), equal_nan=True)
         assert np.array_equal(got[omega], vals[omega])
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_local_on_nan_masks_matches_brute_force(d, data):
+    # the NaN masks of the table's NaN-rule test, as cells outside the
+    # domain: the descent in d >= 2 and the scan's own NaN count in d = 1
+    vals, rng = draw_nan_cells(data, d, {1: 40, 2: 9, 3: 6})
+    dims = vals.shape
+    got = maximal_local(GridFunction(dims, vals.ravel()), PixelSet.full(dims)).array
+    assert np.array_equal(got, brute_force(vals), equal_nan=True)
 
 
 def check_scan(vals):

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from cubemax import CubeFamily, GridCube, SummedAreaTable, family_averages, grid_from_array
 from cubemax.sat import _compensated_cumsum
-from conftest import loop_compensated_cumsum, signed_term_box_sum_grid
+from conftest import draw_nan_cells, loop_compensated_cumsum, nan_count_rule, signed_term_box_sum_grid
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
@@ -53,7 +53,7 @@ def test_grid_queries_bit_equal_to_signed_term_oracle(d, kind, data):
         arr[rng.random(dims) < data.draw(st.sampled_from([0.0, 0.05]), label="nan_rate")] = np.nan
     sat = SummedAreaTable(arr)
     for side in range(1, min(dims) + 1):
-        want = signed_term_box_sum_grid(sat, side)
+        want = nan_count_rule(arr, lambda t: signed_term_box_sum_grid(t, side))
         got = sat.box_sum_grid(side)
         assert got.dtype == want.dtype and got.shape == want.shape
         assert got.tobytes() == want.tobytes()
@@ -96,7 +96,7 @@ def test_nan_cells_make_only_their_boxes_nan(rng, d):
     arr[nan] = np.nan
     sat = SummedAreaTable(arr)
     zeroed = SummedAreaTable(np.where(nan, 0.0, arr))
-    assert zeroed.nan_counts is None
+    assert sat.free is not None and zeroed.free is None
     assert np.array_equal(sat.table, zeroed.table)
     for side in range(1, min(dims) + 1):
         windows = np.lib.stride_tricks.sliding_window_view(nan, (side,) * d)
@@ -113,6 +113,27 @@ def test_nan_cells_make_only_their_boxes_nan(rng, d):
     assert np.array_equal(got, grid_entries(sat.box_sum_grid, anchors, sides), equal_nan=True)
     assert np.array_equal(sat.box_avg_many(anchors, sides),
                           grid_entries(sat.box_avg_grid, anchors, sides), equal_nan=True)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_nan_rule_bit_equal_to_count_table(d, data):
+    # the power-of-two NaN-free windows against the int64 NaN-count table,
+    # on masks with no NaN cell, one, a border row, all cells or a random
+    # set; every side of the grid query, random boxes and a scalar side for
+    # the gather, bit for bit with the NaN positions
+    arr, rng = draw_nan_cells(data, d, {1: 40, 2: 10, 3: 6})
+    sat = SummedAreaTable(arr)
+    assert (sat.free is None) == (not np.isnan(arr).any())
+    for side in range(1, min(arr.shape) + 1):
+        want = nan_count_rule(arr, lambda t: t.box_sum_grid(side))
+        assert sat.box_sum_grid(side).tobytes() == want.tobytes()
+    for sides in (rng.integers(1, min(arr.shape) + 1, 60), np.int64(rng.integers(1, min(arr.shape) + 1))):
+        hi = np.array(arr.shape) - np.broadcast_to(sides, 60)[:, None] + 1
+        anchors = (rng.random((60, d)) * hi).astype(np.int64)
+        want = nan_count_rule(arr, lambda t: t.box_sum_many(anchors, sides))
+        assert sat.box_sum_many(anchors, sides).tobytes() == want.tobytes()
 
 
 def test_nan_cell_leaves_other_cubes_finite():
