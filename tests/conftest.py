@@ -383,9 +383,6 @@ def nan_count_rule(arr, query):
     return acc
 
 
-NAN_MASKS = ("none", "one", "border", "all", "random")
-
-
 def draw_nan_cells(data, d, largest):
     """A float array of drawn dims (1..``largest[d]`` per axis) whose cells
     span 1e-8 to 1e8 with both signs and signed zeros, with NaN at a mask of
@@ -396,7 +393,7 @@ def draw_nan_cells(data, d, largest):
     arr = rng.choice([-1.0, 1.0], dims) * 10.0 ** rng.uniform(-8, 8, dims)
     arr[rng.random(dims) < 0.1] = 0.0
     arr[rng.random(dims) < 0.1] = -0.0
-    kind = data.draw(st.sampled_from(NAN_MASKS), label="mask")
+    kind = data.draw(st.sampled_from(["none", "one", "border", "all", "random"]), label="mask")
     nan = np.zeros(dims, dtype=bool)
     if kind == "one":
         nan.flat[rng.integers(nan.size)] = True
