@@ -5,13 +5,17 @@
 
 One serial path: read the config, create the output directory, run the
 command's runner, which returns the whole report and the command's tables,
-then write ``report.json``, the tables and ``timings.json``.
+then write ``report.json``, the tables and ``timings.json``.  A command reads
+the config keys that ``experiments.READS`` names for it, and its report's
+``config`` block holds exactly those.
 
-Exit codes: 0 all assertions passed, 1 an assertion failed (the failing
-configuration is printed for replay), 2 invalid configuration or output
-directory, 3 a library error (a ``CubemaxError`` such as
-``InvariantViolated``) stopped the run (one ``error: <ErrorType>: <message>``
-line and the replay configuration go to stderr).
+Exit codes: 0 all assertions passed; 1 an assertion failed (the replay
+configuration, the report's ``config`` block, goes to stderr); 2 an invalid
+config or output directory, found before the run: a value out of range, a
+file that is not UTF-8 JSON, or a key that the command does not read; 3 a
+library error (a ``CubemaxError`` such as ``InvariantViolated``) stopped the
+run (one ``error: <ErrorType>: <message>`` line and the replay configuration
+go to stderr).
 """
 
 from __future__ import annotations
@@ -24,6 +28,7 @@ from pathlib import Path
 
 from .errors import ConfigError, CubemaxError
 from .experiments import (
+    READS,
     ExperimentConfig,
     report_passed,
     run_checkerboard,
@@ -35,7 +40,7 @@ from .experiments import (
 )
 from .io import canonical_json, write_columns, write_report
 
-COMMANDS = ("ratio", "theorem", "checkerboard", "dumbbell", "geom", "sparse-audit")
+COMMANDS = tuple(READS)
 
 
 def emit_tables(tables: dict, out_dir) -> list[Path]:
@@ -68,7 +73,7 @@ def load_config(args) -> ExperimentConfig:
         data = json.loads(Path(args.config).read_text(encoding="utf-8"))
     if args.seed is not None:
         data["seed"] = args.seed
-    return ExperimentConfig.from_dict(data)
+    return ExperimentConfig.from_dict(data, args.command)
 
 
 def main(argv=None) -> int:
@@ -82,28 +87,21 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 
-    # module-level names, so that a tracer that rebinds them sees every call
+    # looked up by module-level name at each call, so that a tracer that
+    # rebinds the names sees every call
+    runner = {"ratio": run_ratio_suite, "theorem": run_theorem_suite,
+              "checkerboard": run_checkerboard, "dumbbell": run_dumbbell,
+              "geom": run_geom_suite, "sparse-audit": run_sparse_audit}[args.command]
     t0 = time.perf_counter()
     try:
-        if args.command == "ratio":
-            report, tables = run_ratio_suite(cfg)
-        elif args.command == "theorem":
-            report, tables = run_theorem_suite(cfg)
-        elif args.command == "checkerboard":
-            report, tables = run_checkerboard(cfg.checkerboard_n_max, seed=cfg.seed)
-        elif args.command == "dumbbell":
-            report, tables = run_dumbbell(seed=cfg.seed)
-        elif args.command == "geom":
-            report, tables = run_geom_suite(cfg)
-        else:
-            report, tables = run_sparse_audit(cfg)
+        report, tables = runner(cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except CubemaxError as exc:
         message = str(exc).replace("\n", " ")
         print(f"error: {type(exc).__name__}: {message}", file=sys.stderr)
-        _print_replay(cfg.to_json())
+        _print_replay(cfg.to_json(args.command))
         return 3
     t1 = time.perf_counter()
     elapsed = t1 - t0

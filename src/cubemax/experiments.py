@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 import numbers
 import sys
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -50,6 +50,9 @@ _FIELD_TYPES = {"int": numbers.Integral, "float": numbers.Real, "str": str, "dic
 
 # the most cells a configured grid may hold (128 MB per float array)
 MAX_CELLS = 2 ** 24
+# the most samples per geometry check (a geom run peaks at about 100 bytes
+# per sample, 416 MB at 4e6 samples)
+MAX_GEOM_SAMPLES = 2 ** 22
 
 
 @dataclass
@@ -89,8 +92,9 @@ class ExperimentConfig:
             raise ConfigError(f"unknown function class {self.function_class!r}")
         if self.repetitions < 1:
             raise ConfigError("repetitions must be positive")
-        if self.geom_samples < 1:
-            raise ConfigError("geom_samples must be positive")
+        if not 1 <= self.geom_samples <= MAX_GEOM_SAMPLES:
+            raise ConfigError(f"geom_samples must be in 1..{MAX_GEOM_SAMPLES}, "
+                              f"got {self.geom_samples}")
         if not 1 <= self.family_seeds <= 24:
             # sparse-audit draws between 8 * family_seeds and 200 cubes
             raise ConfigError(f"family_seeds must be in 1..24, got {self.family_seeds}")
@@ -110,7 +114,9 @@ class ExperimentConfig:
             raise ConfigError(f"caps has no entry for dimension {self.dimension}")
 
     @classmethod
-    def from_dict(cls, obj: dict) -> "ExperimentConfig":
+    def from_dict(cls, obj: dict, command: str) -> "ExperimentConfig":
+        """The config of a ``command`` run from a config file's keys, each of
+        which the command must read."""
         # The benchmark's job configs still carry "threads": 1 from when runs
         # could use a thread pool; accept exactly that and drop it until they
         # stop writing the key.
@@ -119,20 +125,38 @@ class ExperimentConfig:
                 raise ConfigError(f"the threads option is gone (runs are serial), "
                                   f"got threads={obj['threads']!r}")
             obj = {k: v for k, v in obj.items() if k != "threads"}
-        known = {f.name for f in fields(cls)}
-        unknown = set(obj) - known
-        if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+        unread = sorted(set(obj) - set(READS[command]))
+        if unread:
+            raise ConfigError(f"{command} does not read config key(s) {unread}; "
+                              f"it reads {list(READS[command])}")
         return cls(**obj)
 
-    def to_json(self) -> dict:
-        out = asdict(self)
-        out["caps"] = {str(k): v for k, v in self.caps.items()}
+    def to_json(self, command: str) -> dict:
+        """The keys ``command`` reads, with their values: its report's
+        ``config`` block and its replay configuration."""
+        out = {key: getattr(self, key) for key in READS[command]}
+        if "caps" in out:
+            out["caps"] = {str(k): v for k, v in self.caps.items()}
         return out
 
     @property
     def dims(self) -> tuple[int, ...]:
         return (self.grid,) * self.dimension
+
+
+_SUITE_KEYS = ("seed", "dimension", "grid", "function_class", "repetitions")
+
+# The config keys each command reads, which its report's ``config`` block
+# echoes; setting any other key is a config error.  ``checkerboard`` and
+# ``dumbbell`` draw no random number and read ``seed`` only to echo it.
+READS = {
+    "ratio": _SUITE_KEYS,
+    "theorem": _SUITE_KEYS + ("h", "family_seeds", "deep_instances", "caps"),
+    "checkerboard": ("seed", "checkerboard_n_max"),
+    "dumbbell": ("seed",),
+    "geom": ("seed", "geom_samples"),
+    "sparse-audit": _SUITE_KEYS + ("family_seeds",),
+}
 
 
 def _instance_rng(seed: int, k: int) -> np.random.Generator:
@@ -143,7 +167,7 @@ def _report_skeleton(command: str, cfg: ExperimentConfig) -> dict:
     return {
         "schema": SCHEMA_VERSION,
         "command": command,
-        "config": cfg.to_json(),
+        "config": cfg.to_json(command),
         "assertions": [],
         "results": {},
         "constants": {},
@@ -221,11 +245,11 @@ def checkerboard_indicator(n_max: int) -> np.ndarray:
     return out
 
 
-def run_checkerboard(n_max: int = 6, seed: int = 0) -> tuple[dict, dict]:
+def run_checkerboard(cfg: ExperimentConfig) -> tuple[dict, dict]:
     """Family-average maximal function of a unit-square indicator whose
-    variation grows geometrically with the parity-cell depth."""
-    cfg = ExperimentConfig(seed=seed, dimension=2, grid=4 * 2 ** n_max,
-                           h=2.0 ** (-n_max), checkerboard_n_max=n_max)
+    variation grows geometrically with the parity-cell depth, on the grid
+    with cell 2^-n_max for n_max = ``cfg.checkerboard_n_max``."""
+    n_max = cfg.checkerboard_n_max
     report = _report_skeleton("checkerboard", cfg)
     indicator = checkerboard_indicator(n_max)
     f = GridFunction(indicator.shape, indicator.ravel().astype(np.float64))
@@ -245,7 +269,7 @@ def run_checkerboard(n_max: int = 6, seed: int = 0) -> tuple[dict, dict]:
     ratios = [variations[i + 1] / variations[i] for i in range(len(variations) - 1)]
     report["results"]["n"] = list(range(0, n_max + 1))
     report["results"]["variation"] = [float(v) for v in variations]
-    _scale_measures(report["results"], ("variation",), cfg.h, 2)
+    _scale_measures(report["results"], ("variation",), 2.0 ** -n_max, 2)
     report["results"]["growth_ratios"] = [float(r) for r in ratios]
     window = [float(ratios[n]) for n in range(2, n_max)]
     _assert(report, "geometric_growth",
@@ -260,6 +284,7 @@ def run_checkerboard(n_max: int = 6, seed: int = 0) -> tuple[dict, dict]:
 # ------------------------------------------------------------------ dumbbell
 
 DUMBBELL_INTEGRAL = 1.0 / 6.0  # exact integral of the corner ramp over its support
+DUMBBELL_RESOLUTIONS = (0.25, 0.125, 0.0625)  # the cell widths h of the three runs
 
 
 def dumbbell_domain(h: float) -> tuple[GridFunction, PixelSet]:
@@ -294,12 +319,14 @@ def dumbbell_domain(h: float) -> tuple[GridFunction, PixelSet]:
     return GridFunction(dims, vals.ravel()), PixelSet(dims, omega)
 
 
-def run_dumbbell(seed: int = 0, resolutions=(0.25, 0.125, 0.0625)) -> tuple[dict, dict]:
-    cfg = ExperimentConfig(seed=seed, dimension=2, grid=4, h=resolutions[0])
+def run_dumbbell(cfg: ExperimentConfig) -> tuple[dict, dict]:
+    """The masked-local maximal function of the corner ramp on the dumbbell
+    domain at each of :data:`DUMBBELL_RESOLUTIONS`: zero on the neck, at
+    least 1/100 of the ramp's integral in the lower chamber."""
     report = _report_skeleton("dumbbell", cfg)
     target = DUMBBELL_INTEGRAL / 100.0
     rows = []
-    for h in resolutions:
+    for h in DUMBBELL_RESOLUTIONS:
         f, omega = dumbbell_domain(h)
         mf = maximal_local(f, omega)
         yc = -10.0 + (np.arange(f.dims[1]) + 0.5) * h

@@ -244,7 +244,7 @@ def test_c08_theorem_empirical_boundedness_and_stability():
 
 def test_c09_checkerboard_growth():
     t0 = time.perf_counter()
-    rep, _ = run_checkerboard(6)
+    rep, _ = run_checkerboard(ExperimentConfig(checkerboard_n_max=6))
     assert report_passed(rep), rep["assertions"]
     ratios = rep["results"]["growth_ratios"]
     for n in range(2, 6):
@@ -257,7 +257,8 @@ def test_c09_checkerboard_growth():
 
 def test_c10_dumbbell_jump():
     t0 = time.perf_counter()
-    rep, _ = run_dumbbell(resolutions=(0.25, 0.125, 0.0625))
+    rep, _ = run_dumbbell(ExperimentConfig())
+    assert [row["h"] for row in rep["results"]["rows"]] == [0.25, 0.125, 0.0625]
     assert report_passed(rep), rep["assertions"]
     for row in rep["results"]["rows"]:
         assert row["neck_max"] == 0.0

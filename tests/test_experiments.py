@@ -10,6 +10,8 @@ import pytest
 from cubemax.cli import COMMANDS, emit_tables, main
 from cubemax.errors import ConfigError, InvariantViolated
 from cubemax.experiments import (
+    MAX_GEOM_SAMPLES,
+    READS,
     ExperimentConfig,
     dumbbell_domain,
     checkerboard_family,
@@ -47,7 +49,7 @@ class TestConfig:
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError):
-            ExperimentConfig.from_dict({"grib": 16})
+            ExperimentConfig.from_dict({"grib": 16}, "ratio")
 
 
 class TestRatioSuite:
@@ -97,13 +99,13 @@ class TestRatioSuite:
 
 class TestCheckerboard:
     def test_growth_in_window(self):
-        rep, _ = run_checkerboard(5)
+        rep, _ = run_checkerboard(ExperimentConfig(checkerboard_n_max=5))
         assert report_passed(rep)
         ratios = rep["results"]["growth_ratios"]
         assert all(1.5 <= r <= 2.5 for r in ratios[2:])
 
     def test_baseline_family_comparable_to_var_f(self):
-        rep, _ = run_checkerboard(4)
+        rep, _ = run_checkerboard(ExperimentConfig(checkerboard_n_max=4))
         # var f of the unit square indicator is 4; the family-only maximal
         # function at depth 0 stays within a small factor
         assert 0.5 <= rep["results"]["variation"][0] / 4.0 <= 2.0
@@ -119,7 +121,7 @@ class TestCheckerboard:
             real(self, array)
 
         monkeypatch.setattr(sat.SummedAreaTable, "__init__", counted)
-        run_checkerboard(4)
+        run_checkerboard(ExperimentConfig(checkerboard_n_max=4))
         assert builds == [((64, 64), np.int64)]
 
     @pytest.mark.parametrize("n_max", [3, 4, 5, 6, 7])
@@ -145,7 +147,8 @@ class TestCheckerboard:
         # in cell units; the report takes them to the cell width 2^-n_max
         want = [variation(maximal_family(f, checkerboard_family(n, n_max))) * 2.0 ** -n_max
                 for n in range(n_max + 1)]
-        assert run_checkerboard(n_max)[0]["results"]["variation"] == want
+        rep, _ = run_checkerboard(ExperimentConfig(checkerboard_n_max=n_max))
+        assert rep["results"]["variation"] == want
 
     def test_families_never_complete(self):
         for n in (1, 3):
@@ -156,11 +159,11 @@ class TestCheckerboard:
 
 class TestDumbbell:
     def test_all_assertions_pass(self):
-        rep, _ = run_dumbbell()
+        rep, _ = run_dumbbell(ExperimentConfig())
         assert report_passed(rep)
 
     def test_neck_zero_and_floor(self):
-        rep, _ = run_dumbbell()
+        rep, _ = run_dumbbell(ExperimentConfig())
         for row in rep["results"]["rows"]:
             assert row["neck_max"] == 0.0
             assert row["lower_min"] >= row["target"] * (1 - 1e-12)
@@ -305,56 +308,71 @@ class TestCli:
         cfgfile.write_text(json.dumps({"dimension": 9}))
         assert main(["ratio", "--config", str(cfgfile)]) == 2
 
-    @pytest.mark.parametrize("config", [
-        {"caps": {"2": "a"}},
-        {"caps": {"1": 4.0}},
-        {"grid": 2.5},
-        {"seed": -1},
-        {"family_class": "dyadic"},
-        {"geom_samples": 0},
-        {"geom_samples": -5},
-        {"family_seeds": 0},
-        {"family_seeds": 25},
-        {"checkerboard_n_max": 0},
-        {"checkerboard_n_max": 2},
-        {"deep_instances": -1},
-        {"checkerboard_n_max": 11},
-        {"checkerboard_n_max": 40},
-        {"grid": 4097},
-        {"dimension": 3, "grid": 257},
-        {"caps": {"2": -1}},
-        {"caps": {"2": 0}},
-        {"caps": {"2": float("inf")}},
-        {"caps": {"2": 10 ** 400}},
-        {"threads": 2},
-        {"threads": 0},
-        {"threads": True},
-        {"threads": "1"},
-        {"h": float("inf")},
-        {"h": float("nan")},
-        {"h": 0},
-        {"h": 1e200},
-        {"h": 10 ** 400},
-        {"h": 1.4e154, "dimension": 2},
-        {"h": 6e102, "dimension": 3},
+    # (command, config, start of the stderr message): each case under a
+    # command that reads its key, so it fails its range check, not the key check
+    @pytest.mark.parametrize("command, config, message", [
+        ("theorem", {"caps": {"2": "a"}}, "caps values must be finite positive numbers"),
+        ("theorem", {"caps": {"1": 4.0}}, "caps has no entry for dimension 2"),
+        ("ratio", {"grid": 2.5}, "grid must be of type int, got 2.5"),
+        ("dumbbell", {"seed": -1}, "seed must be non-negative"),
+        ("theorem", {"family_class": "dyadic"},
+         "theorem does not read config key(s) ['family_class']"),
+        ("geom", {"geom_samples": 0}, "geom_samples must be in 1..4194304, got 0"),
+        ("geom", {"geom_samples": -5}, "geom_samples must be in 1..4194304, got -5"),
+        ("geom", {"geom_samples": MAX_GEOM_SAMPLES + 1},
+         "geom_samples must be in 1..4194304, got 4194305"),
+        ("sparse-audit", {"family_seeds": 0}, "family_seeds must be in 1..24, got 0"),
+        ("sparse-audit", {"family_seeds": 25}, "family_seeds must be in 1..24, got 25"),
+        ("checkerboard", {"checkerboard_n_max": 0}, "checkerboard_n_max must be in 3..10, got 0"),
+        ("checkerboard", {"checkerboard_n_max": 2}, "checkerboard_n_max must be in 3..10, got 2"),
+        ("theorem", {"deep_instances": -1}, "deep_instances must be non-negative"),
+        ("checkerboard", {"checkerboard_n_max": 11},
+         "checkerboard_n_max must be in 3..10, got 11"),
+        ("checkerboard", {"checkerboard_n_max": 40},
+         "checkerboard_n_max must be in 3..10, got 40"),
+        ("ratio", {"grid": 4097}, "grid ** dimension must be at most 16777216 cells"),
+        ("sparse-audit", {"dimension": 3, "grid": 257},
+         "grid ** dimension must be at most 16777216 cells"),
+        ("theorem", {"caps": {"2": -1}}, "caps values must be finite positive numbers"),
+        ("theorem", {"caps": {"2": 0}}, "caps values must be finite positive numbers"),
+        ("theorem", {"caps": {"2": float("inf")}}, "caps values must be finite positive numbers"),
+        ("theorem", {"caps": {"2": 10 ** 400}}, "caps values must be finite positive numbers"),
+        ("ratio", {"threads": 2}, "the threads option is gone (runs are serial), got threads=2"),
+        ("geom", {"threads": 0}, "the threads option is gone (runs are serial), got threads=0"),
+        ("dumbbell", {"threads": True},
+         "the threads option is gone (runs are serial), got threads=True"),
+        ("checkerboard", {"threads": "1"},
+         "the threads option is gone (runs are serial), got threads='1'"),
+        ("theorem", {"h": float("inf")}, "h must be positive with a finite h ** dimension"),
+        ("theorem", {"h": float("nan")}, "h must be positive with a finite h ** dimension"),
+        ("theorem", {"h": 0}, "h must be positive with a finite h ** dimension"),
+        ("theorem", {"h": 1e200}, "h must be positive with a finite h ** dimension"),
+        ("theorem", {"h": 10 ** 400}, "h must be positive with a finite h ** dimension"),
+        ("theorem", {"h": 1.4e154, "dimension": 2},
+         "h must be positive with a finite h ** dimension"),
+        ("theorem", {"h": 6e102, "dimension": 3},
+         "h must be positive with a finite h ** dimension"),
     ], ids=["caps-value", "caps-missing-dimension", "grid-float", "seed-negative",
             "family-class-removed", "geom-samples-0", "geom-samples-negative",
-            "family-seeds-0", "family-seeds-25", "checkerboard-n-max-0",
-            "checkerboard-n-max-2", "deep-instances-negative", "checkerboard-n-max-11",
-            "checkerboard-n-max-40", "grid-cells-2d", "grid-cells-3d", "caps-negative",
-            "caps-zero", "caps-infinite", "caps-overflow", "threads-2", "threads-0",
-            "threads-true", "threads-string", "h-infinite", "h-nan", "h-zero",
-            "h-squared-overflows", "h-int-overflows-float", "h-squared-overflows-d2",
-            "h-cubed-overflows-d3"])
-    def test_invalid_config_exit_2(self, tmp_path, config):
+            "geom-samples-above-max", "family-seeds-0", "family-seeds-25",
+            "checkerboard-n-max-0", "checkerboard-n-max-2", "deep-instances-negative",
+            "checkerboard-n-max-11", "checkerboard-n-max-40", "grid-cells-2d",
+            "grid-cells-3d", "caps-negative", "caps-zero", "caps-infinite", "caps-overflow",
+            "threads-2", "threads-0", "threads-true", "threads-string", "h-infinite",
+            "h-nan", "h-zero", "h-squared-overflows", "h-int-overflows-float",
+            "h-squared-overflows-d2", "h-cubed-overflows-d3"])
+    def test_invalid_config_exit_2(self, tmp_path, capsys, command, config, message):
         cfgfile = tmp_path / "cfg.json"
-        cfgfile.write_text(json.dumps({"repetitions": 1, **config}))
-        assert main(["theorem", "--config", str(cfgfile), "--out", str(tmp_path)]) == 2
+        cfgfile.write_text(json.dumps(config))
+        assert main([command, "--config", str(cfgfile), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {message}") and err.count("\n") == 1, err
+        assert not (tmp_path / "o").exists()
 
     def test_h_that_reads_as_infinity_names_h(self, tmp_path, capsys):
         cfgfile = tmp_path / "cfg.json"
         cfgfile.write_text('{"h": 1e309}')
-        assert main(["ratio", "--config", str(cfgfile), "--out", str(tmp_path / "o")]) == 2
+        assert main(["theorem", "--config", str(cfgfile), "--out", str(tmp_path / "o")]) == 2
         assert capsys.readouterr().err == (
             "config error: h must be positive with a finite h ** dimension, got h=inf\n")
 
@@ -420,7 +438,7 @@ class TestCli:
         assert target.read_text() == "not a directory"
 
     def test_plot_emission_round_trip(self, tmp_path):
-        rep, tables = run_checkerboard(3)
+        rep, tables = run_checkerboard(ExperimentConfig(checkerboard_n_max=3))
         files = emit_tables(tables, tmp_path)
         assert [p.name for p in files] == ["checkerboard_growth.dat"]
         cols = np.loadtxt(files[0], ndmin=2).T
@@ -435,7 +453,7 @@ class TestTables:
 
         cfg = ExperimentConfig(seed=5, grid=16, repetitions=3, function_class="random-smooth")
         cfgfile = tmp_path / "cfg.json"
-        cfgfile.write_text(json.dumps(cfg.to_json()))
+        cfgfile.write_text(json.dumps(cfg.to_json("theorem")))
         assert main(["theorem", "--config", str(cfgfile), "--out", str(tmp_path / "o")]) == 0
         rng = np.random.default_rng([cfg.seed, 0])
         f = make_function(rng, cfg.function_class, cfg.dims)
@@ -457,7 +475,7 @@ class TestTables:
         cfgfile = tmp_path / "cfg.json"
         cfgfile.write_text(json.dumps({"h": 0.1}))
         assert main(["theorem", "--config", str(cfgfile), "--out", str(tmp_path / "o")]) == 0
-        _, tables = run_theorem_suite(ExperimentConfig.from_dict({"h": 0.1}))
+        _, tables = run_theorem_suite(ExperimentConfig(h=0.1))
         header, columns = tables["per_lambda.csv"]
         for key in ("term1", "term2", "lhs", "f_boundary"):
             col = columns[header.index(key)]
@@ -468,7 +486,8 @@ class TestTables:
             assert (tmp_path / "o" / name).read_bytes() == (tmp_path / name).read_bytes(), name
 
 
-# every config that once ended in a traceback or a run on non-finite values
+# every config that once ended in a traceback or a run on non-finite values,
+# and one d = 3 run of each command
 CONTRACT_CONFIGS = [
     None,
     {"dimension": 1, "grid": 2, "function_class": "indicator", "family_seeds": 1,
@@ -478,21 +497,22 @@ CONTRACT_CONFIGS = [
     {"h": 1e200},
     {"h": 1.3e154, "dimension": 2},
     {"h": 5e102, "dimension": 3},
+    {"dimension": 3},
 ]
 
 
-def _ratios(out: Path) -> dict:
-    """The ratios of a ``ratio`` or ``theorem`` report in ``out``."""
+def _theorem_ratios(out: Path) -> dict:
+    """The ratios of the ``theorem`` report in ``out``."""
     rep = json.loads((out / "report.json").read_text())
-    res = rep["results"]
-    per_instance = res["ratios"] if "ratios" in res else [r["ratio"] for r in res["instances"]]
-    return {"instances": per_instance, "max": rep["constants"]["ratio_max"],
+    return {"instances": [r["ratio"] for r in rep["results"]["instances"]],
+            "max": rep["constants"]["ratio_max"],
             "median": rep["constants"]["ratio_median"]}
 
 
 @pytest.mark.parametrize("config", CONTRACT_CONFIGS,
                          ids=["default", "indicator-2-cells", "h-tiny-d3", "h-infinite",
-                              "h-squared-overflows", "h-largest-d2", "h-largest-d3"])
+                              "h-squared-overflows", "h-largest-d2", "h-largest-d3",
+                              "dimension-3"])
 @pytest.mark.parametrize("command", COMMANDS)
 def test_exit_code_contract(command, config, tmp_path, capsys):
     # 0 pass, 2 bad config, 3 library error; 1 only with a report that fails
@@ -507,15 +527,73 @@ def test_exit_code_contract(command, config, tmp_path, capsys):
     code = run(config, tmp_path / "o")
     captured = capsys.readouterr()
     assert "Traceback" not in captured.out + captured.err
+    unread = sorted(set(config or {}) - set(READS[command]))
+    if unread:
+        # a key the command does not read is a config error that names it
+        assert code == 2
+        assert captured.err.startswith(
+            f"config error: {command} does not read config key(s) {unread}")
+        return
     assert code in (0, 1, 2, 3)
     if code == 1:
         rep = json.loads((tmp_path / "o" / "report.json").read_text())
         assert not report_passed(rep)
-    if command in ("ratio", "theorem") and code != 2 and "h" in (config or {}):
+    if code != 2 and "h" in (config or {}):
         # a valid h sets units only: the run passes as at h = 1, with its ratios
         at_1 = {k: v for k, v in config.items() if k != "h"}
         assert code == run(at_1, tmp_path / "h1") == 0
-        assert _ratios(tmp_path / "o") == _ratios(tmp_path / "h1")
+        assert _theorem_ratios(tmp_path / "o") == _theorem_ratios(tmp_path / "h1")
+
+
+# per command: a small config, and a second value for each key the command
+# reads; every second value must move some byte of the report outside its
+# config block
+KEY_CHANGES = {
+    "ratio": ({"dimension": 1, "grid": 16, "repetitions": 2},
+              {"seed": 1, "dimension": 2, "grid": 8, "function_class": "spikes",
+               "repetitions": 3}),
+    "theorem": ({"dimension": 2, "grid": 8, "repetitions": 2, "family_seeds": 3},
+                {"seed": 1, "dimension": 1, "grid": 16, "function_class": "spikes",
+                 "repetitions": 3, "h": 0.5, "family_seeds": 4, "deep_instances": 0,
+                 "caps": {"1": 4.0, "2": 7.0, "3": 8.0}}),
+    "checkerboard": ({"checkerboard_n_max": 3}, {"checkerboard_n_max": 4}),
+    "dumbbell": ({}, {}),
+    "geom": ({"geom_samples": 2000}, {"seed": 1, "geom_samples": 3000}),
+    "sparse-audit": ({"dimension": 2, "grid": 8, "repetitions": 2, "family_seeds": 3},
+                     {"seed": 1, "dimension": 1, "grid": 16, "function_class": "spikes",
+                      "repetitions": 3, "family_seeds": 4}),
+}
+# checkerboard and dumbbell draw no random number: seed is echoed for replay only
+SEED_ECHOED_ONLY = ("checkerboard", "dumbbell")
+
+
+def _run_report(command: str, config: dict, out: Path) -> dict:
+    (out.parent / "cfg.json").write_text(json.dumps(config))
+    assert main([command, "--config", str(out.parent / "cfg.json"), "--out", str(out)]) == 0
+    return json.loads((out / "report.json").read_text())
+
+
+def _body(report: dict) -> str:
+    return canonical_json({k: v for k, v in report.items() if k != "config"})
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_every_key_read_moves_the_report(command, tmp_path, capsys):
+    base, changes = KEY_CHANGES[command]
+    echoed = {"seed": 1} if command in SEED_ECHOED_ONLY else {}
+    assert set(changes) | set(echoed) == set(READS[command])
+    want = {**ExperimentConfig().to_json(command), **base}
+    rep = _run_report(command, base, tmp_path / "base")
+    assert rep["config"] == want
+    for key, value in {**changes, **echoed}.items():
+        moved = _run_report(command, {**base, key: value}, tmp_path / key)
+        assert moved["config"] == {**want, key: value}, key
+        assert (_body(moved) != _body(rep)) == (key in changes), key
+
+
+def _replay_config(err: str) -> dict:
+    """The replay configuration that a failed run printed to stderr."""
+    return json.loads(err.split("replay configuration:\n", 1)[1])
 
 
 class TestCliFailurePath:
@@ -529,22 +607,37 @@ class TestCliFailurePath:
         code = main(["theorem", "--config", str(cfgfile), "--seed", "4",
                      "--out", str(tmp_path / "o")])
         assert code == 1
-        err = capsys.readouterr().err
-        assert "replay configuration" in err
-        assert '"seed": 4' in err
-
+        replay = _replay_config(capsys.readouterr().err)
+        report = json.loads((tmp_path / "o" / "report.json").read_text())
+        assert replay == report["config"] and list(replay) == sorted(READS["theorem"])
+        assert replay["seed"] == 4
+        # the printed configuration alone reruns the same failing report
+        cfgfile.write_text(json.dumps(replay))
+        assert main(["theorem", "--config", str(cfgfile), "--out", str(tmp_path / "again")]) == 1
+        assert (tmp_path / "again" / "report.json").read_bytes() == \
+            (tmp_path / "o" / "report.json").read_bytes()
 
     def test_library_error_exit_3_without_traceback(self, tmp_path, capsys, monkeypatch):
         def broken(cfg):
             raise InvariantViolated("at level 0.5: 7 level-union boundary faces exceed 3 + 2")
 
-        monkeypatch.setattr("cubemax.cli.run_theorem_suite", broken)
-        code = main(["theorem", "--seed", "4", "--out", str(tmp_path / "o")])
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps({"grid": 8, "repetitions": 2}))
+        argv = ["sparse-audit", "--config", str(cfgfile), "--seed", "4"]
+        with monkeypatch.context() as patch:
+            patch.setattr("cubemax.cli.run_sparse_audit", broken)
+            code = main(argv + ["--out", str(tmp_path / "o")])
         assert code == 3
         err = capsys.readouterr().err
         lines = err.splitlines()
         assert lines[0] == ("error: InvariantViolated: at level 0.5: 7 level-union "
                             "boundary faces exceed 3 + 2")
         assert lines[1] == "replay configuration:"
-        assert '"seed": 4' in err and "Traceback" not in err
+        assert "Traceback" not in err
         assert not (tmp_path / "o" / "report.json").exists()
+        # the replay configuration is the config block of the same run's report
+        assert main(argv + ["--out", str(tmp_path / "ok")]) == 0
+        report = json.loads((tmp_path / "ok" / "report.json").read_text())
+        assert _replay_config(err) == report["config"]
+        assert list(report["config"]) == sorted(READS["sparse-audit"])
+        assert report["config"]["seed"] == 4 and report["config"]["grid"] == 8

@@ -1,12 +1,13 @@
 """The cell width h sets units and nothing else.
 
-A metamorphic test: ``ratio``, ``theorem`` and ``sparse-audit`` run on small
-configs in d = 1, 2 and 3, for every function class, at h from 2^-1000 to
-2^1000.  Every dimensionless field of a report and of its tables is
-byte-identical to the run at h = 1.  Each dimensional field (a variation,
-a face count or a level integral, of dimension d - 1) is the h = 1 value
-times h ** (d - 1), in one rounding.  An h whose h ** d overflows is a
-config error, exit 2.
+A metamorphic test: ``theorem``, the one command that reads ``h``, runs on
+small configs in d = 1, 2 and 3, for every function class, at h from
+2^-1000 to 2^1000.  Every dimensionless field of a report and of its tables
+is byte-identical to the run at h = 1.  Each dimensional field (a face
+count or a level integral, of dimension d - 1) is the h = 1 value times
+h ** (d - 1), in one rounding.  An h whose h ** d overflows is a config error, exit 2;
+``ratio`` and ``sparse-audit`` hold no measure and read no h, so any h is a
+config error there.
 """
 
 import copy
@@ -17,17 +18,11 @@ import pytest
 
 from cubemax.cli import main
 from cubemax.errors import ConfigError
-from cubemax.experiments import (
-    ExperimentConfig,
-    run_ratio_suite,
-    run_sparse_audit,
-    run_theorem_suite,
-)
+from cubemax.experiments import ExperimentConfig, run_theorem_suite
 from cubemax.generators import FUNCTION_CLASSES
 from cubemax.io import canonical_json
 
-RUNNERS = {"ratio": run_ratio_suite, "theorem": run_theorem_suite,
-           "sparse-audit": run_sparse_audit}
+RUNNERS = {"theorem": run_theorem_suite}
 WIDTHS = (2.0 ** -1000, 0.1, 3.0, 2.0 ** 1000)
 GRIDS = {1: 16, 2: 8, 3: 8}
 
@@ -45,7 +40,7 @@ def split_measures(report: dict, tables: dict) -> tuple[list[bytes], np.ndarray]
     report = copy.deepcopy(report)
     del report["config"]["h"]
     measures = []
-    for row in report["results"]["instances"] if report["command"] == "theorem" else ():
+    for row in report["results"]["instances"]:
         measures += [row.pop(k) for k in ROW_MEASURES]
         measures += [row["subterms"].pop(k) for k in SUBTERM_MEASURES]
     rest = [canonical_json(report).encode()]
@@ -75,14 +70,15 @@ def test_h_sets_units_only(command, d):
             rest, measures = split_measures(*RUNNERS[command](cfg))
             assert rest == rest_1, (cls, h)
             assert measures.tobytes() == (measures_1 * float(h) ** (d - 1)).tobytes(), (cls, h)
-        if command == "theorem":
-            assert measures_1.size > 0
+        assert measures_1.size > 0
 
 
 @pytest.mark.parametrize("d", [2, 3])
-@pytest.mark.parametrize("command", RUNNERS)
+@pytest.mark.parametrize("command", ["ratio", "sparse-audit", "theorem"])
 def test_h_with_overflowing_cell_volume_exits_2(command, d, tmp_path, capsys):
     cfgfile = tmp_path / "cfg.json"
     cfgfile.write_text(json.dumps({"dimension": d, "h": 2.0 ** 1000}))
     assert main([command, "--config", str(cfgfile), "--out", str(tmp_path / "o")]) == 2
-    assert capsys.readouterr().err.startswith("config error: h must be positive")
+    want = ("h must be positive" if command == "theorem"
+            else f"{command} does not read config key(s) ['h']")
+    assert capsys.readouterr().err.startswith(f"config error: {want}")
