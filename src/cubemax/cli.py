@@ -71,6 +71,8 @@ def load_config(args) -> ExperimentConfig:
     data = {}
     if args.config:
         data = json.loads(Path(args.config).read_text(encoding="utf-8"))
+        if not isinstance(data, dict):
+            raise ConfigError(f"a config file holds one JSON object, got {type(data).__name__}")
     if args.seed is not None:
         data["seed"] = args.seed
     return ExperimentConfig.from_dict(data, args.command)

@@ -428,6 +428,16 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("text, kind", [('"abc"', "str"), ('[["a"]]', "list"),
+                                            ("5", "int"), ("null", "NoneType")])
+    def test_config_not_an_object_exit_2(self, tmp_path, capsys, text, kind):
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(text)
+        assert main(["ratio", "--config", str(cfgfile), "--seed", "1",
+                     "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == (
+            f"config error: a config file holds one JSON object, got {kind}\n")
+
     def test_out_is_a_file_exit_2_before_the_run(self, tmp_path, capsys):
         target = tmp_path / "taken"
         target.write_text("not a directory")
