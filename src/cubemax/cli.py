@@ -12,10 +12,10 @@ the config keys that ``experiments.READS`` names for it, and its report's
 Exit codes: 0 all assertions passed; 1 an assertion failed (the replay
 configuration, the report's ``config`` block, goes to stderr); 2 an invalid
 config or output directory, found before the run: a value out of range, a
-file that is not UTF-8 JSON, or a key that the command does not read; 3 a
-library error (a ``CubemaxError`` such as ``InvariantViolated``) stopped the
-run (one ``error: <ErrorType>: <message>`` line and the replay configuration
-go to stderr).
+file that is not one UTF-8 JSON object, or a key that the command does not
+read; 3 a library error (a ``CubemaxError`` such as ``InvariantViolated``)
+stopped the run (one ``error: <ErrorType>: <message>`` line and the replay
+configuration go to stderr).
 """
 
 from __future__ import annotations
