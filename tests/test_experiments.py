@@ -588,7 +588,7 @@ def _body(report: dict) -> str:
 
 
 @pytest.mark.parametrize("command", COMMANDS)
-def test_every_key_read_moves_the_report(command, tmp_path, capsys):
+def test_every_key_read_moves_the_report(command, tmp_path):
     base, changes = KEY_CHANGES[command]
     echoed = {"seed": 1} if command in SEED_ECHOED_ONLY else {}
     assert set(changes) | set(echoed) == set(READS[command])
