@@ -169,11 +169,13 @@ def maximal_global(f: GridFunction) -> GridFunction:
     """The sup of averages over every grid cube containing x that holds no
     NaN cell, the cell x itself (average f(x)) included; NaN at NaN cells.
     By the tiled scan in one dimension and by the descent otherwise."""
-    sat = SummedAreaTable(f.array)
     if f.d == 1:
-        out = _max_over_intervals(f.array, sat)
+        # the scan reads only the table's sums and counts NaN cells itself;
+        # a NaN cell enters the table as 0 either way, but built from a
+        # NaN-free copy the table skips its unread NaN windows
+        out = _max_over_intervals(f.array, SummedAreaTable(np.nan_to_num(f.array, nan=0.0)))
     else:
-        out = _max_over_containing_cubes(f.array, sat.box_avg_grid)
+        out = _max_over_containing_cubes(f.array, SummedAreaTable(f.array).box_avg_grid)
     return GridFunction(f.dims, out.ravel())
 
 
