@@ -67,12 +67,6 @@ from .sparse import (
     lambda_q,
 )
 
-#: Empirical per-dimension caps for the main-inequality ratio.  These are
-#: configuration data calibrated on the random suite (observed maxima stay
-#: near 1), not derived constants.
-DEFAULT_RATIO_CAPS = {1: 4.0, 2: 8.0, 3: 8.0}
-
-
 def sparse_mass_estimate(f: GridFunction, q0: GridCube,
                          lam0: float | None = None) -> tuple[float, float]:
     """Both sides of the sparse mass inequality with its explicit constant.
@@ -219,14 +213,12 @@ class TheoremReport:
     lhs: float
     rhs: float
     ratio: float
-    within_cap: bool
     lam_table: dict            # per-level arrays (lam, sizes, terms, lhs, rhs)
     subterms: dict             # integral breakdown and sparse selection summary
     deep: dict | None = None   # reduction-chain diagnostics when requested
 
 
 def theorem_main_evaluate(f: GridFunction, fam: CubeFamily, *,
-                          cap: float | None = None,
                           deep: bool = True) -> TheoremReport:
     """Exact breakpoint evaluation of the main boundary inequality.
 
@@ -237,14 +229,12 @@ def theorem_main_evaluate(f: GridFunction, fam: CubeFamily, *,
     and integrates both sides.  The interval ``(bps[k-1], bps[k]]`` takes
     the columns' entry ``k``; entry 0 is 0.
     With ``deep`` the full reduction chain is evaluated per level and its
-    observed constants are reported.
+    observed constants are reported.  It measures and does not judge: the
+    caller compares the ratio with its cap.
     """
-    d = f.d
     ok, witness = is_dyadically_complete(fam)
     if not ok:
         raise NotDyadicallyComplete(witness)
-    if cap is None:
-        cap = DEFAULT_RATIO_CAPS[d]
 
     fam = fam if fam.averages is not None else fam.with_averages(f)
     red = maximal_cube_reduction(fam, f)
@@ -287,7 +277,7 @@ def theorem_main_evaluate(f: GridFunction, fam: CubeFamily, *,
 
     ratio = lhs / rhs if rhs > 0 else (0.0 if lhs == 0 else math.inf)
     report = TheoremReport(
-        lhs=lhs, rhs=rhs, ratio=ratio, within_cap=ratio <= cap,
+        lhs=lhs, rhs=rhs, ratio=ratio,
         lam_table={
             "lam": bps, "n_q0": q_sizes[:, 0], "n_q1": q_sizes[:, 1],
             "n_q2": q_sizes[:, 2], "term1": term1s, "term2": term2s,

@@ -21,12 +21,12 @@ from cubemax import (
     variation,
 )
 from cubemax.errors import ZeroVariationInput
-from cubemax.estimates import DEFAULT_RATIO_CAPS, covering_middensity, sparse_mass_estimate
+from cubemax.estimates import covering_middensity, sparse_mass_estimate
 from cubemax.experiments import (
+    DEFAULT_RATIO_CAPS,
     ExperimentConfig,
     run_checkerboard,
     run_dumbbell,
-    run_refinement_stability,
     run_theorem_suite,
     report_passed,
 )
@@ -230,16 +230,17 @@ def test_c08_theorem_empirical_boundedness_and_stability():
     rep, _ = run_theorem_suite(cfg)
     assert report_passed(rep), [a for a in rep["assertions"] if not a["passed"]]
     assert rep["constants"]["ratio_max"] <= DEFAULT_RATIO_CAPS[2]
+    # the refinement check refines the run's own first 12 instances
     stab_cfg = ExperimentConfig(seed=108, dimension=2, grid=16, repetitions=12,
-                                function_class="simple", family_seeds=8)
-    stab = run_refinement_stability(stab_cfg, pairs=12)
-    assert report_passed(stab)
-    assert stab["constants"]["relative_change"] < 0.2
+                                function_class="simple", family_seeds=8, deep_instances=0)
+    stab, _ = run_theorem_suite(stab_cfg)
+    assert report_passed(stab), [a for a in stab["assertions"] if not a["passed"]]
+    change = stab["constants"]["refinement_relative_change"]
+    assert change < 0.2
     elapsed = time.perf_counter() - t0
     assert elapsed < 300.0
     _announce(8, "main inequality below cap + stable under refinement",
-              t0, f"max ratio {rep['constants']['ratio_max']:.3f}, "
-                  f"change {stab['constants']['relative_change']:.4f}")
+              t0, f"max ratio {rep['constants']['ratio_max']:.3f}, change {change:.4f}")
 
 
 def test_c09_checkerboard_growth():

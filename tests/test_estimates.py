@@ -29,6 +29,7 @@ from cubemax.estimates import (
     sparse_mass_estimate,
     theorem_main_evaluate,
 )
+from cubemax.experiments import DEFAULT_RATIO_CAPS
 from cubemax.grid import boundary_faces_outside, integrate_breakpoints
 from cubemax.partition import DensityLevels
 from cubemax.sparse import default_contraction, lambda_q
@@ -398,7 +399,7 @@ class TestTheoremEvaluate:
             rep = theorem_main_evaluate(f, fam, deep=(k == 0))
             assert rep.lhs >= 0 and rep.rhs >= 0
             if rep.rhs > 0:
-                assert rep.within_cap
+                assert rep.ratio <= DEFAULT_RATIO_CAPS[d]
 
     def test_per_lambda_table_consistent(self, rng):
         from cubemax.generators import random_complete_family, simple_function

@@ -6,6 +6,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cubemax.cli import COMMANDS, emit_tables, main
 from cubemax.errors import ConfigError, InvariantViolated
@@ -16,15 +18,17 @@ from cubemax.experiments import (
     dumbbell_domain,
     checkerboard_family,
     checkerboard_indicator,
-    report_passed,
     run_checkerboard,
     run_dumbbell,
+    refine_instance,
+    report_passed,
     run_ratio_suite,
-    run_refinement_stability,
     run_sparse_audit,
     run_theorem_suite,
 )
 from cubemax.cubes import family_averages
+from cubemax.estimates import theorem_main_evaluate
+from cubemax.generators import FUNCTION_CLASSES, make_function, random_complete_family
 from cubemax.grid import GridFunction, variation
 from cubemax.sat import SummedAreaTable
 from cubemax.io import canonical_json
@@ -216,9 +220,59 @@ class TestTheoremSuite:
     def test_refinement_stability(self):
         cfg = ExperimentConfig(seed=11, dimension=2, grid=16, repetitions=6,
                                function_class="simple")
-        rep = run_refinement_stability(cfg, pairs=6)
+        rep, _ = run_theorem_suite(cfg)
         assert report_passed(rep)
-        assert rep["constants"]["relative_change"] < 0.2
+        assert rep["constants"]["refinement_relative_change"] < 0.2
+        # each pair's coarse side is the run's own instance
+        rows = rep["results"]["instances"]
+        assert rep["results"]["refinement"]["coarse_ratios"] == [
+            r["ratio"] for r in rows if r["rhs"] > 0]
+
+    @pytest.mark.parametrize("repetitions", [3, 14])
+    def test_each_instance_drawn_and_evaluated_once(self, tmp_path, monkeypatch, repetitions):
+        import cubemax.experiments as experiments
+
+        evaluate, default_rng = experiments.theorem_main_evaluate, np.random.default_rng
+        evaluated, drawn = [], []
+
+        def counting_evaluate(f, fam, **kwargs):
+            evaluated.append(f.dims)
+            return evaluate(f, fam, **kwargs)
+
+        def recording_rng(seed):
+            drawn.append(seed)
+            return default_rng(seed)
+
+        monkeypatch.setattr(experiments, "theorem_main_evaluate", counting_evaluate)
+        monkeypatch.setattr(np.random, "default_rng", recording_rng)
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps({"grid": 8, "repetitions": repetitions}))
+        assert main(["theorem", "--config", str(cfgfile), "--seed", "5",
+                     "--out", str(tmp_path / "o")]) == 0
+        pairs = min(repetitions, 12)
+        assert evaluated == [(8, 8)] * repetitions + [(16, 16)] * pairs
+        assert drawn == [[5, k] for k in range(repetitions)]
+
+
+@pytest.mark.parametrize("function_class", FUNCTION_CLASSES)
+@pytest.mark.parametrize("d", [1, 2, 3])
+@given(seed=st.integers(0, 2 ** 32 - 1), data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_refinement_scales_both_sides_and_keeps_the_ratio(d, function_class, seed, data):
+    # refining f and the family together is the same step function and family
+    # at half the cell width: averages stay, each face count and so each side
+    # of the inequality grows by exactly 2^(d - 1), and the ratio is bit-equal
+    grid = data.draw(st.sampled_from({1: [4, 16, 64], 2: [4, 8, 16], 3: [2, 4, 8]}[d]))
+    rng = np.random.default_rng(seed)
+    f = make_function(rng, function_class, (grid,) * d)
+    fam = random_complete_family(rng, f.dims, 4).with_averages(f)
+    f2, fam2 = refine_instance(f, fam)
+    assert fam2.averages.tobytes() == fam.averages.tobytes()
+    coarse = theorem_main_evaluate(f, fam, deep=False)
+    fine = theorem_main_evaluate(f2, fam2, deep=False)
+    assert fine.lhs == 2 ** (d - 1) * coarse.lhs
+    assert fine.rhs == 2 ** (d - 1) * coarse.rhs
+    assert np.float64(fine.ratio).tobytes() == np.float64(coarse.ratio).tobytes()
 
 
 class TestDeterminism:
@@ -381,13 +435,15 @@ class TestCli:
         assert ExperimentConfig(h=h, dimension=d).h == h
 
     def test_theorem_without_positive_rhs_pair_reports_zero_change(self, tmp_path):
-        # a 2-cell indicator whose one refinement pair has rhs = 0
+        # a 2-cell indicator whose one instance, and so its refinement pair,
+        # has rhs = 0
         cfgfile = tmp_path / "cfg.json"
         cfgfile.write_text(json.dumps({"dimension": 1, "grid": 2, "function_class": "indicator",
                                        "family_seeds": 1, "repetitions": 1}))
-        assert main(["theorem", "--config", str(cfgfile), "--seed", "3",
+        assert main(["theorem", "--config", str(cfgfile), "--seed", "11",
                      "--out", str(tmp_path / "o")]) == 0
         rep = json.loads((tmp_path / "o" / "report.json").read_text())
+        assert [r["rhs"] for r in rep["results"]["instances"]] == [0]
         assert rep["results"]["refinement"] == {"coarse_ratios": [], "fine_ratios": []}
         assert {k: v for k, v in rep["constants"].items() if k.startswith("refinement_")} == {
             "refinement_max_ratio_coarse": 0.0, "refinement_max_ratio_fine": 0.0,
@@ -458,9 +514,6 @@ class TestCli:
 
 class TestTables:
     def test_per_lambda_tables_hold_instance_0_levels_bit_for_bit(self, tmp_path):
-        from cubemax.estimates import theorem_main_evaluate
-        from cubemax.generators import make_function, random_complete_family
-
         cfg = ExperimentConfig(seed=5, grid=16, repetitions=3, function_class="random-smooth")
         cfgfile = tmp_path / "cfg.json"
         cfgfile.write_text(json.dumps(cfg.to_json("theorem")))
@@ -468,7 +521,7 @@ class TestTables:
         rng = np.random.default_rng([cfg.seed, 0])
         f = make_function(rng, cfg.function_class, cfg.dims)
         fam = random_complete_family(rng, cfg.dims, cfg.family_seeds).with_averages(f)
-        want = theorem_main_evaluate(f, fam, cap=cfg.caps[2], deep=True).lam_table
+        want = theorem_main_evaluate(f, fam, deep=True).lam_table
         assert want["lam"].size > 10
         for name, sep in (("per_lambda.csv", ","), ("per_lambda_trace.dat", " ")):
             header, *rows = (tmp_path / "o" / name).read_text().splitlines()
@@ -612,13 +665,21 @@ class TestCliFailurePath:
         cfgfile.write_text(json.dumps({
             "dimension": 2, "grid": 16, "repetitions": 4,
             "function_class": "simple",
-            "caps": {"1": 1e-12, "2": 1e-12, "3": 1e-12},
+            "caps": {"1": 0.065, "2": 0.065, "3": 0.065},
         }))
         code = main(["theorem", "--config", str(cfgfile), "--seed", "4",
                      "--out", str(tmp_path / "o")])
         assert code == 1
-        replay = _replay_config(capsys.readouterr().err)
+        captured = capsys.readouterr()
+        replay = _replay_config(captured.err)
         report = json.loads((tmp_path / "o" / "report.json").read_text())
+        # the failing detail names the instances above the cap, and only those
+        ratios = [r["ratio"] for r in report["results"]["instances"]]
+        assert [k for k, r in enumerate(ratios) if r > 0.065] == [2, 3]
+        detail = "cap 0.065; instances above it: [2, 3]"
+        assert report["assertions"][0] == {"name": "all_within_cap", "passed": False,
+                                           "detail": detail}
+        assert f"FAILED all_within_cap [{detail}]" in captured.out
         assert replay == report["config"] and list(replay) == sorted(READS["theorem"])
         assert replay["seed"] == 4
         # the printed configuration alone reruns the same failing report
