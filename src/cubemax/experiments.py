@@ -25,7 +25,7 @@ from .cubes import (
     is_power_of_two,
 )
 from .errors import ConfigError
-from .estimates import TheoremReport, theorem_main_evaluate
+from .estimates import theorem_main_evaluate
 from .generators import (
     FUNCTION_CLASSES,
     make_function,
@@ -368,8 +368,12 @@ def run_theorem_suite(cfg: ExperimentConfig) -> tuple[dict, dict]:
         f = make_function(rng, cfg.function_class, cfg.dims)
         fam = random_complete_family(rng, cfg.dims, cfg.family_seeds).with_averages(f)
         rep = theorem_main_evaluate(f, fam, deep=(k < cfg.deep_instances))
+        if k == 0:
+            lam = rep.lam_table
         if k < 12:
-            evaluated.append((f, fam, rep))
+            # only what the refinement reads: the per-level tables of twelve
+            # whole reports would set the run's peak memory
+            evaluated.append((f, fam, rep.rhs, rep.ratio))
         rows.append({"instance": k, "family_size": len(fam),
                      "lhs": rep.lhs, "rhs": rep.rhs, "ratio": rep.ratio,
                      "within_cap": rep.ratio <= cap, "subterms": rep.subterms})
@@ -392,7 +396,6 @@ def run_theorem_suite(cfg: ExperimentConfig) -> tuple[dict, dict]:
         _scale_measures(r, ("lhs", "rhs"), cfg.h, d)
         _scale_measures(r["subterms"], ("high_density_integral", "q2_boundary_integral",
                                         "sparse_rhs_sum"), cfg.h, d)
-    lam = evaluated[0][2].lam_table
     _scale_measures(lam, ("term1", "term2", "lhs", "f_boundary"), cfg.h, d)
     level = ["lam", "n_q0", "n_q1", "n_q2", "term1", "term2", "lhs", "f_boundary"]
     trace = ["lam", "lhs", "f_boundary", "term1", "term2"]
@@ -421,18 +424,18 @@ def refine_instance(f: GridFunction, fam: CubeFamily) -> tuple[GridFunction, Cub
 
 
 def run_refinement_stability(
-        evaluated: list[tuple[GridFunction, CubeFamily, TheoremReport]]) -> dict:
-    """Max main-inequality ratio of the evaluated instances ``(f, fam,
-    report)`` and of their refinements by :func:`refine_instance`, over the
+        evaluated: list[tuple[GridFunction, CubeFamily, float, float]]) -> dict:
+    """Max main-inequality ratio of the evaluated instances ``(f, fam, rhs,
+    ratio)`` and of their refinements by :func:`refine_instance`, over the
     pairs where both right-hand sides are positive.  Only the refinements
     are evaluated here.  Returns the ``results``, ``constants`` and
     ``assertions`` that :func:`run_theorem_suite` merges, with maxima and
     relative change 0 when no pair has a positive right-hand side."""
     coarse, fine = [], []
-    for f, fam, rep in evaluated:
+    for f, fam, rhs, ratio in evaluated:
         fine_rep = theorem_main_evaluate(*refine_instance(f, fam), deep=False)
-        if rep.rhs > 0 and fine_rep.rhs > 0:
-            coarse.append(rep.ratio)
+        if rhs > 0 and fine_rep.rhs > 0:
+            coarse.append(ratio)
             fine.append(fine_rep.ratio)
     mx1, mx2 = max(coarse, default=0.0), max(fine, default=0.0)
     change = abs(mx2 - mx1) / mx1 if mx1 > 0 else 0.0
