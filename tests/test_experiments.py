@@ -18,10 +18,10 @@ from cubemax.experiments import (
     dumbbell_domain,
     checkerboard_family,
     checkerboard_indicator,
-    run_checkerboard,
-    run_dumbbell,
     refine_instance,
     report_passed,
+    run_checkerboard,
+    run_dumbbell,
     run_ratio_suite,
     run_sparse_audit,
     run_theorem_suite,
