@@ -152,9 +152,31 @@ class CubeFamily:
                           np.asarray(sides, dtype=np.int64), averages)
         return fam
 
-    def _canonicalize(self, anchors: np.ndarray, sides: np.ndarray, averages) -> None:
+    @classmethod
+    def from_arrays_indexed(cls, anchors: np.ndarray,
+                            sides: np.ndarray) -> tuple["CubeFamily", np.ndarray]:
+        """The family of the cubes with the given anchor rows and sides, and
+        per given row the index of its cube in the family (numpy's inverse)."""
+        fam = cls.__new__(cls)
+        order, first = fam._canonicalize(np.asarray(anchors, dtype=np.int64),
+                                         np.asarray(sides, dtype=np.int64), None)
+        inverse = np.empty(len(order), dtype=np.int64)
+        inverse[len(order) - 1 - order] = np.cumsum(first) - 1
+        return fam, inverse
+
+    @classmethod
+    def _as_given(cls, anchors: np.ndarray, sides: np.ndarray,
+                  averages: np.ndarray | None = None) -> "CubeFamily":
+        """The family of distinct int64 rows, stored in their given order."""
+        fam = cls.__new__(cls)
+        fam._set(anchors, sides, averages)
+        return fam
+
+    def _canonicalize(self, anchors: np.ndarray, sides: np.ndarray,
+                      averages) -> tuple[np.ndarray, np.ndarray]:
         """Store the rows in canonical order without repeats; a repeated cube
-        keeps its last average."""
+        keeps its last average.  Returns the sort of the reversed rows and
+        the flags of the first row of each run of one cube in it."""
         if np.any(sides < 1):
             raise ValueError("cube side must be at least one cell")
         # reversed rows, so that a stable sort puts the last repeat first
@@ -166,6 +188,7 @@ class CubeFamily:
         idx = len(sides) - 1 - order[first]
         self._set(anchors[idx], sides[idx],
                   None if averages is None else np.asarray(averages, dtype=np.float64)[idx])
+        return order, first
 
     def _set(self, anchors: np.ndarray, sides: np.ndarray, averages: np.ndarray | None) -> None:
         self.anchors, self.sides, self.averages = anchors, sides, averages
@@ -199,10 +222,8 @@ class CubeFamily:
     def select(self, mask: np.ndarray) -> "CubeFamily":
         """The members where the boolean ``mask`` is set, with their averages.
         An index array of distinct members picks them in its own order."""
-        fam = CubeFamily.__new__(CubeFamily)
-        fam._set(self.anchors[mask], self.sides[mask],
-                 None if self.averages is None else self.averages[mask])
-        return fam
+        return CubeFamily._as_given(self.anchors[mask], self.sides[mask],
+                                    None if self.averages is None else self.averages[mask])
 
     def union_pixels(self, dims: Sequence[int]) -> PixelSet:
         """The cells covered by at least one member."""
@@ -258,7 +279,9 @@ def require_finite_averages(fam: CubeFamily) -> None:
 
 
 def dyadic_descendants(q0: GridCube) -> CubeFamily:
-    """All dyadic subcubes of ``q0`` down to single cells, ``q0`` included."""
+    """All dyadic subcubes of ``q0`` down to single cells, ``q0`` included.
+    The rows are built in canonical order, sides descending and each side's
+    anchors row-major (lexicographic), so they are stored unsorted."""
     if not is_power_of_two(q0.side):
         raise NonDyadicSide(f"side {q0.side} is not a power of two")
     anchors, sides = [], []
@@ -268,7 +291,7 @@ def dyadic_descendants(q0: GridCube) -> CubeFamily:
         anchors.append(np.asarray(q0.anchor, dtype=np.int64) + offsets * side)
         sides.append(np.full(len(offsets), side, dtype=np.int64))
         side //= 2
-    return CubeFamily.from_arrays(np.concatenate(anchors), np.concatenate(sides))
+    return CubeFamily._as_given(np.concatenate(anchors), np.concatenate(sides))
 
 
 def _with_dyadic_parents(fam: CubeFamily) -> CubeFamily:

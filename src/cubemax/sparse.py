@@ -12,7 +12,6 @@ import numpy as np
 from .cubes import (
     CubeFamily,
     GridCube,
-    box_cover_counts,
     cube_arrays,
     cube_bounds,
     cube_contains,
@@ -189,10 +188,33 @@ def _first_fit(lo, hi) -> np.ndarray:
 
 
 def dilate_overlap_count(fam: CubeFamily, K: float, dims) -> int:
-    """Max over grid cell centers of how many K-dilates of the members contain the center."""
+    """Max over grid cell centers of how many K-dilates of the members contain the center.
+
+    The centers in a dilate are those of an index box [lo, hi), clipped to
+    the grid.  Along each axis the distinct box corners cut the grid into
+    slabs that each box covers whole or not at all, so the max is taken on
+    this compressed grid.  An axis of it holds one slab per distinct corner,
+    the last one past every box: at most 2 members slabs, and at most one
+    more than the grid's cells.  Each box puts its 2^d corner marks, +1 or
+    -1 by the parity of its hi corners, into a difference array on the
+    compressed grid, and one cumulative sum per axis turns the marks into
+    the counts.  They are 0 on the last slab of each axis, and the marks of
+    a box that is empty after clipping cancel."""
+    if not len(fam):
+        return 0
     lo, hi = dilate_bounds(*cube_bounds(fam.anchors, fam.sides), K)
     # cell center i + 0.5 lies in [lo, hi) iff ceil(lo - 0.5) <= i < ceil(hi - 0.5)
-    return int(box_cover_counts(np.ceil(lo - 0.5), np.ceil(hi - 0.5), dims).max())
+    box = np.clip(np.ceil(np.stack((lo, hi)) - 0.5), 0, np.asarray(dims)).astype(np.int64)
+    # per axis, the rank of each corner among the distinct ones (2, members):
+    # slab j runs from corner j to corner j + 1, and the largest corner is a hi
+    ranks = [np.unique(box[..., k], return_inverse=True)[1].reshape(2, -1)
+             for k in range(box.shape[2])]
+    diff = np.zeros([r[1].max() + 1 for r in ranks], dtype=np.int64)
+    for corner in np.ndindex((2,) * len(ranks)):
+        np.add.at(diff, tuple(r[c] for r, c in zip(ranks, corner)), (-1) ** sum(corner))
+    for k in range(len(ranks)):
+        np.cumsum(diff, axis=k, out=diff)
+    return int(diff.max())
 
 
 def disjoint_select(S: CubeFamily, D_per_Q0: Mapping[GridCube, CubeFamily],
@@ -222,7 +244,7 @@ def disjoint_select(S: CubeFamily, D_per_Q0: Mapping[GridCube, CubeFamily],
         r = int(np.argmax(outside))
         raise PremiseViolated(f"{GridCube(qa[r].tolist(), int(qs[r]))} not contained "
                               f"in its base cube {list(D_per_Q0)[owner[r]]}")
-    all_d = CubeFamily.from_arrays(qa, qs)
+    all_d, inverse = CubeFamily.from_arrays_indexed(qa, qs)
     A, side = all_d.anchors, all_d.sides
     m = len(all_d)
     sa, ss = S.anchors, S.sides
@@ -270,10 +292,11 @@ def disjoint_select(S: CubeFamily, D_per_Q0: Mapping[GridCube, CubeFamily],
     # the two dilations; c1 and c2 are the largest dilations so chosen.  The
     # second depends only on the base, so it is computed once per base of a
     # block.  A selected cube captures itself with need1 = 1 and need2 <= 1,
-    # exactly on integer corners, and c1 and c2 start at 1: its rows are
-    # skipped.  np.unique sorts the rows in canonical order, as ``all_d``.
-    _, inverse = np.unique(np.column_stack((-qs, qa)), axis=0, return_inverse=True)
-    rest = np.flatnonzero(~np.isin(inverse.reshape(-1), chosen))
+    # exactly on integer corners, and c1 and c2 start at 1: its rows, found
+    # through each input row's index in ``all_d``, are skipped.
+    is_chosen = np.zeros(m, dtype=bool)
+    is_chosen[chosen] = True
+    rest = np.flatnonzero(~is_chosen[inverse])
     pc, pr = _centres(A[chosen], side[chosen])
     qc, qr = _centres(qa, qs)
     bc, br = _centres(base_a, base_s)

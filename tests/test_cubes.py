@@ -52,6 +52,13 @@ class TestDyadicDescendants:
         with pytest.raises(NonDyadicSide):
             dyadic_descendants(GridCube((0,), 3))
 
+    def test_rows_built_in_canonical_order(self):
+        # stored unsorted, so they must already be what sorting would give
+        for d in (1, 2, 3):
+            for side in (1, 2, 4, 8, 16, 32):
+                fam = dyadic_descendants(GridCube((5, -3, 12)[:d], side))
+                assert fam == CubeFamily.from_arrays(fam.anchors, fam.sides)
+
 
 class TestDyadicCompleteness:
     def test_descendants_complete(self):
@@ -254,6 +261,9 @@ class TestFamilyBasics:
                 assert GridCube((7,) * d, 9) not in fam
                 assert not (fam.anchors.flags.writeable or fam.sides.flags.writeable
                             or fam.averages.flags.writeable)
+            fam, inverse = CubeFamily.from_arrays_indexed(anchors, sides)
+            assert fam == CubeFamily.from_arrays(anchors, sides)
+            assert [fam[i] for i in inverse] == cubes
 
     def test_equality_is_bitwise_in_row_order(self):
         fam = CubeFamily([GridCube((0, 0), 2), GridCube((1, 1), 1)], np.array([1.0, np.nan]))

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cubemax import CubeFamily, GridCube, GridFunction, dyadic_descendants, grid_from_array
 from cubemax.errors import PremiseViolated
@@ -424,13 +426,22 @@ class TestArrayFormAgainstScalarOracles:
         assert found > 0
 
     @pytest.mark.parametrize("d", [1, 2, 3])
-    def test_overlap_count_matches_oracle(self, rng, d):
-        for _ in range(40):
-            sp, f = random_selection(rng, d)
-            for K in (0.4, (1 - default_contraction(d)) ** 2, 1.0, 2.5):
-                assert dilate_overlap_count(sp.cubes, K, f.dims) == \
-                    scalar_overlap_count(sp.cubes, K, f.dims)
-        assert dilate_overlap_count(CubeFamily([]), 1.0, f.dims) == 0
+    @given(data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_overlap_count_matches_oracle(self, d, data):
+        # axes down to one cell; cubes partly or wholly off the grid, whose
+        # dilates reach past it on either side or are empty once clipped; few
+        # anchors and sides, so that many boxes share corner coordinates; and
+        # the empty family
+        dims = tuple(data.draw(st.lists(st.integers(1, {1: 24, 2: 10, 3: 5}[d]),
+                                        min_size=d, max_size=d), label="dims"))
+        coord = st.integers(-4, max(dims) + 3)
+        cubes = data.draw(st.lists(st.tuples(st.tuples(*[coord] * d), st.integers(1, 6)),
+                                   max_size=40), label="cubes")
+        fam = CubeFamily([GridCube(a, s) for a, s in cubes])
+        K = data.draw(st.sampled_from([0.4, (1 - default_contraction(d)) ** 2, 1.0, 2.5])
+                      | st.floats(0.05, 4.0), label="K")
+        assert dilate_overlap_count(fam, K, dims) == scalar_overlap_count(fam, K, dims)
 
 
 def test_selection_path_builds_no_grid_cubes(rng, monkeypatch):
