@@ -194,8 +194,8 @@ def dilate_overlap_count(fam: CubeFamily, K: float, dims) -> int:
     the grid.  Along each axis the distinct box corners cut the grid into
     slabs that each box covers whole or not at all, so the max is taken on
     this compressed grid.  An axis of it holds one slab per distinct corner,
-    the last one past every box: at most 2 members slabs, and at most one
-    more than the grid's cells.  Each box puts its 2^d corner marks, +1 or
+    the last one past every box: at most two slabs per member, and at most
+    one more than the grid's cells.  Each box puts its 2^d corner marks, +1 or
     -1 by the parity of its hi corners, into a difference array on the
     compressed grid, and one cumulative sum per axis turns the marks into
     the counts.  They are 0 on the last slab of each axis, and the marks of
