@@ -219,6 +219,12 @@ class CubeFamily:
         """This family with its averages of ``f``, read from ``sat`` when given."""
         return CubeFamily.from_arrays(self.anchors, self.sides, family_averages(f, self, sat))
 
+    def scaled(self, k: int) -> "CubeFamily":
+        """This family's cubes with anchors and sides times the integer
+        ``k >= 1``, in the same order (which keeps rows canonical and
+        distinct), without averages."""
+        return CubeFamily._as_given(k * self.anchors, k * self.sides)
+
     def select(self, mask: np.ndarray) -> "CubeFamily":
         """The members where the boolean ``mask`` is set, with their averages.
         An index array of distinct members picks them in its own order."""
@@ -294,13 +300,10 @@ def dyadic_descendants(q0: GridCube) -> CubeFamily:
     return CubeFamily._as_given(np.concatenate(anchors), np.concatenate(sides))
 
 
-def _with_dyadic_parents(fam: CubeFamily) -> CubeFamily:
-    """The family joined by, for each member P strictly inside a power-of-two
-    member Q0, the smallest dyadic cube of Q0 that contains P and is not P.
-
-    Each added cube forms such a pair with Q0 in turn, so the family holds
-    every dyadic cube of Q0 containing P once nothing is added.
-    """
+def _dyadic_tiles(fam: CubeFamily) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """For each member P strictly inside a power-of-two member Q0: the row
+    of Q0, P's anchor offsets in Q0, and the side of the smallest dyadic
+    cube of Q0 that contains P and is not P."""
     a, s = fam.anchors, fam.sides
     # members of the smallest side hold only themselves; fam may be in
     # selection order, so the smallest side is not always the last
@@ -315,10 +318,17 @@ def _with_dyadic_parents(fam: CubeFamily) -> CubeFamily:
     lo = a[inner] - a[outer]
     # the finest tile holding P has side 2^b, b the bit length of the XOR of
     # P's first and last cell offsets (frexp of a positive integer gives b)
-    tile = 2 ** np.frexp(lo ^ (lo + s[inner, None] - 1))[1].max(axis=1, initial=0)
-    tile = np.where(tile == s[inner], 2 * tile, tile)
-    return CubeFamily.from_arrays(np.concatenate((a, a[outer] + lo // tile[:, None] * tile[:, None])),
-                                  np.concatenate((s, tile)))
+    tile = np.int64(1) << np.frexp(lo ^ (lo + s[inner, None] - 1))[1].max(axis=1, initial=0)
+    return outer, lo, np.where(tile == s[inner], 2 * tile, tile)
+
+
+def _with_dyadic_parents(fam: CubeFamily) -> CubeFamily:
+    """The family joined by, for each member P strictly inside a power-of-two
+    member Q0, the smallest dyadic cube of Q0 that contains P and is not P."""
+    outer, lo, tile = _dyadic_tiles(fam)
+    return CubeFamily.from_arrays(
+        np.concatenate((fam.anchors, fam.anchors[outer] + lo // tile[:, None] * tile[:, None])),
+        np.concatenate((fam.sides, tile)))
 
 
 def is_dyadically_complete(fam: CubeFamily) -> tuple[bool, GridCube | None]:
@@ -327,24 +337,44 @@ def is_dyadically_complete(fam: CubeFamily) -> tuple[bool, GridCube | None]:
     For every pair P, Q0 in the family with P inside Q0 and Q0 of
     power-of-two side, every dyadic cube of Q0 containing P must be present.
     Pairs whose outer cube has a non-power-of-two side are skipped.  The
-    witness is the first row at which :func:`_with_dyadic_parents`, a
-    canonical superset, differs from the family's canonical rows.
+    family is complete when :func:`_with_dyadic_parents`, a canonical
+    superset, adds no row (a family's rows are distinct).  Otherwise the
+    witness is the first row at which that superset differs from the
+    family's canonical rows, which only this failure path sorts.
     """
     grown = _with_dyadic_parents(fam)
+    if len(grown) == len(fam):
+        return True, None
     own = CubeFamily.from_arrays(fam.anchors, fam.sides)  # fam may be in selection order
     n = len(own)
-    if len(grown) == n:
-        return True, None
     differ = (grown.sides[:n] != own.sides) | (grown.anchors[:n] != own.anchors).any(axis=1)
     return False, grown[int(np.argmax(np.append(differ, True)))]
 
 
 def dyadic_completion(fam: CubeFamily) -> CubeFamily:
-    """Minimal dyadically complete superset; idempotent."""
-    grown = _with_dyadic_parents(fam)
-    while len(grown) > len(fam):
-        fam, grown = grown, _with_dyadic_parents(grown)
-    return grown
+    """Minimal dyadically complete superset, in canonical order; idempotent.
+
+    One pass over the input's pairs: for each member P strictly inside a
+    power-of-two member Q0, every dyadic cube of Q0 below Q0 that holds P,
+    from the smallest one that is not P up, joins the family, and one sort
+    makes it canonical.  This is the fixed point of
+    :func:`_with_dyadic_parents`.  Each added cube is needed, and nothing
+    more is: take a member X strictly inside a power-of-two member Y, and
+    the input cube P' under X (X itself, or the input that X was added
+    for).  If Y is an input, P''s chain in Y holds every dyadic cube of Y
+    that contains X.  If Y was added as a dyadic cube of an input Q0, P'
+    lies inside Q0 too, and the dyadic cubes of Y are those of Q0 inside Y,
+    so P''s chain in Q0 already holds them.
+    """
+    outer, lo, tile = _dyadic_tiles(fam)
+    # a chain's sides double from its first tile to half of Q0's side
+    steps = scale_indices(fam.sides[outer]) - scale_indices(tile)
+    pair = np.repeat(np.arange(len(outer)), steps)
+    level = np.arange(len(pair)) - np.repeat(np.cumsum(steps) - steps, steps)
+    side = tile[pair] << level
+    return CubeFamily.from_arrays(
+        np.concatenate((fam.anchors, fam.anchors[outer[pair]] + lo[pair] // side[:, None] * side[:, None])),
+        np.concatenate((fam.sides, side)))
 
 
 def maximal_cube_reduction(fam: CubeFamily, f: GridFunction) -> CubeFamily:

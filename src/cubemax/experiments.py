@@ -420,7 +420,7 @@ def refine_instance(f: GridFunction, fam: CubeFamily) -> tuple[GridFunction, Cub
     for ax in range(f.d):
         arr = np.repeat(arr, 2, axis=ax)
     f2 = GridFunction(arr.shape, arr.ravel())
-    return f2, CubeFamily.from_arrays(2 * fam.anchors, 2 * fam.sides).with_averages(f2)
+    return f2, fam.scaled(2).with_averages(f2)
 
 
 def run_refinement_stability(

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .cubes import CubeFamily, GridCube, dyadic_completion
+from .cubes import CubeFamily, dyadic_completion
 from .errors import ConfigError
 from .grid import GridFunction
 
@@ -132,18 +132,20 @@ def make_function(rng: np.random.Generator, cls: str, dims) -> GridFunction:
 
 def random_family(rng: np.random.Generator, dims, count: int,
                   pow2: bool = True) -> CubeFamily:
-    """Random cubes inside the box; power-of-two sides by default."""
-    cubes = []
-    nmin = min(dims)
+    """Random cubes inside the box; power-of-two sides by default.  Each
+    cube draws one scalar for its side, then one per anchor axis."""
+    nmin = int(min(dims))
+    kmax = nmin.bit_length() - 1  # floor(log2 nmin)
+    anchors, sides = [], []
     for _ in range(count):
         if pow2:
-            kmax = int(np.log2(nmin))
             side = 2 ** int(rng.integers(0, kmax + 1))
         else:
             side = int(rng.integers(1, nmin + 1))
-        anchor = tuple(int(rng.integers(0, n - side + 1)) for n in dims)
-        cubes.append(GridCube(anchor, side))
-    return CubeFamily(cubes)
+        sides.append(side)
+        anchors.append([int(rng.integers(0, n - side + 1)) for n in dims])
+    return CubeFamily.from_arrays(np.array(anchors, dtype=np.int64).reshape(count, len(dims)),
+                                  np.array(sides, dtype=np.int64))
 
 
 def random_complete_family(rng: np.random.Generator, dims, seeds: int) -> CubeFamily:
@@ -156,6 +158,6 @@ def random_complete_family(rng: np.random.Generator, dims, seeds: int) -> CubeFa
     fam = random_family(rng, dims, seeds, pow2=True)
     side = min(dims)
     if not (side & (side - 1)) and max(dims) == side and rng.random() < 0.5:
-        fam = CubeFamily([*fam, GridCube((0,) * len(dims), side)])
+        fam = CubeFamily.from_arrays(np.vstack((fam.anchors, np.zeros((1, len(dims)), dtype=np.int64))),
+                                     np.append(fam.sides, side))
     return dyadic_completion(fam)
-

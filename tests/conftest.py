@@ -320,6 +320,29 @@ def brute_force_completion(cubes):
         members |= missing
 
 
+def fixed_point_completion(fam):
+    """Vectorised fixed-point oracle for ``dyadic_completion``: join the
+    one-step dyadic parents of every contained pair until nothing is added."""
+    grown = cubes_module._with_dyadic_parents(fam)
+    while len(grown) > len(fam):
+        fam, grown = grown, cubes_module._with_dyadic_parents(grown)
+    return grown
+
+
+def gridcube_random_family(rng, dims, count, pow2=True):
+    """Oracle for ``generators.random_family``: one ``GridCube`` per draw
+    (side, then anchor axis by axis), turned into arrays at the end."""
+    cubes = []
+    nmin = min(dims)
+    for _ in range(count):
+        if pow2:
+            side = 2 ** int(rng.integers(0, int(np.log2(nmin)) + 1))
+        else:
+            side = int(rng.integers(1, nmin + 1))
+        cubes.append(GridCube(tuple(int(rng.integers(0, n - side + 1)) for n in dims), side))
+    return CubeFamily.from_arrays(*cube_arrays(cubes, len(dims)))
+
+
 def set_witness(fam):
     """Oracle for ``is_dyadically_complete``, in any member order.  The flag
     says whether :func:`brute_force_completion` adds nothing.  The witness

@@ -17,10 +17,12 @@ from cubemax import (
     maximal_cube_reduction,
 )
 from cubemax.cubes import cube_bounds, dilate_bounds, row_blocks, scale_indices
+from cubemax.generators import random_family
 from cubemax.errors import NonDyadicSide, PremiseViolated
 from conftest import (
     brute_force_completion,
     cube_holds,
+    fixed_point_completion,
     cube_holds_cell,
     scalar_scale_index,
     set_witness,
@@ -117,6 +119,59 @@ class TestDyadicCompletion:
             max_side = max(c.side for c in fam.cubes)
             bound = len(fam) * (1 + max(1, int(np.log2(max(2, max_side)))) * 2 ** d)
             assert len(done) <= bound
+
+
+def assert_complete_at_the_fixed_point(fam, done):
+    assert done == fixed_point_completion(fam)
+    assert dyadic_completion(done) == done
+    assert is_dyadically_complete(done) == (True, None)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@given(data=st.data())
+@settings(max_examples=50, deadline=None)
+def test_one_pass_completion_matches_both_oracles(d, data):
+    # square and non-square boxes, power-of-two and other seed sides, with
+    # and without the whole box (the box itself when it is a square), in
+    # canonical and in selection order
+    largest = {1: 32, 2: 16, 3: 8}[d]
+    if data.draw(st.booleans(), label="square"):
+        dims = (data.draw(st.sampled_from([n for n in (2, 4, 8, 16, 32) if n <= largest]), label="n"),) * d
+    else:
+        dims = data.draw(st.tuples(*[st.integers(2, largest)] * d), label="dims")
+    nmin = min(dims)
+    if data.draw(st.booleans(), label="pow2"):
+        sides = st.sampled_from([2 ** k for k in range(nmin.bit_length())])
+    else:
+        sides = st.integers(1, nmin)
+    cubes = []
+    for _ in range(data.draw(st.integers(0, {1: 8, 2: 6, 3: 4}[d]), label="count")):
+        side = data.draw(sides, label="side")
+        cubes.append(GridCube(data.draw(st.tuples(*[st.integers(0, n - side) for n in dims]),
+                                        label="anchor"), side))
+    if data.draw(st.booleans(), label="box"):
+        cubes.append(GridCube((0,) * d, nmin))
+    fam = CubeFamily(cubes)
+    if data.draw(st.booleans(), label="selection order"):
+        fam = fam.select(np.array(data.draw(st.permutations(range(len(fam))), label="order"),
+                                  dtype=np.int64))
+    done = dyadic_completion(fam)
+    assert done == CubeFamily(brute_force_completion(fam.cubes))
+    assert_complete_at_the_fixed_point(fam, done)
+
+
+@pytest.mark.parametrize("dims, seeds", [((64, 64), 16), ((32, 32), 6), ((8, 8, 8), 6)])
+def test_one_pass_completion_at_the_benchmark_shapes(dims, seeds):
+    # 64^2 with 16 seeds and the box is too slow for the brute-force oracle
+    box = CubeFamily([GridCube((0,) * len(dims), dims[0])])
+    for seed in range(12):
+        fam = random_family(np.random.default_rng(seed), dims, seeds)
+        if seed % 2:
+            fam = CubeFamily.from_arrays(np.vstack((fam.anchors, box.anchors)),
+                                         np.append(fam.sides, box.sides))
+        done = dyadic_completion(fam)
+        assert len(done) > len(fam) or seed % 2 == 0
+        assert_complete_at_the_fixed_point(fam, done)
 
 
 def test_one_row_blocks_match_oracles(rng, one_row_blocks):
@@ -264,6 +319,12 @@ class TestFamilyBasics:
             fam, inverse = CubeFamily.from_arrays_indexed(anchors, sides)
             assert fam == CubeFamily.from_arrays(anchors, sides)
             assert [fam[i] for i in inverse] == cubes
+            # scaling keeps canonical order and distinct rows, and a
+            # selection's own order
+            backwards = np.arange(len(fam))[::-1]
+            for k in (1, 2, 3):
+                assert fam.scaled(k) == CubeFamily.from_arrays(k * fam.anchors, k * fam.sides)
+                assert fam.select(backwards).scaled(k) == fam.scaled(k).select(backwards)
 
     def test_equality_is_bitwise_in_row_order(self):
         fam = CubeFamily([GridCube((0, 0), 2), GridCube((1, 1), 1)], np.array([1.0, np.nan]))

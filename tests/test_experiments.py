@@ -34,7 +34,7 @@ from cubemax.sat import SummedAreaTable
 from cubemax.io import canonical_json
 from cubemax.maximal import maximal_family
 import cubemax
-from cubemax import is_dyadically_complete
+from cubemax import CubeFamily, is_dyadically_complete
 from conftest import per_value_write_columns
 
 
@@ -268,6 +268,8 @@ def test_refinement_scales_both_sides_and_keeps_the_ratio(d, function_class, see
     fam = random_complete_family(rng, f.dims, 4).with_averages(f)
     f2, fam2 = refine_instance(f, fam)
     assert fam2.averages.tobytes() == fam.averages.tobytes()
+    # doubling keeps canonical order, so one sort gives the two-sort family
+    assert fam2 == CubeFamily.from_arrays(2 * fam.anchors, 2 * fam.sides).with_averages(f2)
     coarse = theorem_main_evaluate(f, fam, deep=False)
     fine = theorem_main_evaluate(f2, fam2, deep=False)
     assert fine.lhs == 2 ** (d - 1) * coarse.lhs
