@@ -242,8 +242,9 @@ def theorem_main_evaluate(f: GridFunction, fam: CubeFamily, *,
 
     bps = lambda_breakpoints(f, red.averages)
     split = density_levels(f, red)
-    lhs_c, term1_c, rhs_c, hd_c = _level_face_columns(
-        f, split, red.union_pixels(f.dims).mask, bps)
+    # every member of red has a finite average, so its union is where the
+    # max-paint of the averages is above -inf
+    lhs_c, term1_c, rhs_c, hd_c = _level_face_columns(f, split, split.paint_all > -np.inf, bps)
     term2_c = split.q2_boundary_faces(bps)
     term2_c[0] = 0
     # the split dominates the full boundary, exactly in face counts
@@ -313,8 +314,17 @@ def _level_face_columns(f: GridFunction, split: DensityLevels, full_union: np.nd
     the levels lam of one interval: lhs on (max(F(x), F(y), PA(y)), PA(x)],
     term1 on the same with P01 for PA, f_boundary on (F(y), F(x)] when both
     cells lie in ``full_union``, and the denominator on
-    (F(y), min(F(x), PA(x), PA(y))].  Each interval adds +1/-1 at its
-    breakpoint indices in a difference array; column entry 0 is 0.
+    (F(y), min(F(x), PA(x), PA(y))].  Of a face's two orientations at most
+    one has a non-empty interval: when PA(x) >= PA(y), the lhs interval of
+    (y, x) ends at PA(y) and starts at or above it, and when F(x) >= F(y),
+    the f_boundary and denominator intervals of (y, x) end at or below
+    F(y), where they start (likewise for term1 with P01).  So each face is
+    read once, from its two cells x and y = x + e_ax, with flo, fhi the
+    smaller and larger of F(x), F(y) and plo, pM those of PA: lhs counts on
+    (max(fhi, plo), pM], term1 on the same with P01, f_boundary on
+    (flo, fhi] when both cells lie in ``full_union``, and the denominator on
+    (flo, min(fhi, plo)].  Each interval adds +1/-1 at its breakpoint
+    indices in a difference array; column entry 0 is 0.
     """
     m = bps.size
     F = np.nan_to_num(f.array, nan=-np.inf)
@@ -325,17 +335,17 @@ def _level_face_columns(f: GridFunction, split: DensityLevels, full_union: np.nd
         diffs[row] += np.bincount(np.searchsorted(bps, lo[keep], "right"), minlength=m + 1)
         diffs[row] -= np.bincount(np.searchsorted(bps, hi[keep], "right"), minlength=m + 1)
 
+    pa, p01 = split.paint_all, split.paint01
     for ax in range(f.d):
-        fa, pa, p01, fu = (np.moveaxis(a, ax, 0)
-                           for a in (F, split.paint_all, split.paint01, full_union))
-        for x, y in ((slice(None, -1), slice(1, None)), (slice(1, None), slice(None, -1))):
-            fx, fy = fa[x], fa[y]
-            top = np.maximum(fx, fy)
-            count(0, np.maximum(top, pa[y]), pa[x])
-            count(1, np.maximum(top, p01[y]), p01[x])
-            both = fu[x] & fu[y]
-            count(2, fy[both], fx[both])
-            count(3, fy, np.minimum(fx, np.minimum(pa[x], pa[y])))
+        x = (slice(None),) * ax + (slice(None, -1),)
+        y = (slice(None),) * ax + (slice(1, None),)
+        flo, fhi = np.minimum(F[x], F[y]), np.maximum(F[x], F[y])
+        plo = np.minimum(pa[x], pa[y])
+        count(0, np.maximum(fhi, plo), np.maximum(pa[x], pa[y]))
+        count(1, np.maximum(fhi, np.minimum(p01[x], p01[y])), np.maximum(p01[x], p01[y]))
+        both = full_union[x] & full_union[y]
+        count(2, flo[both], fhi[both])
+        count(3, flo, np.minimum(fhi, plo))
     cols = np.cumsum(diffs[:, :m], axis=1)
     cols[:, 0] = 0
     return cols

@@ -9,15 +9,19 @@ from .errors import ConfigError
 from .grid import GridFunction
 
 
+def _random_box(rng: np.random.Generator, dims) -> tuple[slice, ...]:
+    sl = []
+    for n in dims:
+        a = int(rng.integers(0, n))
+        b = int(rng.integers(a + 1, n + 1))
+        sl.append(slice(a, b))
+    return tuple(sl)
+
+
 def _random_box_mask(rng: np.random.Generator, dims, k: int) -> np.ndarray:
     m = np.zeros(tuple(dims), dtype=bool)
     for _ in range(k):
-        sl = []
-        for n in dims:
-            a = int(rng.integers(0, n))
-            b = int(rng.integers(a + 1, n + 1))
-            sl.append(slice(a, b))
-        m[tuple(sl)] = True
+        m[_random_box(rng, dims)] = True
     return m
 
 
@@ -43,9 +47,9 @@ def simple_function(rng: np.random.Generator, dims, terms: int = 4) -> GridFunct
     while True:
         vals = np.zeros(tuple(dims))
         for _ in range(terms):
-            m = _random_box_mask(rng, dims, 1)
-            vals[m] += float(rng.choice(levels))
-        if np.unique(vals).size > 1:
+            box = _random_box(rng, dims)
+            vals[box] += float(rng.choice(levels))
+        if vals.min() != vals.max():
             return GridFunction(dims, vals.ravel())
 
 

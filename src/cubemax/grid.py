@@ -23,7 +23,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -194,14 +194,14 @@ def variation(f: GridFunction, mask: PixelSet | None = None) -> float:
     return total
 
 
-def lambda_breakpoints(f: GridFunction, extra: Iterable[float] = ()) -> np.ndarray:
+def lambda_breakpoints(f: GridFunction, extra: np.ndarray | Sequence[float] = ()) -> np.ndarray:
     """Sorted, deduplicated union of all cell values and the given extras.
 
     Every level-set quantity in the package is constant on each open interval
     between consecutive breakpoints, so integrals over the level parameter
     reduce to exact finite sums (see :func:`integrate_breakpoints`).
     """
-    extra = np.asarray(list(extra), dtype=np.float64)
+    extra = np.asarray(extra, dtype=np.float64)
     vals = f.values[np.isfinite(f.values)]
     return np.unique(np.concatenate((vals, extra)))
 

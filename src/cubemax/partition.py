@@ -45,7 +45,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .cubes import CubeFamily
 from .grid import GridFunction, PixelSet, perimeter, superlevel
@@ -157,15 +156,24 @@ def density_levels(f: GridFunction, fam: CubeFamily) -> DensityLevels:
 def kth_largest(values: np.ndarray, fam: CubeFamily, rank) -> np.ndarray:
     """Per cube, the k-th largest of ``values`` over its cells (NaN as -inf),
     k = ``rank(cells)`` in [1, cells]: the cube has at least k cells with
-    ``values >= lam`` exactly when lam is at most this number."""
+    ``values >= lam`` exactly when lam is at most this number.
+
+    Per side, the cubes' windows are gathered from one strided view of the
+    values whose entry at an anchor is the side-``side`` window there (the
+    shape and strides ``sliding_window_view`` would give, built directly),
+    and the gathered copy is partitioned in place at rank k.
+    """
     values = np.nan_to_num(values, nan=-np.inf)
     out = np.empty(len(fam))
     for side in np.unique(fam.sides).tolist():
         rows = np.flatnonzero(fam.sides == side)
         cells = side ** values.ndim
         k = rank(cells)
-        windows = sliding_window_view(values, (side,) * values.ndim)[tuple(fam.anchors[rows].T)]
-        out[rows] = np.partition(windows.reshape(rows.size, cells), cells - k, axis=1)[:, cells - k]
+        windows = np.ndarray(tuple(n + 1 - side for n in values.shape) + (side,) * values.ndim,
+                             values.dtype, values, 0, values.strides * 2)
+        gathered = windows[tuple(fam.anchors[rows].T)].reshape(rows.size, cells)
+        gathered.partition(cells - k, axis=1)
+        out[rows] = gathered[:, cells - k]
     return out
 
 

@@ -6,27 +6,39 @@ import numpy as np
 
 
 def _compensated_cumsum(a: np.ndarray, axis: int) -> np.ndarray:
-    """Neumaier-compensated running sums along one axis.
+    """Compensated running sums along one axis, bit for bit Neumaier's.
 
-    The running sums are ``np.cumsum`` (numpy accumulates left to right), the
-    error of each step follows from the sums before and after it, and the
-    running total of those errors, started at 0, corrects every sum after the
-    first.  Two scratch arrays of the input's size hold the errors.
+    The running sums are ``np.cumsum`` (numpy accumulates left to right).
+    The rounding error of the step t = prev + x comes from Knuth's
+    branch-free TwoSum, ``(prev - (t - (t - prev))) + (x - (t - prev))``, in
+    five in-place passes with one scratch array; the running total of those
+    errors, started at +0.0, corrects every sum after the first.
+
+    This equals Neumaier's ordered form, ``(prev - t) + x`` when
+    |prev| >= |x| and ``(x - t) + prev`` otherwise: the error of a rounded
+    sum is a float, and both forms return it exactly when none of their
+    subtractions overflows, so they agree in value.  They can differ only in the sign of a zero error,
+    and that never shows: the running error starts at +0.0 and a sum that
+    cancels to zero rounds to +0.0, so it is never -0.0, and adding +0.0 or
+    -0.0 to it leaves it unchanged.  From a step whose sum overflows on,
+    both forms correct every sum of the row to the same NaN.  The one
+    exception is an addend or a partial sum equal to +-DBL_MAX, the largest
+    finite float: TwoSum's first subtraction can then overflow although t is
+    finite (Boldo, Graillat and Muller, "On the robustness of the 2Sum and
+    Fast2Sum algorithms", 2017), and the row turns NaN where Neumaier's
+    stays finite.
     """
     a = np.moveaxis(np.asarray(a, dtype=np.float64), axis, 0)
     s = np.cumsum(a, axis=0)
     prev, x, t = s[:-1], a[1:], s[1:]
     err = np.empty_like(s)
     err[0] = 0.0
-    step, other = err[1:], np.empty_like(x)
-    np.abs(prev, out=step)
-    np.abs(x, out=other)
-    swap = step >= other
-    np.subtract(prev, t, out=step)
-    step += x
-    np.subtract(x, t, out=other)
-    other += prev
-    np.copyto(step, other, where=~swap)
+    step, xb = err[1:], np.empty_like(x)
+    np.subtract(t, prev, out=xb)       # the part of x that entered t
+    np.subtract(t, xb, out=step)       # the part of prev that entered t
+    np.subtract(prev, step, out=step)  # what of prev was lost
+    np.subtract(x, xb, out=xb)         # what of x was lost
+    step += xb
     np.cumsum(err, axis=0, out=err)
     t += err[1:]
     return np.moveaxis(s, 0, axis)

@@ -62,13 +62,16 @@ def greedy_sparse(f: GridFunction, q2_union: CubeFamily) -> SparseFamily:
     with the largest average (ties by canonical order), then discard every
     remaining cube with no larger average that overlaps it in more than half
     of the smaller volume.  Surviving pairs either overlap weakly or are
-    strictly scale-separated with increasing averages.
+    strictly scale-separated with increasing averages.  A non-finite average
+    raises :class:`PremiseViolated`: a NaN average would be picked and never
+    discarded, so the loop would not end.
     """
     n = len(q2_union)
     if n == 0:
         empty = np.empty(0)
         return SparseFamily(CubeFamily.from_arrays(np.empty((0, f.d)), empty, empty), empty, 0.0)
     fam = q2_union if q2_union.averages is not None else q2_union.with_averages(f)
+    require_finite_averages(fam)
     avgs, anchors, sides = fam.averages, fam.anchors, fam.sides
     scales = scale_indices(sides)
     cellcounts = sides ** f.d

@@ -146,6 +146,35 @@ def per_level_columns(f, red, bps):
     return SimpleNamespace(**out)
 
 
+def directed_face_columns(f, split, full_union, bps):
+    """Oracle for ``estimates._level_face_columns``: every face read in both
+    orientations (x inside, y outside), each on its own level interval,
+    with the axis moved to the front."""
+    m = bps.size
+    F = np.nan_to_num(f.array, nan=-np.inf)
+    diffs = np.zeros((4, m + 1), dtype=np.int64)
+
+    def count(row, lo, hi):
+        keep = lo < hi
+        diffs[row] += np.bincount(np.searchsorted(bps, lo[keep], "right"), minlength=m + 1)
+        diffs[row] -= np.bincount(np.searchsorted(bps, hi[keep], "right"), minlength=m + 1)
+
+    for ax in range(f.d):
+        fa, pa, p01, fu = (np.moveaxis(a, ax, 0)
+                           for a in (F, split.paint_all, split.paint01, full_union))
+        for x, y in ((slice(None, -1), slice(1, None)), (slice(1, None), slice(None, -1))):
+            fx, fy = fa[x], fa[y]
+            top = np.maximum(fx, fy)
+            count(0, np.maximum(top, pa[y]), pa[x])
+            count(1, np.maximum(top, p01[y]), p01[x])
+            both = fu[x] & fu[y]
+            count(2, fy[both], fx[both])
+            count(3, fy, np.minimum(fx, np.minimum(pa[x], pa[y])))
+    cols = np.cumsum(diffs[:, :m], axis=1)
+    cols[:, 0] = 0
+    return cols
+
+
 def doubling_spread(avg, side, dims):
     """Oracle for one side of ``maximal._max_over_containing_cubes``: the
     per-cell max over the side-``side`` cubes that cover it, NaN anchors
@@ -318,6 +347,23 @@ def brute_force_completion(cubes):
         if not missing:
             return members
         members |= missing
+
+
+def mask_simple_function(rng, dims, terms=4):
+    """Oracle for ``generators.simple_function``: each term paints a full-grid
+    boolean mask of its box, and non-constancy is tested with ``np.unique``."""
+    levels = np.array([0.5, 1.0, 1.5, 2.0, 3.0])
+    while True:
+        vals = np.zeros(tuple(dims))
+        for _ in range(terms):
+            m, box = np.zeros(tuple(dims), dtype=bool), []
+            for n in dims:
+                a = int(rng.integers(0, n))
+                box.append(slice(a, int(rng.integers(a + 1, n + 1))))
+            m[tuple(box)] = True
+            vals[m] += float(rng.choice(levels))
+        if np.unique(vals).size > 1:
+            return vals
 
 
 def fixed_point_completion(fam):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cubemax import (
     CubeFamily,
@@ -31,9 +33,10 @@ from cubemax.estimates import (
 )
 from cubemax.experiments import DEFAULT_RATIO_CAPS
 from cubemax.grid import boundary_faces_outside, integrate_breakpoints
-from cubemax.partition import DensityLevels
+from cubemax.generators import random_family
+from cubemax.partition import DensityLevels, density_levels
 from cubemax.sparse import default_contraction, lambda_q
-from conftest import counted_density_tests, cube_holds
+from conftest import counted_density_tests, cube_holds, directed_face_columns, draw_nan_cells
 
 
 def enumerate_dyadic_1d(anchor, side):
@@ -496,6 +499,34 @@ class TestTheoremEvaluate:
                 assert np.array_equal(rep.lam_table[key], getattr(want, key))
             finite = want.hd_ratios[np.isfinite(want.hd_ratios)]
             assert rep.subterms["high_density_ratio_max"] == float(np.max(finite))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_face_columns_match_directed_oracle(d, data):
+    # each face read once against both orientations read apart, count for
+    # count: NaN cells, signed zeros, cells from a few values (so averages
+    # and rank levels tie with cells and with each other), and families of
+    # 0, 1, 2 or 6 members, some with NaN averages
+    arr, rng = draw_nan_cells(data, d, {1: 48, 2: 10, 3: 5})
+    if data.draw(st.booleans(), label="few values"):
+        cells = ~np.isnan(arr)
+        arr[cells] = rng.choice([-1.0, -0.0, 0.0, 1.0, 2.0], int(cells.sum()))
+    f = grid_from_array(arr)
+    members = data.draw(st.sampled_from([0, 1, 2, 6]), label="members")
+    fam = random_family(rng, f.dims, members, pow2=False).with_averages(f)
+    split = density_levels(f, fam)
+    finite = np.isfinite(fam.averages)
+    bps = lambda_breakpoints(f, np.append(fam.averages[finite], 0.0))
+    union = fam.union_pixels(f.dims).mask
+    got = estimates._level_face_columns(f, split, union, bps)
+    assert got.dtype == np.int64
+    assert got.tobytes() == directed_face_columns(f, split, union, bps).tobytes()
+    # the evaluator's union: members with finite averages are where the
+    # paint of the averages is above -inf
+    assert np.array_equal(split.paint_all > -np.inf,
+                          fam.select(finite).union_pixels(f.dims).mask)
 
 
 class TestAncestorMax:

@@ -10,8 +10,9 @@ from cubemax.generators import (
     random_complete_family,
     random_family,
     random_smooth_function,
+    simple_function,
 )
-from conftest import fixed_point_completion, gridcube_random_family
+from conftest import fixed_point_completion, gridcube_random_family, mask_simple_function
 
 
 @pytest.mark.parametrize("shape", [
@@ -78,3 +79,14 @@ def test_empty_family_rows_have_width_d(d):
     fam = random_family(np.random.default_rng(0), (4,) * d, 0)
     assert fam.anchors.shape == (0, d)
     assert dyadic_completion(fam).anchors.shape == (0, d)
+
+
+@pytest.mark.parametrize("dims", [(2,), (64,), (1, 2), (16, 16), (64, 64), (2, 1, 1), (8, 8, 8)])
+def test_simple_function_matches_mask_oracle(dims):
+    # the same draws in the same order, the same values bit for bit, and the
+    # generator left in the same state (redraws of a constant grid included)
+    for seed in range(20):
+        rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = simple_function(rng, dims)
+        assert got.array.tobytes() == mask_simple_function(want_rng, dims).tobytes()
+        assert rng.random() == want_rng.random()

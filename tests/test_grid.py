@@ -183,6 +183,7 @@ class TestBreakpoints:
     def test_values_and_extras(self):
         f = grid_from_array(np.array([1.0, 0.0, 2.0]))
         assert lambda_breakpoints(f, [0.5]).tolist() == [0.0, 0.5, 1.0, 2.0]
+        assert lambda_breakpoints(f, np.array([0.5, 2.0])).tolist() == [0.0, 0.5, 1.0, 2.0]
 
     def test_constant(self):
         f = grid_from_array(np.zeros(4))

@@ -27,6 +27,41 @@ def test_compensated_cumsum_matches_row_loop(d, data):
         assert got.tobytes() == loop_compensated_cumsum(a, axis).tobytes()
 
 
+@pytest.mark.parametrize("d", [1, 2, 3])
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_compensated_cumsum_matches_row_loop_extreme_magnitudes(d, data):
+    # magnitudes from 1e-320 to 1e308: each cell's exponent comes from a
+    # subnormal, a middle or a near-overflow band, so steps lose subnormal
+    # bits and partial sums overflow to inf and then to NaN; bit for bit
+    # with the loop, sign of zero and NaN included.  Both forms warn on
+    # overflow, so the warnings are silenced for the comparison.
+    dims = tuple(data.draw(st.lists(st.integers(1, {1: 64, 2: 12, 3: 6}[d]),
+                                    min_size=d, max_size=d), label="dims"))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1), label="seed"))
+    bands = np.array([[-320.0, -300.0], [-8.0, 8.0], [307.0, 308.0]])
+    lo, hi = np.moveaxis(bands[rng.integers(0, 3, dims)], -1, 0)
+    a = rng.choice([-1.0, 1.0], dims) * 10.0 ** rng.uniform(lo, hi)
+    a[rng.random(dims) < 0.1] = 0.0
+    a[rng.random(dims) < 0.1] = -0.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for axis in range(d):
+            assert _compensated_cumsum(a, axis).tobytes() == loop_compensated_cumsum(a, axis).tobytes()
+
+
+@pytest.mark.parametrize("a", [
+    [1e308, 1e308, -1e308, 1.0],                  # overflow to inf, then inf - inf
+    [-1e308, -1e308, 1e308, 5e-324],              # overflow to -inf
+    [1e308, 1.0, 1e308, -1e308, -1e308],          # inf, then NaN
+    [5e-324, -5e-324, 1e-320, -0.0, 2.5e-321],    # subnormal steps and a cancelling one
+    [-0.0, -0.0, 0.0, -0.0],                      # signed zeros only
+], ids=["inf", "-inf", "inf-nan", "subnormal", "zeros"])
+def test_compensated_cumsum_extreme_rows_match_row_loop(a):
+    a = np.array(a)
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert _compensated_cumsum(a, 0).tobytes() == loop_compensated_cumsum(a, 0).tobytes()
+
+
 @pytest.mark.parametrize("dims", [(1,), (2,), (1, 5), (5, 2), (2, 1, 3), (1, 1, 1)])
 def test_compensated_cumsum_short_axes(rng, dims):
     a = rng.choice([-1.0, 1.0], dims) * 10.0 ** rng.uniform(-8, 8, dims)

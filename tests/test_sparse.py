@@ -141,6 +141,15 @@ class TestGreedySparse:
         assert sp.rhs_sum == pytest.approx(want, rel=1e-12)
 
 
+    def test_nan_average_rejected(self):
+        # argmax would pick the NaN cube and no comparison with NaN would
+        # discard it, so the loop would never end
+        f = GridFunction((4, 4), np.arange(16.0))
+        fam = CubeFamily.from_arrays([[0, 0], [1, 1]], [2, 2], [np.nan, 1.0])
+        with pytest.raises(PremiseViolated, match="non-finite average"):
+            greedy_sparse(f, fam)
+
+
 class TestSignificantMass:
     def test_high_density_everywhere_gives_zero(self):
         vals = np.zeros((4, 4))
