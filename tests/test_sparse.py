@@ -140,7 +140,6 @@ class TestGreedySparse:
                    for c, a, l in zip(sp.cubes, sp.cubes.averages, sp.lambdas))
         assert sp.rhs_sum == pytest.approx(want, rel=1e-12)
 
-
     def test_nan_average_rejected(self):
         # argmax would pick the NaN cube and no comparison with NaN would
         # discard it, so the loop would never end
